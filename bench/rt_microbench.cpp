@@ -30,13 +30,6 @@
 //    OM-timestamp interval groups, with per-app conflict counts, the
 //    detector-off vs. detector-on loop times, and the partitionability
 //    verdict (scripts/check_parallel_safety.py gates on this section);
-//  * "parallel_propagate" — the parallel change-propagation scaling
-//    sweep (runtime/ParallelPropagate): the same batched-edit loop per
-//    app at 1, 2, and 4 worker threads, with the phase counters
-//    (parallel runs / fallbacks / conflicts), the loop wall time, the
-//    recorded host CPU count, and the placement-abstract trace-shape
-//    digest, which must be identical across thread counts
-//    (scripts/check_parallel_speedup.py gates on this section);
 //  * "simd_kernels" — per-kernel, per-compiled-variant ns/op for the
 //    dispatched hot kernels (support/simd): streaming checksum, batched
 //    memo hashing, handle bounds sweep, bucket-index gather, and the OM
@@ -65,7 +58,6 @@
 #include <cstddef>
 #include <cstdlib>
 #include <fstream>
-#include <thread>
 
 using namespace ceal;
 using namespace ceal::apps;
@@ -395,47 +387,6 @@ void writeParallelSafety(std::ostream &Out, double Scale, size_t Samples) {
   Out << "    ]\n  }";
 }
 
-/// The parallel change-propagation scaling sweep: the batched-edit loop
-/// at 1 (sequential baseline), 2, and 4 worker threads per app. Every
-/// row carries the final placement-abstract trace-shape digest;
-/// digest_matches_sequential compares it against the app's 1-thread row
-/// and must be true everywhere — a mismatch means a parallel phase
-/// produced a trace a sequential propagation would not have. host_cpus
-/// records the machine the numbers came from: on fewer cores than
-/// threads the wall times oversubscribe one core and say nothing about
-/// scaling (scripts/check_parallel_speedup.py skips its speedup gate
-/// then, but still enforces the digests).
-void writeParallelPropagate(std::ostream &Out, double Scale, size_t Samples) {
-  using namespace bench;
-  auto Scaled = [&](size_t Base) {
-    return std::max<size_t>(16, size_t(double(Base) * Scale));
-  };
-  size_t Rounds = std::max<size_t>(4, Samples / 8);
-  const unsigned ThreadCounts[] = {1, 2, 4};
-  std::vector<ParallelPropagateRow> Rows;
-  for (unsigned T : ThreadCounts)
-    Rows.push_back(parallelPropagateList(ListKind::Map, Scaled(100000),
-                                         Rounds, T));
-  for (unsigned T : ThreadCounts)
-    Rows.push_back(parallelPropagateQuickhull(Scaled(20000), Rounds, T));
-  for (unsigned T : ThreadCounts)
-    Rows.push_back(parallelPropagateExpTrees(Scaled(100000), Rounds, T));
-
-  for (ParallelPropagateRow &R : Rows)
-    for (const ParallelPropagateRow &Base : Rows)
-      if (Base.Name == R.Name && Base.Threads == 1)
-        R.DigestMatchesSequential = R.TraceDigest == Base.TraceDigest;
-
-  Out << "  \"parallel_propagate\": {\n    \"host_cpus\": "
-      << std::thread::hardware_concurrency() << ",\n    \"apps\": [\n";
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    Out << "    ";
-    Rows[I].writeJson(Out);
-    Out << (I + 1 < Rows.size() ? ",\n" : "\n");
-  }
-  Out << "    ]\n  }";
-}
-
 //===----------------------------------------------------------------------===//
 // SIMD kernel matrix (BENCH_rt.json)
 //===----------------------------------------------------------------------===//
@@ -678,13 +629,10 @@ void writeBenchJson(const char *Path, double Scale, size_t Samples) {
   Out << ",\n";
   writeParallelSafety(Out, Scale, Samples);
   Out << ",\n";
-  writeParallelPropagate(Out, Scale, Samples);
-  Out << ",\n";
   writeSimdKernels(Out);
   Out << "\n}\n";
   std::printf("wrote closure census, update bench, phase profiles, "
-              "parallel-safety audit, parallel-propagation sweep, and SIMD "
-              "kernel matrix to %s\n",
+              "parallel-safety audit, and SIMD kernel matrix to %s\n",
               Path);
 }
 

@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Interprocedural interference analysis for parallel change
-/// propagation: which *region classes* of the store may each CL entry
-/// point read or write, and which pairs of entry points could therefore
-/// race if their trace intervals re-executed concurrently.
+/// Interprocedural interference analysis, an off-by-default analysis
+/// tool: which *region classes* of the store may each CL entry point
+/// read or write, and which pairs of entry points could therefore race
+/// if their trace intervals were ever re-executed concurrently. The
+/// runtime always propagates on one thread; the verdicts describe the
+/// programs, they do not gate any execution mode.
 ///
 /// Region classes are allocation-site based, with two extensions that
 /// make the domain closed under the ways CL code actually obtains

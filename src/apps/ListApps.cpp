@@ -129,9 +129,7 @@ VCell *allocVCell(Runtime &RT, Word Id, Modref *Val, Modref *Tail) {
 
 /// True if \p N starts a new run in \p Round. A pure function of the
 /// cell's lineage identity, so decisions are reproducible across
-/// re-executions, across runtimes, and across propagation modes (a cell
-/// placed in a parallel worker's shard chunk flips the same coin the
-/// sequentially placed cell would; region offsets would not be).
+/// re-executions and across runtimes (region offsets would not be).
 bool runBoundary(const VCell *N, Word Round) {
   return hashPair(N->Id, Round) & 1;
 }

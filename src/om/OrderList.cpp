@@ -56,19 +56,13 @@ OmNode *OrderList::insertAfterSlow(OmNode *X, OmItem Item) {
         X->Next->Prev = N;
       X->Next = N;
       ++G->Count;
-      bumpSize(1);
+      ++Size;
       return N;
     }
-    if (G->Count >= GroupLimit) {
-      // Group-structure edits (splits create groups and may trigger a
-      // range relabel) serialize across workers while armed.
-      MaybeLockGuard L(ArmedHere, StructLock);
+    if (G->Count >= GroupLimit)
       splitGroup(G);
-    } else {
-      // Item relabels stay within G — a group never spans two worker
-      // regions after isolateBoundary, so no lock is needed.
+    else
       relabelGroupItems(G);
-    }
   }
 }
 
@@ -79,7 +73,6 @@ OmNode *OrderList::insertAfterSlow(OmNode *X, OmItem Item) {
 /// is bounded by GroupLimit and each peeled node prepays the fresh group
 /// it lands in).
 OmNode *OrderList::appendSlow(OmNode *X, OmItem Item) {
-  assert(!ParallelArmed && "append mode is single-threaded");
   for (;;) {
     OmGroup *G = X->Group;
     if (X->Next && X->Next->Group == G) {
@@ -140,16 +133,6 @@ OmNode *OrderList::appendSlow(OmNode *X, OmItem Item) {
 
 /// Unlinks and frees a group whose last member was just removed.
 void OrderList::removeEmptyGroup(OmGroup *G) {
-  if (__builtin_expect(ArmedHere, 0)) {
-    // Keep the group linked and labeled: a concurrent cross-region order
-    // query may have loaded a node's group pointer just before its last
-    // member migrated or died, and will still dereference this group's
-    // label. Deferred groups stay in the chain (so range relabels keep
-    // their labels current) and are unlinked by endParallel.
-    SpinLockGuard L(StructLock);
-    EmptyGroups.push_back(G);
-    return;
-  }
   if (G->Prev)
     G->Prev->Next = G->Next;
   else
@@ -165,17 +148,10 @@ void OrderList::relabelGroupItems(OmGroup *G) {
   uint64_t Gap = UINT64_MAX / (uint64_t(G->Count) + 1);
   // The label rewrite goes through the vectorized relabel kernel, which
   // may speculatively *read* Next fields of arena addresses near the
-  // chain; hand it the arena's bump extent as the speculation window
-  // only when no parallel phase is armed — a concurrent worker may be
-  // writing neighboring nodes, and the serial chase (null window)
-  // touches exactly the chain's own nodes, exactly as the plain loop
-  // did. Label stores stay plain either way: a group never spans worker
-  // regions, so armed-mode item labels are read only by their owner.
-  const void *WinLo = nullptr, *WinHi = nullptr;
-  if (!ParallelArmed) {
-    WinLo = Allocator.regionBase();
-    WinHi = static_cast<const char *>(WinLo) + Allocator.bumpUsedBytes();
-  }
+  // chain; the arena's bump extent is the window those reads stay in.
+  const void *WinLo = Allocator.regionBase();
+  const void *WinHi =
+      static_cast<const char *>(WinLo) + Allocator.bumpUsedBytes();
   simd::omRelabel(G->First, G->Count, /*Base=*/0, Gap, offsetof(OmNode, Next),
                   offsetof(OmNode, Label), WinLo, WinHi);
 }
@@ -225,13 +201,7 @@ void OrderList::splitGroup(OmGroup *G) {
     NewG->First = N;
     NewG->Count = Take;
     for (uint32_t I = 0; I < Take; ++I) {
-      if (ArmedHere)
-        // Release pairs with the acquire group-pointer load in
-        // precedesArmed: a cross-region query that observes the
-        // migration must also see NewG's label.
-        __atomic_store_n(&N->Group, NewG, __ATOMIC_RELEASE);
-      else
-        N->Group = NewG;
+      N->Group = NewG;
       N = N->Next;
     }
     relabelGroupItems(NewG);
@@ -280,114 +250,17 @@ uint64_t OrderList::makeGroupGapAfter(OmGroup *G) {
       continue; // Too dense for this height; widen the range.
     uint64_t Gap = Width / (Count + 1);
     assert(Gap >= 2 && "density bound guarantees usable gaps");
-    Cursor = Lo;
-    uint64_t Index = 1;
-    if (__builtin_expect(ParallelArmed, 0)) {
-      // Seqlock write side: make the epoch odd, publish the new labels
-      // with atomic stores, make it even again. precedesArmed retries
-      // any query whose label loads overlapped the odd window.
-      LabelEpoch.fetch_add(1, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_release);
-      while (Cursor && Index <= Count) {
-        __atomic_store_n(&Cursor->Label, RangeBase + Gap * Index,
-                         __ATOMIC_RELAXED);
-        Cursor = Cursor->Next;
-        ++Index;
-      }
-      LabelEpoch.fetch_add(1, std::memory_order_release);
-    } else {
-      // Same chain-relabel shape as relabelGroupItems, over the group
-      // chain instead of a node chain; single-threaded here, so the
-      // kernel gets the full arena extent as its speculation window.
-      const void *WinLo = Allocator.regionBase();
-      const void *WinHi =
-          static_cast<const char *>(WinLo) + Allocator.bumpUsedBytes();
-      simd::omRelabel(Lo, Count, RangeBase, Gap, offsetof(OmGroup, Next),
-                      offsetof(OmGroup, Label), WinLo, WinHi);
-    }
+    // Same chain-relabel shape as relabelGroupItems, over the group chain
+    // instead of a node chain.
+    const void *WinLo = Allocator.regionBase();
+    const void *WinHi =
+        static_cast<const char *>(WinLo) + Allocator.bumpUsedBytes();
+    simd::omRelabel(Lo, Count, RangeBase, Gap, offsetof(OmGroup, Next),
+                    offsetof(OmGroup, Label), WinLo, WinHi);
     return G->Label;
   }
   std::fprintf(stderr, "OrderList: group label space exhausted\n");
   std::abort();
-}
-
-bool OrderList::precedesArmed(const OmNode *A, const OmNode *B) {
-  // Seqlock read side. Group pointers are acquire-loaded: a node may be
-  // mid-migration into a freshly split group, and the acquire pairs with
-  // the release store in splitGroup so the new group's label is visible
-  // before the migration is. Group labels are validated against the
-  // relabel epoch; a range relabel overlapping the two loads forces a
-  // retry. Deferred empty-group reclamation (removeEmptyGroup while
-  // armed) guarantees both group pointers stay dereferenceable and
-  // currently labeled for the whole window.
-  for (;;) {
-    uint64_t E0 = LabelEpoch.load(std::memory_order_acquire);
-    if (E0 & 1) {
-      cpuRelax();
-      continue;
-    }
-    const OmGroup *GA = __atomic_load_n(&A->Group, __ATOMIC_ACQUIRE);
-    const OmGroup *GB = __atomic_load_n(&B->Group, __ATOMIC_ACQUIRE);
-    if (GA == GB)
-      // One group never spans two worker regions (isolateBoundary), so
-      // both nodes belong to the calling worker and their item labels
-      // are quiescent from its perspective.
-      return A->Label < B->Label;
-    uint64_t LA = __atomic_load_n(&GA->Label, __ATOMIC_RELAXED);
-    uint64_t LB = __atomic_load_n(&GB->Label, __ATOMIC_RELAXED);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (LabelEpoch.load(std::memory_order_relaxed) == E0)
-      return LA < LB;
-    cpuRelax();
-  }
-}
-
-void OrderList::isolateBoundary(OmNode *N) {
-  assert(!ArmedHere && "isolate boundaries before arming");
-  OmGroup *G = N->Group;
-  if (G->First == N)
-    return;
-  // Peel N and its in-group successors into a fresh group, keeping every
-  // node label (the suffix's labels are increasing, and the fresh group's
-  // label sits strictly between G's and its successor's, so the total
-  // order is unchanged).
-  OmGroup *NewG = freshGroupAfter(G);
-  NewG->First = N;
-  uint32_t Moved = 0;
-  for (OmNode *C = N; C && C->Group == G; C = C->Next) {
-    C->Group = NewG;
-    ++Moved;
-  }
-  NewG->Count = Moved;
-  assert(G->Count > Moved && "peel must leave the prefix behind");
-  G->Count -= Moved;
-}
-
-void OrderList::beginParallel(unsigned Shards) {
-  assert(!ParallelArmed && "a list is already armed for parallel mode");
-  assert(!AppendActive && "cannot arm during append mode");
-  assert(EmptyGroups.empty() && "deferred groups left from a prior phase");
-  Allocator.beginShards(Shards);
-  ArmedHere = true;
-  ParallelArmed = true;
-}
-
-void OrderList::endParallel() {
-  assert(ArmedHere && "endParallel without beginParallel");
-  ParallelArmed = false;
-  ArmedHere = false;
-  Allocator.endShards();
-  for (OmGroup *G : EmptyGroups) {
-    assert(G->Count == 0 && "deferred empty group gained members");
-    if (G->Prev)
-      G->Prev->Next = G->Next;
-    else
-      FirstGroup = G->Next;
-    if (G->Next)
-      G->Next->Prev = G->Prev;
-    Allocator.destroy(G);
-  }
-  EmptyGroups.clear();
 }
 
 void OrderList::verifyInvariants() const {

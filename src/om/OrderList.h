@@ -21,13 +21,10 @@
 #define CEAL_OM_ORDERLIST_H
 
 #include "support/Arena.h"
-#include "support/SpinLock.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <vector>
 
 namespace ceal {
 
@@ -101,7 +98,7 @@ public:
         X->Next->Prev = N;
       X->Next = N;
       ++G->Count;
-      bumpSize(1);
+      ++Size;
       return N;
     }
     return insertAfterSlow(X, Item);
@@ -118,7 +115,7 @@ public:
     if (X->Next)
       X->Next->Prev = X->Prev;
     --G->Count;
-    bumpSize(-1);
+    --Size;
     Allocator.destroy(X);
     if (G->Count == 0)
       removeEmptyGroup(G);
@@ -161,35 +158,10 @@ public:
 
   /// Returns true iff \p A is strictly before \p B in the order.
   static bool precedes(const OmNode *A, const OmNode *B) {
-    if (__builtin_expect(ParallelArmed, 0))
-      return precedesArmed(A, B);
     if (A->Group == B->Group)
       return A->Label < B->Label;
     return A->Group->Label < B->Group->Label;
   }
-
-  /// Splits \p N's group (if needed) so that \p N becomes the first member
-  /// of a group, without changing any label. Afterwards no group spans the
-  /// boundary between N->Prev and N, so node-level mutations strictly
-  /// before N and at-or-after N touch disjoint groups. Single-threaded;
-  /// call before beginParallel().
-  void isolateBoundary(OmNode *N);
-
-  /// Arms the list for concurrent per-region mutation by the parallel
-  /// propagator: order queries switch to a seqlock over group labels,
-  /// group-structure edits serialize on an internal lock, empty groups are
-  /// deferred rather than freed (a concurrent cross-region query may still
-  /// be reading their label), and the node arena enters shard mode. The
-  /// regions must first be separated with isolateBoundary so that plain
-  /// node-level operations stay group-disjoint across workers.
-  void beginParallel(unsigned Shards);
-
-  /// Disarms parallel mode: frees deferred empty groups and merges the
-  /// arena shards. Single-threaded; call after all workers joined.
-  void endParallel();
-
-  /// True while armed by beginParallel.
-  bool inParallelMode() const { return ArmedHere; }
 
   /// Successor of \p X in the order, or null if X is the maximum.
   static OmNode *next(OmNode *X) { return X->Next; }
@@ -251,19 +223,6 @@ private:
   /// relabeling; bound the gap so appends consume label space linearly.
   static constexpr uint64_t AppendGap = uint64_t(1) << 32;
 
-  /// Armed-mode order query: validates an epoch-stamped snapshot of the
-  /// two group labels against concurrent range relabels (seqlock).
-  static bool precedesArmed(const OmNode *A, const OmNode *B);
-
-  /// Size accounting: plain in sequential mode, atomic while any list in
-  /// the process is armed (cross-worker inserts/removes race on it).
-  void bumpSize(int64_t Delta) {
-    if (__builtin_expect(ParallelArmed, 0))
-      __atomic_fetch_add(&Size, size_t(Delta), __ATOMIC_RELAXED);
-    else
-      Size += size_t(Delta);
-  }
-
   OmNode *insertAfterSlow(OmNode *X, OmItem Item);
   OmNode *appendSlow(OmNode *X, OmItem Item);
   void removeEmptyGroup(OmGroup *G);
@@ -290,24 +249,6 @@ private:
   uint32_t FillLimit = GroupLimit;
   bool AppendActive = false;
 
-  /// Process-wide "some list is armed" flag, consulted by the static
-  /// precedes(). Toggled only single-threaded (before worker spawn /
-  /// after join), so the plain read is race-free: workers inherit the
-  /// armed value via the thread-start happens-before edge.
-  inline static bool ParallelArmed = false;
-  /// Seqlock epoch over group labels: makeGroupGapAfter (the only
-  /// mutation of an *existing* group's label) makes it odd for the
-  /// duration of a relabel; precedesArmed retries across odd epochs.
-  inline static std::atomic<uint64_t> LabelEpoch{0};
-  /// True on the instance beginParallel() armed (the propagating trace).
-  bool ArmedHere = false;
-  /// Serializes group-structure edits (split, fresh/create group, range
-  /// relabel, empty-group deferral) across workers while armed.
-  SpinLock StructLock;
-  /// Groups emptied while armed: kept linked and labeled until
-  /// endParallel so concurrent order queries that cached a pointer to
-  /// them keep reading a current label.
-  std::vector<OmGroup *> EmptyGroups;
 };
 
 } // namespace ceal

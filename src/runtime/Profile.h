@@ -64,17 +64,6 @@ struct ProfileHistogram {
 
   double mean() const { return Count ? double(Sum) / double(Count) : 0.0; }
 
-  /// Folds another histogram into this one (parallel-worker profiles are
-  /// merged into the main profile at the join barrier).
-  void merge(const ProfileHistogram &O) {
-    for (unsigned B = 0; B < NumBuckets; ++B)
-      Buckets[B] += O.Buckets[B];
-    Count += O.Count;
-    Sum += O.Sum;
-    if (O.Max > Max)
-      Max = O.Max;
-  }
-
   /// Emits `{"count":...,"sum":...,"max":...,"mean":...,"buckets":[[lo,
   /// n],...]}` with one `[lower_bound, count]` pair per non-empty bucket.
   void writeJson(std::ostream &Out) const {
@@ -132,48 +121,10 @@ struct PropagationProfile {
   /// Placement-scan steps per use-list insertion.
   ProfileHistogram UseScan;
 
-  /// Parallel-propagation section (runtime/ParallelPropagate). Counters
-  /// are zero unless the feature ran; per-worker slots beyond the used
-  /// thread count stay zero.
-  static constexpr unsigned MaxWorkers = 8;
-  uint64_t ParallelRuns = 0;      ///< propagations that ran parallel.
-  uint64_t ParallelFallbacks = 0; ///< propagations refused up front.
-  uint64_t ParallelConflicts = 0; ///< phases demoted by a dynamic conflict.
-  uint64_t ForwardedReads = 0;    ///< cross-region invalidations forwarded.
-  uint64_t JoinWaitNs = 0;        ///< leader wall time waiting at the join.
-  uint64_t WorkersUsed = 0;       ///< max workers any phase actually used.
-  uint64_t WorkerBusyNs[MaxWorkers] = {};
-  uint64_t WorkerPops[MaxWorkers] = {};
-
   void reset() {
     bool E = Enabled;
     *this = PropagationProfile();
     Enabled = E;
-  }
-
-  /// Folds a worker's phase-local profile into this (main) profile at the
-  /// join barrier, crediting the worker's busy time to its slot. The
-  /// worker profile holds only hot-path accumulators (its RunCore and
-  /// Propagate timers never run).
-  void mergeWorker(const PropagationProfile &W, unsigned Id,
-                   uint64_t BusyNs) {
-    ReexecNs += W.ReexecNs;
-    RevokeNs += W.RevokeNs;
-    MemoLookupNs += W.MemoLookupNs;
-    QueueNs += W.QueueNs;
-    ReexecCalls += W.ReexecCalls;
-    RevokeCalls += W.RevokeCalls;
-    MemoLookups += W.MemoLookups;
-    QueuePops += W.QueuePops;
-    OmInserts += W.OmInserts;
-    MemoInserts += W.MemoInserts;
-    ClosureDispatches += W.ClosureDispatches;
-    ReexecWork.merge(W.ReexecWork);
-    UseScan.merge(W.UseScan);
-    if (Id < MaxWorkers) {
-      WorkerBusyNs[Id] += BusyNs;
-      WorkerPops[Id] += W.QueuePops;
-    }
   }
 
   /// Emits the profile as one JSON object (no trailing newline).
@@ -198,19 +149,7 @@ struct PropagationProfile {
     ReexecWork.writeJson(Out);
     Out << ", \"use_scan_hist\": ";
     UseScan.writeJson(Out);
-    Out << ", \"parallel\": {\"runs\": " << ParallelRuns
-        << ", \"fallbacks\": " << ParallelFallbacks
-        << ", \"conflicts\": " << ParallelConflicts
-        << ", \"forwarded_reads\": " << ForwardedReads
-        << ", \"join_wait_ns\": " << JoinWaitNs
-        << ", \"workers_used\": " << WorkersUsed
-        << ", \"worker_busy_ns\": [";
-    for (unsigned I = 0; I < MaxWorkers; ++I)
-      Out << (I ? ", " : "") << WorkerBusyNs[I];
-    Out << "], \"worker_pops\": [";
-    for (unsigned I = 0; I < MaxWorkers; ++I)
-      Out << (I ? ", " : "") << WorkerPops[I];
-    Out << "]}, \"simd\": ";
+    Out << ", \"simd\": ";
     // Process-global dispatch counters (variant selected per kernel,
     // calls, bytes), not per-propagation state; included here so every
     // profile dump records which kernels actually ran and how wide.

@@ -5,15 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The dynamic half of the parallel-safety subsystem: a determinacy-race
-/// detector for change propagation. The static interference analysis
+/// The dynamic half of the parallel-safety analysis: an off-by-default
+/// determinacy-race detector for change propagation, used as an
+/// analysis tool (nothing in the runtime acts on its verdicts). The
+/// static interference analysis
 /// (analysis/Interference) proves entry-point pairs disjoint at the
 /// region-class level; this detector tests the same property on concrete
 /// traces, instance by instance, so a propagation whose dirty set the
 /// static analysis could not separate can still be shown partitionable.
 ///
-/// The partition is the one an interval-parallel propagator would use
-/// (ROADMAP: parallel change propagation over OM-timestamp intervals):
+/// The partition is the one an interval-parallel propagator would use:
 /// at the start of propagate() the pending dirty reads are sorted by
 /// start timestamp, merged into clusters of overlapping [Start, End]
 /// trace intervals (read intervals nest, so overlapping dirty reads are
@@ -39,7 +40,9 @@
 ///    would grow mid-flight, so the groups are ordered, not independent.
 ///
 /// Zero conflicts across a propagation means that propagation was
-/// provably partitionable into the reported intervals.
+/// provably partitionable into the reported intervals — a property of
+/// the program and the edit, recorded for analysis; the runtime still
+/// propagates on one thread.
 ///
 /// Discipline matches runtime/Profile.h: always compiled, off by
 /// default, and when off every hot-path hook is one predictable branch
@@ -127,11 +130,10 @@ struct RaceReport {
   void writeJson(std::ostream &Out) const;
 };
 
-/// The interval clustering shared by the race detector and the parallel
-/// propagator: the pending dirty reads in start-timestamp order, each
-/// tagged with the overlap cluster it belongs to. Clusters are disjoint
-/// timestamp ranges — the units a parallel propagator can distribute and
-/// the detector's conflict-partition granularity.
+/// The race detector's interval clustering: the pending dirty reads in
+/// start-timestamp order, each tagged with the overlap cluster it belongs
+/// to. Clusters are disjoint timestamp ranges — the detector's
+/// conflict-partition granularity.
 struct DirtyClustering {
   /// Deduplicated pending reads, sorted by start timestamp.
   std::vector<ReadNode *> Sorted;

@@ -269,8 +269,7 @@ public:
   /// ordinals so two traces equal up to a bijection of block addresses
   /// digest alike. Identical digests mean observationally identical
   /// traces; the round-trip oracle compares a reloaded trace against a
-  /// continuously-running one with this, and the parallel-propagation
-  /// oracle compares a parallel run against a sequential one.
+  /// continuously-running one with this.
   static uint64_t traceShapeDigest(const Runtime &RT);
 
   /// Equivalent to RT.readyForCheckpoint(Why).

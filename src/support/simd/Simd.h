@@ -99,8 +99,7 @@ struct Ops {
   /// verify constant-stride runs with independent loads — candidate
   /// addresses are derived, range-checked against the window, loaded in
   /// parallel, and only *verified* nodes are written. Pass null/null to
-  /// forbid speculation (e.g. while other threads own parts of the
-  /// region); all variants then degrade to the serial chase.
+  /// forbid speculation; all variants then degrade to the serial chase.
   void (*OmRelabel)(void *First, uint64_t Count, uint64_t Base, uint64_t Gap,
                     size_t NextOff, size_t LabelOff, const void *SafeLo,
                     const void *SafeHi);
