@@ -77,6 +77,11 @@ struct Measurement {
   double warmSpeedup() const {
     return WarmStartSeconds > 0 ? SelfSeconds / WarmStartSeconds : 0;
   }
+  /// The whole footprint: trace-arena high-water mark plus the order-list
+  /// arena and memo bucket arrays at the end of the update loop.
+  size_t totalLiveBytes() const {
+    return MaxLiveBytes + Mem.OmBytes + Mem.MemoIndexBytes;
+  }
 };
 
 inline std::vector<Word> randomWords(Rng &R, size_t N) {

@@ -68,7 +68,7 @@ void BM_OrderListAppend(benchmark::State &State) {
   for (auto _ : State) {
     State.PauseTiming();
     OrderList L;
-    OmNode *Cur = L.base();
+    Handle<OmNode> Cur = L.base();
     State.ResumeTiming();
     for (int I = 0; I < 1000; ++I)
       Cur = L.insertAfter(Cur);
@@ -93,14 +93,14 @@ BENCHMARK(BM_OrderListFrontInsert);
 void BM_OrderListCompare(benchmark::State &State) {
   OrderList L;
   Rng R(5);
-  std::vector<OmNode *> Nodes{L.base()};
+  std::vector<Handle<OmNode>> Nodes{L.base()};
   for (int I = 0; I < 10000; ++I)
     Nodes.push_back(L.insertAfter(Nodes[R.below(Nodes.size())]));
   size_t I = 0;
   for (auto _ : State) {
-    OmNode *A = Nodes[(I * 7919) % Nodes.size()];
-    OmNode *B = Nodes[(I * 104729) % Nodes.size()];
-    benchmark::DoNotOptimize(OrderList::precedes(A, B));
+    Handle<OmNode> A = Nodes[(I * 7919) % Nodes.size()];
+    Handle<OmNode> B = Nodes[(I * 104729) % Nodes.size()];
+    benchmark::DoNotOptimize(L.precedes(A, B));
     ++I;
   }
 }
@@ -305,6 +305,9 @@ void writeUpdateBench(std::ostream &Out, double Scale, size_t Samples) {
         << ", \"speedup\": " << M.speedup()
         << ", \"fromscratch_overhead\": " << M.overhead()
         << ", \"max_live_bytes\": " << M.MaxLiveBytes
+        << ",\n     \"om_bytes\": " << M.Mem.OmBytes
+        << ", \"memo_index_bytes\": " << M.Mem.MemoIndexBytes
+        << ", \"total_live_bytes\": " << M.totalLiveBytes()
         << ",\n     \"warm_start_seconds\": " << M.WarmStartSeconds
         << ", \"snapshot_bytes\": " << M.SnapshotBytes
         << ", \"warm_speedup\": " << M.warmSpeedup() << "}"
@@ -315,8 +318,8 @@ void writeUpdateBench(std::ostream &Out, double Scale, size_t Samples) {
   // Per-kind live-byte accounting for the same runs: where every live
   // arena byte went (nodes, closures, user blocks, meta), plus OM and
   // memo-index footprints and arena occupancy. CI's check_max_live.py
-  // gates on update_bench's max_live_bytes; this section explains any
-  // movement in it.
+  // gates on update_bench's max_live_bytes and total_live_bytes; this
+  // section explains any movement in them.
   Out << "  \"memory\": [\n";
   for (size_t I = 0; I < Rows.size(); ++I) {
     const Measurement &M = Rows[I];
@@ -444,16 +447,31 @@ struct SimdBenchInput {
   std::vector<FakeNode> Nodes;
   std::vector<const void *> NodePtrs;
   std::vector<uint32_t> Idx;
-  // relabel — mirrors OmNode's layout (size and field offsets), so the
-  // serial chase pays the same lines-per-node cost as production.
+  // relabel — handle-linked nodes in their own arena, mirroring OmNode's
+  // layout (size and field offsets), so the serial chase pays the same
+  // lines-per-node cost as production.
   struct FakeOm {
-    void *Prev;
-    void *Next;
-    void *Group;
+    Handle<FakeOm> Prev;
+    Handle<FakeOm> Next;
+    uint32_t Group;
+    uint32_t Item;
     uint64_t Label;
-    uint64_t Item;
   };
-  std::vector<FakeOm> Chain;
+  static_assert(sizeof(FakeOm) == 24, "mirrors the OmNode layout");
+  Arena ChainArena{size_t(8) << 20};
+  std::vector<FakeOm *> Chain;
+  uint32_t ChainFirst = 0;
+
+  /// Allocates \p N nodes in one bump run of \p A and links them in
+  /// address order; returns the first node's handle.
+  static uint32_t buildChain(Arena &A, size_t N, std::vector<FakeOm *> &Out) {
+    Out.resize(N);
+    for (FakeOm *&P : Out)
+      P = A.create<FakeOm>();
+    for (size_t I = 0; I + 1 < N; ++I)
+      Out[I]->Next = A.handle(Out[I + 1]);
+    return A.handle(Out[0]).Bits;
+  }
 
   explicit SimdBenchInput(size_t N) {
     Rng R(0x51D0 + N);
@@ -478,9 +496,7 @@ struct SimdBenchInput {
       Nodes[I].Hash = static_cast<uint32_t>(R.next());
       NodePtrs[I] = &Nodes[I];
     }
-    Chain.resize(N);
-    for (size_t I = 0; I < N; ++I)
-      Chain[I].Next = I + 1 < N ? static_cast<void *>(&Chain[I + 1]) : nullptr;
+    ChainFirst = buildChain(ChainArena, N, Chain);
   }
 };
 
@@ -512,10 +528,10 @@ double simdKernelNsPerOp(simd::Kernel K, const simd::Ops &O,
     }) / double(N);
   case simd::Kernel::OmRelabel:
     return nsPerCall([&] {
-      O.OmRelabel(In.Chain.data(), N, 0, UINT64_MAX / (N + 1),
-                  offsetof(SimdBenchInput::FakeOm, Next),
-                  offsetof(SimdBenchInput::FakeOm, Label), In.Chain.data(),
-                  In.Chain.data() + N);
+      O.OmRelabel(In.ChainArena.regionBase(), In.ChainFirst, N, 0,
+                  UINT64_MAX / (N + 1), offsetof(SimdBenchInput::FakeOm, Next),
+                  offsetof(SimdBenchInput::FakeOm, Label),
+                  In.ChainArena.bumpUsedBytes());
       benchmark::DoNotOptimize(In.Chain.data());
     }) / double(N);
   }
@@ -553,15 +569,15 @@ bool simdVariantMatchesScalar(const simd::Ops &O, SimdBenchInput &In,
     size_t NextOff = offsetof(SimdBenchInput::FakeOm, Next);
     size_t LabelOff = offsetof(SimdBenchInput::FakeOm, Label);
     uint64_t Gap = UINT64_MAX / (N + 1);
-    std::vector<SimdBenchInput::FakeOm> Copy = In.Chain;
+    Arena CopyArena(size_t(8) << 20);
+    std::vector<SimdBenchInput::FakeOm *> Copy;
+    uint32_t CopyFirst = SimdBenchInput::buildChain(CopyArena, N, Copy);
+    S.OmRelabel(In.ChainArena.regionBase(), In.ChainFirst, N, 7, Gap, NextOff,
+                LabelOff, In.ChainArena.bumpUsedBytes());
+    O.OmRelabel(CopyArena.regionBase(), CopyFirst, N, 7, Gap, NextOff,
+                LabelOff, CopyArena.bumpUsedBytes());
     for (size_t I = 0; I < N; ++I)
-      Copy[I].Next = I + 1 < N ? static_cast<void *>(&Copy[I + 1]) : nullptr;
-    S.OmRelabel(In.Chain.data(), N, 7, Gap, NextOff, LabelOff,
-                In.Chain.data(), In.Chain.data() + N);
-    O.OmRelabel(Copy.data(), N, 7, Gap, NextOff, LabelOff, Copy.data(),
-                Copy.data() + N);
-    for (size_t I = 0; I < N; ++I)
-      Ok &= In.Chain[I].Label == Copy[I].Label;
+      Ok &= In.Chain[I]->Label == Copy[I]->Label;
   }
   return Ok;
 }

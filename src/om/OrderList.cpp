@@ -12,52 +12,65 @@
 
 using namespace ceal;
 
+// The relabel kernel addresses nodes as region base + handle * grain.
+static_assert(simd::OmHandleGrain == Arena::HandleGrain,
+              "relabel kernel grain out of sync with the arena");
+
 OrderList::OrderList() { rebuildEmpty(); }
 
 void OrderList::rebuildEmpty() {
   FillLimit = GroupLimit;
   AppendActive = false;
   auto *G = Allocator.create<OmGroup>();
-  G->Prev = G->Next = nullptr;
+  G->Prev = G->Next = Handle<OmGroup>{};
   G->Label = GroupLabelSpace / 2;
   G->Count = 1;
-  FirstGroup = G;
+  FirstGroup = Allocator.handle(G);
 
   auto *N = Allocator.create<OmNode>();
-  N->Prev = N->Next = nullptr;
-  N->Group = G;
+  N->Prev = N->Next = Handle<OmNode>{};
+  N->Group = FirstGroup;
   N->Label = UINT64_MAX / 2;
   N->Item = 0;
-  G->First = N;
-  Base = N;
+  Base = Allocator.handle(N);
+  G->First = Base;
   Size = 1;
+}
+
+Handle<OmNode> OrderList::linkAfter(Handle<OmNode> X, Handle<OmGroup> G,
+                                    uint64_t Label, OmItem Item) {
+  OmNode *XN = at(X);
+  auto *N = Allocator.create<OmNode>();
+  Handle<OmNode> H = Allocator.handle(N);
+  N->Label = Label;
+  N->Group = G;
+  N->Item = Item;
+  N->Prev = X;
+  N->Next = XN->Next;
+  if (XN->Next)
+    at(XN->Next)->Prev = H;
+  XN->Next = H;
+  ++Size;
+  return H;
 }
 
 /// Out-of-line continuation of insertAfter: the group is full or the
 /// labels left no room, so rebalance (split or relabel) and retry. The
 /// retry loop re-runs the fast-path placement logic because rebalancing
 /// changes group membership and labels.
-OmNode *OrderList::insertAfterSlow(OmNode *X, OmItem Item) {
+Handle<OmNode> OrderList::insertAfterSlow(Handle<OmNode> X, OmItem Item) {
   if (AppendActive)
     return appendSlow(X, Item);
   for (;;) {
-    OmGroup *G = X->Group;
-    uint64_t Lo = X->Label;
-    bool NextInGroup = X->Next && X->Next->Group == G;
-    uint64_t Hi = NextInGroup ? X->Next->Label : UINT64_MAX;
+    const OmNode *XN = at(X);
+    OmGroup *G = at(XN->Group);
+    uint64_t Lo = XN->Label;
+    const OmNode *Succ = Allocator.ptr(XN->Next);
+    uint64_t Hi = Succ && Succ->Group == XN->Group ? Succ->Label : UINT64_MAX;
     if (Hi - Lo >= 2 && G->Count < GroupLimit) {
-      auto *N = Allocator.create<OmNode>();
-      N->Label = Lo + std::min((Hi - Lo) / 2, AppendGap);
-      N->Group = G;
-      N->Item = Item;
-      N->Prev = X;
-      N->Next = X->Next;
-      if (X->Next)
-        X->Next->Prev = N;
-      X->Next = N;
       ++G->Count;
-      ++Size;
-      return N;
+      return linkAfter(X, XN->Group,
+                       Lo + std::min((Hi - Lo) / 2, AppendGap), Item);
     }
     if (G->Count >= GroupLimit)
       splitGroup(G);
@@ -72,73 +85,59 @@ OmNode *OrderList::insertAfterSlow(OmNode *X, OmItem Item) {
 /// resolve by opening a fresh group — O(1) per insertion (the suffix peel
 /// is bounded by GroupLimit and each peeled node prepays the fresh group
 /// it lands in).
-OmNode *OrderList::appendSlow(OmNode *X, OmItem Item) {
+Handle<OmNode> OrderList::appendSlow(Handle<OmNode> X, OmItem Item) {
   for (;;) {
-    OmGroup *G = X->Group;
-    if (X->Next && X->Next->Group == G) {
+    const OmNode *XN = at(X);
+    Handle<OmGroup> GH = XN->Group;
+    OmGroup *G = at(GH);
+    if (XN->Next && at(XN->Next)->Group == GH) {
       // Mid-group position (the cursor re-entered an interval): peel the
       // in-group suffix after X into a fresh group under bump labels, so
       // X becomes a group tail with the full label space above it.
       OmGroup *NewG = freshGroupAfter(G);
-      OmNode *N = X->Next;
-      NewG->First = N;
+      Handle<OmGroup> NewGH = Allocator.handle(NewG);
+      NewG->First = XN->Next;
       uint32_t Moved = 0;
       uint64_t Label = AppendGap;
-      while (N && N->Group == G) {
-        N->Group = NewG;
+      for (OmNode *N = Allocator.ptr(XN->Next); N && N->Group == GH;
+           N = Allocator.ptr(N->Next)) {
+        N->Group = NewGH;
         N->Label = Label;
         Label += AppendGap;
         ++Moved;
-        N = N->Next;
       }
       NewG->Count = Moved;
       assert(G->Count > Moved && "peel must leave X behind");
       G->Count -= Moved;
       continue;
     }
-    if (G->Count >= FillLimit || UINT64_MAX - X->Label < 2) {
+    if (G->Count >= FillLimit || UINT64_MAX - XN->Label < 2) {
       // Group tail, but the group is at the append-mode fill target or
       // the label space above X is gone: start a fresh group after G and
       // put the new node there.
       OmGroup *NewG = freshGroupAfter(G);
-      auto *N = Allocator.create<OmNode>();
-      N->Label = AppendGap;
-      N->Group = NewG;
-      N->Item = Item;
-      N->Prev = X;
-      N->Next = X->Next;
-      if (X->Next)
-        X->Next->Prev = N;
-      X->Next = N;
+      Handle<OmNode> N =
+          linkAfter(X, Allocator.handle(NewG), AppendGap, Item);
       NewG->First = N;
       NewG->Count = 1;
-      ++Size;
       return N;
     }
     // A peel above turned X into a group tail with room: bump insert.
-    auto *N = Allocator.create<OmNode>();
-    N->Label = X->Label + std::min((UINT64_MAX - X->Label) / 2, AppendGap);
-    N->Group = G;
-    N->Item = Item;
-    N->Prev = X;
-    N->Next = X->Next;
-    if (X->Next)
-      X->Next->Prev = N;
-    X->Next = N;
     ++G->Count;
-    ++Size;
-    return N;
+    return linkAfter(
+        X, GH,
+        XN->Label + std::min((UINT64_MAX - XN->Label) / 2, AppendGap), Item);
   }
 }
 
 /// Unlinks and frees a group whose last member was just removed.
 void OrderList::removeEmptyGroup(OmGroup *G) {
   if (G->Prev)
-    G->Prev->Next = G->Next;
+    at(G->Prev)->Next = G->Next;
   else
     FirstGroup = G->Next;
   if (G->Next)
-    G->Next->Prev = G->Prev;
+    at(G->Next)->Prev = G->Prev;
   Allocator.destroy(G);
 }
 
@@ -147,34 +146,34 @@ void OrderList::relabelGroupItems(OmGroup *G) {
   assert(G->Count > 0 && "relabeling an empty group");
   uint64_t Gap = UINT64_MAX / (uint64_t(G->Count) + 1);
   // The label rewrite goes through the vectorized relabel kernel, which
-  // may speculatively *read* Next fields of arena addresses near the
-  // chain; the arena's bump extent is the window those reads stay in.
-  const void *WinLo = Allocator.regionBase();
-  const void *WinHi =
-      static_cast<const char *>(WinLo) + Allocator.bumpUsedBytes();
-  simd::omRelabel(G->First, G->Count, /*Base=*/0, Gap, offsetof(OmNode, Next),
-                  offsetof(OmNode, Label), WinLo, WinHi);
+  // chases the 32-bit Next handles off the region base and may
+  // speculatively *read* Next fields of other nodes in the arena's bump
+  // extent (the window those reads stay in).
+  simd::omRelabel(Allocator.regionBase(), G->First.Bits, G->Count,
+                  /*Base=*/0, Gap, offsetof(OmNode, Next),
+                  offsetof(OmNode, Label), Allocator.bumpUsedBytes());
 }
 
 OmGroup *OrderList::createGroupAfter(OmGroup *G, uint64_t Label) {
   auto *NewG = Allocator.create<OmGroup>();
+  Handle<OmGroup> H = Allocator.handle(NewG);
   NewG->Label = Label;
   NewG->Count = 0;
-  NewG->First = nullptr;
-  NewG->Prev = G;
+  NewG->First = Handle<OmNode>{};
+  NewG->Prev = Allocator.handle(G);
   NewG->Next = G->Next;
   if (G->Next)
-    G->Next->Prev = NewG;
-  G->Next = NewG;
+    at(G->Next)->Prev = H;
+  G->Next = H;
   return NewG;
 }
 
 OmGroup *OrderList::freshGroupAfter(OmGroup *G) {
   uint64_t Lo = G->Label;
-  uint64_t Hi = G->Next ? G->Next->Label : GroupLabelSpace;
+  uint64_t Hi = G->Next ? at(G->Next)->Label : GroupLabelSpace;
   if (Hi - Lo < 2) {
     Lo = makeGroupGapAfter(G);
-    Hi = G->Next ? G->Next->Label : GroupLabelSpace;
+    Hi = G->Next ? at(G->Next)->Label : GroupLabelSpace;
     assert(Hi - Lo >= 2 && "group relabel failed to open a gap");
   }
   return createGroupAfter(G,
@@ -187,9 +186,9 @@ void OrderList::splitGroup(OmGroup *G) {
   // into fresh groups of GroupTarget members each, inserted after G.
   uint32_t Total = G->Count;
   assert(Total > GroupTarget && "splitting a small group");
-  OmNode *N = G->First;
+  Handle<OmNode> N = G->First;
   for (uint32_t I = 0; I < GroupTarget; ++I)
-    N = N->Next;
+    N = at(N)->Next;
   G->Count = GroupTarget;
   relabelGroupItems(G);
 
@@ -198,11 +197,13 @@ void OrderList::splitGroup(OmGroup *G) {
   while (Remaining > 0) {
     uint32_t Take = Remaining < GroupTarget ? Remaining : GroupTarget;
     OmGroup *NewG = freshGroupAfter(Pred);
+    Handle<OmGroup> NewGH = Allocator.handle(NewG);
     NewG->First = N;
     NewG->Count = Take;
     for (uint32_t I = 0; I < Take; ++I) {
-      N->Group = NewG;
-      N = N->Next;
+      OmNode *NN = at(N);
+      NN->Group = NewGH;
+      N = NN->Next;
     }
     relabelGroupItems(NewG);
     Remaining -= Take;
@@ -238,25 +239,21 @@ uint64_t OrderList::makeGroupGapAfter(OmGroup *G) {
     uint64_t RangeEnd = RangeBase + Width; // Exclusive; no overflow: <= 2^62.
     // Count member groups by walking outward from G.
     OmGroup *Lo = G;
-    while (Lo->Prev && Lo->Prev->Label >= RangeBase)
-      Lo = Lo->Prev;
+    while (Lo->Prev && at(Lo->Prev)->Label >= RangeBase)
+      Lo = at(Lo->Prev);
     uint64_t Count = 0;
-    OmGroup *Cursor = Lo;
-    while (Cursor && Cursor->Label < RangeEnd) {
+    for (const OmGroup *Cursor = Lo; Cursor && Cursor->Label < RangeEnd;
+         Cursor = Allocator.ptr(Cursor->Next))
       ++Count;
-      Cursor = Cursor->Next;
-    }
     if (2.0 * double(Count + 1) > Tau * double(Width))
       continue; // Too dense for this height; widen the range.
     uint64_t Gap = Width / (Count + 1);
     assert(Gap >= 2 && "density bound guarantees usable gaps");
     // Same chain-relabel shape as relabelGroupItems, over the group chain
     // instead of a node chain.
-    const void *WinLo = Allocator.regionBase();
-    const void *WinHi =
-        static_cast<const char *>(WinLo) + Allocator.bumpUsedBytes();
-    simd::omRelabel(Lo, Count, RangeBase, Gap, offsetof(OmGroup, Next),
-                    offsetof(OmGroup, Label), WinLo, WinHi);
+    simd::omRelabel(Allocator.regionBase(), Allocator.handle(Lo).Bits, Count,
+                    RangeBase, Gap, offsetof(OmGroup, Next),
+                    offsetof(OmGroup, Label), Allocator.bumpUsedBytes());
     return G->Label;
   }
   std::fprintf(stderr, "OrderList: group label space exhausted\n");
@@ -265,32 +262,32 @@ uint64_t OrderList::makeGroupGapAfter(OmGroup *G) {
 
 void OrderList::verifyInvariants() const {
   size_t SeenNodes = 0;
-  const OmGroup *G = FirstGroup;
-  const OmNode *Expected = Base;
+  Handle<OmNode> Expected = Base;
   uint64_t PrevGroupLabel = 0;
   bool FirstGroupSeen = true;
-  while (G) {
+  for (Handle<OmGroup> GH = FirstGroup; GH; GH = at(GH)->Next) {
+    const OmGroup *G = at(GH);
     if (!FirstGroupSeen)
       assert(G->Label > PrevGroupLabel && "group labels must increase");
     FirstGroupSeen = false;
     PrevGroupLabel = G->Label;
     assert(G->Count > 0 && "empty group left in list");
     assert(G->First == Expected && "group First out of sync");
-    const OmNode *N = G->First;
+    Handle<OmNode> N = G->First;
     uint64_t PrevLabel = 0;
     for (uint32_t I = 0; I < G->Count; ++I) {
       assert(N && "group count exceeds chain length");
-      assert(N->Group == G && "node points at wrong group");
+      const OmNode *NN = at(N);
+      assert(NN->Group == GH && "node points at wrong group");
       if (I > 0)
-        assert(N->Label > PrevLabel && "item labels must increase");
-      PrevLabel = N->Label;
+        assert(NN->Label > PrevLabel && "item labels must increase");
+      PrevLabel = NN->Label;
       ++SeenNodes;
-      Expected = N->Next;
-      N = N->Next;
+      Expected = NN->Next;
+      N = NN->Next;
     }
-    G = G->Next;
   }
-  assert(Expected == nullptr && "trailing nodes beyond last group");
+  assert(!Expected && "trailing nodes beyond last group");
   assert(SeenNodes == Size && "size accounting out of sync");
   (void)SeenNodes;
   (void)Expected;

@@ -28,44 +28,42 @@
 
 namespace ceal {
 
-class OrderList;
 struct OmGroup;
 
 /// The opaque client payload of a timestamp: the run-time system stores a
-/// back-reference to the owning trace node here. Under the compressed
-/// trace layout this is a 32-bit arena handle (with the top bit free for
-/// the end-marker tag — see runtime/Trace.h); under CEAL_WIDE_TRACE it is
-/// pointer-sized and carries raw pointer bits (low-bit tag). Zero means
-/// "no payload" in both.
-#ifdef CEAL_WIDE_TRACE
-using OmItem = uintptr_t;
-#else
+/// back-reference to the owning trace node here, as a 32-bit trace-arena
+/// handle with the top bit free for the end-marker tag (see
+/// runtime/Trace.h). Zero means "no payload".
 using OmItem = uint32_t;
-#endif
 
-/// One position in the total order. Nodes carry an opaque client payload
-/// (the run-time system stores its trace item here).
+/// One position in the total order. Every link is a 32-bit handle into
+/// the list's own arena, so a node packs into one 24-byte size class
+/// (asserted in runtime/Trace.h next to the trace-node layouts).
 struct OmNode {
-  OmNode *Prev;
-  OmNode *Next;
-  OmGroup *Group;
-  uint64_t Label;
+  Handle<OmNode> Prev;
+  Handle<OmNode> Next;
+  Handle<OmGroup> Group;
   OmItem Item;
+  uint64_t Label;
 };
 
 /// A group of up to OrderList::GroupLimit consecutive nodes. Groups carry
 /// the upper-level labels that make cross-group comparisons O(1).
 struct OmGroup {
-  OmGroup *Prev;
-  OmGroup *Next;
-  OmNode *First; ///< First member in order; members are Count nodes from
-                 ///< here via OmNode::Next.
-  uint64_t Label;
+  Handle<OmGroup> Prev;
+  Handle<OmGroup> Next;
+  Handle<OmNode> First; ///< First member in order; members are Count nodes
+                        ///< from here via OmNode::Next.
   uint32_t Count;
+  uint64_t Label;
 };
 
 /// The order-maintenance list. Always contains at least the base() node,
 /// which precedes every other node and cannot be removed.
+///
+/// Clients name timestamps by Handle<OmNode> — the same 4-byte edge the
+/// trace nodes store — and every operation resolves handles against the
+/// list's arena, so no caller converts between handles and pointers.
 class OrderList {
 public:
   OrderList();
@@ -74,49 +72,52 @@ public:
   ~OrderList() = default; // Arena reclaims all nodes.
 
   /// The minimum node; created by the constructor, never removed.
-  OmNode *base() { return Base; }
-  const OmNode *base() const { return Base; }
+  Handle<OmNode> base() const { return Base; }
 
   /// Inserts a new node immediately after \p X in the order and returns
   /// it. The common case — label room between X and its in-group
   /// successor, group under its member limit — is inlined; rebalancing
   /// (group split or item relabel) goes out of line.
-  OmNode *insertAfter(OmNode *X, OmItem Item = 0) {
+  Handle<OmNode> insertAfter(Handle<OmNode> X, OmItem Item = 0) {
     assert(X && "insertAfter requires a position");
-    OmGroup *G = X->Group;
-    uint64_t Lo = X->Label;
-    bool NextInGroup = X->Next && X->Next->Group == G;
-    uint64_t Hi = NextInGroup ? X->Next->Label : UINT64_MAX;
+    OmNode *XN = at(X);
+    Handle<OmGroup> GH = XN->Group;
+    OmGroup *G = at(GH);
+    uint64_t Lo = XN->Label;
+    OmNode *Succ = Allocator.ptr(XN->Next);
+    uint64_t Hi = Succ && Succ->Group == GH ? Succ->Label : UINT64_MAX;
     if (Hi - Lo >= 2 && G->Count < FillLimit) {
       auto *N = Allocator.create<OmNode>();
+      Handle<OmNode> H = Allocator.handle(N);
       N->Label = Lo + std::min((Hi - Lo) / 2, AppendGap);
-      N->Group = G;
+      N->Group = GH;
       N->Item = Item;
       N->Prev = X;
-      N->Next = X->Next;
-      if (X->Next)
-        X->Next->Prev = N;
-      X->Next = N;
+      N->Next = XN->Next;
+      if (Succ)
+        Succ->Prev = H;
+      XN->Next = H;
       ++G->Count;
       ++Size;
-      return N;
+      return H;
     }
     return insertAfterSlow(X, Item);
   }
 
   /// Removes \p X (which must not be base()) from the order and frees it.
-  void remove(OmNode *X) {
+  void remove(Handle<OmNode> X) {
     assert(X != Base && "the base timestamp cannot be removed");
-    OmGroup *G = X->Group;
+    OmNode *XN = at(X);
+    OmGroup *G = at(XN->Group);
     if (G->First == X)
-      G->First = (G->Count > 1) ? X->Next : nullptr;
-    if (X->Prev)
-      X->Prev->Next = X->Next;
-    if (X->Next)
-      X->Next->Prev = X->Prev;
+      G->First = (G->Count > 1) ? XN->Next : Handle<OmNode>{};
+    if (XN->Prev)
+      at(XN->Prev)->Next = XN->Next;
+    if (XN->Next)
+      at(XN->Next)->Prev = XN->Prev;
     --G->Count;
     --Size;
-    Allocator.destroy(X);
+    Allocator.destroy(XN);
     if (G->Count == 0)
       removeEmptyGroup(G);
   }
@@ -156,27 +157,31 @@ public:
   /// True while the append-mode insertion policy is active.
   bool inAppendMode() const { return AppendActive; }
 
-  /// Returns true iff \p A is strictly before \p B in the order.
-  static bool precedes(const OmNode *A, const OmNode *B) {
-    if (A->Group == B->Group)
-      return A->Label < B->Label;
-    return A->Group->Label < B->Group->Label;
+  /// Returns true iff \p A is strictly before \p B in the order. The
+  /// group handles are compared before any group is decoded, so a
+  /// same-group query touches only the two nodes.
+  bool precedes(Handle<OmNode> A, Handle<OmNode> B) const {
+    const OmNode *NA = at(A);
+    const OmNode *NB = at(B);
+    if (NA->Group == NB->Group)
+      return NA->Label < NB->Label;
+    return at(NA->Group)->Label < at(NB->Group)->Label;
   }
 
   /// Successor of \p X in the order, or null if X is the maximum.
-  static OmNode *next(OmNode *X) { return X->Next; }
+  Handle<OmNode> next(Handle<OmNode> X) const { return at(X)->Next; }
   /// Predecessor of \p X in the order, or null if X is base().
-  static OmNode *prev(OmNode *X) { return X->Prev; }
+  Handle<OmNode> prev(Handle<OmNode> X) const { return at(X)->Prev; }
+  /// The client payload stamped on \p X.
+  OmItem item(Handle<OmNode> X) const { return at(X)->Item; }
 
-  /// Handle minting/resolution against this list's node arena, so trace
-  /// nodes can reference their timestamps in 4 bytes (see Arena::Handle).
-  OmNode *nodeAt(Handle<OmNode> H) const { return Allocator.ptr(H); }
+  /// Read-only resolution of a timestamp or group handle (null for the
+  /// null handle), for walks that read several fields of one node.
+  const OmNode *node(Handle<OmNode> H) const { return Allocator.ptr(H); }
+  const OmGroup *group(Handle<OmGroup> H) const { return Allocator.ptr(H); }
 
   /// The arena the timestamps live in (memory accounting).
   const Arena &arena() const { return Allocator; }
-  Handle<OmNode> handleOf(const OmNode *N) const {
-    return Allocator.handle(N);
-  }
 
   /// Pre-reserves node and group storage for about \p ExpectedNodes
   /// further insertions (input-size hint; see Arena::reserve).
@@ -200,12 +205,11 @@ public:
   void verifyInvariants() const;
 
 private:
-  friend struct OmGroup;
   /// The trace sanitizer walks groups/nodes directly so it can *report*
   /// violations (verifyInvariants aborts on the first one).
   friend class TraceAudit;
   /// The snapshot subsystem serializes and restores the list's scalar
-  /// state (base/first-group pointers, size, policy) around an arena
+  /// state (base/first-group handles, size, policy) around an arena
   /// remap (see runtime/Snapshot).
   friend class Snapshot;
 
@@ -223,8 +227,17 @@ private:
   /// relabeling; bound the gap so appends consume label space linearly.
   static constexpr uint64_t AppendGap = uint64_t(1) << 32;
 
-  OmNode *insertAfterSlow(OmNode *X, OmItem Item);
-  OmNode *appendSlow(OmNode *X, OmItem Item);
+  /// Handle resolution against Allocator for links the structure
+  /// guarantees are non-null.
+  OmNode *at(Handle<OmNode> H) const { return Allocator.at(H); }
+  OmGroup *at(Handle<OmGroup> H) const { return Allocator.at(H); }
+
+  Handle<OmNode> insertAfterSlow(Handle<OmNode> X, OmItem Item);
+  Handle<OmNode> appendSlow(Handle<OmNode> X, OmItem Item);
+  /// Allocates a node carrying \p Item and \p Label in group \p G and
+  /// links it immediately after \p X (the group's Count is the caller's).
+  Handle<OmNode> linkAfter(Handle<OmNode> X, Handle<OmGroup> G,
+                           uint64_t Label, OmItem Item);
   void removeEmptyGroup(OmGroup *G);
   OmGroup *createGroupAfter(OmGroup *G, uint64_t Label);
   /// Creates an empty group after \p G with a label midway to its
@@ -238,8 +251,8 @@ private:
   uint64_t makeGroupGapAfter(OmGroup *G);
 
   Arena Allocator;
-  OmNode *Base = nullptr;
-  OmGroup *FirstGroup = nullptr;
+  Handle<OmNode> Base{};
+  Handle<OmGroup> FirstGroup{};
   size_t Size = 0;
   size_t Relabels = 0;
   size_t RangeRelabels = 0;

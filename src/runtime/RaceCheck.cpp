@@ -61,14 +61,14 @@ DirtyClustering RaceCheck::clusterPending(Runtime &RT,
   // precedes the running cluster end extends the cluster (nesting keeps
   // the end stable, but take the max defensively).
   C.ClusterOf.resize(Pending.size());
-  OmNode *ClusterEnd = nullptr;
+  Handle<OmNode> ClusterEnd{};
   for (size_t I = 0; I < Pending.size(); ++I) {
-    OmNode *Start = RT.Om.nodeAt(Pending[I]->Start);
-    OmNode *End = RT.Om.nodeAt(Pending[I]->End);
-    if (!ClusterEnd || !OrderList::precedes(Start, ClusterEnd)) {
+    Handle<OmNode> Start = Pending[I]->Start;
+    Handle<OmNode> End = Pending[I]->End;
+    if (!ClusterEnd || !RT.Om.precedes(Start, ClusterEnd)) {
       ++C.NumClusters;
       ClusterEnd = End;
-    } else if (OrderList::precedes(ClusterEnd, End)) {
+    } else if (RT.Om.precedes(ClusterEnd, End)) {
       ClusterEnd = End;
     }
     C.ClusterOf[I] = C.NumClusters - 1;

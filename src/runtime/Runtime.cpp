@@ -75,7 +75,7 @@ template <typename NodeT> void Runtime::destroyNode(NodeT *N) {
 
 void Runtime::freeClosure(Closure *C) { Mem.deallocate(C, C->byteSize()); }
 
-OmNode *Runtime::stampAfterCursor(OmItem Item) {
+Handle<OmNode> Runtime::stampAfterCursor(OmItem Item) {
   if (Main.Prof.Enabled)
     ++Main.Prof.OmInserts;
   Main.Cursor = Om.insertAfter(Main.Cursor, Item);
@@ -89,7 +89,7 @@ OmNode *Runtime::stampAfterCursor(OmItem Item) {
 /// no interval is being re-executed, independent of any fast-path config.
 void Runtime::insertUseTail(Modref *M, Use *U) {
   Use *T = Mem.ptr(M->Tail);
-  assert((!T || OrderList::precedes(Om.nodeAt(T->Start), Om.nodeAt(U->Start))) &&
+  assert((!T || Om.precedes(T->Start, U->Start)) &&
          "construction use out of timestamp order");
   Handle<Use> HU = Mem.handle(U);
   U->PrevUse = M->Tail;
@@ -115,9 +115,9 @@ void Runtime::insertUseTail(Modref *M, Use *U) {
 /// the predecessor.
 void Runtime::insertUse(Modref *M, Use *U) {
   Use *T = Mem.ptr(M->Tail);
-  OmNode *UStart = Om.nodeAt(U->Start);
+  Handle<OmNode> UStart = U->Start;
   Handle<Use> HU = Mem.handle(U);
-  if (!T || OrderList::precedes(Om.nodeAt(T->Start), UStart)) {
+  if (!T || Om.precedes(T->Start, UStart)) {
     // Tail append, including the first use of a fresh modifiable: no
     // placement scan, no hint to consult. This is every insertion of the
     // initial run and the overwhelmingly common case in re-execution.
@@ -138,14 +138,14 @@ void Runtime::insertUse(Modref *M, Use *U) {
   uint64_t Steps = 0;
   Use *After = M->Hint ? Mem.ptr(M->Hint) : T;
   // Too late: back up until the candidate precedes U.
-  while (After && OrderList::precedes(UStart, Om.nodeAt(After->Start))) {
+  while (After && Om.precedes(UStart, After->Start)) {
     After = Mem.ptr(After->PrevUse);
     ++Steps;
   }
   // Too early (stale hint): advance while the successor still precedes U.
   for (;;) {
     Use *Next = After ? Mem.ptr(After->NextUse) : Mem.ptr(M->Head);
-    if (!Next || OrderList::precedes(UStart, Om.nodeAt(Next->Start)))
+    if (!Next || Om.precedes(UStart, Next->Start))
       break;
     After = Next;
     ++Steps;
@@ -290,11 +290,7 @@ void Runtime::reserveTrace(size_t ExpectedOps) {
   PendingAllocMemo.reserve(ExpectedOps / 2);
   Main.PendingReads.reserve(ExpectedOps / 2);
   Om.reserve(ExpectedOps + ExpectedOps / 2);
-#ifdef CEAL_WIDE_TRACE
-  constexpr size_t BytesPerOp = 128;
-#else
   constexpr size_t BytesPerOp = 80;
-#endif
   constexpr size_t MaxReserve = size_t(1) << 30;
   Mem.reserve(std::min(ExpectedOps * BytesPerOp, MaxReserve));
 }
@@ -354,7 +350,8 @@ MemoryStats Runtime::memoryStats() const {
          "memory accounting requires a quiescent trace");
   MemoryStats S;
   const size_t Box = Cfg.BoxBytesPerNode;
-  for (const OmNode *N = Om.base()->Next; N; N = N->Next) {
+  for (const OmNode *N = Om.node(Om.next(Om.base())); N;
+       N = Om.node(N->Next)) {
     ++S.Timestamps;
     OmItem Item = N->Item;
     if (!Item || isEndItem(Item))
@@ -430,7 +427,7 @@ bool Runtime::trampoline(Closure *C) {
   }
   for (size_t I = Main.PendingReads.size(); I > PendingBase; --I) {
     ReadNode *R = Main.PendingReads[I - 1];
-    R->End = Om.handleOf(stampAfterCursor(endItemOf(Mem, R)));
+    R->End = stampAfterCursor(endItemOf(Mem, R));
   }
   Main.PendingReads.resize(PendingBase);
   return DidSplice;
@@ -471,8 +468,8 @@ Closure *Runtime::read(Modref *M, Closure *C) {
         Race.onMemoHit();
       assert(!C->ownedByTrace() && "memo-spliced closure must be transient");
       freeClosure(C);
-      revokeInterval(Main.Cursor, Om.nodeAt(Hit->Start));
-      Main.Cursor = Om.nodeAt(Hit->End);
+      revokeInterval(Main.Cursor, Hit->Start);
+      Main.Cursor = Hit->End;
       Main.SplicedFlag = true;
       return nullptr;
     }
@@ -482,7 +479,7 @@ Closure *Runtime::read(Modref *M, Closure *C) {
   R->Ref = Mem.handle(M);
   R->Clo = Mem.handle(C);
   C->setOwnedByTrace(true);
-  R->Start = Om.handleOf(stampAfterCursor(itemOf(Mem, R)));
+  R->Start = stampAfterCursor(itemOf(Mem, R));
   if (Main.IntervalEnd)
     insertUse(M, R);
   else
@@ -517,7 +514,7 @@ void Runtime::write(Modref *M, Word V) {
   WriteNode *W = newNode<WriteNode>();
   W->Ref = Mem.handle(M);
   W->Value = V;
-  W->Start = Om.handleOf(stampAfterCursor(itemOf(Mem, W)));
+  W->Start = stampAfterCursor(itemOf(Mem, W));
   if (!M->Head) {
     // Fresh modifiable, no trace history: nothing to scan for placement,
     // no governing-write bookkeeping to derive, no readers downstream to
@@ -579,7 +576,7 @@ void *Runtime::allocate(size_t Size, Closure *Init, uint8_t NodeFlags) {
       // correct-usage restrictions (Sec. 4.2) the block was only
       // side-effected by an initializer that is a function of the key.
       AllocMemo.remove(Hit);
-      Om.remove(Om.nodeAt(Hit->Start));
+      Om.remove(Hit->Start);
       freeClosure(Mem.ptr(Hit->Init));
       destroyNode(Hit);
       AllocNode *A = newNode<AllocNode>();
@@ -588,7 +585,7 @@ void *Runtime::allocate(size_t Size, Closure *Init, uint8_t NodeFlags) {
       A->Size = static_cast<uint32_t>(Size);
       A->Init = Mem.handle(Init);
       Init->setOwnedByTrace(true);
-      A->Start = Om.handleOf(stampAfterCursor(itemOf(Mem, A)));
+      A->Start = stampAfterCursor(itemOf(Mem, A));
       A->Memo.Hash = static_cast<uint32_t>(Hash);
       if (Main.Prof.Enabled)
         ++Main.Prof.MemoInserts;
@@ -604,7 +601,7 @@ void *Runtime::allocate(size_t Size, Closure *Init, uint8_t NodeFlags) {
   A->Size = static_cast<uint32_t>(Size);
   A->Init = Mem.handle(Init);
   Init->setOwnedByTrace(true);
-  A->Start = Om.handleOf(stampAfterCursor(itemOf(Mem, A)));
+  A->Start = stampAfterCursor(itemOf(Mem, A));
   if (Main.Prof.Enabled)
     ++Main.Prof.MemoInserts;
   A->Memo.Hash = static_cast<uint32_t>(Hash);
@@ -677,13 +674,13 @@ void Runtime::reexecute(ReadNode *R) {
   {
     ProfileTimer T(Main.Prof, Main.Prof.ReexecNs);
     Main.PendingSubst = V; // Consumed by the first trampoline dispatch below.
-    Main.Cursor = Om.nodeAt(R->Start);
-    OmNode *End = Om.nodeAt(R->End);
+    Main.Cursor = R->Start;
+    Handle<OmNode> End = R->End;
     Main.IntervalEnd = End;
     bool Spliced = trampoline(Mem.ptr(R->Clo));
     if (!Spliced)
       revokeInterval(Main.Cursor, End);
-    Main.IntervalEnd = nullptr;
+    Main.IntervalEnd = Handle<OmNode>{};
   }
   if (ProfOn)
     Main.Prof.ReexecWork.record(traceWorkOps() - Work0);
@@ -693,14 +690,15 @@ void Runtime::reexecute(ReadNode *R) {
 /// Read nodes remove both their start and end timestamps; end markers
 /// encountered directly belong to reads whose start lies in the interval
 /// as well and are handled when the start is visited.
-void Runtime::revokeInterval(OmNode *From, OmNode *To) {
+void Runtime::revokeInterval(Handle<OmNode> From, Handle<OmNode> To) {
   ProfileTimer T(Main.Prof, Main.Prof.RevokeNs);
   if (Main.Prof.Enabled)
     ++Main.Prof.RevokeCalls;
-  OmNode *N = From->Next;
+  Handle<OmNode> N = Om.next(From);
   while (N && N != To) {
-    OmItem Item = N->Item;
-    OmNode *Next = N->Next;
+    const OmNode *NN = Om.node(N);
+    OmItem Item = NN->Item;
+    Handle<OmNode> Next = NN->Next;
     if (isEndItem(Item)) {
       // Skipped: removed together with its read's start. A read whose
       // start precedes the interval cannot end inside it (intervals
@@ -714,8 +712,8 @@ void Runtime::revokeInterval(OmNode *From, OmNode *To) {
       auto *R = static_cast<ReadNode *>(T);
       // The read's end node is ahead of us and about to be deleted; if it
       // is the immediate successor, step over it.
-      if (Om.nodeAt(R->End) == Next)
-        Next = Next->Next;
+      if (R->End == Next)
+        Next = Om.next(Next);
       revokeRead(R);
       break;
     }
@@ -738,9 +736,9 @@ void Runtime::revokeRead(ReadNode *R) {
     heapRemove(R);
   ReadMemo.remove(R);
   unlinkUse(R);
-  Om.remove(Om.nodeAt(R->Start));
+  Om.remove(R->Start);
   assert(R->End && "revoking a read whose interval is still open");
-  Om.remove(Om.nodeAt(R->End));
+  Om.remove(R->End);
   freeClosure(Mem.ptr(R->Clo));
   destroyNode(R);
 }
@@ -762,14 +760,14 @@ void Runtime::revokeWrite(WriteNode *W) {
       invalidate(R);
   }
   unlinkUse(W);
-  Om.remove(Om.nodeAt(W->Start));
+  Om.remove(W->Start);
   destroyNode(W);
 }
 
 void Runtime::revokeAlloc(AllocNode *A) {
   ++Main.S.NodesRevoked;
   AllocMemo.remove(A);
-  Om.remove(Om.nodeAt(A->Start));
+  Om.remove(A->Start);
   freeClosure(Mem.ptr(A->Init));
   Main.DeferredFrees.push_back({Mem.ptr(A->Block), A->Size, A->isModrefBlock()});
   destroyNode(A);
@@ -828,9 +826,9 @@ uint64_t Runtime::allocMemoHash(const Closure *Init, size_t Size) const {
 /// True if an old trace node starting at \p Start may be reused: it must
 /// lie strictly between the cursor and the end of the interval being
 /// re-executed.
-bool Runtime::inReuseWindow(const OmNode *Start) const {
-  return OrderList::precedes(Main.Cursor, Start) &&
-         OrderList::precedes(Start, Main.IntervalEnd);
+bool Runtime::inReuseWindow(Handle<OmNode> Start) const {
+  return Om.precedes(Main.Cursor, Start) &&
+         Om.precedes(Start, Main.IntervalEnd);
 }
 
 static bool sameTrailingArgs(const Closure *A, const Closure *B) {
@@ -850,10 +848,9 @@ ReadNode *Runtime::findReadMemo(const Modref *M, const Closure *C,
     if (N->Memo.Hash != H32 || Mem.ptr(N->Ref) != M ||
         !sameTrailingArgs(Mem.ptr(N->Clo), C))
       continue;
-    if (!inReuseWindow(Om.nodeAt(N->Start)))
+    if (!inReuseWindow(N->Start))
       continue;
-    if (!Best ||
-        OrderList::precedes(Om.nodeAt(N->Start), Om.nodeAt(Best->Start)))
+    if (!Best || Om.precedes(N->Start, Best->Start))
       Best = N;
   }
   return Best;
@@ -867,10 +864,9 @@ AllocNode *Runtime::findAllocMemo(const Closure *Init, size_t Size,
     if (N->Memo.Hash != H32 || N->Size != Size ||
         !sameTrailingArgs(Mem.ptr(N->Init), Init))
       continue;
-    if (!inReuseWindow(Om.nodeAt(N->Start)))
+    if (!inReuseWindow(N->Start))
       continue;
-    if (!Best ||
-        OrderList::precedes(Om.nodeAt(N->Start), Om.nodeAt(Best->Start)))
+    if (!Best || Om.precedes(N->Start, Best->Start))
       Best = N;
   }
   return Best;
@@ -881,7 +877,7 @@ AllocNode *Runtime::findAllocMemo(const Closure *Init, size_t Size,
 //===----------------------------------------------------------------------===//
 
 bool Runtime::heapLess(const ReadNode *A, const ReadNode *B) const {
-  return OrderList::precedes(Om.nodeAt(A->Start), Om.nodeAt(B->Start));
+  return Om.precedes(A->Start, B->Start);
 }
 
 void Runtime::heapPush(ReadNode *R) {
@@ -979,7 +975,7 @@ void Runtime::maybeSimulateGc() {
   // (the pointer chase is what makes real collections expensive).
   ++Main.S.GcScans;
   uint64_t Sink = 0;
-  for (const OmNode *N = Om.base(); N; N = N->Next) {
+  for (const OmNode *N = Om.node(Om.base()); N; N = Om.node(N->Next)) {
     Sink += N->Label;
     if (N->Item && !isEndItem(N->Item))
       Sink += itemNode(Mem, N->Item)->Flags;

@@ -329,6 +329,8 @@ public:
   bool outOfMemory() const { return Oom; }
   /// Number of trace timestamps currently live (incl. the base).
   size_t traceSize() const { return Om.size(); }
+  /// The trace's order-maintenance list (timestamps, read-only).
+  const OrderList &orderList() const { return Om; }
   /// Bytes currently held by tracked mutator-owned blocks (metaAlloc).
   size_t metaBytes() const { return MetaBytes; }
   const Config &config() const { return Cfg; }
@@ -420,8 +422,8 @@ private:
     /// consume it as their first declared parameter; plain closures
     /// ignore it.
     Word PendingSubst = 0;
-    OmNode *Cursor = nullptr;
-    OmNode *IntervalEnd = nullptr;
+    Handle<OmNode> Cursor{};
+    Handle<OmNode> IntervalEnd{};
     bool SplicedFlag = false;
     std::vector<ReadNode *> PendingReads;
     /// Propagation queue (intrusive binary heap ordered by start time).
@@ -435,7 +437,7 @@ private:
   template <typename NodeT> NodeT *newNode();
   template <typename NodeT> void destroyNode(NodeT *N);
   void freeClosure(Closure *C);
-  OmNode *stampAfterCursor(OmItem Item);
+  Handle<OmNode> stampAfterCursor(OmItem Item);
   void insertUse(Modref *M, Use *U);
   void insertUseTail(Modref *M, Use *U);
   void unlinkUse(Use *U);
@@ -461,7 +463,7 @@ private:
   // Change propagation.
   void reexecute(ReadNode *R);
   void invalidate(ReadNode *R);
-  void revokeInterval(OmNode *From, OmNode *To);
+  void revokeInterval(Handle<OmNode> From, Handle<OmNode> To);
   void revokeRead(ReadNode *R);
   void revokeWrite(WriteNode *W);
   void revokeAlloc(AllocNode *A);
@@ -472,7 +474,7 @@ private:
   uint64_t allocMemoHash(const Closure *Init, size_t Size) const;
   ReadNode *findReadMemo(const Modref *M, const Closure *C, uint64_t Hash);
   AllocNode *findAllocMemo(const Closure *Init, size_t Size, uint64_t Hash);
-  bool inReuseWindow(const OmNode *Start) const;
+  bool inReuseWindow(Handle<OmNode> Start) const;
 
   // Propagation queue operations over Main's intrusive binary heap
   // (ordered by start time, position cached in ReadNode::HeapIndex).
@@ -490,7 +492,7 @@ private:
   Arena Mem;
   OrderList Om;
   /// The maximum stamped position: where a subsequent run_core appends.
-  OmNode *TraceEnd;
+  Handle<OmNode> TraceEnd;
   Phase CurPhase = Phase::Meta;
 
   /// The execution state. See ExecState.

@@ -205,24 +205,17 @@ struct Snapshot::Impl {
     return static_cast<uint64_t>(static_cast<const char *>(P) - A.Base);
   }
 
-  template <typename T>
-  static uint64_t offOfHandle(const Arena &A, Handle<T> H) {
-#ifdef CEAL_WIDE_TRACE
-    return offOfPtr(A, H.Ptr);
-#else
-    (void)A;
-    return uint64_t(H.Bits) * Arena::HandleGrain;
-#endif
+  template <typename T> static uint64_t offOfHandle(Handle<T> H) {
+    return grainOff(H.Bits);
   }
 
-  template <typename T>
-  static Handle<T> handleAtOff(const Arena &A, uint64_t Off) {
-#ifdef CEAL_WIDE_TRACE
-    return Handle<T>(Off ? reinterpret_cast<T *>(A.Base + Off) : nullptr);
-#else
-    (void)A;
+  template <typename T> static Handle<T> handleAtOff(uint64_t Off) {
     return Handle<T>(static_cast<uint32_t>(Off / Arena::HandleGrain));
-#endif
+  }
+
+  /// Region offset of a grain index (handle bits, freelist link).
+  static uint64_t grainOff(uint32_t Grain) {
+    return uint64_t(Grain) * Arena::HandleGrain;
   }
 
   //===------------------------------------------------------------===//
@@ -236,7 +229,7 @@ struct Snapshot::Impl {
     AM.TotalAllocated = A.TotalAllocated;
     AM.AllocCount = A.AllocCount;
     for (size_t I = 0; I < Arena::NumClasses; ++I)
-      AM.FreeHeads[I] = offOfPtr(A, A.FreeLists[I]);
+      AM.FreeHeads[I] = grainOff(A.FreeLists[I]);
     AM.LargeCount = 0;
     for (const auto &[Size, Head] : A.LargeFree)
       if (Head)
@@ -249,7 +242,7 @@ struct Snapshot::Impl {
     std::vector<std::pair<uint64_t, uint64_t>> Pairs;
     for (const auto &[Size, Head] : A.LargeFree)
       if (Head)
-        Pairs.emplace_back(Size, offOfPtr(A, Head));
+        Pairs.emplace_back(Size, grainOff(Head));
     std::sort(Pairs.begin(), Pairs.end());
     for (const auto &[Size, Off] : Pairs) {
       Buf.u64(Size);
@@ -258,13 +251,12 @@ struct Snapshot::Impl {
   }
 
   template <typename NodeT>
-  static ByteBuf memoSection(uint32_t Kind, const Arena &Mem,
-                             const MemoTable<NodeT> &Table) {
+  static ByteBuf memoSection(uint32_t Kind, const MemoTable<NodeT> &Table) {
     ByteBuf Buf;
     Buf.u64(sectionPreamble(Kind));
     Buf.u64(Table.Buckets.size());
     for (Handle<NodeT> H : Table.Buckets)
-      Buf.u64(offOfHandle(Mem, H));
+      Buf.u64(offOfHandle(H));
     return Buf;
   }
 
@@ -299,14 +291,14 @@ struct Snapshot::Impl {
 
     // META section.
     MetaFixed MF = {};
-    MF.CursorOff = offOfPtr(OmA, RT.Main.Cursor);
-    MF.TraceEndOff = offOfPtr(OmA, RT.TraceEnd);
+    MF.CursorOff = offOfHandle(RT.Main.Cursor);
+    MF.TraceEndOff = offOfHandle(RT.TraceEnd);
     std::memcpy(MF.Stats, &RT.Main.S, sizeof(MF.Stats));
     MF.MetaBytes = RT.MetaBytes;
     MF.GcAllocMark = RT.GcAllocMark;
     MF.BoxBytesPerNode = RT.Cfg.BoxBytesPerNode;
-    MF.OmBaseOff = offOfPtr(OmA, RT.Om.Base);
-    MF.OmFirstGroupOff = offOfPtr(OmA, RT.Om.FirstGroup);
+    MF.OmBaseOff = offOfHandle(RT.Om.Base);
+    MF.OmFirstGroupOff = offOfHandle(RT.Om.FirstGroup);
     MF.OmSize = RT.Om.Size;
     MF.OmRelabels = RT.Om.Relabels;
     MF.OmRangeRelabels = RT.Om.RangeRelabels;
@@ -324,8 +316,8 @@ struct Snapshot::Impl {
     appendLargePairs(Meta, Mem);
     appendLargePairs(Meta, OmA);
 
-    ByteBuf MemoR = memoSection(SecMemoRead, Mem, RT.ReadMemo);
-    ByteBuf MemoA = memoSection(SecMemoAlloc, Mem, RT.AllocMemo);
+    ByteBuf MemoR = memoSection(SecMemoRead, RT.ReadMemo);
+    ByteBuf MemoA = memoSection(SecMemoAlloc, RT.AllocMemo);
 
     ByteBuf Roots;
     Roots.u64(sectionPreamble(SecRoots));
@@ -494,8 +486,7 @@ struct Snapshot::Impl {
     if (H.LayoutFingerprint != WantFp)
       return failL(Out, Status::BadLayout,
                    strf("trace layout fingerprint 0x%016llx does not match "
-                        "this build's 0x%016llx (CEAL_WIDE_TRACE or node "
-                        "layout mismatch)",
+                        "this build's 0x%016llx (node layout mismatch)",
                         (unsigned long long)H.LayoutFingerprint,
                         (unsigned long long)WantFp));
 
@@ -772,7 +763,8 @@ struct Snapshot::Impl {
       return failL(Out, Status::BadMeta,
                    "root count disagrees between META and the root section");
     P.RootOffs.resize(MF.RootCount);
-    std::memcpy(P.RootOffs.data(), RootsSec.data() + 16, MF.RootCount * 8);
+    if (MF.RootCount) // memcpy's pointers must be non-null even for 0 bytes.
+      std::memcpy(P.RootOffs.data(), RootsSec.data() + 16, MF.RootCount * 8);
     for (uint64_t Off : P.RootOffs)
       if (!OffOk(Off, Arena::HandleGrain, H.MemBumpUsed))
         return BadOff("root", Off);
@@ -816,7 +808,7 @@ struct Snapshot::Impl {
     RT.Om.Allocator.remapTo(RT.Om.Allocator.Base, RT.Om.Allocator.RegionBytes);
     RT.Om.rebuildEmpty();
     RT.Main.Cursor = RT.TraceEnd = RT.Om.base();
-    RT.Main.IntervalEnd = nullptr;
+    RT.Main.IntervalEnd = Handle<OmNode>{};
     RT.Main.PendingSubst = 0;
     RT.Main.SplicedFlag = false;
     RT.CurPhase = Runtime::Phase::Meta;
@@ -837,9 +829,9 @@ struct Snapshot::Impl {
 
   /// Walks one serialized freelist chain, rejecting any cell outside
   /// [grain, frontier) bounds or off the 8-byte grid, and any chain
-  /// longer than the arena could hold (a cycle). The chain links are raw
-  /// pointers inside the freshly adopted image, so this must run before
-  /// the arena is allowed to pop them.
+  /// longer than the arena could hold (a cycle). The chain links are
+  /// grain indexes inside the freshly adopted image, so this must run
+  /// before the arena is allowed to pop them.
   static bool checkFreeChain(const Arena &A, uint64_t HeadOff,
                              uint64_t CellBytes, uint64_t Used,
                              const char *Name, LoadResult &Out) {
@@ -857,12 +849,9 @@ struct Snapshot::Impl {
         return failL(Out, Status::AuditFailed,
                      strf("%s freelist chain does not terminate (cycle)",
                           Name));
-      const void *Next;
+      uint32_t Next;
       std::memcpy(&Next, A.Base + Off, sizeof(Next));
-      Off = Next ? static_cast<uint64_t>(
-                       reinterpret_cast<uintptr_t>(Next) -
-                       reinterpret_cast<uintptr_t>(A.Base))
-                 : 0;
+      Off = grainOff(Next);
     }
     return true;
   }
@@ -886,26 +875,24 @@ struct Snapshot::Impl {
       if (Verify &&
           !checkFreeChain(A, HeadOff, Arena::classSize(I), Used, Name, Out))
         return false;
-      A.FreeLists[I] =
-          HeadOff ? reinterpret_cast<Arena::FreeCell *>(A.Base + HeadOff)
-                  : nullptr;
+      A.FreeLists[I] = handleAtOff<Arena::FreeCell>(HeadOff).Bits;
     }
     A.LargeFree.clear();
     for (const auto &[Size, HeadOff] : Large) {
       if (Verify && !checkFreeChain(A, HeadOff, Size, Used, Name, Out))
         return false;
-      A.LargeFree[Size] = reinterpret_cast<Arena::FreeCell *>(A.Base + HeadOff);
+      A.LargeFree[Size] = handleAtOff<Arena::FreeCell>(HeadOff).Bits;
     }
     return true;
   }
 
   template <typename NodeT>
-  static void restoreMemo(MemoTable<NodeT> &Table, const Arena &Mem,
+  static void restoreMemo(MemoTable<NodeT> &Table,
                           const std::vector<uint64_t> &Offsets,
                           uint64_t Count) {
     Table.Buckets.assign(Offsets.size(), Handle<NodeT>{});
     for (size_t I = 0; I < Offsets.size(); ++I)
-      Table.Buckets[I] = handleAtOff<NodeT>(Mem, Offsets[I]);
+      Table.Buckets[I] = handleAtOff<NodeT>(Offsets[I]);
     Table.Count = static_cast<size_t>(Count);
   }
 
@@ -972,18 +959,17 @@ struct Snapshot::Impl {
     }
 
     OrderList &Om = RT.Om;
-    char *OmB = Om.Allocator.Base;
-    Om.Base = reinterpret_cast<OmNode *>(OmB + P.MF.OmBaseOff);
-    Om.FirstGroup = reinterpret_cast<OmGroup *>(OmB + P.MF.OmFirstGroupOff);
+    Om.Base = handleAtOff<OmNode>(P.MF.OmBaseOff);
+    Om.FirstGroup = handleAtOff<OmGroup>(P.MF.OmFirstGroupOff);
     Om.Size = static_cast<size_t>(P.MF.OmSize);
     Om.Relabels = static_cast<size_t>(P.MF.OmRelabels);
     Om.RangeRelabels = static_cast<size_t>(P.MF.OmRangeRelabels);
     Om.FillLimit = OrderList::GroupLimit;
     Om.AppendActive = false;
 
-    RT.Main.Cursor = reinterpret_cast<OmNode *>(OmB + P.MF.CursorOff);
-    RT.TraceEnd = reinterpret_cast<OmNode *>(OmB + P.MF.TraceEndOff);
-    RT.Main.IntervalEnd = nullptr;
+    RT.Main.Cursor = handleAtOff<OmNode>(P.MF.CursorOff);
+    RT.TraceEnd = handleAtOff<OmNode>(P.MF.TraceEndOff);
+    RT.Main.IntervalEnd = Handle<OmNode>{};
     RT.Main.PendingSubst = 0;
     RT.Main.SplicedFlag = false;
     RT.CurPhase = Runtime::Phase::Meta;
@@ -997,8 +983,8 @@ struct Snapshot::Impl {
     RT.GcAllocMark = static_cast<size_t>(P.MF.GcAllocMark);
     RT.Oom = false;
 
-    restoreMemo(RT.ReadMemo, RT.Mem, P.ReadBuckets, P.MF.ReadMemoCount);
-    restoreMemo(RT.AllocMemo, RT.Mem, P.AllocBuckets, P.MF.AllocMemoCount);
+    restoreMemo(RT.ReadMemo, P.ReadBuckets, P.MF.ReadMemoCount);
+    restoreMemo(RT.AllocMemo, P.AllocBuckets, P.MF.AllocMemoCount);
 
     Out.Roots.reserve(P.RootOffs.size());
     for (uint64_t Off : P.RootOffs)
@@ -1075,8 +1061,8 @@ struct Snapshot::Impl {
       for (size_t I = 0, N = C->numArgs(); I < N; ++I)
         MixVal(C->args()[I]);
     };
-    for (const OmNode *N = RT.Om.base()->Next; N; N = N->Next) {
-      OmItem Item = N->Item;
+    for (Handle<OmNode> N = RT.Om.next(RT.Om.base()); N; N = RT.Om.next(N)) {
+      OmItem Item = RT.Om.item(N);
       if (isEndItem(Item)) {
         MixRaw(2);
         continue;

@@ -25,9 +25,11 @@
 ///                     WarmStartOptions::VerifyTrace restores load()'s
 ///                     full verification on this path.
 ///
-/// The format is position-dependent by design: PR 5 made every *trace
-/// edge* a region offset, but user data words, OM node/group links, and
-/// freelist chains are raw addresses, so the loader claims the exact
+/// The format is position-dependent by design: every trace edge,
+/// order-list link, and freelist link is a region offset (a 32-bit
+/// handle), so the OM image holds no raw addresses at all, but user data
+/// words in the trace arena (modifiable values, closure arguments, cell
+/// fields) are raw addresses. The loader therefore claims the exact
 /// region bases recorded in the header (an atomic MAP_FIXED_NOREPLACE
 /// claim; AddressUnavailable if the space is taken) and the entire region
 /// image is then valid verbatim. Code addresses (closure functions and
@@ -92,8 +94,8 @@ public:
     BadVersion,
     /// Written on a machine with different byte order.
     BadEndian,
-    /// Trace layout fingerprint mismatch (e.g. CEAL_WIDE_TRACE vs
-    /// compressed build).
+    /// Trace layout fingerprint mismatch (node layouts or link encoding
+    /// of another build).
     BadLayout,
     /// Header block checksum mismatch.
     BadHeader,

@@ -26,10 +26,11 @@
 ///   WriteNode 32 B   (+ value)
 ///   AllocNode 32 B   (+ initializer, block, size, memo links)
 ///   Modref    24 B   (initial value + head/tail/hint of the use list)
+///   OmNode    24 B   (prev/next/group handles, payload, label)
+///   OmGroup   24 B   (prev/next/first handles, count, label)
 ///
-/// — roughly half the pointer-width layout, which the CEAL_WIDE_TRACE
-/// build keeps available for A/B comparison (handles widen to pointers,
-/// same code shape). See DESIGN.md "Trace memory layout".
+/// — roughly half the pointer-width layout. See DESIGN.md "Trace memory
+/// layout".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -171,36 +172,26 @@ struct Modref {
 // The compressed size-class contracts (see the file comment): each layout
 // must exactly fill its 8-byte arena class; growing any of them is a
 // measured regression on every app's max-live footprint, so it fails the
-// build rather than landing silently. The wide build only bounds the
-// layouts loosely — it exists for A/B measurement, not for a contract.
-#ifndef CEAL_WIDE_TRACE
+// build rather than landing silently.
 static_assert(sizeof(TraceNode) == 8, "TraceNode outgrew its packed layout");
 static_assert(sizeof(Use) == 20, "Use outgrew its packed layout");
 static_assert(sizeof(ReadNode) == 56, "ReadNode outgrew its size class");
 static_assert(sizeof(WriteNode) == 32, "WriteNode outgrew its size class");
 static_assert(sizeof(AllocNode) == 32, "AllocNode outgrew its size class");
 static_assert(sizeof(Modref) == 24, "Modref outgrew its size class");
-#else
-static_assert(sizeof(ReadNode) <= 112, "ReadNode outgrew its size class");
-static_assert(sizeof(WriteNode) <= 48, "WriteNode outgrew its size class");
-static_assert(sizeof(AllocNode) <= 64, "AllocNode outgrew its size class");
-#endif
+static_assert(sizeof(OmNode) == 24, "OmNode outgrew its size class");
+static_assert(sizeof(OmGroup) == 24, "OmGroup outgrew its size class");
 
 /// A fingerprint of the trace's in-memory layout, derived from the
 /// static_asserted node sizes above plus the handle width and grain. Two
 /// builds agree on this value exactly when a trace region serialized by
 /// one is byte-compatible with the other, so the snapshot loader
 /// (runtime/Snapshot) embeds it in the checkpoint header and rejects any
-/// mismatch — in particular, a CEAL_WIDE_TRACE build can never load a
-/// compressed-trace checkpoint or vice versa.
+/// mismatch. Revision 2: order-list links and arena freelist links are
+/// handles, not pointers.
 inline uint64_t traceLayoutFingerprint() {
-  uint64_t H = 0x4345414c00000001ULL; // format root: 'CEAL', revision 1
+  uint64_t H = 0x4345414c00000002ULL; // format root: 'CEAL', revision 2
   auto Mix = [&H](uint64_t W) { H = hashMixWord(H, W); };
-#ifdef CEAL_WIDE_TRACE
-  Mix(2);
-#else
-  Mix(1);
-#endif
   Mix(sizeof(void *));
   Mix(Arena::HandleGrain);
   Mix(sizeof(Handle<int>));
@@ -220,29 +211,10 @@ inline uint64_t traceLayoutFingerprint() {
 
 /// Tagging scheme for OmNode::Item (an OmItem — see om/OrderList.h). A
 /// trace node's start timestamp carries the node's Mem-arena handle; a
-/// read's end timestamp carries the read's handle with the tag bit set so
-/// interval walks can tell starts from ends. Compressed items tag bit 31
-/// — which requires the trace arena region to stay under 2^31 grains
-/// (16 GB; the default region is 8 GB) — wide items tag bit 0 of the
-/// pointer (all trace nodes are 8-aligned).
-#ifdef CEAL_WIDE_TRACE
-
-inline OmItem itemOf(const Arena &, const TraceNode *T) {
-  return reinterpret_cast<uintptr_t>(T);
-}
-inline OmItem endItemOf(const Arena &, const ReadNode *R) {
-  return reinterpret_cast<uintptr_t>(R) | 1;
-}
-inline bool isEndItem(OmItem I) { return I & 1; }
-inline TraceNode *itemNode(const Arena &, OmItem I) {
-  return reinterpret_cast<TraceNode *>(I);
-}
-inline ReadNode *endItemRead(const Arena &, OmItem I) {
-  return reinterpret_cast<ReadNode *>(I & ~uintptr_t(1));
-}
-
-#else
-
+/// read's end timestamp carries the read's handle with bit 31 set so
+/// interval walks can tell starts from ends — which requires the trace
+/// arena region to stay under 2^31 grains (16 GB; the default region is
+/// 8 GB).
 constexpr OmItem OmItemEndBit = OmItem(1) << 31;
 
 inline OmItem itemOf(const Arena &Mem, const TraceNode *T) {
@@ -262,8 +234,6 @@ inline TraceNode *itemNode(const Arena &Mem, OmItem I) {
 inline ReadNode *endItemRead(const Arena &Mem, OmItem I) {
   return Mem.ptr(Handle<ReadNode>(I & ~OmItemEndBit));
 }
-
-#endif
 
 } // namespace ceal
 

@@ -181,9 +181,6 @@ struct TraceAudit::Impl {
   /// handle and a failed check, so callers treat the result like the
   /// pointer it replaces.
   template <typename T> const T *decode(Handle<T> H, const char *What) {
-#ifdef CEAL_WIDE_TRACE
-    return H.Ptr;
-#else
     if (!H.Bits)
       return nullptr;
     if (!RT.Mem.handleInBounds(H.Bits)) {
@@ -192,25 +189,28 @@ struct TraceAudit::Impl {
       return nullptr;
     }
     return RT.Mem.ptr(H);
-#endif
   }
 
-  /// Same, for timestamp handles (which resolve against the order list's
-  /// own arena).
-  const OmNode *omAt(Handle<OmNode> H, const char *What) {
-#ifdef CEAL_WIDE_TRACE
-    (void)What;
-    return H.Ptr;
-#else
+  /// Same, for order-list handles (timestamps and groups), which resolve
+  /// against the order list's own arena.
+  template <typename T> const T *omAt(Handle<T> H, const char *What) {
     if (!H.Bits)
       return nullptr;
     if (!RT.Om.Allocator.handleInBounds(H.Bits)) {
-      fail("%s: timestamp handle 0x%x outside the order-list arena", What,
-           H.Bits);
+      fail("%s: handle 0x%x outside the order-list arena", What, H.Bits);
       return nullptr;
     }
-    return RT.Om.nodeAt(H);
-#endif
+    return RT.Om.Allocator.ptr(H);
+  }
+
+  /// OrderList::precedes over bounds-checked decodes: false (with a
+  /// report line) when either node's group handle is forged.
+  bool ordered(const OmNode *A, const OmNode *B) {
+    if (A->Group == B->Group)
+      return A->Label < B->Label;
+    const OmGroup *GA = omAt(A->Group, "om: node group");
+    const OmGroup *GB = omAt(B->Group, "om: node group");
+    return GA && GB && GA->Label < GB->Label;
   }
 
   void fail(const char *Fmt, ...) __attribute__((format(printf, 2, 3))) {
@@ -244,53 +244,73 @@ struct TraceAudit::Impl {
 
   void checkOrderStructure() {
     const OrderList &Om = RT.Om;
-    size_t SeenNodes = 0;
-    const OmNode *Expected = Om.Base; // Next node the chain should yield.
+    size_t SeenNodes = 0, SeenGroups = 0;
+    // Every link is decoded through omAt before it is followed, so a
+    // forged handle becomes a report line instead of a wild read; the
+    // group walk is capped at one group per node so a forged cycle
+    // terminates.
+    Handle<OmNode> Expected = Om.Base; // Next node the chain should yield.
+    const OmNode *PrevN = nullptr;
+    Handle<OmGroup> PrevGH{};
     const OmGroup *PrevG = nullptr;
-    for (const OmGroup *G = Om.FirstGroup; G; G = G->Next) {
-      if (G->Prev != PrevG)
+    for (Handle<OmGroup> GH = Om.FirstGroup; GH;) {
+      const OmGroup *G = omAt(GH, "om: group link");
+      if (!G)
+        return;
+      if (++SeenGroups > Om.Size) {
+        fail("om: group chain longer than the node count allows (cycle)");
+        return;
+      }
+      if (G->Prev != PrevGH)
         fail("om: group back-link broken at label %llu",
              (unsigned long long)G->Label);
       if (PrevG && G->Label <= PrevG->Label)
         fail("om: group labels not strictly increasing (%llu after %llu)",
              (unsigned long long)G->Label, (unsigned long long)PrevG->Label);
+      PrevGH = GH;
+      PrevG = G;
+      GH = G->Next;
       if (G->Count == 0) {
         fail("om: empty group left in list");
-        PrevG = G;
         continue;
       }
       if (G->First != Expected)
         fail("om: group First out of sync with node chain");
-      const OmNode *N = G->First;
+      Handle<OmNode> NH = G->First;
       uint64_t PrevLabel = 0;
-      for (uint32_t I = 0; N && I < G->Count; ++I) {
-        if (N->Group != G)
+      for (uint32_t I = 0; NH && I < G->Count; ++I) {
+        const OmNode *N = omAt(NH, "om: node link");
+        if (!N)
+          return;
+        if (++SeenNodes > Om.Size) {
+          fail("om: node chain longer than the recorded size (cycle)");
+          return;
+        }
+        if (N->Group != PrevGH)
           fail("om: node points at wrong group");
         if (I > 0 && N->Label <= PrevLabel)
           fail("om: node labels not strictly increasing within group");
-        if (N->Next && N->Next->Prev != N)
-          fail("om: node back-link broken");
+        // Two-level agreement: the strict order precedes() computes from
+        // (group label, node label) must match the linked-list order.
+        if (PrevN && (!ordered(PrevN, N) || ordered(N, PrevN)))
+          fail("om: precedes() disagrees with list order (labels "
+               "%llu/%llu)",
+               (unsigned long long)PrevN->Label,
+               (unsigned long long)N->Label);
+        if (const OmNode *Succ = omAt(N->Next, "om: node link"))
+          if (Succ->Prev != NH)
+            fail("om: node back-link broken");
         PrevLabel = N->Label;
-        ++SeenNodes;
+        PrevN = N;
         Expected = N->Next;
-        N = N->Next;
+        NH = N->Next;
       }
-      PrevG = G;
     }
-    if (Expected != nullptr)
+    if (Expected)
       fail("om: trailing nodes beyond the last group");
     if (SeenNodes != Om.Size)
       fail("om: size accounting out of sync (walked %zu, Size %zu)",
            SeenNodes, Om.Size);
-    // Two-level agreement: the strict order precedes() computes from
-    // (group label, node label) must match the linked-list order.
-    for (const OmNode *N = Om.Base; N && N->Next; N = N->Next) {
-      if (!OrderList::precedes(N, N->Next) ||
-          OrderList::precedes(N->Next, N))
-        fail("om: precedes() disagrees with list order (labels %llu/%llu)",
-             (unsigned long long)N->Label,
-             (unsigned long long)N->Next->Label);
-    }
   }
 
   //===------------------------------------------------------------===//
@@ -300,22 +320,26 @@ struct TraceAudit::Impl {
   void walkTrace() {
     std::vector<const ReadNode *> OpenReads;
     std::unordered_set<const void *> Blocks;
-    const OmNode *Last = RT.Om.base();
-    for (const OmNode *N = RT.Om.base()->Next; N; N = N->Next) {
+    const OmNode *Last = RT.Om.node(RT.Om.base());
+    size_t Steps = 0;
+    for (const OmNode *N = omAt(Last->Next, "trace: timestamp link"); N;
+         N = omAt(N->Next, "trace: timestamp link")) {
+      if (++Steps >= RT.Om.size()) { // Size counts the base as well.
+        fail("trace: timestamp chain longer than the order list (cycle)");
+        break;
+      }
       Last = N;
       OmItem Item = N->Item;
       if (!Item) {
         fail("trace: non-base timestamp with no payload");
         continue;
       }
-#ifndef CEAL_WIDE_TRACE
       if (!RT.Mem.handleInBounds(Item & ~OmItemEndBit)) {
         fail("trace: timestamp payload handle 0x%x outside the trace "
              "arena's allocated region",
              unsigned(Item & ~OmItemEndBit));
         continue;
       }
-#endif
       if (isEndItem(Item)) {
         const ReadNode *R = endItemRead(RT.Mem, Item);
         if (omAt(R->End, "read end") != N)
@@ -386,7 +410,7 @@ struct TraceAudit::Impl {
     if (!OpenReads.empty())
       fail("trace: %zu read interval(s) missing their end markers",
            OpenReads.size());
-    if (RT.TraceEnd != Last)
+    if (RT.Om.node(RT.TraceEnd) != Last)
       fail("trace: TraceEnd is not the maximum timestamp");
     if (!RT.Main.PendingReads.empty())
       fail("trace: pending-read stack not empty at meta time");
@@ -428,8 +452,7 @@ struct TraceAudit::Impl {
         if (Prev) {
           const OmNode *PrevStart = omAt(Prev->Start, "uselist prev start");
           const OmNode *UStart = omAt(U->Start, "uselist start");
-          if (!PrevStart || !UStart ||
-              !OrderList::precedes(PrevStart, UStart))
+          if (!PrevStart || !UStart || !ordered(PrevStart, UStart))
             fail("uselist: uses not sorted by timestamp");
         }
         if (U->Kind == TraceKind::Read) {
@@ -478,7 +501,7 @@ struct TraceAudit::Impl {
         const ReadNode *Parent = Heap[(I - 1) / 2];
         const OmNode *RStart = omAt(R->Start, "heap entry start");
         const OmNode *PStart = omAt(Parent->Start, "heap parent start");
-        if (RStart && PStart && OrderList::precedes(RStart, PStart))
+        if (RStart && PStart && ordered(RStart, PStart))
           fail("heap: min-heap property violated at entry %zu", I);
       }
     }
@@ -505,7 +528,6 @@ struct TraceAudit::Impl {
                       const std::vector<const NodeT *> &Expected,
                       uint64_t Seed, KeyFn MakeKey) {
     const size_t NBuckets = Table.bucketCount();
-#ifndef CEAL_WIDE_TRACE
     // Vectorized pre-pass over the packed head-handle array: every head
     // is bounds-checked against the arena's bump frontier in one
     // simd::boundsCheckU32 sweep, so the chain walk below never starts
@@ -530,9 +552,6 @@ struct TraceAudit::Impl {
     auto headOf = [&](size_t B) -> const NodeT * {
       return HeadBits[B] < Limit ? Table.bucketHead(B) : nullptr;
     };
-#else
-    auto headOf = [&](size_t B) { return Table.bucketHead(B); };
-#endif
     MemoHashBatch<NodeT> Hashes(Seed);
     std::vector<uint64_t> Key;
     std::unordered_set<const NodeT *> InTable;
@@ -754,23 +773,17 @@ struct TraceAudit::LoadImpl {
   }
 
   /// Trace-arena handle -> region offset (0 for null), without resolving.
-  template <typename T> uint64_t hoff(Handle<T> H) const {
-#ifdef CEAL_WIDE_TRACE
-    return H.Ptr ? rawOff(MemBase, H.Ptr) : 0;
-#else
+  /// Handle -> region offset (0 for null), without resolving; the same
+  /// encoding in both arenas.
+  template <typename T> static uint64_t hoff(Handle<T> H) {
     return uint64_t(H.Bits) * Arena::HandleGrain;
-#endif
-  }
-  uint64_t omHoff(Handle<OmNode> H) const {
-#ifdef CEAL_WIDE_TRACE
-    return H.Ptr ? rawOff(OmBase, H.Ptr) : 0;
-#else
-    return uint64_t(H.Bits) * Arena::HandleGrain;
-#endif
   }
 
   template <typename T> const T *memAt(uint64_t Off) const {
     return reinterpret_cast<const T *>(MemBase + Off);
+  }
+  template <typename T> const T *omAt(uint64_t Off) const {
+    return reinterpret_cast<const T *>(OmBase + Off);
   }
 
   bool run() {
@@ -794,27 +807,27 @@ struct TraceAudit::LoadImpl {
 
   bool checkOrder() {
     const OrderList &Om = RT.Om;
-    uint64_t BaseOff = rawOff(OmBase, Om.Base);
-    if (!omOk(BaseOff, sizeof(OmNode)))
-      return fail("order-list base pointer outside the serialized arena");
-    uint64_t FirstGOff = rawOff(OmBase, Om.FirstGroup);
-    if (!omOk(FirstGOff, sizeof(OmGroup)))
-      return fail("first-group pointer outside the serialized arena");
-    if (Om.FirstGroup->First != Om.Base)
+    if (!omOk(hoff(Om.Base), sizeof(OmNode)))
+      return fail("order-list base handle outside the serialized arena");
+    if (!omOk(hoff(Om.FirstGroup), sizeof(OmGroup)))
+      return fail("first-group handle outside the serialized arena");
+    if (omAt<OmGroup>(hoff(Om.FirstGroup))->First != Om.Base)
       return fail("first group does not start at the base timestamp");
-    if (Om.Base->Prev != nullptr)
+    if (omAt<OmNode>(hoff(Om.Base))->Prev)
       return fail("base timestamp has a predecessor");
 
     size_t SeenNodes = 0;
-    const OmNode *Expected = Om.Base;
+    Handle<OmNode> Expected = Om.Base;
+    Handle<OmGroup> PrevGH{};
     const OmGroup *PrevG = nullptr;
-    for (const OmGroup *G = Om.FirstGroup; G; G = G->Next) {
-      if (!omOk(rawOff(OmBase, G), sizeof(OmGroup)))
-        return fail("group pointer outside the serialized arena");
+    for (Handle<OmGroup> GH = Om.FirstGroup; GH;) {
+      if (!omOk(hoff(GH), sizeof(OmGroup)))
+        return fail("group handle outside the serialized arena");
+      const OmGroup *G = omAt<OmGroup>(hoff(GH));
       if (++GroupCount > Om.Size + 1)
         return fail("group chain longer than the node count allows "
                     "(cycle)");
-      if (G->Prev != PrevG)
+      if (G->Prev != PrevGH)
         return fail("group back-link broken");
       if (PrevG && G->Label <= PrevG->Label)
         return fail("group labels not strictly increasing");
@@ -822,32 +835,39 @@ struct TraceAudit::LoadImpl {
         return fail("empty group in the chain");
       if (G->First != Expected)
         return fail("group First out of sync with the node chain");
-      const OmNode *N = Expected;
+      Handle<OmNode> NH = Expected;
       uint64_t PrevLabel = 0;
       for (uint32_t I = 0; I < G->Count; ++I) {
-        if (!N)
+        if (!NH)
           return fail("group Count overruns the node chain");
-        if (!omOk(rawOff(OmBase, N), sizeof(OmNode)))
-          return fail("timestamp pointer outside the serialized arena");
+        if (!omOk(hoff(NH), sizeof(OmNode)))
+          return fail("timestamp handle outside the serialized arena");
+        const OmNode *N = omAt<OmNode>(hoff(NH));
         if (++SeenNodes > Om.Size)
           return fail("node chain longer than the recorded size (cycle)");
-        if (N->Group != G)
+        if (N->Group != GH)
           return fail("timestamp points at the wrong group");
         if (I > 0 && N->Label <= PrevLabel)
           return fail("timestamp labels not strictly increasing in group");
-        if (N->Next && N->Next->Prev != N)
-          return fail("timestamp back-link broken");
-        if (N == RT.Main.Cursor)
+        if (N->Next) {
+          if (!omOk(hoff(N->Next), sizeof(OmNode)))
+            return fail("timestamp handle outside the serialized arena");
+          if (omAt<OmNode>(hoff(N->Next))->Prev != NH)
+            return fail("timestamp back-link broken");
+        }
+        if (NH == RT.Main.Cursor)
           CursorSeen = true;
-        if (N == RT.TraceEnd)
+        if (NH == RT.TraceEnd)
           TraceEndSeen = true;
         PrevLabel = N->Label;
         Expected = N->Next;
-        N = N->Next;
+        NH = N->Next;
       }
+      PrevGH = GH;
       PrevG = G;
+      GH = G->Next;
     }
-    if (Expected != nullptr)
+    if (Expected)
       return fail("trailing timestamps beyond the last group");
     if (SeenNodes != Om.Size)
       return fail("walked %zu timestamps but the list records %zu",
@@ -905,25 +925,20 @@ struct TraceAudit::LoadImpl {
   bool walkTrace() {
     const size_t Box = RT.Cfg.BoxBytesPerNode;
     std::vector<uint64_t> OpenReads;
-    const OmNode *Last = RT.Om.base();
-    for (const OmNode *N = RT.Om.base()->Next; N; N = N->Next) {
-      Last = N;
-      OmItem Item = N->Item;
+    Handle<OmNode> Last = RT.Om.base();
+    for (Handle<OmNode> NH = RT.Om.next(Last); NH; NH = RT.Om.next(NH)) {
+      Last = NH;
+      OmItem Item = RT.Om.item(NH);
       if (!Item)
         return fail("non-base timestamp with no payload");
-#ifdef CEAL_WIDE_TRACE
-      uint64_t Off = rawOff(MemBase, reinterpret_cast<const void *>(
-                                         Item & ~uintptr_t(1)));
-#else
       uint64_t Off = uint64_t(Item & ~OmItemEndBit) * Arena::HandleGrain;
-#endif
       if (isEndItem(Item)) {
         if (!memOk(Off, sizeof(ReadNode)))
           return fail("end-marker payload outside the serialized arena");
         const ReadNode *R = memAt<ReadNode>(Off);
         if (R->Kind != TraceKind::Read)
           return fail("end marker names a non-read node");
-        if (omHoff(R->End) != rawOff(OmBase, N))
+        if (R->End != NH)
           return fail("end marker not pointed back at by its read");
         if (OpenReads.empty() || OpenReads.back() != Off)
           return fail("read intervals not properly nested");
@@ -933,7 +948,7 @@ struct TraceAudit::LoadImpl {
       if (!memOk(Off, sizeof(TraceNode)))
         return fail("timestamp payload outside the serialized arena");
       const TraceNode *T = memAt<TraceNode>(Off);
-      if (omHoff(T->Start) != rawOff(OmBase, N))
+      if (T->Start != NH)
         return fail("node's Start does not point back at its timestamp");
       switch (T->Kind) {
       case TraceKind::Read: {
@@ -1043,7 +1058,6 @@ struct TraceAudit::LoadImpl {
     size_t Buckets = Table.bucketCount();
     if (Buckets < 64 || (Buckets & (Buckets - 1)) != 0)
       return fail("%s memo bucket count %zu invalid", Name, Buckets);
-#ifndef CEAL_WIDE_TRACE
     // Vectorized head sweep: the restored bucket array is dense packed
     // u32 handles, so one simd::boundsCheckU32 pass rejects any head
     // pointing past the serialized arena before the chain walk begins.
@@ -1059,7 +1073,6 @@ struct TraceAudit::LoadImpl {
                     "serialized arena",
                     Name, B, HeadBits[B]);
     }
-#endif
     MemoHashBatch<NodeT> Hashes(Seed);
     std::vector<uint64_t> Key;
     size_t Seen = 0;

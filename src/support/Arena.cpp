@@ -46,7 +46,7 @@ void *Arena::allocateLarge(size_t Size) {
     MaxLiveBytes = LiveBytes;
   auto It = LargeFree.find(Rounded);
   if (It != LargeFree.end() && It->second) {
-    FreeCell *Cell = It->second;
+    FreeCell *Cell = at(Handle<FreeCell>(It->second));
     It->second = Cell->Next;
     return Cell;
   }
@@ -61,10 +61,9 @@ void Arena::deallocateLarge(void *Ptr, size_t Size) {
   size_t Rounded = accountedSize(Size);
   assert(LiveBytes >= Rounded && "freelist accounting underflow");
   LiveBytes -= Rounded;
-  auto *Cell = static_cast<FreeCell *>(Ptr);
-  FreeCell *&Head = LargeFree[Rounded];
-  Cell->Next = Head;
-  Head = Cell;
+  uint32_t &Head = LargeFree[Rounded];
+  static_cast<FreeCell *>(Ptr)->Next = Head;
+  Head = grainOf(Ptr);
 }
 
 void Arena::regionExhausted() const {
@@ -112,8 +111,8 @@ bool Arena::remapTo(char *WantBase, size_t WantBytes) {
   Base = static_cast<char *>(Got);
   BumpPtr = Base + HandleGrain;
   BumpEnd = Base + RegionBytes;
-  for (FreeCell *&Head : FreeLists)
-    Head = nullptr;
+  for (uint32_t &Head : FreeLists)
+    Head = 0;
   LargeFree.clear();
   LiveBytes = MaxLiveBytes = TotalAllocated = AllocCount = 0;
   return Claimed;

@@ -25,10 +25,6 @@
 /// Exhausting the region — minting a handle past the 32-bit-addressable
 /// space — is a checkAlways hard failure, never a silent wrap.
 ///
-/// Under the CEAL_WIDE_TRACE build (see the CMake option of the same
-/// name) Handle<T> widens to a plain pointer with the same API, so the
-/// pre-compression trace layout stays buildable for A/B measurement.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef CEAL_SUPPORT_ARENA_H
@@ -42,25 +38,13 @@
 
 namespace ceal {
 
-/// A 32-bit reference to a block in an Arena region (or, under
-/// CEAL_WIDE_TRACE, a plain pointer with the same interface). Resolution
-/// goes through the owning Arena: `A.ptr(H)` and `A.handle(P)`.
+/// A 32-bit reference to a block in an Arena region. Resolution goes
+/// through the owning Arena: `A.ptr(H)` and `A.handle(P)`.
 /// Default-constructed handles are null and test false.
 /// Like a raw pointer, the default constructor leaves a Handle
 /// uninitialized (so the trace's RawInit node constructors stay free of
 /// dead stores); value-initialize — `Handle<T>{}` or `Handle<T>()` — for
 /// the null handle.
-#ifdef CEAL_WIDE_TRACE
-template <typename T> struct Handle {
-  T *Ptr;
-
-  Handle() = default;
-  explicit Handle(T *P) : Ptr(P) {}
-  explicit operator bool() const { return Ptr != nullptr; }
-  bool operator==(const Handle &O) const { return Ptr == O.Ptr; }
-  bool operator!=(const Handle &O) const { return Ptr != O.Ptr; }
-};
-#else
 template <typename T> struct Handle {
   uint32_t Bits;
 
@@ -72,18 +56,13 @@ template <typename T> struct Handle {
 };
 
 static_assert(sizeof(Handle<int>) == 4, "Handle must be half a pointer");
-#endif
 
 /// Re-types a handle along a static_cast-compatible hierarchy edge (e.g.
 /// Handle<Use> -> Handle<WriteNode> after inspecting the node's Kind).
 /// Valid only for single-inheritance chains where the addresses coincide.
 template <typename To, typename From>
 inline Handle<To> handle_cast(Handle<From> H) {
-#ifdef CEAL_WIDE_TRACE
-  return Handle<To>(static_cast<To *>(H.Ptr));
-#else
   return Handle<To>(H.Bits);
-#endif
 }
 
 /// A single-region bump allocator with size-class freelists, live-byte
@@ -130,7 +109,8 @@ public:
     TotalAllocated += Rounded;
     if (LiveBytes > MaxLiveBytes)
       MaxLiveBytes = LiveBytes;
-    if (FreeCell *Cell = FreeLists[Index]) {
+    if (uint32_t Head = FreeLists[Index]) {
+      FreeCell *Cell = at(Handle<FreeCell>(Head));
       FreeLists[Index] = Cell->Next;
       return Cell;
     }
@@ -150,9 +130,8 @@ public:
     size_t Rounded = classSize(Index);
     assert(LiveBytes >= Rounded && "freelist accounting underflow");
     LiveBytes -= Rounded;
-    auto *Cell = static_cast<FreeCell *>(Ptr);
-    Cell->Next = FreeLists[Index];
-    FreeLists[Index] = Cell;
+    static_cast<FreeCell *>(Ptr)->Next = FreeLists[Index];
+    FreeLists[Index] = grainOf(Ptr);
   }
 
   /// Typed helper: allocate and default-construct a T.
@@ -170,29 +149,24 @@ public:
   /// Resolves a handle minted by this arena to a pointer (null for the
   /// null handle). O(1): one shift and one add off the region base.
   template <typename T> T *ptr(Handle<T> H) const {
-#ifdef CEAL_WIDE_TRACE
-    return H.Ptr;
-#else
     if (!H.Bits)
       return nullptr;
+    return at(H);
+  }
+
+  /// Resolves a handle the caller knows is non-null: ptr() without the
+  /// null test, for link walks whose structure rules out the null case.
+  template <typename T> T *at(Handle<T> H) const {
+    assert(H.Bits && "resolving the null handle");
     return reinterpret_cast<T *>(Base + uint64_t(H.Bits) * HandleGrain);
-#endif
   }
 
   /// Mints the handle for a block obtained from this arena's allocate().
   /// O(1): a subtract and a shift. Null pointers mint the null handle.
   template <typename T> Handle<T> handle(const T *P) const {
-#ifdef CEAL_WIDE_TRACE
-    return Handle<T>(const_cast<T *>(P));
-#else
     if (!P)
       return Handle<T>();
-    uintptr_t Off = reinterpret_cast<uintptr_t>(P) -
-                    reinterpret_cast<uintptr_t>(Base);
-    assert(Off >= HandleGrain && Off < RegionBytes &&
-           (Off % HandleGrain) == 0 && "pointer not from this arena");
-    return Handle<T>(static_cast<uint32_t>(Off / HandleGrain));
-#endif
+    return Handle<T>(grainOf(P));
   }
 
   /// True if \p Bits decodes to an address inside the bump-allocated part
@@ -203,8 +177,10 @@ public:
            static_cast<uint64_t>(BumpPtr - Base);
   }
 
-  /// The region's base address (auditors only).
+  /// The region's base address (auditors, and kernels that walk
+  /// handle-linked chains as base + grain offsets).
   const void *regionBase() const { return Base; }
+  void *regionBase() { return Base; }
   /// Total virtual bytes this arena's region spans.
   size_t regionBytes() const { return RegionBytes; }
   /// Bytes of the region consumed by the bump pointer so far (includes
@@ -274,9 +250,22 @@ private:
 
   static constexpr size_t NumClasses = MaxSmallSize / HandleGrain;
 
+  /// A parked free block. The link is the next cell's grain index (0
+  /// ends the list), not a pointer, so the region image holds no raw
+  /// addresses of its own: every intra-arena reference in it is an
+  /// offset (see runtime/Snapshot).
   struct FreeCell {
-    FreeCell *Next;
+    uint32_t Next;
   };
+
+  /// The grain index (handle bits) of a block inside this region.
+  uint32_t grainOf(const void *P) const {
+    uintptr_t Off = reinterpret_cast<uintptr_t>(P) -
+                    reinterpret_cast<uintptr_t>(Base);
+    assert(Off >= HandleGrain && Off < RegionBytes &&
+           (Off % HandleGrain) == 0 && "pointer not from this arena");
+    return static_cast<uint32_t>(Off / HandleGrain);
+  }
 
   static size_t classIndex(size_t Size) {
     assert(Size > 0 && Size <= MaxSmallSize && "not a small size");
@@ -292,9 +281,10 @@ private:
   char *BumpPtr = nullptr;
   char *BumpEnd = nullptr;
   size_t RegionBytes = 0;
-  FreeCell *FreeLists[NumClasses] = {};
+  /// Per-class freelist heads as grain indexes (0 = empty).
+  uint32_t FreeLists[NumClasses] = {};
   /// Freelists for recycled large blocks, keyed by grain-rounded size.
-  std::unordered_map<size_t, FreeCell *> LargeFree;
+  std::unordered_map<size_t, uint32_t> LargeFree;
 
   size_t LiveBytes = 0;
   size_t MaxLiveBytes = 0;

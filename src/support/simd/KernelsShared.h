@@ -19,9 +19,10 @@
 /// gives every TU its own copy built with its own flags, so the scalar
 /// table's code is always baseline code.
 ///
-/// Foreign-offset memory (trace nodes, OM nodes seen only as
-/// base+offset) is accessed through memcpy: the kernels know layouts by
-/// offset, not by type, and memcpy keeps that strict-aliasing-clean.
+/// Foreign-offset memory (trace nodes, OM nodes seen only as region +
+/// handle * grain + field offset) is accessed through memcpy: the
+/// kernels know layouts by offset, not by type, and memcpy keeps that
+/// strict-aliasing-clean.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +31,7 @@
 
 #include "support/simd/Simd.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace ceal::simd {
@@ -82,87 +84,98 @@ inline void bucketIndexScalar(const void *const *Nodes, size_t N,
   }
 }
 
-/// The serial pointer chase: relabels \p Count nodes starting at
-/// \p First with labels Base + Gap*(StartIndex+1 ...), returning the
-/// node after the last one written. StartIndex lets batched variants
-/// resume mid-chain after a speculation failure.
-inline void *omRelabelChase(void *First, uint64_t StartIndex, uint64_t Count,
-                            uint64_t Base, uint64_t Gap, size_t NextOff,
-                            size_t LabelOff) {
-  char *N = static_cast<char *>(First);
-  uint64_t Label = Base + Gap * StartIndex;
-  for (uint64_t I = 0; I < Count; ++I) {
-    Label += Gap;
-    std::memcpy(N + LabelOff, &Label, 8);
-    std::memcpy(&N, N + NextOff, sizeof(char *));
-  }
-  return N;
+/// Address of the chain node named by handle \p H in \p Region.
+inline char *omNodeAt(char *Region, uint64_t H) {
+  return Region + H * OmHandleGrain;
 }
 
-inline void omRelabelScalar(void *First, uint64_t Count, uint64_t Base,
-                            uint64_t Gap, size_t NextOff, size_t LabelOff,
-                            const void *, const void *) {
+inline uint32_t omLoadNext(const char *N, size_t NextOff) {
+  uint32_t H;
+  std::memcpy(&H, N + NextOff, sizeof(H));
+  return H;
+}
+
+/// The serial handle chase: relabels \p Count nodes starting at handle
+/// \p First with labels Base + Gap*(StartIndex+1 ...), returning the
+/// handle after the last node written. StartIndex lets batched variants
+/// resume mid-chain after a speculation failure.
+inline uint32_t omRelabelChase(char *Region, uint32_t First,
+                               uint64_t StartIndex, uint64_t Count,
+                               uint64_t Base, uint64_t Gap, size_t NextOff,
+                               size_t LabelOff) {
+  uint32_t H = First;
+  uint64_t Label = Base + Gap * StartIndex;
+  for (uint64_t I = 0; I < Count; ++I) {
+    char *N = omNodeAt(Region, H);
+    Label += Gap;
+    std::memcpy(N + LabelOff, &Label, 8);
+    H = omLoadNext(N, NextOff);
+  }
+  return H;
+}
+
+inline void omRelabelScalar(void *Region, uint32_t First, uint64_t Count,
+                            uint64_t Base, uint64_t Gap, size_t NextOff,
+                            size_t LabelOff, uint64_t) {
   if (Count)
-    omRelabelChase(First, 0, Count, Base, Gap, NextOff, LabelOff);
+    omRelabelChase(static_cast<char *>(Region), First, 0, Count, Base, Gap,
+                   NextOff, LabelOff);
 }
 
 /// The batched rewrite every ISA table uses: the serial chase is
 /// latency-bound on the Next load (each iteration's address depends on
 /// the previous load), so each batch of 8 speculates that the chain is
-/// a constant-stride run, derives the 8 candidate addresses, range-
-/// checks them against the [SafeLo, SafeHi) window, issues the 8 Next
-/// loads *independently*, and commits label stores only to verified
-/// nodes. A verified batch whose last Next continues the stride carries
-/// it into the next batch, eliminating the dependent load entirely
-/// while a run lasts. The win is memory-level parallelism, which is why
-/// this one body serves SSE4.2 through AVX-512 — hardware gathers
-/// measured no better than eight independent scalar loads here.
-inline void omRelabelSpec(void *First, uint64_t Count, uint64_t Base,
-                          uint64_t Gap, size_t NextOff, size_t LabelOff,
-                          const void *SafeLo, const void *SafeHi) {
-  constexpr uint64_t Batch = 8;
+/// a constant-stride run of handles, derives the 8 candidate handles,
+/// range-checks them against the window, issues the 8 Next loads
+/// *independently*, and commits label stores only to verified nodes. A
+/// verified batch whose last Next continues the stride carries it into
+/// the next batch, eliminating the dependent load entirely while a run
+/// lasts. The win is memory-level parallelism, which is why this one
+/// body serves SSE4.2 through AVX-512 — hardware gathers measured no
+/// better than eight independent scalar loads here.
+inline void omRelabelSpec(void *RegionV, uint32_t First, uint64_t Count,
+                          uint64_t Base, uint64_t Gap, size_t NextOff,
+                          size_t LabelOff, uint64_t SafeBytes) {
+  constexpr int64_t Batch = 8;
   if (Count == 0)
     return;
-  const uintptr_t Lo = reinterpret_cast<uintptr_t>(SafeLo);
-  const uintptr_t Hi = reinterpret_cast<uintptr_t>(SafeHi);
-  const uintptr_t Span = (NextOff > LabelOff ? NextOff : LabelOff) + 8;
-  if (!SafeLo || !SafeHi || Hi < Lo || Hi - Lo < Span || Count < Batch) {
-    omRelabelChase(First, 0, Count, Base, Gap, NextOff, LabelOff);
+  char *Region = static_cast<char *>(RegionV);
+  const uint64_t Span = (NextOff > LabelOff ? NextOff : LabelOff) + 8;
+  if (SafeBytes < OmHandleGrain + Span || Count < uint64_t(Batch)) {
+    omRelabelChase(Region, First, 0, Count, Base, Gap, NextOff, LabelOff);
     return;
   }
-  const uintptr_t HiSpan = Hi - Span;
-  char *N = static_cast<char *>(First);
+  // Handles whose whole node extent lies inside the window: [1, HiH].
+  const int64_t HiH = int64_t((SafeBytes - Span) / OmHandleGrain);
+  uint32_t N = First;
   uint64_t I = 0;
   uint64_t Lab = Base; // == Base + Gap*I throughout
-  uintptr_t S = 0;     // stride carried from a verified batch; 0 = unknown
+  int64_t S = 0;       // stride carried from a verified batch; 0 = unknown
   while (I + Batch <= Count) {
-    const uintptr_t P0 = reinterpret_cast<uintptr_t>(N);
+    // Handles are < 2^32, so every candidate P0 + j*S (|S| < 2^32,
+    // j < 8) is exact in 64-bit signed arithmetic.
+    const int64_t P0 = N;
     const bool Carried = S != 0;
-    if (!Carried) {
-      char *P1;
-      std::memcpy(&P1, N + NextOff, sizeof(char *));
-      S = reinterpret_cast<uintptr_t>(P1) - P0;
-    }
-    // Monotone window check covers every candidate P0 + j*S without
-    // per-candidate tests (no wraparound inside [Lo, HiSpan]).
-    const uintptr_t Last = P0 + S * (Batch - 1);
-    const bool Fwd = intptr_t(S) > 0;
-    if (S != 0 && (Fwd ? (Last > P0 && P0 >= Lo && Last <= HiSpan)
-                       : (Last < P0 && Last >= Lo && P0 <= HiSpan))) {
-      uintptr_t Nx[Batch];
-      for (uint64_t J = 0; J < Batch; ++J)
-        std::memcpy(&Nx[J], reinterpret_cast<char *>(P0 + S * J) + NextOff,
-                    sizeof(char *));
+    if (!Carried)
+      S = int64_t(omLoadNext(omNodeAt(Region, N), NextOff)) - P0;
+    // The candidates are monotone in j, so checking the two ends covers
+    // every one of them.
+    const int64_t Last = P0 + S * (Batch - 1);
+    if (S != 0 && std::min(P0, Last) >= 1 && std::max(P0, Last) <= HiH) {
+      int64_t Nx[Batch];
+      for (int64_t J = 0; J < Batch; ++J)
+        Nx[J] = omLoadNext(omNodeAt(Region, uint64_t(P0 + S * J)), NextOff);
       bool Run = true;
-      for (uint64_t J = 0; J + 1 < Batch; ++J)
+      for (int64_t J = 0; J + 1 < Batch; ++J)
         Run &= Nx[J] == P0 + S * (J + 1);
       if (Run) {
         uint64_t L = Lab;
-        for (uint64_t J = 0; J < Batch; ++J) {
+        for (int64_t J = 0; J < Batch; ++J) {
           L += Gap;
-          std::memcpy(reinterpret_cast<char *>(P0 + S * J) + LabelOff, &L, 8);
+          std::memcpy(omNodeAt(Region, uint64_t(P0 + S * J)) + LabelOff, &L,
+                      8);
         }
-        N = reinterpret_cast<char *>(Nx[Batch - 1]);
+        N = static_cast<uint32_t>(Nx[Batch - 1]);
         I += Batch;
         Lab = L;
         if (Nx[Batch - 1] - P0 != S * Batch)
@@ -176,14 +189,13 @@ inline void omRelabelSpec(void *First, uint64_t Count, uint64_t Base,
       S = 0;
       continue;
     }
-    N = static_cast<char *>(
-        omRelabelChase(N, I, Batch, Base, Gap, NextOff, LabelOff));
+    N = omRelabelChase(Region, N, I, Batch, Base, Gap, NextOff, LabelOff);
     I += Batch;
     Lab += Gap * Batch;
     S = 0;
   }
   if (I < Count)
-    omRelabelChase(N, I, Count - I, Base, Gap, NextOff, LabelOff);
+    omRelabelChase(Region, N, I, Count - I, Base, Gap, NextOff, LabelOff);
 }
 
 } // namespace

@@ -42,6 +42,11 @@ namespace ceal::simd {
 // Kernel contracts
 //===----------------------------------------------------------------------===//
 
+/// Byte size of one handle unit in the OmRelabel chain encoding: a
+/// handle names the node at region offset handle * OmHandleGrain (the
+/// arena allocation grain; om/OrderList.cpp asserts they agree).
+inline constexpr size_t OmHandleGrain = 8;
+
 /// Independent 64-bit mix streams per vector pass. Chosen so the AVX-512
 /// path runs four 8-lane accumulators: the serial dependence inside one
 /// stream is a ~15-cycle multiply chain, and 32 interleaved streams keep
@@ -87,22 +92,25 @@ struct Ops {
   void (*BucketIndex)(const void *const *Nodes, size_t N, size_t HashOff,
                       uint32_t Mask, uint32_t *Out);
 
-  /// Linked-chain label rewrite (OM group relabel): starting at node 0 =
-  /// \p First with node i+1 = load_ptr(node_i + NextOff), store
+  /// Handle-linked chain label rewrite (OM group relabel). Nodes live in
+  /// one arena region: node 0 sits at Region + First * OmHandleGrain, and
+  /// node i+1 at Region + load_u32(node_i + NextOff) * OmHandleGrain.
+  /// Store
   ///   Base + Gap * (i + 1)  at  node_i + LabelOff
   /// for i = 0 .. Count-1. The Next field of every one of the Count
-  /// nodes may be read (matching the plain pointer walk it replaces).
+  /// nodes may be read (matching the plain handle walk it replaces).
   ///
-  /// [SafeLo, SafeHi) is an optional speculation window: addresses
-  /// inside it are guaranteed readable even if they are not nodes of
-  /// this chain (the owning arena region). Vector variants use it to
-  /// verify constant-stride runs with independent loads — candidate
-  /// addresses are derived, range-checked against the window, loaded in
-  /// parallel, and only *verified* nodes are written. Pass null/null to
-  /// forbid speculation; all variants then degrade to the serial chase.
-  void (*OmRelabel)(void *First, uint64_t Count, uint64_t Base, uint64_t Gap,
-                    size_t NextOff, size_t LabelOff, const void *SafeLo,
-                    const void *SafeHi);
+  /// \p SafeBytes is an optional speculation window: every address in
+  /// [Region + OmHandleGrain, Region + SafeBytes) is guaranteed readable
+  /// even if it is not a node of this chain (the arena's bump extent).
+  /// Vector variants use it to verify constant-stride runs with
+  /// independent loads — candidate handles are derived, range-checked
+  /// against the window, loaded in parallel, and only *verified* nodes
+  /// are written. Pass 0 to forbid speculation; all variants then
+  /// degrade to the serial chase.
+  void (*OmRelabel)(void *Region, uint32_t First, uint64_t Count,
+                    uint64_t Base, uint64_t Gap, size_t NextOff,
+                    size_t LabelOff, uint64_t SafeBytes);
 };
 
 //===----------------------------------------------------------------------===//
@@ -194,11 +202,12 @@ inline void bucketIndex(const void *const *Nodes, size_t N, size_t HashOff,
   ops().BucketIndex(Nodes, N, HashOff, Mask, Out);
 }
 
-inline void omRelabel(void *First, uint64_t Count, uint64_t Base, uint64_t Gap,
-                      size_t NextOff, size_t LabelOff, const void *SafeLo,
-                      const void *SafeHi) {
-  note(Kernel::OmRelabel, Count * (sizeof(void *) + 8));
-  ops().OmRelabel(First, Count, Base, Gap, NextOff, LabelOff, SafeLo, SafeHi);
+inline void omRelabel(void *Region, uint32_t First, uint64_t Count,
+                      uint64_t Base, uint64_t Gap, size_t NextOff,
+                      size_t LabelOff, uint64_t SafeBytes) {
+  note(Kernel::OmRelabel, Count * (sizeof(uint32_t) + 8));
+  ops().OmRelabel(Region, First, Count, Base, Gap, NextOff, LabelOff,
+                  SafeBytes);
 }
 
 //===----------------------------------------------------------------------===//

@@ -111,7 +111,6 @@ TEST(Arena, HandleRoundTrip) {
       EXPECT_NE(Minted[I].second, Minted[J].second);
 }
 
-#ifndef CEAL_WIDE_TRACE
 TEST(Arena, HandleBoundsTrackBumpFrontier) {
   Arena A;
   auto *P = static_cast<char *>(A.allocate(64));
@@ -123,7 +122,6 @@ TEST(Arena, HandleBoundsTrackBumpFrontier) {
       static_cast<uint32_t>(A.bumpUsedBytes() / Arena::HandleGrain + 8)));
   A.deallocate(P, 64);
 }
-#endif
 
 TEST(ArenaDeathTest, RegionOverflowIsACheckedFailure) {
   // Minting past the configured handle space must die with the fatal

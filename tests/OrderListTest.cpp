@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <map>
 #include <vector>
@@ -19,64 +20,64 @@ using namespace ceal;
 
 TEST(OrderList, BaseIsMinimum) {
   OrderList L;
-  OmNode *A = L.insertAfter(L.base());
-  EXPECT_TRUE(OrderList::precedes(L.base(), A));
-  EXPECT_FALSE(OrderList::precedes(A, L.base()));
-  EXPECT_FALSE(OrderList::precedes(A, A));
+  Handle<OmNode> A = L.insertAfter(L.base());
+  EXPECT_TRUE(L.precedes(L.base(), A));
+  EXPECT_FALSE(L.precedes(A, L.base()));
+  EXPECT_FALSE(L.precedes(A, A));
   EXPECT_EQ(L.size(), 2u);
 }
 
 TEST(OrderList, InsertAfterOrdersChain) {
   OrderList L;
-  OmNode *A = L.insertAfter(L.base());
-  OmNode *B = L.insertAfter(A);
-  OmNode *C = L.insertAfter(A); // Between A and B.
-  EXPECT_TRUE(OrderList::precedes(A, C));
-  EXPECT_TRUE(OrderList::precedes(C, B));
-  EXPECT_TRUE(OrderList::precedes(A, B));
+  Handle<OmNode> A = L.insertAfter(L.base());
+  Handle<OmNode> B = L.insertAfter(A);
+  Handle<OmNode> C = L.insertAfter(A); // Between A and B.
+  EXPECT_TRUE(L.precedes(A, C));
+  EXPECT_TRUE(L.precedes(C, B));
+  EXPECT_TRUE(L.precedes(A, B));
   L.verifyInvariants();
 }
 
 TEST(OrderList, PayloadIsPreserved) {
   OrderList L;
-  OmNode *A = L.insertAfter(L.base(), OmItem(42));
-  EXPECT_EQ(A->Item, OmItem(42));
+  Handle<OmNode> A = L.insertAfter(L.base(), OmItem(42));
+  EXPECT_EQ(L.item(A), OmItem(42));
 }
 
 TEST(OrderList, RemoveKeepsOrder) {
   OrderList L;
-  OmNode *A = L.insertAfter(L.base());
-  OmNode *B = L.insertAfter(A);
-  OmNode *C = L.insertAfter(B);
+  Handle<OmNode> A = L.insertAfter(L.base());
+  Handle<OmNode> B = L.insertAfter(A);
+  Handle<OmNode> C = L.insertAfter(B);
   L.remove(B);
-  EXPECT_TRUE(OrderList::precedes(A, C));
-  EXPECT_EQ(OrderList::next(A), C);
+  EXPECT_TRUE(L.precedes(A, C));
+  EXPECT_EQ(L.next(A), C);
   EXPECT_EQ(L.size(), 3u);
   L.verifyInvariants();
 }
 
 TEST(OrderList, SequentialInsertionIsTotalOrder) {
   OrderList L;
-  std::vector<OmNode *> Nodes;
-  OmNode *Cur = L.base();
+  std::vector<Handle<OmNode>> Nodes;
+  Handle<OmNode> Cur = L.base();
   for (int I = 0; I < 10000; ++I) {
     Cur = L.insertAfter(Cur);
     Nodes.push_back(Cur);
   }
   for (size_t I = 1; I < Nodes.size(); I += 97)
-    EXPECT_TRUE(OrderList::precedes(Nodes[I - 1], Nodes[I]));
+    EXPECT_TRUE(L.precedes(Nodes[I - 1], Nodes[I]));
   L.verifyInvariants();
 }
 
 TEST(OrderList, PathologicalFrontInsertion) {
   // Always inserting at the same position maximizes relabeling pressure.
   OrderList L;
-  std::vector<OmNode *> Nodes;
+  std::vector<Handle<OmNode>> Nodes;
   for (int I = 0; I < 20000; ++I)
     Nodes.push_back(L.insertAfter(L.base()));
   // Later-created nodes come earlier in the order.
   for (size_t I = 1; I < Nodes.size(); I += 131)
-    EXPECT_TRUE(OrderList::precedes(Nodes[I], Nodes[I - 1]));
+    EXPECT_TRUE(L.precedes(Nodes[I], Nodes[I - 1]));
   L.verifyInvariants();
 }
 
@@ -85,7 +86,7 @@ TEST(OrderList, FrontInsertionTriggersRangeRelabel) {
   // group splits and eventually the expensive range redistribution; the
   // structure must come out of the cascade still totally ordered.
   OrderList L;
-  std::vector<OmNode *> Nodes;
+  std::vector<Handle<OmNode>> Nodes;
   int Inserted = 0;
   while (L.rangeRelabelCount() == 0 && Inserted < 2000000) {
     Nodes.push_back(L.insertAfter(L.base()));
@@ -96,12 +97,12 @@ TEST(OrderList, FrontInsertionTriggersRangeRelabel) {
   L.verifyInvariants();
   // Later-created nodes precede earlier ones (all inserted after base).
   for (size_t I = 1; I < Nodes.size(); I += 251)
-    EXPECT_TRUE(OrderList::precedes(Nodes[I], Nodes[I - 1]));
+    EXPECT_TRUE(L.precedes(Nodes[I], Nodes[I - 1]));
   // The structure still absorbs fresh inserts after the cascade.
-  OmNode *A = L.insertAfter(L.base());
-  OmNode *B = L.insertAfter(A);
-  EXPECT_TRUE(OrderList::precedes(A, B));
-  EXPECT_TRUE(OrderList::precedes(B, Nodes.back()));
+  Handle<OmNode> A = L.insertAfter(L.base());
+  Handle<OmNode> B = L.insertAfter(A);
+  EXPECT_TRUE(L.precedes(A, B));
+  EXPECT_TRUE(L.precedes(B, Nodes.back()));
   L.verifyInvariants();
 }
 
@@ -110,45 +111,49 @@ TEST(OrderList, RemoveFirstAndLastNodeOfAGroup) {
   // boundary members: the group's First pointer and the predecessor
   // chain must be repaired in both cases.
   OrderList L;
-  std::vector<OmNode *> Nodes;
-  OmNode *Cur = L.base();
+  std::vector<Handle<OmNode>> Nodes;
+  Handle<OmNode> Cur = L.base();
   for (int I = 0; I < 4096; ++I) {
     Cur = L.insertAfter(Cur);
     Nodes.push_back(Cur);
   }
 
   // A node that *leads* a group (and is not base).
-  auto IsGroupFirst = [](OmNode *N) { return N->Group->First == N; };
+  auto IsGroupFirst = [&L](Handle<OmNode> N) {
+    return L.group(L.node(N)->Group)->First == N;
+  };
   // A node that *ends* a group: successor absent or in another group.
-  auto IsGroupLast = [](OmNode *N) {
-    return !N->Next || N->Next->Group != N->Group;
+  auto IsGroupLast = [&L](Handle<OmNode> N) {
+    return !L.next(N) || L.node(L.next(N))->Group != L.node(N)->Group;
   };
 
   size_t Removed = 0;
   for (size_t I = 0; I < Nodes.size() && Removed < 64; ++I) {
-    OmNode *N = Nodes[I];
+    Handle<OmNode> N = Nodes[I];
     if (!N)
       continue;
     if (IsGroupFirst(N) || IsGroupLast(N)) {
-      OmNode *Before = N->Prev;
-      OmNode *After = N->Next;
+      Handle<OmNode> Before = L.prev(N);
+      Handle<OmNode> After = L.next(N);
       L.remove(N);
-      Nodes[I] = nullptr;
+      Nodes[I] = Handle<OmNode>{};
       ++Removed;
-      if (Before && After)
-        EXPECT_TRUE(OrderList::precedes(Before, After));
+      if (Before && After) {
+        EXPECT_TRUE(L.precedes(Before, After));
+      }
       L.verifyInvariants();
     }
   }
   EXPECT_GE(Removed, 2u) << "no group boundaries found to delete";
 
   // Residual order is intact.
-  OmNode *Prev = nullptr;
-  for (OmNode *N : Nodes) {
+  Handle<OmNode> Prev{};
+  for (Handle<OmNode> N : Nodes) {
     if (!N)
       continue;
-    if (Prev)
-      EXPECT_TRUE(OrderList::precedes(Prev, N));
+    if (Prev) {
+      EXPECT_TRUE(L.precedes(Prev, N));
+    }
     Prev = N;
   }
 }
@@ -158,7 +163,7 @@ TEST(OrderList, InterleavedInsertDeleteStressChecksEveryOp) {
   // catches transient corruption that end-of-run checks miss.
   Rng R(4242);
   OrderList L;
-  std::vector<OmNode *> Live{L.base()};
+  std::vector<Handle<OmNode>> Live{L.base()};
   for (int Op = 0; Op < 3000; ++Op) {
     bool DoRemove = Live.size() > 1 && R.below(100) < 40;
     if (DoRemove) {
@@ -214,6 +219,9 @@ public:
     return Result;
   }
 
+  /// Every live id, in order.
+  std::vector<int> sequence() const { return {Seq.begin(), Seq.end()}; }
+
 private:
   std::list<int> Seq;
   std::map<int, Pos> Positions;
@@ -235,7 +243,7 @@ TEST_P(OrderListRandomTest, MatchesOracle) {
   Rng R(P.Seed);
   OrderList L;
   OrderOracle Oracle;
-  std::map<int, OmNode *> NodeById;
+  std::map<int, Handle<OmNode>> NodeById;
   NodeById[0] = L.base();
 
   for (int Op = 0; Op < P.NumOps; ++Op) {
@@ -265,7 +273,7 @@ TEST_P(OrderListRandomTest, MatchesOracle) {
         if (A == B)
           continue;
         EXPECT_EQ(Oracle.precedes(A, B),
-                  OrderList::precedes(NodeById.at(A), NodeById.at(B)))
+                  L.precedes(NodeById.at(A), NodeById.at(B)))
             << "seed=" << P.Seed << " op=" << Op;
       }
     }
@@ -281,14 +289,81 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomOpsParam{7, 3000, 33},
                       RandomOpsParam{8, 3000, 5}));
 
+TEST(OrderList, HandlePrecedesMatchesOracleThroughRelabels) {
+  // Concentrated insertion at a few hot positions exhausts their label
+  // gaps over and over, so the handle-linked structure goes through
+  // group splits, item relabels, and range relabels (all of which
+  // rewrite labels through the relabel kernel's handle chase) while
+  // precedes() is checked against the exact oracle.
+  Rng R(1515);
+  OrderList L;
+  OrderOracle Oracle;
+  std::map<int, Handle<OmNode>> NodeById;
+  NodeById[0] = L.base();
+  std::vector<int> Hot{0};
+  for (int I = 0; I < 2; ++I) {
+    int Id = Oracle.insertAfter(Hot.back());
+    NodeById[Id] = L.insertAfter(NodeById.at(Hot.back()));
+    Hot.push_back(Id);
+  }
+  auto IsHot = [&Hot](int Id) {
+    return std::find(Hot.begin(), Hot.end(), Id) != Hot.end();
+  };
+
+  for (int Op = 0; Op < 6000; ++Op) {
+    unsigned Dice = static_cast<unsigned>(R.below(100));
+    if (Dice < 80) {
+      int After = Hot[R.below(Hot.size())];
+      int Id = Oracle.insertAfter(After);
+      NodeById[Id] = L.insertAfter(NodeById.at(After));
+    } else {
+      std::vector<int> Ids = Oracle.ids();
+      int Pick = Ids[R.below(Ids.size())];
+      if (Dice < 90 || IsHot(Pick)) {
+        int Id = Oracle.insertAfter(Pick);
+        NodeById[Id] = L.insertAfter(NodeById.at(Pick));
+      } else {
+        Oracle.remove(Pick);
+        L.remove(NodeById.at(Pick));
+        NodeById.erase(Pick);
+      }
+    }
+    if (Op % 256 == 0) {
+      L.verifyInvariants();
+      std::vector<int> Ids = Oracle.ids();
+      for (int Q = 0; Q < 16; ++Q) {
+        int A = Ids[R.below(Ids.size())];
+        int B = Ids[R.below(Ids.size())];
+        if (A == B)
+          continue;
+        ASSERT_EQ(Oracle.precedes(A, B),
+                  L.precedes(NodeById.at(A), NodeById.at(B)))
+            << "op=" << Op;
+      }
+    }
+  }
+  EXPECT_GT(L.rangeRelabelCount(), 0u)
+      << "hot-spot insertion never reached a range relabel";
+  L.verifyInvariants();
+  // Full sweep: consecutive oracle positions are strictly ordered.
+  std::vector<int> Seq = Oracle.sequence();
+  ASSERT_EQ(Seq.size(), L.size());
+  for (size_t I = 1; I < Seq.size(); ++I) {
+    Handle<OmNode> A = NodeById.at(Seq[I - 1]), B = NodeById.at(Seq[I]);
+    ASSERT_TRUE(L.precedes(A, B)) << "position " << I;
+    ASSERT_FALSE(L.precedes(B, A)) << "position " << I;
+    ASSERT_EQ(L.next(A), B) << "position " << I;
+  }
+}
+
 TEST(OrderList, HeavyMixedChurn) {
   // Large-scale smoke test: interleave bursts of localized insertion with
   // random deletion; verify invariants at the end.
   Rng R(99);
   OrderList L;
-  std::vector<OmNode *> Live{L.base()};
+  std::vector<Handle<OmNode>> Live{L.base()};
   for (int Round = 0; Round < 50; ++Round) {
-    OmNode *Spot = Live[R.below(Live.size())];
+    Handle<OmNode> Spot = Live[R.below(Live.size())];
     for (int I = 0; I < 500; ++I) {
       Spot = L.insertAfter(Spot);
       Live.push_back(Spot);
@@ -315,8 +390,8 @@ TEST(OrderListAppend, MonotoneAppendNeverRelabels) {
   OrderList L;
   L.beginAppend();
   EXPECT_TRUE(L.inAppendMode());
-  std::vector<OmNode *> Nodes;
-  OmNode *Cur = L.base();
+  std::vector<Handle<OmNode>> Nodes;
+  Handle<OmNode> Cur = L.base();
   for (int I = 0; I < 50000; ++I) {
     Cur = L.insertAfter(Cur);
     Nodes.push_back(Cur);
@@ -331,8 +406,8 @@ TEST(OrderListAppend, MonotoneAppendNeverRelabels) {
   EXPECT_FALSE(L.inAppendMode());
   L.verifyInvariants();
   for (size_t I = 1; I < Nodes.size(); I += 173)
-    EXPECT_TRUE(OrderList::precedes(Nodes[I - 1], Nodes[I]));
-  EXPECT_TRUE(OrderList::precedes(L.base(), Nodes.front()));
+    EXPECT_TRUE(L.precedes(Nodes[I - 1], Nodes[I]));
+  EXPECT_TRUE(L.precedes(L.base(), Nodes.front()));
 }
 
 TEST(OrderListAppend, MidGroupReentryPeelsSuffix) {
@@ -341,8 +416,8 @@ TEST(OrderListAppend, MidGroupReentryPeelsSuffix) {
   // positions (the re-traced interval case): appendSlow must peel the
   // in-group suffix into a fresh group and keep the total order exact.
   OrderList L;
-  std::vector<OmNode *> Order{L.base()};
-  OmNode *Cur = L.base();
+  std::vector<Handle<OmNode>> Order{L.base()};
+  Handle<OmNode> Cur = L.base();
   for (int I = 0; I < 1000; ++I) {
     Cur = L.insertAfter(Cur);
     Order.push_back(Cur);
@@ -354,7 +429,7 @@ TEST(OrderListAppend, MidGroupReentryPeelsSuffix) {
     // Re-enter at a random interior position and append a short monotone
     // run there, exactly like re-tracing a revoked interval.
     size_t At = 1 + R.below(Order.size() - 2);
-    OmNode *Spot = Order[At];
+    Handle<OmNode> Spot = Order[At];
     for (int I = 0; I < 8; ++I) {
       Spot = L.insertAfter(Spot);
       Order.insert(Order.begin() + static_cast<long>(++At), Spot);
@@ -367,7 +442,7 @@ TEST(OrderListAppend, MidGroupReentryPeelsSuffix) {
   L.finalizeAppend();
   L.verifyInvariants();
   for (size_t I = 1; I < Order.size(); ++I)
-    ASSERT_TRUE(OrderList::precedes(Order[I - 1], Order[I]))
+    ASSERT_TRUE(L.precedes(Order[I - 1], Order[I]))
         << "order broken at position " << I;
 }
 
@@ -380,7 +455,7 @@ TEST(OrderListAppend, RandomOpsInAndAfterAppendMatchOracle) {
   Rng R(77);
   OrderList L;
   OrderOracle Oracle;
-  std::map<int, OmNode *> NodeById;
+  std::map<int, Handle<OmNode>> NodeById;
   NodeById[0] = L.base();
   L.beginAppend();
 
@@ -413,7 +488,7 @@ TEST(OrderListAppend, RandomOpsInAndAfterAppendMatchOracle) {
         if (A == B)
           continue;
         EXPECT_EQ(Oracle.precedes(A, B),
-                  OrderList::precedes(NodeById.at(A), NodeById.at(B)))
+                  L.precedes(NodeById.at(A), NodeById.at(B)))
             << "op=" << Op << (L.inAppendMode() ? " (appending)" : "");
       }
     }
@@ -428,8 +503,8 @@ TEST(OrderListAppend, RemoveDuringAppendKeepsInvariants) {
   Rng R(2026);
   OrderList L;
   L.beginAppend();
-  std::vector<OmNode *> Live{L.base()};
-  OmNode *Cur = L.base();
+  std::vector<Handle<OmNode>> Live{L.base()};
+  Handle<OmNode> Cur = L.base();
   for (int I = 0; I < 5000; ++I) {
     Cur = L.insertAfter(Cur);
     Live.push_back(Cur);
@@ -446,5 +521,5 @@ TEST(OrderListAppend, RemoveDuringAppendKeepsInvariants) {
   L.verifyInvariants();
   EXPECT_EQ(L.size(), Live.size());
   for (size_t I = 1; I < Live.size(); I += 37)
-    EXPECT_TRUE(OrderList::precedes(Live[I - 1], Live[I]));
+    EXPECT_TRUE(L.precedes(Live[I - 1], Live[I]));
 }

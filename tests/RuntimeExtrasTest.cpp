@@ -91,7 +91,7 @@ TEST(MemoTable, InsertFindRemove) {
 
 TEST(OrderListPerf, AppendRelabelsStayAmortizedConstant) {
   OrderList L;
-  OmNode *Cur = L.base();
+  Handle<OmNode> Cur = L.base();
   for (int I = 0; I < 200000; ++I)
     Cur = L.insertAfter(Cur);
   // Group splits are cheap and bounded; the expensive range
@@ -104,14 +104,14 @@ TEST(OrderListPerf, AppendRelabelsStayAmortizedConstant) {
 TEST(OrderList, WalkVisitsInOrder) {
   OrderList L;
   Rng R(9);
-  std::vector<OmNode *> Seq{L.base()};
+  std::vector<Handle<OmNode>> Seq{L.base()};
   for (int I = 0; I < 500; ++I) {
     size_t At = R.below(Seq.size());
-    OmNode *N = L.insertAfter(Seq[At]);
+    Handle<OmNode> N = L.insertAfter(Seq[At]);
     Seq.insert(Seq.begin() + At + 1, N);
   }
   size_t Index = 0;
-  for (OmNode *N = L.base(); N; N = OrderList::next(N), ++Index) {
+  for (Handle<OmNode> N = L.base(); N; N = L.next(N), ++Index) {
     ASSERT_LT(Index, Seq.size());
     EXPECT_EQ(N, Seq[Index]);
   }

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 using namespace ceal;
@@ -186,14 +187,25 @@ Closure *sumCore(Runtime &RT, Modref *Src, Modref *Dst) {
   return RT.readTail<&sumGot>(Src, Word(0), Dst);
 }
 
-/// Builds a mutator-level modifiable list; returns the head modifiable and
-/// exposes the cells for surgery.
-Modref *buildList(Runtime &RT, const std::vector<Word> &Values,
+/// Owns the mutator-level cells a test creates: they are plain heap
+/// objects that only modifiables point at, so the runtime never frees
+/// them.
+using CellOwner = std::vector<std::unique_ptr<Cell>>;
+
+Cell *newCell(CellOwner &Owner, Word Head, Modref *Tail) {
+  Owner.push_back(std::make_unique<Cell>(Cell{Head, Tail}));
+  return Owner.back().get();
+}
+
+/// Builds a mutator-level modifiable list whose cells \p Owner keeps;
+/// returns the head modifiable and exposes the cells for surgery.
+Modref *buildList(Runtime &RT, CellOwner &Owner,
+                  const std::vector<Word> &Values,
                   std::vector<Cell *> *CellsOut = nullptr) {
   Modref *Head = RT.modref<Cell *>(nullptr);
   Modref *Cur = Head;
   for (Word V : Values) {
-    auto *C = new Cell{V, RT.modref<Cell *>(nullptr)};
+    Cell *C = newCell(Owner, V, RT.modref<Cell *>(nullptr));
     RT.modifyT(Cur, C);
     if (CellsOut)
       CellsOut->push_back(C);
@@ -324,7 +336,8 @@ TEST(Runtime, ExpressionTreePaperExample) {
 TEST(Runtime, MapInitialRun) {
   Runtime RT;
   std::vector<Word> In = {1, 2, 3, 4, 5};
-  Modref *Src = buildList(RT, In);
+  CellOwner Owner;
+  Modref *Src = buildList(RT, Owner, In);
   Modref *Dst = RT.modref();
   RT.runCore<&mapCore>(Src, Dst);
   std::vector<Word> Expected;
@@ -339,12 +352,13 @@ TEST(Runtime, MapInsertSplicesInsteadOfRecomputing) {
   for (Word I = 0; I < 1000; ++I)
     In.push_back(I);
   std::vector<Cell *> Cells;
-  Modref *Src = buildList(RT, In, &Cells);
+  CellOwner Owner;
+  Modref *Src = buildList(RT, Owner, In, &Cells);
   Modref *Dst = RT.modref();
   RT.runCore<&mapCore>(Src, Dst);
 
   // Insert a new element after position 100.
-  auto *NewCell = new Cell{7777, RT.modref<Cell *>(nullptr)};
+  Cell *NewCell = newCell(Owner, 7777, RT.modref<Cell *>(nullptr));
   RT.modifyT(NewCell->Tail, RT.derefT<Cell *>(Cells[100]->Tail));
   RT.modifyT(Cells[100]->Tail, NewCell);
 
@@ -365,7 +379,6 @@ TEST(Runtime, MapInsertSplicesInsteadOfRecomputing) {
   EXPECT_EQ(RT.stats().ReadsReexecuted - ReexecBefore, 1u);
   EXPECT_LE(RT.stats().ReadsTraced - FreshBefore, 4u);
   EXPECT_GE(RT.stats().MemoReadHits, 1u);
-  delete NewCell;
 }
 
 TEST(Runtime, MapDeleteRevokesAndReuses) {
@@ -374,7 +387,8 @@ TEST(Runtime, MapDeleteRevokesAndReuses) {
   for (Word I = 0; I < 500; ++I)
     In.push_back(I);
   std::vector<Cell *> Cells;
-  Modref *Src = buildList(RT, In, &Cells);
+  CellOwner Owner;
+  Modref *Src = buildList(RT, Owner, In, &Cells);
   Modref *Dst = RT.modref();
   RT.runCore<&mapCore>(Src, Dst);
 
@@ -404,7 +418,8 @@ TEST(Runtime, MapThenSumPipeline) {
   Runtime RT;
   std::vector<Word> In = {10, 20, 30, 40};
   std::vector<Cell *> Cells;
-  Modref *Src = buildList(RT, In, &Cells);
+  CellOwner Owner;
+  Modref *Src = buildList(RT, Owner, In, &Cells);
   Modref *Mid = RT.modref();
   Modref *Out = RT.modref();
   RT.runCore<&mapCore>(Src, Mid);
@@ -426,11 +441,10 @@ TEST(Runtime, MapThenSumPipeline) {
   // Put it back, and replace the head cell with one carrying value 11
   // (cell heads are plain words, so value changes are cell replacements).
   RT.modifyT(Cells[0]->Tail, Cells[1]);
-  auto *Repl = new Cell{11, RT.modref<Cell *>(Cells[1])};
+  Cell *Repl = newCell(Owner, 11, RT.modref<Cell *>(Cells[1]));
   RT.modifyT(Src, Repl);
   RT.propagate();
   EXPECT_EQ(RT.deref(Out), ExpectedSum({11, 20, 30, 40}));
-  delete Repl;
 }
 
 TEST(Runtime, RandomizedListEditingMatchesOracle) {
@@ -443,7 +457,8 @@ TEST(Runtime, RandomizedListEditingMatchesOracle) {
     for (Word I = 0; I < 200; ++I)
       In.push_back(R.below(1000));
     std::vector<Cell *> Cells;
-    Modref *Src = buildList(RT, In, &Cells);
+    CellOwner Owner;
+    Modref *Src = buildList(RT, Owner, In, &Cells);
     Modref *Dst = RT.modref();
     RT.runCore<&mapCore>(Src, Dst);
 
@@ -464,7 +479,7 @@ TEST(Runtime, RandomizedListEditingMatchesOracle) {
         RT.modifyT(TailRef, RT.derefT<Cell *>(Walk->Tail));
       } else {
         // Insert before Walk.
-        auto *Fresh = new Cell{R.below(1000), RT.modref<Cell *>(Walk)};
+        Cell *Fresh = newCell(Owner, R.below(1000), RT.modref<Cell *>(Walk));
         RT.modifyT(TailRef, Fresh);
       }
       RT.propagate();
@@ -482,7 +497,8 @@ TEST(Runtime, AllocStealingPreservesPointerIdentity) {
   Runtime RT;
   std::vector<Word> In = {1, 2, 3, 4, 5, 6};
   std::vector<Cell *> Cells;
-  Modref *Src = buildList(RT, In, &Cells);
+  CellOwner Owner;
+  Modref *Src = buildList(RT, Owner, In, &Cells);
   Modref *Dst = RT.modref();
   RT.runCore<&mapCore>(Src, Dst);
 
@@ -517,7 +533,8 @@ TEST(Runtime, TraceMemoryIsReclaimedOnDelete) {
   for (Word I = 0; I < 2000; ++I)
     In.push_back(I);
   std::vector<Cell *> Cells;
-  Modref *Src = buildList(RT, In, &Cells);
+  CellOwner Owner;
+  Modref *Src = buildList(RT, Owner, In, &Cells);
   Modref *Dst = RT.modref();
   RT.runCore<&mapCore>(Src, Dst);
   size_t LiveFull = RT.liveBytes();

@@ -3,11 +3,12 @@
 // Every ISA variant compiled into this binary is checked against the
 // scalar reference, which defines each kernel's semantics. Inputs are
 // seeded-random and sweep the hostile shapes: unaligned bases, tail
-// lengths through 0..63, non-lane-multiple batch counts, shuffled and
-// reversed relabel chains, and speculation windows that do and do not
-// admit the batched path. The streaming checksum additionally must be
-// invariant under re-chunking, since snapshot save feeds it
-// section-by-section while verified load feeds it in I/O-sized spans.
+// lengths through 0..63, non-lane-multiple batch counts, shuffled,
+// reversed, broken-stride and mispredicted-stride relabel chains, and
+// speculation windows that do and do not admit the batched path. The
+// streaming checksum additionally must be invariant under re-chunking,
+// since snapshot save feeds it section-by-section while verified load
+// feeds it in I/O-sized spans.
 //
 // The whole suite is also re-run by ctest once per variant with
 // CEAL_SIMD forced (tests/CMakeLists.txt), which drives the *dispatched*
@@ -15,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Arena.h"
 #include "support/Checksum.h"
 #include "support/Random.h"
 #include "support/simd/Simd.h"
@@ -207,18 +209,26 @@ TEST(SimdKernels, BucketIndexMatchesScalar) {
 
 TEST(SimdKernels, OmRelabelMatchesScalar) {
   Rng R(0x0E7ABE1);
+  // Handle-linked chains inside an Arena, laid out like OmNode: the
+  // kernels see the region base and 32-bit Next handles only.
   struct Node {
-    Node *Prev;
-    Node *Next;
-    void *Group;
+    Handle<Node> Prev;
+    Handle<Node> Next;
+    uint32_t Group;
+    uint32_t Item;
     uint64_t Label;
-    uint64_t Item;
   };
+  static_assert(sizeof(Node) == 24, "mirrors the OmNode layout");
   const size_t NextOff = offsetof(Node, Next);
   const size_t LabelOff = offsetof(Node, Label);
+  constexpr size_t RegionBytes = size_t(1) << 20;
   for (size_t N : {size_t(1), size_t(2), size_t(7), size_t(8), size_t(9),
                    size_t(16), size_t(33), size_t(100)}) {
-    for (int Shape = 0; Shape < 3; ++Shape) { // contiguous/reversed/shuffled
+    // contiguous / reversed / shuffled / broken stride (ascending runs
+    // of 5 with jumps between, so batches straddle the breaks) /
+    // mispredicted stride (ascending runs of 12: a verified batch
+    // carries its stride into a batch that the run breaks inside).
+    for (int Shape = 0; Shape < 5; ++Shape) {
       std::vector<size_t> Order(N);
       std::iota(Order.begin(), Order.end(), size_t(0));
       if (Shape == 1)
@@ -226,31 +236,47 @@ TEST(SimdKernels, OmRelabelMatchesScalar) {
       if (Shape == 2)
         for (size_t I = N; I > 1; --I)
           std::swap(Order[I - 1], Order[R.below(I)]);
-      auto Build = [&](std::vector<Node> &Nodes) -> Node * {
-        Nodes.assign(N, Node{});
+      if (Shape >= 3) {
+        // Reverse the order of the runs, keeping each run ascending.
+        const size_t Run = Shape == 3 ? 5 : 12;
+        std::vector<size_t> Runs;
+        for (size_t Start = 0; Start < N; Start += Run)
+          Runs.push_back(Start);
+        Order.clear();
+        for (size_t K = Runs.size(); K-- > 0;)
+          for (size_t I = Runs[K]; I < std::min(N, Runs[K] + Run); ++I)
+            Order.push_back(I);
+      }
+      // Allocates the N nodes in one bump run (node i at Nodes[i]) and
+      // links them in Order.
+      auto Build = [&](Arena &A, std::vector<Node *> &Nodes) -> uint32_t {
+        Nodes.resize(N);
+        for (Node *&P : Nodes)
+          P = A.create<Node>();
         for (size_t I = 0; I + 1 < N; ++I)
-          Nodes[Order[I]].Next = &Nodes[Order[I + 1]];
+          Nodes[Order[I]]->Next = A.handle(Nodes[Order[I + 1]]);
         // Poisoned terminal Next: never followed for a correct Count,
         // and never a valid speculation candidate.
-        Nodes[Order[N - 1]].Next = reinterpret_cast<Node *>(0xdead0000);
-        return &Nodes[Order[0]];
+        Nodes[Order[N - 1]]->Next = Handle<Node>(0x0dead000u);
+        return A.handle(Nodes[Order[0]]).Bits;
       };
       uint64_t Base = R.next(), Gap = R.next() | 1;
-      std::vector<Node> RefNodes;
-      Node *RefFirst = Build(RefNodes);
+      Arena RefArena(RegionBytes);
+      std::vector<Node *> RefNodes;
+      uint32_t RefFirst = Build(RefArena, RefNodes);
       simd::variantOps(simd::Variant::Scalar)
-          ->OmRelabel(RefFirst, N, Base, Gap, NextOff, LabelOff, nullptr,
-                      nullptr);
+          ->OmRelabel(RefArena.regionBase(), RefFirst, N, Base, Gap, NextOff,
+                      LabelOff, /*SafeBytes=*/0);
       for (simd::Variant V : availableVariants()) {
         for (bool Window : {false, true}) {
-          std::vector<Node> GotNodes;
-          Node *GotFirst = Build(GotNodes);
+          Arena GotArena(RegionBytes);
+          std::vector<Node *> GotNodes;
+          uint32_t GotFirst = Build(GotArena, GotNodes);
           simd::variantOps(V)->OmRelabel(
-              GotFirst, N, Base, Gap, NextOff, LabelOff,
-              Window ? GotNodes.data() : nullptr,
-              Window ? GotNodes.data() + N : nullptr);
+              GotArena.regionBase(), GotFirst, N, Base, Gap, NextOff,
+              LabelOff, Window ? GotArena.bumpUsedBytes() : 0);
           for (size_t I = 0; I < N; ++I)
-            ASSERT_EQ(GotNodes[I].Label, RefNodes[I].Label)
+            ASSERT_EQ(GotNodes[I]->Label, RefNodes[I]->Label)
                 << "variant " << simd::variantName(V) << " n=" << N
                 << " shape=" << Shape << " window=" << Window
                 << " node=" << I;

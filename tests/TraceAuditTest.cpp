@@ -157,6 +157,9 @@ TEST(TraceAudit, FastPathTraceMatchesLegacyShape) {
   EXPECT_EQ(Shape(false), Shape(true));
 }
 
+// The pointer-width CEAL_WIDE_TRACE build is gone (commit 1615f00 is the
+// last with it); the golden below still pins that any later layout
+// change alters only how nodes are packed, not what gets traced.
 TEST(TraceAudit, TraceShapeIsLayoutIndependent) {
   // Golden trace-shape signature for a fixed workload (seeded Fixture,
   // N = 64). The compressed and CEAL_WIDE_TRACE builds both run this
@@ -209,7 +212,6 @@ TEST(TraceAudit, DetectsUseListLinkCorruption) {
   R->PrevUse = Saved;
 }
 
-#ifndef CEAL_WIDE_TRACE
 TEST(TraceAudit, DetectsOutOfBoundsHandle) {
   // A trace edge whose handle decodes past the arena's bump frontier must
   // be reported, not dereferenced (the compressed layouts make every edge
@@ -223,7 +225,33 @@ TEST(TraceAudit, DetectsOutOfBoundsHandle) {
                       "outside the trace arena"));
   R->PrevUse = Saved;
 }
-#endif
+
+TEST(TraceAudit, DetectsOutOfBoundsOmHandle) {
+  // The order list links its timestamps and groups by 32-bit handles
+  // too: a Next or Group handle forged past the order-list arena's bump
+  // frontier must be reported, not dereferenced.
+  Fixture F;
+  ReadNode *R = F.someRead();
+  ASSERT_NE(R, nullptr);
+  const OrderList &Om = F.RT.orderList();
+  OmNode *N = Om.arena().ptr(R->Start);
+  ASSERT_NE(N, nullptr);
+  const uint32_t Forged = 0x3fffffffu; // Far beyond the bump frontier.
+  ASSERT_FALSE(Om.arena().handleInBounds(Forged));
+
+  Handle<OmNode> SavedNext = N->Next;
+  N->Next = Handle<OmNode>(Forged);
+  EXPECT_TRUE(reports(TraceAudit::inspect(F.RT),
+                      "outside the order-list arena"));
+  N->Next = SavedNext;
+
+  Handle<OmGroup> SavedGroup = N->Group;
+  N->Group = Handle<OmGroup>(Forged);
+  EXPECT_TRUE(reports(TraceAudit::inspect(F.RT),
+                      "outside the order-list arena"));
+  N->Group = SavedGroup;
+  EXPECT_TRUE(TraceAudit::inspect(F.RT).ok());
+}
 
 TEST(TraceAudit, DetectsDirtyFlagWithoutQueueEntry) {
   Fixture F;
