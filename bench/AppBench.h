@@ -598,242 +598,6 @@ inline Measurement benchTreeContraction(size_t N, size_t UpdateSamples,
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel-safety accounting (runtime/RaceCheck)
-//===----------------------------------------------------------------------===//
-
-/// One app's determinacy-race audit. The drivers below build the app's
-/// trace once, then drive it through rounds of *batched* edits — B
-/// spread-out positions mutated, one propagate, the inverse batch,
-/// another propagate — so each propagation carries a dirty set the
-/// detector can actually partition (the Table-1 single-edit loop yields
-/// one or two dirty reads and a vacuous single interval). The same loop
-/// runs twice on the same runtime: detector off (timed) and detector on
-/// (timed, reports accumulated), so the row carries both the overhead
-/// ratio and the partitionability verdict.
-struct ParallelSafetyRow {
-  std::string Name;
-  size_t N = 0;
-  size_t BatchEdits = 0;
-  uint64_t Propagations = 0;
-  /// Largest partition any propagation achieved.
-  uint32_t MaxIntervals = 0;
-  uint32_t MaxClusters = 0;
-  uint64_t InitialDirtyReads = 0;
-  uint64_t TaggedReads = 0, TaggedWrites = 0, TaggedMemoHits = 0;
-  uint64_t CascadeInvalidations = 0;
-  uint64_t WwConflicts = 0, RwConflicts = 0, CascadeConflicts = 0;
-  double DetectorOffSeconds = 0, DetectorOnSeconds = 0;
-  /// True iff every checked propagation was conflict-free.
-  bool Partitionable = true;
-
-  uint64_t conflictCount() const {
-    return WwConflicts + RwConflicts + CascadeConflicts;
-  }
-  double detectorOverhead() const {
-    return DetectorOffSeconds > 0 ? DetectorOnSeconds / DetectorOffSeconds
-                                  : 0;
-  }
-
-  void writeJson(std::ostream &Out) const {
-    Out << "{\"name\": \"" << Name << "\", \"n\": " << N
-        << ", \"batch_edits\": " << BatchEdits
-        << ", \"propagations\": " << Propagations
-        << ", \"max_intervals\": " << MaxIntervals
-        << ", \"max_clusters\": " << MaxClusters
-        << ",\n     \"initial_dirty_reads\": " << InitialDirtyReads
-        << ", \"tagged_reads\": " << TaggedReads
-        << ", \"tagged_writes\": " << TaggedWrites
-        << ", \"tagged_memo_hits\": " << TaggedMemoHits
-        << ", \"cascade_invalidations\": " << CascadeInvalidations
-        << ",\n     \"ww_conflicts\": " << WwConflicts
-        << ", \"rw_conflicts\": " << RwConflicts
-        << ", \"cascade_conflicts\": " << CascadeConflicts
-        << ", \"detector_off_seconds\": " << DetectorOffSeconds
-        << ", \"detector_on_seconds\": " << DetectorOnSeconds
-        << ", \"detector_overhead\": " << detectorOverhead()
-        << ", \"partitionable\": " << (Partitionable ? "true" : "false")
-        << "}";
-  }
-};
-
-inline void accumulateRace(ParallelSafetyRow &Row, const RaceReport &R) {
-  ++Row.Propagations;
-  Row.MaxIntervals = std::max(Row.MaxIntervals, R.Intervals);
-  Row.MaxClusters = std::max(Row.MaxClusters, R.Clusters);
-  Row.InitialDirtyReads += R.InitialDirtyReads;
-  Row.TaggedReads += R.TaggedReads;
-  Row.TaggedWrites += R.TaggedWrites;
-  Row.TaggedMemoHits += R.TaggedMemoHits;
-  Row.CascadeInvalidations += R.CascadeInvalidations;
-  Row.WwConflicts += R.WwConflicts;
-  Row.RwConflicts += R.RwConflicts;
-  Row.CascadeConflicts += R.CascadeConflicts;
-  Row.Partitionable &= R.partitionable();
-}
-
-/// The shared batched-edit loop: \p Edit(Round, J) applies the J-th edit
-/// of a round, \p Undo(Round, J) its inverse (applied in reverse order).
-/// Runs one untimed warm-up round, then the detector-off loop (timed),
-/// then the detector-on loop (timed, reports folded into \p Row), all on
-/// the same runtime; the edits are position-identical so the off/on
-/// ratio is the detector's true propagation cost.
-template <typename EditFn, typename UndoFn>
-inline void runSafetyLoops(Runtime &RT, ParallelSafetyRow &Row, size_t Rounds,
-                           size_t B, EditFn Edit, UndoFn Undo) {
-  Row.BatchEdits = B;
-  auto Loop = [&](bool Collect) {
-    Timer T;
-    for (size_t Round = 0; Round < Rounds; ++Round) {
-      for (size_t J = 0; J < B; ++J)
-        Edit(Round, J);
-      RT.propagate();
-      if (Collect)
-        accumulateRace(Row, RT.raceReport());
-      for (size_t J = B; J-- > 0;)
-        Undo(Round, J);
-      RT.propagate();
-      if (Collect)
-        accumulateRace(Row, RT.raceReport());
-    }
-    return T.seconds();
-  };
-  // Untimed warm-up round: the first propagation after construction pays
-  // cold-cache misses both loops should not.
-  for (size_t J = 0; J < B; ++J)
-    Edit(0, J);
-  RT.propagate();
-  for (size_t J = B; J-- > 0;)
-    Undo(0, J);
-  RT.propagate();
-  RT.setRaceCheck(false);
-  Row.DetectorOffSeconds = Loop(false);
-  RT.setRaceCheck(true);
-  Row.DetectorOnSeconds = Loop(true);
-  RT.setRaceCheck(false);
-}
-
-/// Edit positions for a round: B slots evenly spread across \p N,
-/// rotated per round. Spacing is at least N/B (>= 2 for the sizes the
-/// harnesses use), so no edit's predecessor is itself edited and the
-/// batch members are pairwise independent structure positions.
-inline size_t safetyPos(size_t N, size_t B, size_t Round, size_t J) {
-  return (J * (N / B) + Round * 7919) % N;
-}
-
-inline ParallelSafetyRow
-parallelSafetyList(ListKind K, size_t N, size_t Rounds,
-                   const Runtime::Config &Cfg = Runtime::Config(),
-                   uint64_t Seed = 46) {
-  using namespace apps;
-  ParallelSafetyRow Row;
-  Row.Name = listKindName(K);
-  Row.N = N;
-  Rng R(Seed);
-  std::vector<Word> In = randomWords(R, N);
-  Runtime RT(Cfg);
-  RT.reserveTrace(listExpectedOps(K, N));
-  ListHandle L = buildList(RT, In);
-  Modref *Dst = RT.modref();
-  runListCore(RT, K, L.Head, Dst);
-  const size_t B = std::min<size_t>(8, N / 2);
-  runSafetyLoops(
-      RT, Row, Rounds, B,
-      [&](size_t Round, size_t J) { detachCell(RT, L, safetyPos(N, B, Round, J)); },
-      [&](size_t Round, size_t J) { reattachCell(RT, L, safetyPos(N, B, Round, J)); });
-  return Row;
-}
-
-inline ParallelSafetyRow
-parallelSafetyGeometry(GeoKind K, size_t N, size_t Rounds,
-                       const Runtime::Config &Cfg = Runtime::Config(),
-                       uint64_t Seed = 47) {
-  using namespace apps;
-  ParallelSafetyRow Row;
-  Row.Name = K == GeoKind::Quickhull  ? "quickhull"
-             : K == GeoKind::Diameter ? "diameter"
-                                      : "distance";
-  Row.N = N;
-  Rng R(Seed);
-  Runtime RT(Cfg);
-  RT.reserveTrace(8 * N);
-  std::vector<Point *> A = randomPoints(RT, R, N);
-  ListHandle LA = buildPointList(RT, A);
-  Modref *Dst = RT.modref();
-  if (K == GeoKind::Quickhull)
-    RT.runCore<&quickhullCore>(LA.Head, Dst);
-  else
-    RT.runCore<&diameterCore>(LA.Head, Dst);
-  const size_t Cells = LA.Cells.size();
-  const size_t B = std::min<size_t>(8, Cells / 2);
-  runSafetyLoops(RT, Row, Rounds, B,
-                 [&](size_t Round, size_t J) {
-                   detachCell(RT, LA, safetyPos(Cells, B, Round, J));
-                 },
-                 [&](size_t Round, size_t J) {
-                   reattachCell(RT, LA, safetyPos(Cells, B, Round, J));
-                 });
-  return Row;
-}
-
-inline ParallelSafetyRow
-parallelSafetyExpTrees(size_t NumLeaves, size_t Rounds,
-                       const Runtime::Config &Cfg = Runtime::Config(),
-                       uint64_t Seed = 48) {
-  using namespace apps;
-  ParallelSafetyRow Row;
-  Row.Name = "exptrees";
-  Row.N = NumLeaves;
-  Rng R(Seed);
-  Runtime RT(Cfg);
-  RT.reserveTrace(8 * NumLeaves);
-  ExpTree T = buildExpTree(RT, R, NumLeaves);
-  Modref *Res = RT.modref();
-  RT.runCore<&evalExpCore>(T.Root, Res);
-  const size_t Leaves = T.Leaves.size();
-  const size_t B = std::min<size_t>(8, Leaves / 2);
-  std::vector<double> Olds(B);
-  runSafetyLoops(RT, Row, Rounds, B,
-                 [&](size_t Round, size_t J) {
-                   size_t Index = safetyPos(Leaves, B, Round, J);
-                   Olds[J] = T.Leaves[Index]->Num;
-                   replaceLeaf(RT, T, Index, Olds[J] + 1.0);
-                 },
-                 [&](size_t Round, size_t J) {
-                   replaceLeaf(RT, T, safetyPos(Leaves, B, Round, J), Olds[J]);
-                 });
-  return Row;
-}
-
-inline ParallelSafetyRow
-parallelSafetyTreeContraction(size_t N, size_t Rounds,
-                              const Runtime::Config &Cfg = Runtime::Config(),
-                              uint64_t Seed = 49) {
-  using namespace apps;
-  ParallelSafetyRow Row;
-  Row.Name = "rctree-opt";
-  Row.N = N;
-  Rng R(Seed);
-  Runtime RT(Cfg);
-  RT.reserveTrace(16 * N);
-  TcForest F = buildRandomTree(RT, R, N);
-  Modref *Dst = RT.modref();
-  RT.runCore<&treeContractCore>(F.Live.Head, F.Table0, Word(F.N), Dst);
-  auto Edges = F.edges();
-  const size_t E = Edges.size();
-  const size_t B = std::min<size_t>(8, E / 2);
-  runSafetyLoops(RT, Row, Rounds, B,
-                 [&](size_t Round, size_t J) {
-                   auto [P, C] = Edges[safetyPos(E, B, Round, J)];
-                   tcDeleteEdge(RT, F, P, C);
-                 },
-                 [&](size_t Round, size_t J) {
-                   auto [P, C] = Edges[safetyPos(E, B, Round, J)];
-                   tcInsertEdge(RT, F, P, C);
-                 });
-  return Row;
-}
-
-//===----------------------------------------------------------------------===//
 // Output helpers
 //===----------------------------------------------------------------------===//
 

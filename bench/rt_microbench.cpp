@@ -25,11 +25,6 @@
 //    arena / memo / dispatch counters, deferred memo-build time) and a
 //    "propagation_profile" of the update loop (re-execute / revoke /
 //    memo-lookup / queue time, interval-size and use-scan histograms);
-//  * "parallel_safety" — the determinacy-race audit (runtime/RaceCheck)
-//    over the headline apps: batched-edit propagations partitioned into
-//    OM-timestamp interval groups, with per-app conflict counts, the
-//    detector-off vs. detector-on loop times, and the partitionability
-//    verdict (scripts/check_parallel_safety.py gates on this section);
 //  * "simd_kernels" — per-kernel, per-compiled-variant ns/op for the
 //    dispatched hot kernels (support/simd): streaming checksum, batched
 //    memo hashing, handle bounds sweep, bucket-index gather, and the OM
@@ -353,43 +348,6 @@ void writeUpdateBench(std::ostream &Out, double Scale, size_t Samples) {
   Out << "  ]";
 }
 
-/// The determinacy-race audit over the seven headline apps: batched-edit
-/// propagations partitioned into OM-timestamp interval groups
-/// (runtime/RaceCheck), detector off vs. on on the same trace. CI's
-/// check_parallel_safety.py gates on the conflict counts and the
-/// detector-off/on ratio; docs/PARALLEL_SAFETY.md is regenerated from
-/// this section.
-void writeParallelSafety(std::ostream &Out, double Scale, size_t Samples) {
-  using namespace bench;
-  auto Scaled = [&](size_t Base) {
-    return std::max<size_t>(16, size_t(double(Base) * Scale));
-  };
-  // Each round is two propagations (batch + inverse batch); scale the
-  // round count off the update-sample knob so smoke runs stay fast.
-  size_t Rounds = std::max<size_t>(4, Samples / 8);
-  std::vector<ParallelSafetyRow> Rows;
-  Rows.push_back(parallelSafetyList(ListKind::Filter, Scaled(100000), Rounds));
-  Rows.push_back(parallelSafetyList(ListKind::Map, Scaled(100000), Rounds));
-  Rows.push_back(
-      parallelSafetyList(ListKind::Minimum, Scaled(100000), Rounds));
-  Rows.push_back(
-      parallelSafetyList(ListKind::Quicksort, Scaled(10000), Rounds));
-  Rows.push_back(parallelSafetyExpTrees(Scaled(100000), Rounds));
-  Rows.push_back(
-      parallelSafetyGeometry(GeoKind::Quickhull, Scaled(20000), Rounds));
-  Rows.push_back(parallelSafetyTreeContraction(Scaled(20000), Rounds));
-
-  Runtime::Config Defaults;
-  Out << "  \"parallel_safety\": {\n    \"detector_intervals\": "
-      << Defaults.RaceCheckIntervals << ",\n    \"apps\": [\n";
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    Out << "    ";
-    Rows[I].writeJson(Out);
-    Out << (I + 1 < Rows.size() ? ",\n" : "\n");
-  }
-  Out << "    ]\n  }";
-}
-
 //===----------------------------------------------------------------------===//
 // SIMD kernel matrix (BENCH_rt.json)
 //===----------------------------------------------------------------------===//
@@ -643,12 +601,10 @@ void writeBenchJson(const char *Path, double Scale, size_t Samples) {
   Out << ",\n";
   writeUpdateBench(Out, Scale, Samples);
   Out << ",\n";
-  writeParallelSafety(Out, Scale, Samples);
-  Out << ",\n";
   writeSimdKernels(Out);
   Out << "\n}\n";
-  std::printf("wrote closure census, update bench, phase profiles, "
-              "parallel-safety audit, and SIMD kernel matrix to %s\n",
+  std::printf("wrote closure census, update bench, phase profiles, and "
+              "SIMD kernel matrix to %s\n",
               Path);
 }
 

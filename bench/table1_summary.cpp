@@ -96,35 +96,6 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Parallel-safety audit (runtime/RaceCheck): batched-edit propagations
-  // partitioned into OM-timestamp interval groups; a conflict-free app
-  // is provably partitionable at this instance.
-  size_t SafetyRounds = std::max<size_t>(4, Args.Samples / 8);
-  std::vector<ParallelSafetyRow> Safety;
-  Safety.push_back(
-      parallelSafetyList(ListKind::Filter, NBig, SafetyRounds, Cfg));
-  Safety.push_back(parallelSafetyList(ListKind::Map, NBig, SafetyRounds, Cfg));
-  Safety.push_back(
-      parallelSafetyList(ListKind::Minimum, NBig, SafetyRounds, Cfg));
-  Safety.push_back(
-      parallelSafetyList(ListKind::Quicksort, NSmall, SafetyRounds, Cfg));
-  Safety.push_back(parallelSafetyExpTrees(NBig, SafetyRounds, Cfg));
-  Safety.push_back(
-      parallelSafetyGeometry(GeoKind::Quickhull, NSmall, SafetyRounds, Cfg));
-  Safety.push_back(parallelSafetyTreeContraction(NSmall, SafetyRounds, Cfg));
-
-  std::printf("\nParallel safety (interval race detector, batched edits)\n");
-  std::printf("%-12s %5s %5s | %6s %6s %8s | %8s %8s\n", "Application",
-              "intv", "clus", "ww", "rw", "cascade", "overhead", "verdict");
-  for (const ParallelSafetyRow &S : Safety)
-    std::printf("%-12s %5u %5u | %6llu %6llu %8llu | %8.2f %8s\n",
-                S.Name.c_str(), S.MaxIntervals, S.MaxClusters,
-                static_cast<unsigned long long>(S.WwConflicts),
-                static_cast<unsigned long long>(S.RwConflicts),
-                static_cast<unsigned long long>(S.CascadeConflicts),
-                S.detectorOverhead(),
-                S.Partitionable ? "parallel" : "conflict");
-
   // Machine-readable mirror of the table for CI tracking.
   {
     std::ofstream Json("BENCH_table1.json");
@@ -155,12 +126,6 @@ int main(int argc, char **argv) {
                                     : 0.0);
       }
       Json << "}" << (I + 1 < Rows.size() ? ",\n" : "\n");
-    }
-    Json << "  ],\n  \"parallel_safety\": [\n";
-    for (size_t I = 0; I < Safety.size(); ++I) {
-      Json << "    ";
-      Safety[I].writeJson(Json);
-      Json << (I + 1 < Safety.size() ? ",\n" : "\n");
     }
     Json << "  ],\n  \"average_overhead\": " << OhSum / double(Rows.size())
          << ",\n  \"average_speedup\": " << SpSum / double(Rows.size())

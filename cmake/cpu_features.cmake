@@ -10,8 +10,8 @@
 # intrinsics anywhere).
 #
 # Outputs (cache-visible):
-#   CEAL_SIMD_HAVE_SSE42 / _AVX2 / _AVX512  - TRUE when the variant TU builds
-#   CEAL_SIMD_SSE42_FLAGS / ...             - per-TU compile options
+#   CEAL_SIMD_HAVE_AVX2 / _AVX512  - TRUE when the variant TU builds
+#   CEAL_SIMD_AVX2_FLAGS / ...     - per-TU compile options
 #
 # The CEAL_SIMD option switches the whole mechanism off (scalar-only
 # build regardless of host); the CEAL_SIMD=scalar environment variable
@@ -19,12 +19,10 @@
 
 include(CheckCXXSourceCompiles)
 
-option(CEAL_SIMD "Build SSE4.2/AVX2/AVX-512 kernel variants on x86" ON)
+option(CEAL_SIMD "Build AVX2/AVX-512 kernel variants on x86" ON)
 
-set(CEAL_SIMD_HAVE_SSE42 FALSE)
 set(CEAL_SIMD_HAVE_AVX2 FALSE)
 set(CEAL_SIMD_HAVE_AVX512 FALSE)
-set(CEAL_SIMD_SSE42_FLAGS "-msse4.2")
 set(CEAL_SIMD_AVX2_FLAGS "-mavx2")
 # F: foundation; DQ: vpmullq (the 64-bit multiply the mixer needs);
 # BW/VL narrow-width ops on 128/256-bit registers for the tails.
@@ -45,14 +43,6 @@ function(ceal_simd_probe out_var flags source)
 endfunction()
 
 if(CEAL_SIMD AND CEAL_SIMD_X86)
-  ceal_simd_probe(CEAL_SIMD_PROBE_SSE42 "-msse4.2" "
-    #include <nmmintrin.h>
-    #include <smmintrin.h>
-    int main() {
-      __m128i A = _mm_set1_epi32(2);
-      A = _mm_mullo_epi32(A, _mm_max_epu32(A, A));
-      return _mm_extract_epi32(A, 0) == 4 ? 0 : 1;
-    }")
   ceal_simd_probe(CEAL_SIMD_PROBE_AVX2 "-mavx2" "
     #include <immintrin.h>
     int main() {
@@ -69,9 +59,6 @@ if(CEAL_SIMD AND CEAL_SIMD_X86)
       __mmask16 M = _mm512_cmpge_epu32_mask(A, _mm512_set1_epi32(1));
       return M == 0xffff ? 0 : 1;
     }")
-  if(CEAL_SIMD_PROBE_SSE42)
-    set(CEAL_SIMD_HAVE_SSE42 TRUE)
-  endif()
   if(CEAL_SIMD_PROBE_AVX2)
     set(CEAL_SIMD_HAVE_AVX2 TRUE)
   endif()
@@ -81,7 +68,7 @@ if(CEAL_SIMD AND CEAL_SIMD_X86)
 endif()
 
 set(_ceal_simd_variants "scalar")
-foreach(v SSE42 AVX2 AVX512)
+foreach(v AVX2 AVX512)
   if(CEAL_SIMD_HAVE_${v})
     string(TOLOWER ${v} _vl)
     list(APPEND _ceal_simd_variants ${_vl})

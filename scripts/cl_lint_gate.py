@@ -45,12 +45,7 @@ def main(argv):
         errors = prog.get("errors", 0)
         warnings = prog.get("warnings", 0)
         notes = prog.get("notes", 0)
-        interf = prog.get("interference", {})
-        counts = interf.get("pair_counts", {})
-        print(f"{name}: errors={errors} warnings={warnings} notes={notes} "
-              f"entry pairs: {counts.get('disjoint', 0)} disjoint / "
-              f"{counts.get('ordered', 0)} ordered / "
-              f"{counts.get('conflicting', 0)} conflicting")
+        print(f"{name}: errors={errors} warnings={warnings} notes={notes}")
         any_error |= errors > 0
         any_lint |= warnings > 0 or notes > 0
         for diag in prog.get("diagnostics", []):

@@ -3,7 +3,6 @@
 #include "analysis/Lints.h"
 
 #include "analysis/Dataflow.h"
-#include "analysis/Interference.h"
 #include "analysis/Liveness.h"
 #include "analysis/ModrefEffects.h"
 #include "analysis/ReachingDefs.h"
@@ -29,7 +28,6 @@ public:
       return R; // Dataflow lints assume structurally valid IR.
 
     FX = computeModrefEffects(Prog);
-    Interf = computeInterference(Prog);
     Redundancy = computeRedundantOps(Prog, FX);
     for (FuncId F = 0; F < Prog.Funcs.size(); ++F)
       R.MaxLiveProgram =
@@ -217,47 +215,11 @@ private:
              "block is unreachable from the entry and from every read "
              "continuation");
 
-    // -- parallel-unsafe-write / cross-region-alias -------------------
-    // Interval-partitioned propagation assigns region classes to
-    // partitions. A write that may land in the unknown class, or that
-    // may alias two distinct direct roots of this function, defeats any
-    // such assignment.
-    for (const WriteSite &W : Interf.Funcs[FI].Writes) {
-      if (!G.Reachable[W.Block])
-        continue;
-      if (W.Global.test(Interf.UnknownClass))
-        diag(FI, W.Block, 0, Severity::Warning, "parallel-unsafe-write",
-             "write through '" + var(F, W.Ref) +
-                 "' may target the unknown region class (no allocation "
-                 "site or input structure names it); interval-partitioned "
-                 "propagation cannot prove any partition claims this "
-                 "write");
-      std::vector<std::string> Roots;
-      W.Local.forEach([&](size_t Bit) {
-        if (Bit < F.NumParams) {
-          Roots.push_back("parameter '" + var(F, Bit) + "'");
-          return;
-        }
-        const RegionClass &C = Interf.Classes[Bit - F.NumParams];
-        if (C.K == RegionClass::Site && C.F == FI)
-          Roots.push_back("allocation site '" + F.Blocks[C.B].Label + "'");
-      });
-      if (Roots.size() >= 2) {
-        std::string List = Roots[0];
-        for (size_t I = 1; I < Roots.size(); ++I)
-          List += (I + 1 == Roots.size() ? " and " : ", ") + Roots[I];
-        diag(FI, W.Block, 0, Severity::Warning, "cross-region-alias",
-             "write through '" + var(F, W.Ref) +
-                 "' may alias distinct region roots: " + List +
-                 "; the write straddles region classes");
-      }
-    }
   }
 
   const Program &Prog;
   const LintOptions &Opts;
   std::vector<FuncEffects> FX;
-  InterferenceSummary Interf;
   RedundancyInfo Redundancy;
   size_t MaxLiveProgram = 0;
   std::vector<Diagnostic> Diags;

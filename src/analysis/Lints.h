@@ -31,16 +31,6 @@
 ///                   of Theorems 3-5 (warning)
 ///   unreachable     a block unreachable from entry and from every read
 ///                   continuation (note)
-///   parallel-unsafe-write
-///                   a write whose target may lie in the unknown region
-///                   class (no allocation site or input structure can be
-///                   named for it) — interval-partitioned propagation
-///                   cannot prove any partition claims it (warning)
-///   cross-region-alias
-///                   a write whose target may alias two distinct direct
-///                   region roots of the function (two parameters, two
-///                   local allocation sites, or one of each), so the
-///                   write straddles region classes (warning)
 ///
 //===----------------------------------------------------------------------===//
 

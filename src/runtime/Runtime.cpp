@@ -309,8 +309,6 @@ void Runtime::propagate() {
   assert(CurPhase == Phase::Meta && "propagate is a mutator operation");
   CurPhase = Phase::Propagating;
   ++Main.S.Propagations;
-  if (Cfg.RaceCheck)
-    Race.beginPropagate(*this, Cfg.RaceCheckIntervals);
   {
     ProfileTimer Total(Main.Prof, Main.Prof.PropagateNs);
     for (;;) {
@@ -326,14 +324,10 @@ void Runtime::propagate() {
       if (!R->isDirty())
         continue;
       R->setDirty(false);
-      if (Race.Active)
-        Race.setCurrent(R);
       reexecute(R);
     }
     flushDeferredFrees();
   }
-  if (Race.Active)
-    Race.finishPropagate();
   CurPhase = Phase::Meta;
   if (Cfg.Audit == AuditLevel::EveryPropagation)
     auditNow("after propagate");
@@ -464,8 +458,6 @@ Closure *Runtime::read(Modref *M, Closure *C) {
       ++Main.Prof.MemoLookups;
     if (Hit) {
       ++Main.S.MemoReadHits;
-      if (Race.Active)
-        Race.onMemoHit();
       assert(!C->ownedByTrace() && "memo-spliced closure must be transient");
       freeClosure(C);
       revokeInterval(Main.Cursor, Hit->Start);
@@ -499,8 +491,6 @@ Closure *Runtime::read(Modref *M, Closure *C) {
   } else {
     PendingReadMemo.push_back(R);
   }
-  if (Race.Active)
-    Race.onRead(M, R);
   Main.PendingReads.push_back(R);
   return C;
 }
@@ -509,8 +499,6 @@ void Runtime::write(Modref *M, Word V) {
   assert(CurPhase != Phase::Meta && "write is a core operation");
   __builtin_prefetch(M, 1); // See read(): cold until the use-list link.
   ++Main.S.WritesTraced;
-  if (Race.Active)
-    Race.onWrite(M);
   WriteNode *W = newNode<WriteNode>();
   W->Ref = Mem.handle(M);
   W->Value = V;
@@ -650,8 +638,6 @@ void Runtime::invalidate(ReadNode *R) {
   if (R->isDirty())
     return;
   R->setDirty(true);
-  if (Race.Active)
-    Race.onInvalidate(R);
   heapPush(R);
 }
 
@@ -730,8 +716,6 @@ void Runtime::revokeInterval(Handle<OmNode> From, Handle<OmNode> To) {
 
 void Runtime::revokeRead(ReadNode *R) {
   ++Main.S.NodesRevoked;
-  if (Race.Active)
-    Race.onRevokeRead(R);
   if (R->HeapIndex >= 0)
     heapRemove(R);
   ReadMemo.remove(R);

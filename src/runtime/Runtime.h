@@ -29,7 +29,6 @@
 #include "runtime/Closure.h"
 #include "runtime/MemoTable.h"
 #include "runtime/Profile.h"
-#include "runtime/RaceCheck.h"
 #include "runtime/Trace.h"
 #include "runtime/Word.h"
 #include "support/Arena.h"
@@ -101,15 +100,6 @@ public:
     /// the only hot-path cost is a predictable branch per instrumented
     /// site.
     bool EnableProfile = false;
-    /// Enables the determinacy-race detector (runtime/RaceCheck.h):
-    /// every propagation partitions its dirty set into OM-timestamp
-    /// interval groups and reports cross-interval conflicts. Same
-    /// discipline as EnableProfile — always compiled, one predictable
-    /// branch per hook when off. Togglable per phase via setRaceCheck.
-    bool RaceCheck = false;
-    /// Maximum interval groups per checked propagation (clamped to 32,
-    /// the mask width). More groups test a finer parallel partition.
-    unsigned RaceCheckIntervals = 8;
   };
 
   /// Counters for tests and the benchmark harnesses.
@@ -312,16 +302,6 @@ public:
   /// populated when Config::EnableProfile is set.
   const PropagationProfile &profile() const { return Main.Prof; }
   void resetProfile() { Main.Prof.reset(); }
-  /// Toggles the determinacy-race detector between propagations (meta
-  /// phase only), so one runtime can time a detector-off loop and then
-  /// audit the same trace with it on.
-  void setRaceCheck(bool On) {
-    assert(CurPhase == Phase::Meta && "toggle the detector between phases");
-    Cfg.RaceCheck = On;
-  }
-  /// What the most recent checked propagation observed (empty if the
-  /// detector has never run). See runtime/RaceCheck.h.
-  const RaceReport &raceReport() const { return Race.report(); }
   Arena &arena() { return Mem; }
   size_t liveBytes() const { return Mem.liveBytes(); }
   size_t maxLiveBytes() const { return Mem.maxLiveBytes(); }
@@ -357,12 +337,6 @@ private:
   /// Trace persistence (runtime/Snapshot): serializes and restores the
   /// runtime's scalar state around the arenas' same-base remap.
   friend class Snapshot;
-  /// The race detector partitions the propagation queue (Heap) and
-  /// reuses the OM order queries (heapLess) for its clustering.
-  friend class RaceCheck;
-  /// Test-only peer (tests reach the propagation queue to inject edge
-  /// states the public API cannot, e.g. duplicate heap entries).
-  friend struct RuntimeTestPeer;
   template <typename... Keys>
   static Closure *modrefInit(Runtime &, void *Block, Keys...) {
     new (Block) Modref();
@@ -507,7 +481,6 @@ private:
   std::vector<ReadNode *> PendingReadMemo;
   std::vector<AllocNode *> PendingAllocMemo;
 
-  RaceCheck Race;
   size_t GcAllocMark = 0;
   size_t MetaBytes = 0;
   bool Oom = false;

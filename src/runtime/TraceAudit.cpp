@@ -235,7 +235,6 @@ struct TraceAudit::Impl {
     checkHeap();
     checkMemos();
     checkArena();
-    checkRaceState();
   }
 
   //===------------------------------------------------------------===//
@@ -639,64 +638,6 @@ struct TraceAudit::Impl {
              "(double free of %zu bytes)",
              Expected, Live, Expected - Live);
     }
-  }
-
-  //===------------------------------------------------------------===//
-  // Pass 7: race-detector report consistency
-  //===------------------------------------------------------------===//
-
-  /// Validates the report the race detector retained from its most
-  /// recent checked propagation. The detector's live side tables are
-  /// torn down before the meta phase resumes, so only the report is
-  /// auditable here: interval ownership must be internally consistent
-  /// (every recorded conflict names two distinct, in-range interval
-  /// groups; the grouping never exceeds the clustering it was cut
-  /// from), and the recorded sample must agree with the tallies.
-  void checkRaceState() {
-    const RaceReport &R = RT.Race.report();
-    if (RT.Race.Active)
-      fail("race: detector still armed in the meta phase");
-    if (R.Intervals > 32)
-      fail("race: %u interval groups exceed the 32-bit mask width",
-           unsigned(R.Intervals));
-    if (R.Intervals > R.Clusters)
-      fail("race: %u interval groups from only %u overlap clusters "
-           "(the contiguous split can never add groups)",
-           unsigned(R.Intervals), unsigned(R.Clusters));
-    if (R.Clusters > R.InitialDirtyReads)
-      fail("race: %u clusters from %llu initial dirty reads",
-           unsigned(R.Clusters),
-           static_cast<unsigned long long>(R.InitialDirtyReads));
-    if (R.InitialDirtyReads && !R.Intervals)
-      fail("race: dirty reads were pending but no interval was formed");
-    if (R.Conflicts.size() > RaceReport::MaxRecorded)
-      fail("race: %zu recorded conflicts exceed the %zu cap",
-           R.Conflicts.size(), RaceReport::MaxRecorded);
-    if (R.Conflicts.size() > R.conflictCount())
-      fail("race: %zu conflicts recorded but only %llu tallied",
-           R.Conflicts.size(),
-           static_cast<unsigned long long>(R.conflictCount()));
-    uint64_t CascadeTallied = 0;
-    for (size_t I = 0; I < R.Conflicts.size(); ++I) {
-      const RaceConflict &C = R.Conflicts[I];
-      if (C.K != RaceConflict::WW && C.K != RaceConflict::RW &&
-          C.K != RaceConflict::CascadeInvalidate)
-        fail("race: conflict %zu has unknown kind %u", I, unsigned(C.K));
-      if (C.IntervalA >= R.Intervals || C.IntervalB >= R.Intervals)
-        fail("race: conflict %zu names interval %u/%u outside the %u "
-             "groups",
-             I, C.IntervalA, C.IntervalB, unsigned(R.Intervals));
-      if (C.IntervalA == C.IntervalB)
-        fail("race: conflict %zu pairs interval %u with itself "
-             "(same-interval accesses are ordered by the trace)",
-             I, C.IntervalA);
-      CascadeTallied += C.K == RaceConflict::CascadeInvalidate;
-    }
-    if (CascadeTallied > R.CascadeInvalidations)
-      fail("race: %llu cascade conflicts recorded but only %llu cascade "
-           "invalidations observed",
-           static_cast<unsigned long long>(CascadeTallied),
-           static_cast<unsigned long long>(R.CascadeInvalidations));
   }
 };
 

@@ -15,7 +15,7 @@
 /// function included into several of them would be merged by the linker
 /// into ONE copy — compiled with whichever TU's flags the linker
 /// happened to keep. A scalar-table call could then execute, say,
-/// auto-vectorized SSE4.2 code on a CPU without it. Internal linkage
+/// auto-vectorized AVX2 code on a CPU without it. Internal linkage
 /// gives every TU its own copy built with its own flags, so the scalar
 /// table's code is always baseline code.
 ///
@@ -131,7 +131,7 @@ inline void omRelabelScalar(void *Region, uint32_t First, uint64_t Count,
 /// verified batch whose last Next continues the stride carries it into
 /// the next batch, eliminating the dependent load entirely while a run
 /// lasts. The win is memory-level parallelism, which is why this one
-/// body serves SSE4.2 through AVX-512 — hardware gathers measured no
+/// body serves AVX2 and AVX-512 — hardware gathers measured no
 /// better than eight independent scalar loads here.
 inline void omRelabelSpec(void *RegionV, uint32_t First, uint64_t Count,
                           uint64_t Base, uint64_t Gap, size_t NextOff,

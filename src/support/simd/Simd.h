@@ -9,14 +9,14 @@
 /// memo hashing, streaming checksum blocks, handle bounds sweeps, bucket
 /// index computation, and OM label rewrites. Modeled on the per-space
 /// kernel tables of vector-similarity libraries: one scalar reference
-/// implementation defines the semantics, and SSE4.2/AVX2/AVX-512
-/// variants — compiled only when cmake/cpu_features.cmake finds the
-/// toolchain support — must produce bit-identical results (enforced by
+/// implementation defines the semantics, and AVX2/AVX-512 variants —
+/// compiled only when cmake/cpu_features.cmake finds the toolchain
+/// support — must produce bit-identical results (enforced by
 /// tests/SimdKernelsTest and the bench differential check).
 ///
 /// Dispatch happens once per process, on first use: a CPUID probe picks
 /// the widest variant the executing CPU supports, clamped by the
-/// CEAL_SIMD environment override (scalar|sse42|avx2|avx512|auto), which
+/// CEAL_SIMD environment override (scalar|avx2|avx512|auto), which
 /// is the kill switch — CEAL_SIMD=scalar forces the reference path
 /// everywhere. Because every variant computes the same function, the
 /// selection can never change results, only speed; snapshots, memo
@@ -117,7 +117,12 @@ struct Ops {
 // Variants and dispatch
 //===----------------------------------------------------------------------===//
 
-enum class Variant : uint8_t { Scalar = 0, Sse42 = 1, Avx2 = 2, Avx512 = 3 };
+/// The codes are stable because benchmark reports record them as numbers
+/// (perfbench's `simd.variant`); code 1 belonged to a deleted SSE4.2
+/// table and stays unused.
+enum class Variant : uint8_t { Scalar = 0, Avx2 = 2, Avx512 = 3 };
+/// One past the largest code. Loops over codes see the unused one as a
+/// variant that is never compiled.
 inline constexpr unsigned NumVariants = 4;
 
 const char *variantName(Variant V);
@@ -215,9 +220,6 @@ inline void omRelabel(void *Region, uint32_t First, uint64_t Count,
 //===----------------------------------------------------------------------===//
 
 const Ops &scalarOps();
-#ifdef CEAL_SIMD_HAVE_SSE42
-const Ops &sse42Ops();
-#endif
 #ifdef CEAL_SIMD_HAVE_AVX2
 const Ops &avx2Ops();
 #endif

@@ -25,8 +25,6 @@ const char *variantName(Variant V) {
   switch (V) {
   case Variant::Scalar:
     return "scalar";
-  case Variant::Sse42:
-    return "sse42";
   case Variant::Avx2:
     return "avx2";
   case Variant::Avx512:
@@ -55,12 +53,6 @@ bool variantCompiled(Variant V) {
   switch (V) {
   case Variant::Scalar:
     return true;
-  case Variant::Sse42:
-#ifdef CEAL_SIMD_HAVE_SSE42
-    return true;
-#else
-    return false;
-#endif
   case Variant::Avx2:
 #ifdef CEAL_SIMD_HAVE_AVX2
     return true;
@@ -82,8 +74,6 @@ bool cpuSupports(Variant V) {
   switch (V) {
   case Variant::Scalar:
     return true;
-  case Variant::Sse42:
-    return __builtin_cpu_supports("sse4.2");
   case Variant::Avx2:
     return __builtin_cpu_supports("avx2");
   case Variant::Avx512:
@@ -111,10 +101,6 @@ const Ops *variantOps(Variant V) {
   switch (V) {
   case Variant::Scalar:
     return &scalarOps();
-#ifdef CEAL_SIMD_HAVE_SSE42
-  case Variant::Sse42:
-    return &sse42Ops();
-#endif
 #ifdef CEAL_SIMD_HAVE_AVX2
   case Variant::Avx2:
     return &avx2Ops();
@@ -142,8 +128,6 @@ Variant resolveSelection() {
   Variant Want = Best;
   if (std::strcmp(Env, "scalar") == 0)
     Want = Variant::Scalar;
-  else if (std::strcmp(Env, "sse42") == 0)
-    Want = Variant::Sse42;
   else if (std::strcmp(Env, "avx2") == 0)
     Want = Variant::Avx2;
   else if (std::strcmp(Env, "avx512") == 0)
@@ -151,15 +135,16 @@ Variant resolveSelection() {
   else {
     std::fprintf(stderr,
                  "ceal: ignoring unknown CEAL_SIMD value '%s' "
-                 "(want scalar|sse42|avx2|avx512|auto)\n",
+                 "(want scalar|avx2|avx512|auto)\n",
                  Env);
     return Best;
   }
   if (int(Want) > int(Best))
     Want = Best;
   // The override may also name a variant below Best that was never
-  // compiled (e.g. CEAL_SIMD=sse42 in a scalar-only build); fall back
-  // to the widest one at or below the request.
+  // compiled (e.g. CEAL_SIMD=avx2 in a build whose toolchain accepted
+  // only the AVX-512 flags); fall back to the widest one at or below the
+  // request.
   while (int(Want) > 0 && variantOps(Want) == nullptr)
     Want = Variant(int(Want) - 1);
   return Want;

@@ -13,10 +13,8 @@
 //   --normal-form    require the Sec. 5 normal form (reads must tail)
 //   --max-live=N     loop-header live-set warning threshold (default 12)
 //   --no-notes       suppress note-severity diagnostics
-//   --json           machine-readable output (one JSON object, including
-//                    the per-program interference report: region
-//                    classes, entry-point effects, and every non-disjoint
-//                    entry pair)
+//   --json           machine-readable output (one JSON object with every
+//                    program's diagnostics and counts)
 //   -q, --quiet      only the per-program summary lines
 //
 // Exit status (stable, consumed by the cl_lint_gate ctest):
@@ -27,7 +25,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Interference.h"
 #include "analysis/Lints.h"
 #include "cl/Parser.h"
 #include "cl/Printer.h"
@@ -35,6 +32,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -85,7 +83,6 @@ struct LintRun {
   std::string ParseError; // Non-empty: the source did not parse.
   std::optional<Program> Prog;
   analysis::LintReport Report;
-  analysis::InterferenceSummary Interf;
 
   size_t warningCount() const {
     size_t N = 0;
@@ -112,75 +109,7 @@ LintRun lintSource(const std::string &Name, const std::string &Source,
   }
   Run.Prog = std::move(R.Prog);
   Run.Report = analysis::runLints(*Run.Prog, O.Lint);
-  if (Run.Report.errorCount() == 0)
-    Run.Interf = analysis::computeInterference(*Run.Prog);
   return Run;
-}
-
-/// The machine-readable interference report of one program: the region
-/// classes, every entry point with its resolved effect class lists, the
-/// non-disjoint entry pairs, and the pair tally.
-void printInterferenceJson(std::ostream &Out, const LintRun &Run,
-                           const char *Indent) {
-  const analysis::InterferenceSummary &S = Run.Interf;
-  const Program &P = *Run.Prog;
-  auto ClassList = [&](const analysis::BitVec &Set) {
-    Out << "[";
-    bool First = true;
-    Set.forEach([&](size_t C) {
-      if (!First)
-        Out << ", ";
-      First = false;
-      escapeJson(Out, S.Classes[C].name(P));
-    });
-    Out << "]";
-  };
-  Out << "{\n" << Indent << "  \"classes\": [";
-  for (size_t C = 0; C < S.Classes.size(); ++C) {
-    if (C)
-      Out << ", ";
-    escapeJson(Out, S.Classes[C].name(P));
-  }
-  Out << "],\n" << Indent << "  \"entries\": [\n";
-  for (size_t E = 0; E < S.Entries.size(); ++E) {
-    Out << Indent << "    {\"name\": ";
-    escapeJson(Out, S.Entries[E].name(P));
-    Out << ", \"reads\": ";
-    ClassList(S.Entries[E].Reads);
-    Out << ", \"writes\": ";
-    ClassList(S.Entries[E].Writes);
-    Out << "}" << (E + 1 < S.Entries.size() ? ",\n" : "\n");
-  }
-  size_t Disjoint = 0, Ordered = 0, Conflicting = 0;
-  Out << Indent << "  ],\n" << Indent << "  \"pairs\": [";
-  bool FirstPair = true;
-  for (size_t I = 0; I < S.Entries.size(); ++I)
-    for (size_t J = I + 1; J < S.Entries.size(); ++J) {
-      analysis::PairRelation R = S.classify(S.Entries[I], S.Entries[J]);
-      switch (R) {
-      case analysis::PairRelation::Disjoint:
-        ++Disjoint;
-        continue; // Disjoint pairs are counted, not listed.
-      case analysis::PairRelation::Ordered:
-        ++Ordered;
-        break;
-      case analysis::PairRelation::Conflicting:
-        ++Conflicting;
-        break;
-      }
-      Out << (FirstPair ? "\n" : ",\n") << Indent << "    {\"a\": ";
-      FirstPair = false;
-      escapeJson(Out, S.Entries[I].name(P));
-      Out << ", \"b\": ";
-      escapeJson(Out, S.Entries[J].name(P));
-      Out << ", \"relation\": \"" << analysis::pairRelationName(R) << "\"}";
-    }
-  if (!FirstPair)
-    Out << "\n" << Indent << "  ";
-  Out << "],\n"
-      << Indent << "  \"pair_counts\": {\"disjoint\": " << Disjoint
-      << ", \"ordered\": " << Ordered << ", \"conflicting\": " << Conflicting
-      << "}\n" << Indent << "}";
 }
 
 void printJson(const std::vector<LintRun> &Runs, const Options &O) {
@@ -225,12 +154,7 @@ void printJson(const std::vector<LintRun> &Runs, const Options &O) {
         escapeJson(Out, D.Message);
         Out << "}";
       }
-      Out << "\n      ]";
-      if (Run.Report.errorCount() == 0) {
-        Out << ",\n      \"interference\": ";
-        printInterferenceJson(Out, Run, "      ");
-      }
-      Out << "\n    }";
+      Out << "\n      ]\n    }";
     }
     Out << (RI + 1 < Runs.size() ? ",\n" : "\n");
   }

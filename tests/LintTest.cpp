@@ -227,60 +227,6 @@ func bad_notes(modref* out) {
   EXPECT_EQ(Unreach[0].Block, 3u); // 'orphan'.
 }
 
-TEST(Lint, ParallelUnsafeWrite) {
-  // A pointer produced by arithmetic has no region class: the write may
-  // land anywhere, so no interval partition can claim it.
-  LintReport R = lint(R"(
-func bad_puw(int a, int b) {
-  var modref* t; var int z;
-  e: t := add(a, b); goto z1;
-  z1: z := 1; goto w;
-  w: write(t, z); goto f;
-  f: done;
-}
-)");
-  auto Ds = ofCheck(R, "parallel-unsafe-write");
-  ASSERT_EQ(Ds.size(), 1u);
-  EXPECT_EQ(Ds[0].Sev, Severity::Warning);
-  EXPECT_EQ(Ds[0].Block, 2u); // Block 'w'.
-  EXPECT_NE(Ds[0].Message.find("unknown region class"), std::string::npos);
-}
-
-TEST(Lint, CrossRegionAlias) {
-  // Both reaching definitions of t survive to the write, one per
-  // parameter: the write straddles two region roots.
-  LintReport R = lint(R"(
-func bad_cra(modref* p, modref* q, int which) {
-  var modref* t; var int z;
-  e: if which then goto a else goto b;
-  a: t := p; goto w;
-  b: t := q; goto w;
-  w: z := 1; goto wr;
-  wr: write(t, z); goto f;
-  f: done;
-}
-)");
-  auto Ds = ofCheck(R, "cross-region-alias");
-  ASSERT_EQ(Ds.size(), 1u);
-  EXPECT_EQ(Ds[0].Sev, Severity::Warning);
-  EXPECT_EQ(Ds[0].Block, 4u); // Block 'wr'.
-  EXPECT_NE(Ds[0].Message.find("parameter 'p'"), std::string::npos);
-  EXPECT_NE(Ds[0].Message.find("parameter 'q'"), std::string::npos);
-  // The flow-sensitive half of the contract: a re-binding on a single
-  // path is NOT an alias — only one definition reaches the write.
-  LintReport Clean = lint(R"(
-func ok_cra(modref* p, modref* q, int which) {
-  var modref* t; var int z;
-  e: t := p; goto re;
-  re: t := q; goto w;
-  w: z := 1; goto wr;
-  wr: write(t, z); goto f;
-  f: done;
-}
-)");
-  EXPECT_TRUE(ofCheck(Clean, "cross-region-alias").empty());
-}
-
 //===----------------------------------------------------------------------===//
 // Rendering
 //===----------------------------------------------------------------------===//

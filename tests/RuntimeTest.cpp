@@ -187,6 +187,54 @@ Closure *sumCore(Runtime &RT, Modref *Src, Modref *Dst) {
   return RT.readTail<&sumGot>(Src, Word(0), Dst);
 }
 
+//===----------------------------------------------------------------------===//
+// Core: two sibling calls, both edited before one propagation.
+//
+// sideA reads A and writes the intermediate X; sideB reads B, then reads
+// X, then writes Out. The calls occupy disjoint trace intervals, so
+// editing A and B dirties one read in each, and sideB's re-read of X
+// must see the value sideA's re-execution wrote. indepCore's second call
+// never touches X.
+//===----------------------------------------------------------------------===//
+
+Closure *sideAGot(Runtime &RT, Word AV, Modref *X) {
+  RT.writeT(X, AV * 2);
+  return nullptr;
+}
+Closure *sideA(Runtime &RT, Modref *A, Modref *X) {
+  return RT.readTail<&sideAGot>(A, X);
+}
+Closure *sideBGotX(Runtime &RT, Word XV, Word BV, Modref *Out) {
+  RT.writeT(Out, XV + BV);
+  return nullptr;
+}
+Closure *sideBGotB(Runtime &RT, Word BV, Modref *X, Modref *Out) {
+  return RT.readTail<&sideBGotX>(X, BV, Out);
+}
+Closure *sideB(Runtime &RT, Modref *B, Modref *X, Modref *Out) {
+  return RT.readTail<&sideBGotB>(B, X, Out);
+}
+Closure *dependentCore(Runtime &RT, Modref *A, Modref *B, Modref *X,
+                       Modref *Out) {
+  RT.callFn<&sideA>(A, X);
+  RT.callFn<&sideB>(B, X, Out);
+  return nullptr;
+}
+
+Closure *indepGotB(Runtime &RT, Word BV, Modref *Out) {
+  RT.writeT(Out, BV + 7);
+  return nullptr;
+}
+Closure *indepSideB(Runtime &RT, Modref *B, Modref *Out) {
+  return RT.readTail<&indepGotB>(B, Out);
+}
+Closure *indepCore(Runtime &RT, Modref *A, Modref *B, Modref *X,
+                   Modref *Out) {
+  RT.callFn<&sideA>(A, X);
+  RT.callFn<&indepSideB>(B, Out);
+  return nullptr;
+}
+
 /// Owns the mutator-level cells a test creates: they are plain heap
 /// objects that only modifiables point at, so the runtime never frees
 /// them.
@@ -279,6 +327,30 @@ TEST(Runtime, PipelinePropagatesTransitively) {
   RT.propagate();
   EXPECT_EQ(RT.derefT<int64_t>(B), 10);
   EXPECT_EQ(RT.derefT<int64_t>(C), 100);
+}
+
+TEST(Runtime, TwoEditedCallsSharingAModrefPropagate) {
+  Runtime RT;
+  Modref *A = RT.modref(Word(10)), *B = RT.modref(Word(100));
+  Modref *X = RT.modref(), *Out = RT.modref();
+  RT.runCore<&dependentCore>(A, B, X, Out);
+  EXPECT_EQ(RT.deref(Out), 10u * 2 + 100u);
+  RT.modify(A, 13);
+  RT.modify(B, 200);
+  RT.propagate();
+  EXPECT_EQ(RT.deref(Out), 13u * 2 + 200u);
+}
+
+TEST(Runtime, TwoEditedIndependentCallsPropagate) {
+  Runtime RT;
+  Modref *A = RT.modref(Word(10)), *B = RT.modref(Word(100));
+  Modref *X = RT.modref(), *Out = RT.modref();
+  RT.runCore<&indepCore>(A, B, X, Out);
+  RT.modify(A, 13);
+  RT.modify(B, 200);
+  RT.propagate();
+  EXPECT_EQ(RT.deref(Out), 207u);
+  EXPECT_EQ(RT.deref(X), 26u);
 }
 
 TEST(Runtime, MultiWriteModifiableGovernsReadersByTime) {

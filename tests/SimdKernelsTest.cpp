@@ -68,9 +68,8 @@ TEST(SimdDispatch, EnvOverrideIsACeiling) {
   if (!Env || std::string(Env) == "auto")
     GTEST_SKIP() << "no CEAL_SIMD override in this run";
   const std::string Want = Env;
-  static const char *Names[] = {"scalar", "sse42", "avx2", "avx512"};
   for (unsigned I = 0; I < simd::NumVariants; ++I)
-    if (Want == Names[I]) {
+    if (Want == simd::variantName(simd::Variant(I))) {
       EXPECT_LE(static_cast<unsigned>(simd::selected()), I)
           << "CEAL_SIMD=" << Want << " must cap the selected variant";
       return;
