@@ -25,13 +25,6 @@
 //    arena / memo / dispatch counters, deferred memo-build time) and a
 //    "propagation_profile" of the update loop (re-execute / revoke /
 //    memo-lookup / queue time, interval-size and use-scan histograms);
-//  * "simd_kernels" — per-kernel, per-compiled-variant ns/op for the
-//    dispatched hot kernels (support/simd): streaming checksum, batched
-//    memo hashing, handle bounds sweep, bucket-index gather, and the OM
-//    relabel rewrite, each at two working-set sizes, plus the variant
-//    the dispatcher selected and a differential check of every variant
-//    against the scalar reference (scripts/check_simd_kernels.py gates
-//    on this section).
 //
 //===----------------------------------------------------------------------===//
 
@@ -45,13 +38,10 @@
 #include "om/OrderList.h"
 #include "runtime/Runtime.h"
 #include "support/Random.h"
-#include "support/simd/Simd.h"
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstddef>
-#include <cstdlib>
 #include <fstream>
 
 using namespace ceal;
@@ -348,263 +338,15 @@ void writeUpdateBench(std::ostream &Out, double Scale, size_t Samples) {
   Out << "  ]";
 }
 
-//===----------------------------------------------------------------------===//
-// SIMD kernel matrix (BENCH_rt.json)
-//===----------------------------------------------------------------------===//
-
-/// Best-of-reps wall time per call of \p Fn, in nanoseconds. The
-/// iteration count is grown until one rep spans ~2ms so the clock's
-/// granularity is noise-free, then the minimum of five reps is taken
-/// (the minimum estimates the uncontended cost; these are single-core
-/// throughput kernels, not end-to-end runs).
-template <typename F> double nsPerCall(F &&Fn) {
-  using Clock = std::chrono::steady_clock;
-  Fn(); // warm (faults in the working set, primes the dispatch)
-  size_t Iters = 1;
-  for (;;) {
-    auto T0 = Clock::now();
-    for (size_t I = 0; I < Iters; ++I)
-      Fn();
-    double Ns = std::chrono::duration<double, std::nano>(Clock::now() - T0)
-                    .count();
-    if (Ns >= 2e6) {
-      double Best = Ns / double(Iters);
-      for (int R = 0; R < 4; ++R) {
-        auto S = Clock::now();
-        for (size_t I = 0; I < Iters; ++I)
-          Fn();
-        double N2 =
-            std::chrono::duration<double, std::nano>(Clock::now() - S)
-                .count();
-        Best = std::min(Best, N2 / double(Iters));
-      }
-      return Best;
-    }
-    Iters *= 2;
-  }
-}
-
-/// One timed row: ns/op for kernel \p K of variant table \p O at a
-/// given size, where "op" is the kernel's natural element (a 256-byte
-/// block, a hashed key, a swept element, an indexed node, a relabeled
-/// node). Inputs are deterministic; every variant times the identical
-/// input.
-struct SimdBenchInput {
-  // checksum / hash
-  std::vector<uint64_t> Lanes;
-  std::vector<unsigned char> Data;
-  std::vector<uint64_t> Words;
-  // bounds
-  std::vector<uint32_t> U32;
-  // bucket index
-  struct FakeNode {
-    uint64_t Pad;
-    uint32_t Hash;
-    uint32_t Pad2;
-  };
-  std::vector<FakeNode> Nodes;
-  std::vector<const void *> NodePtrs;
-  std::vector<uint32_t> Idx;
-  // relabel — handle-linked nodes in their own arena, mirroring OmNode's
-  // layout (size and field offsets), so the serial chase pays the same
-  // lines-per-node cost as production.
-  struct FakeOm {
-    Handle<FakeOm> Prev;
-    Handle<FakeOm> Next;
-    uint32_t Group;
-    uint32_t Item;
-    uint64_t Label;
-  };
-  static_assert(sizeof(FakeOm) == 24, "mirrors the OmNode layout");
-  Arena ChainArena{size_t(8) << 20};
-  std::vector<FakeOm *> Chain;
-  uint32_t ChainFirst = 0;
-
-  /// Allocates \p N nodes in one bump run of \p A and links them in
-  /// address order; returns the first node's handle.
-  static uint32_t buildChain(Arena &A, size_t N, std::vector<FakeOm *> &Out) {
-    Out.resize(N);
-    for (FakeOm *&P : Out)
-      P = A.create<FakeOm>();
-    for (size_t I = 0; I + 1 < N; ++I)
-      Out[I]->Next = A.handle(Out[I + 1]);
-    return A.handle(Out[0]).Bits;
-  }
-
-  explicit SimdBenchInput(size_t N) {
-    Rng R(0x51D0 + N);
-    Lanes.assign(simd::HashLanes, 0);
-    for (uint64_t &L : Lanes)
-      L = R.next();
-    Data.resize(N * simd::ChecksumBlockBytes);
-    for (unsigned char &B : Data)
-      B = static_cast<unsigned char>(R.next());
-    Words.resize(N * simd::HashLanes);
-    for (uint64_t &W : Words)
-      W = R.next();
-    // Kept strictly below 0x80000000 so a sweep with that limit scans
-    // the whole array (the audit's common case: nothing out of bounds).
-    U32.resize(N);
-    for (uint32_t &V : U32)
-      V = static_cast<uint32_t>(R.next()) & 0x7fffffffu;
-    Nodes.resize(N);
-    NodePtrs.resize(N);
-    Idx.resize(N);
-    for (size_t I = 0; I < N; ++I) {
-      Nodes[I].Hash = static_cast<uint32_t>(R.next());
-      NodePtrs[I] = &Nodes[I];
-    }
-    ChainFirst = buildChain(ChainArena, N, Chain);
-  }
-};
-
-double simdKernelNsPerOp(simd::Kernel K, const simd::Ops &O,
-                         SimdBenchInput &In, size_t N) {
-  switch (K) {
-  case simd::Kernel::ChecksumBlocks:
-    return nsPerCall([&] {
-      O.ChecksumBlocks(In.Lanes.data(), In.Data.data(), N);
-      benchmark::DoNotOptimize(In.Lanes.data());
-    }) / double(N);
-  case simd::Kernel::HashBatch:
-    // One call hashes HashLanes keys of N words each; op = one key.
-    return nsPerCall([&] {
-      O.HashBatch(In.Lanes.data(), In.Words.data(), N);
-      benchmark::DoNotOptimize(In.Lanes.data());
-    }) / double(simd::HashLanes);
-  case simd::Kernel::BoundsCheckU32:
-    return nsPerCall([&] {
-      benchmark::DoNotOptimize(
-          O.BoundsCheckU32(In.U32.data(), N, 0x80000000u));
-    }) / double(N);
-  case simd::Kernel::BucketIndex:
-    return nsPerCall([&] {
-      O.BucketIndex(In.NodePtrs.data(), N,
-                    offsetof(SimdBenchInput::FakeNode, Hash), 0xffffu,
-                    In.Idx.data());
-      benchmark::DoNotOptimize(In.Idx.data());
-    }) / double(N);
-  case simd::Kernel::OmRelabel:
-    return nsPerCall([&] {
-      O.OmRelabel(In.ChainArena.regionBase(), In.ChainFirst, N, 0,
-                  UINT64_MAX / (N + 1), offsetof(SimdBenchInput::FakeOm, Next),
-                  offsetof(SimdBenchInput::FakeOm, Label),
-                  In.ChainArena.bumpUsedBytes());
-      benchmark::DoNotOptimize(In.Chain.data());
-    }) / double(N);
-  }
-  return 0;
-}
-
-/// Differential check of variant table \p O against the scalar table on
-/// the bench inputs: every kernel must produce byte-identical results.
-bool simdVariantMatchesScalar(const simd::Ops &O, SimdBenchInput &In,
-                              size_t N) {
-  const simd::Ops &S = simd::scalarOps();
-  bool Ok = true;
-  {
-    std::vector<uint64_t> A = In.Lanes, B = In.Lanes;
-    S.ChecksumBlocks(A.data(), In.Data.data(), N);
-    O.ChecksumBlocks(B.data(), In.Data.data(), N);
-    Ok &= A == B;
-    A = In.Lanes;
-    B = In.Lanes;
-    S.HashBatch(A.data(), In.Words.data(), N);
-    O.HashBatch(B.data(), In.Words.data(), N);
-    Ok &= A == B;
-  }
-  for (uint32_t Limit : {0u, 0x80000000u, 0xffffffffu, In.U32[N / 2]})
-    Ok &= S.BoundsCheckU32(In.U32.data(), N, Limit) ==
-          O.BoundsCheckU32(In.U32.data(), N, Limit);
-  {
-    std::vector<uint32_t> A(N), B(N);
-    size_t Off = offsetof(SimdBenchInput::FakeNode, Hash);
-    S.BucketIndex(In.NodePtrs.data(), N, Off, 0xffffu, A.data());
-    O.BucketIndex(In.NodePtrs.data(), N, Off, 0xffffu, B.data());
-    Ok &= A == B;
-  }
-  {
-    size_t NextOff = offsetof(SimdBenchInput::FakeOm, Next);
-    size_t LabelOff = offsetof(SimdBenchInput::FakeOm, Label);
-    uint64_t Gap = UINT64_MAX / (N + 1);
-    Arena CopyArena(size_t(8) << 20);
-    std::vector<SimdBenchInput::FakeOm *> Copy;
-    uint32_t CopyFirst = SimdBenchInput::buildChain(CopyArena, N, Copy);
-    S.OmRelabel(In.ChainArena.regionBase(), In.ChainFirst, N, 7, Gap, NextOff,
-                LabelOff, In.ChainArena.bumpUsedBytes());
-    O.OmRelabel(CopyArena.regionBase(), CopyFirst, N, 7, Gap, NextOff,
-                LabelOff, CopyArena.bumpUsedBytes());
-    for (size_t I = 0; I < N; ++I)
-      Ok &= In.Chain[I]->Label == Copy[I]->Label;
-  }
-  return Ok;
-}
-
-void writeSimdKernels(std::ostream &Out) {
-  using simd::Kernel;
-  using simd::Variant;
-  const char *Env = std::getenv("CEAL_SIMD");
-  Out << "  \"simd_kernels\": {\n    \"max_supported\": \""
-      << simd::variantName(simd::maxSupported()) << "\",\n    \"selected\": \""
-      << simd::variantName(simd::selected()) << "\",\n    \"env_override\": \""
-      << (Env ? Env : "auto") << "\",\n    \"kernels\": [\n";
-  // Two working-set sizes per kernel in its natural op unit: one
-  // cache-resident, one matching the production shape (memory-spanning
-  // sweeps for checksum/bounds/bucket/relabel; realistic key lengths
-  // for the hash, whose memo keys are a handful of words).
-  const size_t KernelSizes[simd::NumKernels][2] = {
-      {64, 4096},     // checksum_blocks: 256-byte blocks per call
-      {4, 16},        // hash_batch: words per key (32 keys per call)
-      {4096, 262144}, // bounds_check_u32: swept elements
-      {4096, 65536},  // bucket_index: nodes
-      {4096, 65536},  // om_relabel: chain nodes
-  };
-  for (size_t KI = 0; KI < simd::NumKernels; ++KI) {
-    Kernel K = static_cast<Kernel>(KI);
-    const size_t *Sizes = KernelSizes[KI];
-    Out << "      {\"kernel\": \"" << simd::kernelName(K)
-        << "\", \"sizes\": [" << Sizes[0] << ", " << Sizes[1]
-        << "], \"differential_checked\": ";
-    bool AllMatch = true;
-    {
-      SimdBenchInput In(257); // deliberately not a lane multiple
-      for (size_t VI = 0; VI < simd::NumVariants; ++VI)
-        if (const simd::Ops *O =
-                simd::variantOps(static_cast<Variant>(VI)))
-          AllMatch &= simdVariantMatchesScalar(*O, In, 257);
-    }
-    Out << (AllMatch ? "true" : "false") << ", \"variants\": [";
-    bool FirstV = true;
-    for (size_t VI = 0; VI < simd::NumVariants; ++VI) {
-      Variant V = static_cast<Variant>(VI);
-      const simd::Ops *O = simd::variantOps(V);
-      if (!O)
-        continue;
-      Out << (FirstV ? "\n" : ",\n") << "        {\"variant\": \""
-          << simd::variantName(V) << "\", \"ns_per_op\": [";
-      FirstV = false;
-      for (size_t SI = 0; SI < 2; ++SI) {
-        SimdBenchInput In(Sizes[SI]);
-        Out << (SI ? ", " : "") << simdKernelNsPerOp(K, *O, In, Sizes[SI]);
-      }
-      Out << "]}";
-    }
-    Out << "]}" << (KI + 1 < simd::NumKernels ? ",\n" : "\n");
-  }
-  Out << "    ]\n  }";
-}
-
 void writeBenchJson(const char *Path, double Scale, size_t Samples) {
   std::ofstream Out(Path);
   Out << "{\n";
   writeClosureCensus(Out);
   Out << ",\n";
   writeUpdateBench(Out, Scale, Samples);
-  Out << ",\n";
-  writeSimdKernels(Out);
   Out << "\n}\n";
-  std::printf("wrote closure census, update bench, phase profiles, and "
-              "SIMD kernel matrix to %s\n",
+  std::printf("wrote closure census, update bench and phase profiles to "
+              "%s\n",
               Path);
 }
 

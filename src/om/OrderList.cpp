@@ -145,13 +145,11 @@ void OrderList::relabelGroupItems(OmGroup *G) {
   ++Relabels;
   assert(G->Count > 0 && "relabeling an empty group");
   uint64_t Gap = UINT64_MAX / (uint64_t(G->Count) + 1);
-  // The label rewrite goes through the vectorized relabel kernel, which
-  // chases the 32-bit Next handles off the region base and may
-  // speculatively *read* Next fields of other nodes in the arena's bump
-  // extent (the window those reads stay in).
+  // The counted relabel kernel chases the 32-bit Next handles off the
+  // region base.
   simd::omRelabel(Allocator.regionBase(), G->First.Bits, G->Count,
                   /*Base=*/0, Gap, offsetof(OmNode, Next),
-                  offsetof(OmNode, Label), Allocator.bumpUsedBytes());
+                  offsetof(OmNode, Label));
 }
 
 OmGroup *OrderList::createGroupAfter(OmGroup *G, uint64_t Label) {
@@ -253,7 +251,7 @@ uint64_t OrderList::makeGroupGapAfter(OmGroup *G) {
     // instead of a node chain.
     simd::omRelabel(Allocator.regionBase(), Allocator.handle(Lo).Bits, Count,
                     RangeBase, Gap, offsetof(OmGroup, Next),
-                    offsetof(OmGroup, Label), Allocator.bumpUsedBytes());
+                    offsetof(OmGroup, Label));
     return G->Label;
   }
   std::fprintf(stderr, "OrderList: group label space exhausted\n");

@@ -93,7 +93,7 @@ public:
   /// read/alloc into a memo index it will not probe until the first
   /// propagation, so construction defers the inserts and lands them here.
   /// The walk is blocked: each block prefetches its node lines, computes
-  /// every bucket index in one vectorized gather-and-mask pass
+  /// every bucket index in one gather-and-mask pass
   /// (simd::bucketIndex — the hash field is loaded by byte offset, which
   /// is why the offset is computed at runtime rather than via offsetof on
   /// a non-standard-layout node type), then runs the inserts with the
@@ -157,7 +157,7 @@ public:
   size_t bucketCount() const { return Buckets.size(); }
   NodeT *bucketHead(size_t Index) const { return Mem->ptr(Buckets[Index]); }
   /// The packed bucket array itself, for auditors that sweep every head
-  /// handle at once (TraceAudit's vectorized bounds pre-check) rather
+  /// handle at once (TraceAudit's bounds pre-check) rather
   /// than resolving them one by one.
   const Handle<NodeT> *bucketArray() const { return Buckets.data(); }
   /// The bucket \p Hash maps to under the current table size.

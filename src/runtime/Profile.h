@@ -150,9 +150,9 @@ struct PropagationProfile {
     Out << ", \"use_scan_hist\": ";
     UseScan.writeJson(Out);
     Out << ", \"simd\": ";
-    // Process-global dispatch counters (variant selected per kernel,
-    // calls, bytes), not per-propagation state; included here so every
-    // profile dump records which kernels actually ran and how wide.
+    // Process-global kernel counters (calls, bytes) and the checksum
+    // clone the process runs, not per-propagation state; included here
+    // so every profile dump records which kernels actually ran.
     simd::writeCountersJson(Out);
     Out << "}";
   }

@@ -48,15 +48,15 @@ std::string formatv(const char *Fmt, va_list Args) {
   return S;
 }
 
-/// Batches memo-hash recomputation through the vectorized 32-lane hash
-/// kernel. Both auditors re-derive every chained entry's hash from its
-/// key — per-entry that is a serial mix chain, so the audit's dominant
-/// cost on big traces is multiply latency. Entries are instead grouped
-/// by key-word count; each full group of simd::HashLanes keys is
-/// verified in one simd::hashBatch call over a lane-major transpose,
-/// and sub-group leftovers take the scalar mixer (the same function by
-/// the kernels' equivalence contract). Mismatches are collected rather
-/// than reported inline — callers drain bad() after finish().
+/// Batches memo-hash recomputation through the 32-lane hash sweep (the
+/// cloned checksum loop). Both auditors re-derive every chained entry's
+/// hash from its key — per-entry that is a serial mix chain, so the
+/// audit's dominant cost on big traces is multiply latency. Entries are
+/// instead grouped by key-word count; each full group of simd::HashLanes
+/// keys is verified in one simd::hashBatch call over a lane-major
+/// transpose, and sub-group leftovers take the serial mixer (the same
+/// function, one lane at a time). Mismatches are collected rather than
+/// reported inline — callers drain bad() after finish().
 template <typename NodeT> class MemoHashBatch {
 public:
   explicit MemoHashBatch(uint64_t Seed) : Seed(Seed) {}
@@ -527,8 +527,8 @@ struct TraceAudit::Impl {
                       const std::vector<const NodeT *> &Expected,
                       uint64_t Seed, KeyFn MakeKey) {
     const size_t NBuckets = Table.bucketCount();
-    // Vectorized pre-pass over the packed head-handle array: every head
-    // is bounds-checked against the arena's bump frontier in one
+    // Pre-pass over the packed head-handle array: every head is
+    // bounds-checked against the arena's bump frontier in one
     // simd::boundsCheckU32 sweep, so the chain walk below never starts
     // from a wild head. (Chain *interior* handles are still checked one
     // by one through decode(); only the dense head array has the flat
@@ -999,7 +999,7 @@ struct TraceAudit::LoadImpl {
     size_t Buckets = Table.bucketCount();
     if (Buckets < 64 || (Buckets & (Buckets - 1)) != 0)
       return fail("%s memo bucket count %zu invalid", Name, Buckets);
-    // Vectorized head sweep: the restored bucket array is dense packed
+    // Head sweep: the restored bucket array is dense packed
     // u32 handles, so one simd::boundsCheckU32 pass rejects any head
     // pointing past the serialized arena before the chain walk begins.
     {
@@ -1048,7 +1048,7 @@ struct TraceAudit::LoadImpl {
         Off = hoff(E->Memo.Next);
       }
     }
-    // Hash verification is batched through the vectorized kernel, so
+    // Hash verification is batched through the 32-lane sweep, so
     // mismatches surface here rather than mid-walk; the message (and
     // the load-abort it causes) is the same.
     Hashes.finish();

@@ -20,15 +20,15 @@
 /// serial mix chain. A single chain is latency-bound on its multiply;
 /// 32 chains keep any multiplier saturated — four AVX-512 accumulators,
 /// eight AVX2 ones, or plain scalar ILP — which is what lets snapshot
-/// save and verified load run at memory-like speeds (the PR 6
-/// measurements had checksumming at construction-bandwidth cost). The
-/// block fold goes through the dispatched kernel
-/// (support/simd/Simd.h checksumBlocks); every variant computes the
-/// identical function, so digests do not depend on the selected ISA.
+/// save and verified load run at memory-like speeds. The block fold is
+/// support/simd/Simd.h checksumBlocks, one loop the compiler clones per
+/// ISA level; every clone computes the same function, so digests do not
+/// depend on the host CPU.
 ///
-/// Lane words are read little-endian, making snapshot digests
-/// byte-order-defined; the digest folds the 32 lane states, the
-/// sub-block residual, and the total length, in that order.
+/// Words are read in host byte order, like the rest of the snapshot
+/// (whose header carries an endianness tag); the digest folds the 32
+/// lane states, the sub-block residual, and the total length, in that
+/// order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,8 +96,7 @@ public:
       H = mixInto(H, W);
     }
     uint64_t Last = 0;
-    for (size_t B = 0; I < CarryLen; ++I, ++B)
-      Last |= uint64_t(Carry[I]) << (8 * B);
+    std::memcpy(&Last, Carry + I, CarryLen - I);
     H = mixInto(H, Last);
     H = mixInto(H, Total);
     return H;
