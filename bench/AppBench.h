@@ -77,8 +77,10 @@ struct Measurement {
   double warmSpeedup() const {
     return WarmStartSeconds > 0 ? SelfSeconds / WarmStartSeconds : 0;
   }
-  /// The whole footprint: trace-arena high-water mark plus the order-list
-  /// arena and memo bucket arrays at the end of the update loop.
+  /// The whole footprint: trace-arena high-water mark (trace nodes with
+  /// their timestamps, order-list groups, closures, blocks) plus the
+  /// order-list bytes outside that arena (none) and the memo bucket
+  /// arrays at the end of the update loop.
   size_t totalLiveBytes() const {
     return MaxLiveBytes + Mem.OmBytes + Mem.MemoIndexBytes;
   }

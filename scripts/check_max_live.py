@@ -3,8 +3,9 @@
 
 Reads a BENCH_rt.json produced by a bench run and fails if any app's
 max_live_bytes (the trace arena's high-water mark across construction
-and the update loop) or total_live_bytes (that high-water mark plus the
-order-list arena and the memo bucket arrays: the whole footprint)
+and the update loop; the arena holds the trace nodes with their
+embedded timestamps and the order list's groups) or total_live_bytes
+(that high-water mark plus the memo bucket arrays: the whole footprint)
 regressed more than 10% over its baseline, or if a field is missing. Growing a trace node layout or leaking trace
 structure shows up here directly — max-live is deterministic for a
 fixed app and scale, so the tolerance only absorbs layout-neutral
@@ -35,27 +36,28 @@ gated separately by check_warmstart.py, never here.
 import json
 import sys
 
-# Per-app max_live_bytes (trace arena only) at smoke scale.
+# Per-app max_live_bytes (trace arena, timestamps and order-list groups
+# included) at smoke scale.
 BASELINES = {
-    "filter": 461080,
-    "map": 656248,
-    "minimum": 2449440,
-    "quicksort": 715824,
-    "exptrees": 1312928,
-    "quickhull": 2521760,
-    "rctree-opt": 1581272,
+    "filter": 625376,
+    "map": 887856,
+    "minimum": 3190104,
+    "quicksort": 977064,
+    "exptrees": 1778840,
+    "quickhull": 3541624,
+    "rctree-opt": 1616704,
 }
 
-# Per-app total_live_bytes (trace arena high-water mark + order-list
-# arena + memo bucket arrays) at smoke scale.
+# Per-app total_live_bytes (trace arena high-water mark + memo bucket
+# arrays) at smoke scale.
 TOTAL_BASELINES = {
-    "filter": 697592,
-    "map": 984624,
-    "minimum": 3558632,
-    "quicksort": 1061496,
-    "exptrees": 1972272,
+    "filter": 658144,
+    "map": 920624,
+    "minimum": 3321176,
+    "quicksort": 1042600,
+    "exptrees": 1844376,
     "quickhull": 3591024,
-    "rctree-opt": 1757808,
+    "rctree-opt": 1665856,
 }
 
 TOLERANCE = 0.10

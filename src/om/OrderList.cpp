@@ -16,61 +16,55 @@ using namespace ceal;
 static_assert(simd::OmHandleGrain == Arena::HandleGrain,
               "relabel kernel grain out of sync with the arena");
 
-OrderList::OrderList() { rebuildEmpty(); }
+OrderList::OrderList(Arena &A) : Mem(&A) { rebuildEmpty(); }
 
 void OrderList::rebuildEmpty() {
   FillLimit = GroupLimit;
   AppendActive = false;
-  auto *G = Allocator.create<OmGroup>();
+  auto *G = Mem->create<OmGroup>();
   G->Prev = G->Next = Handle<OmGroup>{};
   G->Label = GroupLabelSpace / 2;
   G->Count = 1;
-  FirstGroup = Allocator.handle(G);
+  FirstGroup = Mem->handle(G);
 
-  auto *N = Allocator.create<OmNode>();
+  auto *N = Mem->create<OmNode>(); // Value-initialized: client bytes zero.
   N->Prev = N->Next = Handle<OmNode>{};
   N->Group = FirstGroup;
   N->Label = UINT64_MAX / 2;
-  N->Item = 0;
-  Base = Allocator.handle(N);
+  Base = Mem->handle(N);
   G->First = Base;
   Size = 1;
 }
 
-Handle<OmNode> OrderList::linkAfter(Handle<OmNode> X, Handle<OmGroup> G,
-                                    uint64_t Label, OmItem Item) {
-  OmNode *XN = at(X);
-  auto *N = Allocator.create<OmNode>();
-  Handle<OmNode> H = Allocator.handle(N);
+void OrderList::linkAfter(OmNode *X, OmNode *N, Handle<OmGroup> G,
+                          uint64_t Label) {
+  Handle<OmNode> H = Mem->handle(N);
   N->Label = Label;
   N->Group = G;
-  N->Item = Item;
-  N->Prev = X;
-  N->Next = XN->Next;
-  if (XN->Next)
-    at(XN->Next)->Prev = H;
-  XN->Next = H;
+  N->Prev = Mem->handle(X);
+  N->Next = X->Next;
+  if (X->Next)
+    at(X->Next)->Prev = H;
+  X->Next = H;
   ++Size;
-  return H;
 }
 
 /// Out-of-line continuation of insertAfter: the group is full or the
 /// labels left no room, so rebalance (split or relabel) and retry. The
 /// retry loop re-runs the fast-path placement logic because rebalancing
 /// changes group membership and labels.
-Handle<OmNode> OrderList::insertAfterSlow(Handle<OmNode> X, OmItem Item) {
+void OrderList::insertAfterSlow(OmNode *X, OmNode *N) {
   if (AppendActive)
-    return appendSlow(X, Item);
+    return appendSlow(X, N);
   for (;;) {
-    const OmNode *XN = at(X);
-    OmGroup *G = at(XN->Group);
-    uint64_t Lo = XN->Label;
-    const OmNode *Succ = Allocator.ptr(XN->Next);
-    uint64_t Hi = Succ && Succ->Group == XN->Group ? Succ->Label : UINT64_MAX;
+    OmGroup *G = at(X->Group);
+    uint64_t Lo = X->Label;
+    const OmNode *Succ = Mem->ptr(X->Next);
+    uint64_t Hi = Succ && Succ->Group == X->Group ? Succ->Label : UINT64_MAX;
     if (Hi - Lo >= 2 && G->Count < GroupLimit) {
       ++G->Count;
-      return linkAfter(X, XN->Group,
-                       Lo + std::min((Hi - Lo) / 2, AppendGap), Item);
+      return linkAfter(X, N, X->Group,
+                       Lo + std::min((Hi - Lo) / 2, AppendGap));
     }
     if (G->Count >= GroupLimit)
       splitGroup(G);
@@ -85,24 +79,23 @@ Handle<OmNode> OrderList::insertAfterSlow(Handle<OmNode> X, OmItem Item) {
 /// resolve by opening a fresh group — O(1) per insertion (the suffix peel
 /// is bounded by GroupLimit and each peeled node prepays the fresh group
 /// it lands in).
-Handle<OmNode> OrderList::appendSlow(Handle<OmNode> X, OmItem Item) {
+void OrderList::appendSlow(OmNode *X, OmNode *N) {
   for (;;) {
-    const OmNode *XN = at(X);
-    Handle<OmGroup> GH = XN->Group;
+    Handle<OmGroup> GH = X->Group;
     OmGroup *G = at(GH);
-    if (XN->Next && at(XN->Next)->Group == GH) {
+    if (X->Next && at(X->Next)->Group == GH) {
       // Mid-group position (the cursor re-entered an interval): peel the
       // in-group suffix after X into a fresh group under bump labels, so
       // X becomes a group tail with the full label space above it.
       OmGroup *NewG = freshGroupAfter(G);
-      Handle<OmGroup> NewGH = Allocator.handle(NewG);
-      NewG->First = XN->Next;
+      Handle<OmGroup> NewGH = Mem->handle(NewG);
+      NewG->First = X->Next;
       uint32_t Moved = 0;
       uint64_t Label = AppendGap;
-      for (OmNode *N = Allocator.ptr(XN->Next); N && N->Group == GH;
-           N = Allocator.ptr(N->Next)) {
-        N->Group = NewGH;
-        N->Label = Label;
+      for (OmNode *M = Mem->ptr(X->Next); M && M->Group == GH;
+           M = Mem->ptr(M->Next)) {
+        M->Group = NewGH;
+        M->Label = Label;
         Label += AppendGap;
         ++Moved;
       }
@@ -111,23 +104,30 @@ Handle<OmNode> OrderList::appendSlow(Handle<OmNode> X, OmItem Item) {
       G->Count -= Moved;
       continue;
     }
-    if (G->Count >= FillLimit || UINT64_MAX - XN->Label < 2) {
+    if (G->Count >= FillLimit || UINT64_MAX - X->Label < 2) {
       // Group tail, but the group is at the append-mode fill target or
       // the label space above X is gone: start a fresh group after G and
       // put the new node there.
       OmGroup *NewG = freshGroupAfter(G);
-      Handle<OmNode> N =
-          linkAfter(X, Allocator.handle(NewG), AppendGap, Item);
-      NewG->First = N;
+      linkAfter(X, N, Mem->handle(NewG), AppendGap);
+      NewG->First = Mem->handle(N);
       NewG->Count = 1;
-      return N;
+      return;
     }
     // A peel above turned X into a group tail with room: bump insert.
     ++G->Count;
     return linkAfter(
-        X, GH,
-        XN->Label + std::min((UINT64_MAX - XN->Label) / 2, AppendGap), Item);
+        X, N, GH,
+        X->Label + std::min((UINT64_MAX - X->Label) / 2, AppendGap));
   }
+}
+
+size_t OrderList::ownBytes() const {
+  size_t Groups = 0;
+  for (const OmGroup *G = group(FirstGroup); G; G = group(G->Next))
+    ++Groups;
+  return Arena::accountedSize(sizeof(OmNode)) +
+         Groups * Arena::accountedSize(sizeof(OmGroup));
 }
 
 /// Unlinks and frees a group whose last member was just removed.
@@ -138,7 +138,7 @@ void OrderList::removeEmptyGroup(OmGroup *G) {
     FirstGroup = G->Next;
   if (G->Next)
     at(G->Next)->Prev = G->Prev;
-  Allocator.destroy(G);
+  Mem->destroy(G);
 }
 
 void OrderList::relabelGroupItems(OmGroup *G) {
@@ -146,19 +146,19 @@ void OrderList::relabelGroupItems(OmGroup *G) {
   assert(G->Count > 0 && "relabeling an empty group");
   uint64_t Gap = UINT64_MAX / (uint64_t(G->Count) + 1);
   // The counted relabel kernel chases the 32-bit Next handles off the
-  // region base.
-  simd::omRelabel(Allocator.regionBase(), G->First.Bits, G->Count,
+  // arena's region base.
+  simd::omRelabel(Mem->regionBase(), G->First.Bits, G->Count,
                   /*Base=*/0, Gap, offsetof(OmNode, Next),
                   offsetof(OmNode, Label));
 }
 
 OmGroup *OrderList::createGroupAfter(OmGroup *G, uint64_t Label) {
-  auto *NewG = Allocator.create<OmGroup>();
-  Handle<OmGroup> H = Allocator.handle(NewG);
+  auto *NewG = Mem->create<OmGroup>();
+  Handle<OmGroup> H = Mem->handle(NewG);
   NewG->Label = Label;
   NewG->Count = 0;
   NewG->First = Handle<OmNode>{};
-  NewG->Prev = Allocator.handle(G);
+  NewG->Prev = Mem->handle(G);
   NewG->Next = G->Next;
   if (G->Next)
     at(G->Next)->Prev = H;
@@ -195,7 +195,7 @@ void OrderList::splitGroup(OmGroup *G) {
   while (Remaining > 0) {
     uint32_t Take = Remaining < GroupTarget ? Remaining : GroupTarget;
     OmGroup *NewG = freshGroupAfter(Pred);
-    Handle<OmGroup> NewGH = Allocator.handle(NewG);
+    Handle<OmGroup> NewGH = Mem->handle(NewG);
     NewG->First = N;
     NewG->Count = Take;
     for (uint32_t I = 0; I < Take; ++I) {
@@ -241,7 +241,7 @@ uint64_t OrderList::makeGroupGapAfter(OmGroup *G) {
       Lo = at(Lo->Prev);
     uint64_t Count = 0;
     for (const OmGroup *Cursor = Lo; Cursor && Cursor->Label < RangeEnd;
-         Cursor = Allocator.ptr(Cursor->Next))
+         Cursor = Mem->ptr(Cursor->Next))
       ++Count;
     if (2.0 * double(Count + 1) > Tau * double(Width))
       continue; // Too dense for this height; widen the range.
@@ -249,7 +249,7 @@ uint64_t OrderList::makeGroupGapAfter(OmGroup *G) {
     assert(Gap >= 2 && "density bound guarantees usable gaps");
     // Same chain-relabel shape as relabelGroupItems, over the group chain
     // instead of a node chain.
-    simd::omRelabel(Allocator.regionBase(), Allocator.handle(Lo).Bits, Count,
+    simd::omRelabel(Mem->regionBase(), Mem->handle(Lo).Bits, Count,
                     RangeBase, Gap, offsetof(OmGroup, Next),
                     offsetof(OmGroup, Label));
     return G->Label;

@@ -10,10 +10,16 @@
 /// using the two-level scheme with list relabeling in the upper level).
 ///
 /// The self-adjusting run-time system uses one OrderList as its global
-/// trace: every traced action (read, write, allocation, interval end) owns
+/// trace: every traced action (read, write, allocation, interval end) *is*
 /// one node, order queries implement "did this read happen before that
 /// write", and in-order traversal between two nodes enumerates the trace
 /// interval that change propagation must revoke.
+///
+/// The list is intrusive: the caller owns every node except the base
+/// sentinel, embeds it in its own records (runtime/Trace.h), and allocates
+/// it from the arena the list is bound to. The list links and unlinks
+/// nodes but never allocates or frees one; only its groups and its base
+/// are its own, and those come from the same arena.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,20 +36,21 @@ namespace ceal {
 
 struct OmGroup;
 
-/// The opaque client payload of a timestamp: the run-time system stores a
-/// back-reference to the owning trace node here, as a 32-bit trace-arena
-/// handle with the top bit free for the end-marker tag (see
-/// runtime/Trace.h). Zero means "no payload".
-using OmItem = uint32_t;
+/// What a timestamp belongs to. The trace defines the enumerators
+/// (runtime/Trace.h); to the list the kind is an opaque client byte that
+/// it never reads, and writes only for its own base sentinel (zero).
+enum class TraceKind : uint8_t;
 
 /// One position in the total order. Every link is a 32-bit handle into
-/// the list's own arena, so a node packs into one 24-byte size class
-/// (asserted in runtime/Trace.h next to the trace-node layouts).
+/// the arena the list is bound to, so a node packs into 24 bytes. Kind
+/// and Flags belong to the client: a trace node begins with its start
+/// timestamp, so they are the node's own kind and flags.
 struct OmNode {
   Handle<OmNode> Prev;
   Handle<OmNode> Next;
   Handle<OmGroup> Group;
-  OmItem Item;
+  TraceKind Kind;
+  uint8_t Flags;
   uint64_t Label;
 };
 
@@ -61,63 +68,60 @@ struct OmGroup {
 /// The order-maintenance list. Always contains at least the base() node,
 /// which precedes every other node and cannot be removed.
 ///
-/// Clients name timestamps by Handle<OmNode> — the same 4-byte edge the
-/// trace nodes store — and every operation resolves handles against the
-/// list's arena, so no caller converts between handles and pointers.
+/// Nodes are named by pointer; the links between them are handles that
+/// the list resolves against its arena.
 class OrderList {
 public:
-  OrderList();
+  /// Binds the list to \p Mem, where the base, the groups, and every
+  /// node the caller links live.
+  explicit OrderList(Arena &Mem);
   OrderList(const OrderList &) = delete;
   OrderList &operator=(const OrderList &) = delete;
-  ~OrderList() = default; // Arena reclaims all nodes.
+  ~OrderList() = default; // The arena reclaims the groups and the base.
 
   /// The minimum node; created by the constructor, never removed.
-  Handle<OmNode> base() const { return Base; }
+  OmNode *base() const { return Mem->at(Base); }
 
-  /// Inserts a new node immediately after \p X in the order and returns
-  /// it. The common case — label room between X and its in-group
-  /// successor, group under its member limit — is inlined; rebalancing
-  /// (group split or item relabel) goes out of line.
-  Handle<OmNode> insertAfter(Handle<OmNode> X, OmItem Item = 0) {
-    assert(X && "insertAfter requires a position");
-    OmNode *XN = at(X);
-    Handle<OmGroup> GH = XN->Group;
-    OmGroup *G = at(GH);
-    uint64_t Lo = XN->Label;
-    OmNode *Succ = Allocator.ptr(XN->Next);
+  /// Links the caller-owned node \p N (allocated from the list's arena)
+  /// immediately after \p X. Only N's links and label are written. The
+  /// common case — label room between X and its in-group successor,
+  /// group under its member limit — is inlined; rebalancing (group split
+  /// or item relabel) goes out of line.
+  void insertAfter(OmNode *X, OmNode *N) {
+    assert(X && N && "insertAfter requires a position and a node");
+    Handle<OmGroup> GH = X->Group;
+    OmGroup *G = Mem->at(GH);
+    uint64_t Lo = X->Label;
+    OmNode *Succ = Mem->ptr(X->Next);
     uint64_t Hi = Succ && Succ->Group == GH ? Succ->Label : UINT64_MAX;
     if (Hi - Lo >= 2 && G->Count < FillLimit) {
-      auto *N = Allocator.create<OmNode>();
-      Handle<OmNode> H = Allocator.handle(N);
+      Handle<OmNode> H = Mem->handle(N);
       N->Label = Lo + std::min((Hi - Lo) / 2, AppendGap);
       N->Group = GH;
-      N->Item = Item;
-      N->Prev = X;
-      N->Next = XN->Next;
+      N->Prev = Mem->handle(X);
+      N->Next = X->Next;
       if (Succ)
         Succ->Prev = H;
-      XN->Next = H;
+      X->Next = H;
       ++G->Count;
       ++Size;
-      return H;
+      return;
     }
-    return insertAfterSlow(X, Item);
+    insertAfterSlow(X, N);
   }
 
-  /// Removes \p X (which must not be base()) from the order and frees it.
-  void remove(Handle<OmNode> X) {
-    assert(X != Base && "the base timestamp cannot be removed");
-    OmNode *XN = at(X);
-    OmGroup *G = at(XN->Group);
-    if (G->First == X)
-      G->First = (G->Count > 1) ? XN->Next : Handle<OmNode>{};
-    if (XN->Prev)
-      at(XN->Prev)->Next = XN->Next;
-    if (XN->Next)
-      at(XN->Next)->Prev = XN->Prev;
+  /// Unlinks \p X (which must not be base()) from the order. The node
+  /// stays the caller's to free.
+  void remove(OmNode *X) {
+    assert(X != base() && "the base timestamp cannot be removed");
+    OmGroup *G = Mem->at(X->Group);
+    if (G->First == Mem->handle(X))
+      G->First = (G->Count > 1) ? X->Next : Handle<OmNode>{};
+    Mem->at(X->Prev)->Next = X->Next; // Only the base has no predecessor.
+    if (X->Next)
+      Mem->at(X->Next)->Prev = X->Prev;
     --G->Count;
     --Size;
-    Allocator.destroy(XN);
     if (G->Count == 0)
       removeEmptyGroup(G);
   }
@@ -160,36 +164,25 @@ public:
   /// Returns true iff \p A is strictly before \p B in the order. The
   /// group handles are compared before any group is decoded, so a
   /// same-group query touches only the two nodes.
-  bool precedes(Handle<OmNode> A, Handle<OmNode> B) const {
-    const OmNode *NA = at(A);
-    const OmNode *NB = at(B);
-    if (NA->Group == NB->Group)
-      return NA->Label < NB->Label;
-    return at(NA->Group)->Label < at(NB->Group)->Label;
+  bool precedes(const OmNode *A, const OmNode *B) const {
+    if (A->Group == B->Group)
+      return A->Label < B->Label;
+    return Mem->at(A->Group)->Label < Mem->at(B->Group)->Label;
   }
 
   /// Successor of \p X in the order, or null if X is the maximum.
-  Handle<OmNode> next(Handle<OmNode> X) const { return at(X)->Next; }
+  OmNode *next(const OmNode *X) const { return Mem->ptr(X->Next); }
   /// Predecessor of \p X in the order, or null if X is base().
-  Handle<OmNode> prev(Handle<OmNode> X) const { return at(X)->Prev; }
-  /// The client payload stamped on \p X.
-  OmItem item(Handle<OmNode> X) const { return at(X)->Item; }
+  OmNode *prev(const OmNode *X) const { return Mem->ptr(X->Prev); }
 
-  /// Read-only resolution of a timestamp or group handle (null for the
-  /// null handle), for walks that read several fields of one node.
-  const OmNode *node(Handle<OmNode> H) const { return Allocator.ptr(H); }
-  const OmGroup *group(Handle<OmGroup> H) const { return Allocator.ptr(H); }
+  /// Resolution of a node or group handle (null for the null handle), for
+  /// walks over the group level.
+  OmNode *node(Handle<OmNode> H) const { return Mem->ptr(H); }
+  const OmGroup *group(Handle<OmGroup> H) const { return Mem->ptr(H); }
 
-  /// The arena the timestamps live in (memory accounting).
-  const Arena &arena() const { return Allocator; }
-
-  /// Pre-reserves node and group storage for about \p ExpectedNodes
-  /// further insertions (input-size hint; see Arena::reserve).
-  void reserve(size_t ExpectedNodes) {
-    Allocator.reserve(ExpectedNodes * Arena::accountedSize(sizeof(OmNode)) +
-                      (ExpectedNodes / GroupTarget + 1) *
-                          Arena::accountedSize(sizeof(OmGroup)));
-  }
+  /// Arena bytes the list itself holds: its groups and its base. Every
+  /// other node is the caller's. O(groups).
+  size_t ownBytes() const;
 
   /// Number of nodes currently in the list (including base()).
   size_t size() const { return Size; }
@@ -213,9 +206,9 @@ private:
   /// remap (see runtime/Snapshot).
   friend class Snapshot;
 
-  /// (Re)creates the pristine one-node list inside the current region;
-  /// the constructor's body, also used to recover a usable empty list
-  /// after a failed snapshot claim remapped the arena.
+  /// (Re)creates the pristine one-node list in the arena; the
+  /// constructor's body, also used to recover a usable empty list after
+  /// a failed snapshot claim remapped the arena.
   void rebuildEmpty();
 
   static constexpr uint32_t GroupLimit = 64;
@@ -227,17 +220,15 @@ private:
   /// relabeling; bound the gap so appends consume label space linearly.
   static constexpr uint64_t AppendGap = uint64_t(1) << 32;
 
-  /// Handle resolution against Allocator for links the structure
-  /// guarantees are non-null.
-  OmNode *at(Handle<OmNode> H) const { return Allocator.at(H); }
-  OmGroup *at(Handle<OmGroup> H) const { return Allocator.at(H); }
+  /// Handle resolution for links the structure guarantees are non-null.
+  OmNode *at(Handle<OmNode> H) const { return Mem->at(H); }
+  OmGroup *at(Handle<OmGroup> H) const { return Mem->at(H); }
 
-  Handle<OmNode> insertAfterSlow(Handle<OmNode> X, OmItem Item);
-  Handle<OmNode> appendSlow(Handle<OmNode> X, OmItem Item);
-  /// Allocates a node carrying \p Item and \p Label in group \p G and
-  /// links it immediately after \p X (the group's Count is the caller's).
-  Handle<OmNode> linkAfter(Handle<OmNode> X, Handle<OmGroup> G,
-                           uint64_t Label, OmItem Item);
+  void insertAfterSlow(OmNode *X, OmNode *N);
+  void appendSlow(OmNode *X, OmNode *N);
+  /// Links \p N with \p Label in group \p G immediately after \p X (the
+  /// group's Count is the caller's).
+  void linkAfter(OmNode *X, OmNode *N, Handle<OmGroup> G, uint64_t Label);
   void removeEmptyGroup(OmGroup *G);
   OmGroup *createGroupAfter(OmGroup *G, uint64_t Label);
   /// Creates an empty group after \p G with a label midway to its
@@ -250,7 +241,7 @@ private:
   /// can be inserted after it; relabels a low-density enclosing range.
   uint64_t makeGroupGapAfter(OmGroup *G);
 
-  Arena Allocator;
+  Arena *Mem;
   Handle<OmNode> Base{};
   Handle<OmGroup> FirstGroup{};
   size_t Size = 0;
@@ -261,7 +252,6 @@ private:
   /// beginAppend).
   uint32_t FillLimit = GroupLimit;
   bool AppendActive = false;
-
 };
 
 } // namespace ceal

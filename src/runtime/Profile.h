@@ -164,9 +164,10 @@ struct PropagationProfile {
 /// to what the arena actually charges:
 ///
 ///   ReadBytes + WriteBytes + AllocBytes + UserBlockBytes + ClosureBytes
-///     + MetaBytes == ArenaLiveBytes
+///     + MetaBytes + OmGroupBytes == ArenaLiveBytes
 ///
-/// (TraceAudit enforces the same identity). OM timestamps and the memo
+/// (TraceAudit enforces the same identity). Timestamps are inside their
+/// trace nodes, so ReadBytes/WriteBytes/AllocBytes include them. The memo
 /// bucket arrays live outside the trace arena and are reported
 /// separately.
 struct MemoryStats {
@@ -176,7 +177,13 @@ struct MemoryStats {
   uint64_t UserBlockBytes = 0; ///< memo-keyed allocations' user blocks.
   uint64_t ClosureBytes = 0;   ///< read closures + alloc initializers.
   uint64_t MetaBytes = 0;      ///< tracked meta blocks (inputs, modrefs).
-  uint64_t OmBytes = 0;        ///< order-list arena live bytes.
+  /// Order-list groups and base sentinel (in the trace arena; every
+  /// other timestamp is inside its trace node and counted with it).
+  uint64_t OmGroupBytes = 0;
+  /// Order-list bytes outside the trace arena: zero, since the list is
+  /// intrusive over it. Kept so `max live + OmBytes + MemoIndexBytes`
+  /// stays the whole footprint for every reader.
+  uint64_t OmBytes = 0;
   uint64_t MemoIndexBytes = 0; ///< memo-table bucket arrays (malloc side).
 
   uint64_t Reads = 0, Writes = 0, Allocs = 0, Timestamps = 0;
@@ -203,6 +210,7 @@ struct MemoryStats {
         << ", \"user_block_bytes\": " << UserBlockBytes
         << ", \"closure_bytes\": " << ClosureBytes
         << ", \"meta_bytes\": " << MetaBytes
+        << ", \"om_group_bytes\": " << OmGroupBytes
         << ", \"om_bytes\": " << OmBytes
         << ", \"memo_index_bytes\": " << MemoIndexBytes
         << ", \"reads\": " << Reads << ", \"writes\": " << Writes

@@ -75,21 +75,21 @@ template <typename NodeT> void Runtime::destroyNode(NodeT *N) {
 
 void Runtime::freeClosure(Closure *C) { Mem.deallocate(C, C->byteSize()); }
 
-Handle<OmNode> Runtime::stampAfterCursor(OmItem Item) {
+void Runtime::stampAfterCursor(OmNode *Stamp) {
   if (Main.Prof.Enabled)
     ++Main.Prof.OmInserts;
-  Main.Cursor = Om.insertAfter(Main.Cursor, Item);
-  return Main.Cursor;
+  Om.insertAfter(Main.Cursor, Stamp);
+  Main.Cursor = Stamp;
 }
 
 /// insertUse specialized for construction: the cursor is the global
 /// timestamp maximum, so \p U always belongs at the tail of \p M's use
-/// list and the order query of the general path (three dependent loads
-/// through the timestamp and its group) is dead weight. Correct whenever
-/// no interval is being re-executed, independent of any fast-path config.
+/// list and the order query of the general path (the tail node and the
+/// two groups) is dead weight. Correct whenever no interval is being
+/// re-executed, independent of any fast-path config.
 void Runtime::insertUseTail(Modref *M, Use *U) {
   Use *T = Mem.ptr(M->Tail);
-  assert((!T || Om.precedes(T->Start, U->Start)) &&
+  assert((!T || Om.precedes(T, U)) &&
          "construction use out of timestamp order");
   Handle<Use> HU = Mem.handle(U);
   U->PrevUse = M->Tail;
@@ -115,9 +115,8 @@ void Runtime::insertUseTail(Modref *M, Use *U) {
 /// the predecessor.
 void Runtime::insertUse(Modref *M, Use *U) {
   Use *T = Mem.ptr(M->Tail);
-  Handle<OmNode> UStart = U->Start;
   Handle<Use> HU = Mem.handle(U);
-  if (!T || Om.precedes(T->Start, UStart)) {
+  if (!T || Om.precedes(T, U)) {
     // Tail append, including the first use of a fresh modifiable: no
     // placement scan, no hint to consult. This is every insertion of the
     // initial run and the overwhelmingly common case in re-execution.
@@ -138,14 +137,14 @@ void Runtime::insertUse(Modref *M, Use *U) {
   uint64_t Steps = 0;
   Use *After = M->Hint ? Mem.ptr(M->Hint) : T;
   // Too late: back up until the candidate precedes U.
-  while (After && Om.precedes(UStart, After->Start)) {
+  while (After && Om.precedes(U, After)) {
     After = Mem.ptr(After->PrevUse);
     ++Steps;
   }
   // Too early (stale hint): advance while the successor still precedes U.
   for (;;) {
     Use *Next = After ? Mem.ptr(After->NextUse) : Mem.ptr(M->Head);
-    if (!Next || Om.precedes(UStart, Next->Start))
+    if (!Next || Om.precedes(U, Next))
       break;
     After = Next;
     ++Steps;
@@ -280,17 +279,16 @@ void Runtime::run(Closure *C) {
 
 void Runtime::reserveTrace(size_t ExpectedOps) {
   // Ratios measured across the bench apps: reads and allocations are each
-  // roughly a third to a half of traced operations, timestamps about 1.5x
-  // (two per read, one per write/alloc), and a traced operation retains
-  // about 80 arena bytes under the compressed node layouts (trace node,
-  // closure, user block).
+  // roughly a third to a half of traced operations, and a traced operation
+  // retains about 100 arena bytes under the compressed node layouts
+  // (trace node with its embedded timestamps, closure, user block, and a
+  // share of an order-list group).
   ReadMemo.reserve(ExpectedOps / 2);
   AllocMemo.reserve(ExpectedOps / 2);
   PendingReadMemo.reserve(ExpectedOps / 2);
   PendingAllocMemo.reserve(ExpectedOps / 2);
   Main.PendingReads.reserve(ExpectedOps / 2);
-  Om.reserve(ExpectedOps + ExpectedOps / 2);
-  constexpr size_t BytesPerOp = 80;
+  constexpr size_t BytesPerOp = 100;
   constexpr size_t MaxReserve = size_t(1) << 30;
   Mem.reserve(std::min(ExpectedOps * BytesPerOp, MaxReserve));
 }
@@ -344,16 +342,14 @@ MemoryStats Runtime::memoryStats() const {
          "memory accounting requires a quiescent trace");
   MemoryStats S;
   const size_t Box = Cfg.BoxBytesPerNode;
-  for (const OmNode *N = Om.node(Om.next(Om.base())); N;
-       N = Om.node(N->Next)) {
+  for (const OmNode *N = Om.next(Om.base()); N; N = Om.next(N)) {
     ++S.Timestamps;
-    OmItem Item = N->Item;
-    if (!Item || isEndItem(Item))
-      continue;
-    const TraceNode *T = itemNode(Mem, Item);
-    switch (T->Kind) {
+    switch (N->Kind) {
+    case TraceKind::Base:
+    case TraceKind::End: // Counted with its read.
+      break;
     case TraceKind::Read: {
-      const auto *R = static_cast<const ReadNode *>(T);
+      const auto *R = static_cast<const ReadNode *>(N);
       ++S.Reads;
       S.ReadBytes += Arena::accountedSize(sizeof(ReadNode) + Box);
       if (const Closure *C = Mem.ptr(R->Clo))
@@ -365,7 +361,7 @@ MemoryStats Runtime::memoryStats() const {
       S.WriteBytes += Arena::accountedSize(sizeof(WriteNode) + Box);
       break;
     case TraceKind::Alloc: {
-      const auto *A = static_cast<const AllocNode *>(T);
+      const auto *A = static_cast<const AllocNode *>(N);
       ++S.Allocs;
       S.AllocBytes += Arena::accountedSize(sizeof(AllocNode) + Box);
       if (const Closure *Init = Mem.ptr(A->Init))
@@ -377,7 +373,7 @@ MemoryStats Runtime::memoryStats() const {
     }
   }
   S.MetaBytes = MetaBytes;
-  S.OmBytes = Om.arena().liveBytes();
+  S.OmGroupBytes = Om.ownBytes();
   S.MemoIndexBytes = ReadMemo.bucketCount() * sizeof(Handle<ReadNode>) +
                      AllocMemo.bucketCount() * sizeof(Handle<AllocNode>);
   S.ArenaLiveBytes = Mem.liveBytes();
@@ -419,10 +415,8 @@ bool Runtime::trampoline(Closure *C) {
       break;
     }
   }
-  for (size_t I = Main.PendingReads.size(); I > PendingBase; --I) {
-    ReadNode *R = Main.PendingReads[I - 1];
-    R->End = stampAfterCursor(endItemOf(Mem, R));
-  }
+  for (size_t I = Main.PendingReads.size(); I > PendingBase; --I)
+    stampAfterCursor(&Main.PendingReads[I - 1]->End);
   Main.PendingReads.resize(PendingBase);
   return DidSplice;
 }
@@ -460,8 +454,8 @@ Closure *Runtime::read(Modref *M, Closure *C) {
       ++Main.S.MemoReadHits;
       assert(!C->ownedByTrace() && "memo-spliced closure must be transient");
       freeClosure(C);
-      revokeInterval(Main.Cursor, Hit->Start);
-      Main.Cursor = Hit->End;
+      revokeInterval(Main.Cursor, Hit);
+      Main.Cursor = &Hit->End;
       Main.SplicedFlag = true;
       return nullptr;
     }
@@ -471,7 +465,7 @@ Closure *Runtime::read(Modref *M, Closure *C) {
   R->Ref = Mem.handle(M);
   R->Clo = Mem.handle(C);
   C->setOwnedByTrace(true);
-  R->Start = stampAfterCursor(itemOf(Mem, R));
+  stampAfterCursor(R);
   if (Main.IntervalEnd)
     insertUse(M, R);
   else
@@ -502,7 +496,7 @@ void Runtime::write(Modref *M, Word V) {
   WriteNode *W = newNode<WriteNode>();
   W->Ref = Mem.handle(M);
   W->Value = V;
-  W->Start = stampAfterCursor(itemOf(Mem, W));
+  stampAfterCursor(W);
   if (!M->Head) {
     // Fresh modifiable, no trace history: nothing to scan for placement,
     // no governing-write bookkeeping to derive, no readers downstream to
@@ -564,7 +558,7 @@ void *Runtime::allocate(size_t Size, Closure *Init, uint8_t NodeFlags) {
       // correct-usage restrictions (Sec. 4.2) the block was only
       // side-effected by an initializer that is a function of the key.
       AllocMemo.remove(Hit);
-      Om.remove(Hit->Start);
+      Om.remove(Hit);
       freeClosure(Mem.ptr(Hit->Init));
       destroyNode(Hit);
       AllocNode *A = newNode<AllocNode>();
@@ -573,7 +567,7 @@ void *Runtime::allocate(size_t Size, Closure *Init, uint8_t NodeFlags) {
       A->Size = static_cast<uint32_t>(Size);
       A->Init = Mem.handle(Init);
       Init->setOwnedByTrace(true);
-      A->Start = stampAfterCursor(itemOf(Mem, A));
+      stampAfterCursor(A);
       A->Memo.Hash = static_cast<uint32_t>(Hash);
       if (Main.Prof.Enabled)
         ++Main.Prof.MemoInserts;
@@ -589,7 +583,7 @@ void *Runtime::allocate(size_t Size, Closure *Init, uint8_t NodeFlags) {
   A->Size = static_cast<uint32_t>(Size);
   A->Init = Mem.handle(Init);
   Init->setOwnedByTrace(true);
-  A->Start = stampAfterCursor(itemOf(Mem, A));
+  stampAfterCursor(A);
   if (Main.Prof.Enabled)
     ++Main.Prof.MemoInserts;
   A->Memo.Hash = static_cast<uint32_t>(Hash);
@@ -660,54 +654,51 @@ void Runtime::reexecute(ReadNode *R) {
   {
     ProfileTimer T(Main.Prof, Main.Prof.ReexecNs);
     Main.PendingSubst = V; // Consumed by the first trampoline dispatch below.
-    Main.Cursor = R->Start;
-    Handle<OmNode> End = R->End;
-    Main.IntervalEnd = End;
+    Main.Cursor = R;
+    Main.IntervalEnd = &R->End;
     bool Spliced = trampoline(Mem.ptr(R->Clo));
     if (!Spliced)
-      revokeInterval(Main.Cursor, End);
-    Main.IntervalEnd = Handle<OmNode>{};
+      revokeInterval(Main.Cursor, &R->End);
+    Main.IntervalEnd = nullptr;
   }
   if (ProfOn)
     Main.Prof.ReexecWork.record(traceWorkOps() - Work0);
 }
 
 /// Revokes every old trace node strictly between \p From and \p To.
-/// Read nodes remove both their start and end timestamps; end markers
-/// encountered directly belong to reads whose start lies in the interval
-/// as well and are handled when the start is visited.
-void Runtime::revokeInterval(Handle<OmNode> From, Handle<OmNode> To) {
+/// Each timestamp is its trace node, so the walk dispatches on the
+/// stamp's own kind byte. Read nodes remove both their start and end
+/// timestamps; end timestamps encountered directly belong to reads whose
+/// start lies in the interval as well and are handled when the start is
+/// visited.
+void Runtime::revokeInterval(OmNode *From, OmNode *To) {
   ProfileTimer T(Main.Prof, Main.Prof.RevokeNs);
   if (Main.Prof.Enabled)
     ++Main.Prof.RevokeCalls;
-  Handle<OmNode> N = Om.next(From);
+  OmNode *N = Om.next(From);
   while (N && N != To) {
-    const OmNode *NN = Om.node(N);
-    OmItem Item = NN->Item;
-    Handle<OmNode> Next = NN->Next;
-    if (isEndItem(Item)) {
+    OmNode *Next = Om.next(N);
+    switch (N->Kind) {
+    case TraceKind::Base:
+    case TraceKind::End:
       // Skipped: removed together with its read's start. A read whose
       // start precedes the interval cannot end inside it (intervals
       // nest), so the owning read is always revoked by this same walk.
-      N = Next;
-      continue;
-    }
-    TraceNode *T = itemNode(Mem, Item);
-    switch (T->Kind) {
+      break;
     case TraceKind::Read: {
-      auto *R = static_cast<ReadNode *>(T);
-      // The read's end node is ahead of us and about to be deleted; if it
-      // is the immediate successor, step over it.
-      if (R->End == Next)
+      auto *R = static_cast<ReadNode *>(N);
+      // The read's end stamp is ahead of us and about to be unlinked; if
+      // it is the immediate successor, step over it.
+      if (Next == &R->End)
         Next = Om.next(Next);
       revokeRead(R);
       break;
     }
     case TraceKind::Write:
-      revokeWrite(static_cast<WriteNode *>(T));
+      revokeWrite(static_cast<WriteNode *>(N));
       break;
     case TraceKind::Alloc:
-      revokeAlloc(static_cast<AllocNode *>(T));
+      revokeAlloc(static_cast<AllocNode *>(N));
       break;
     }
     N = Next;
@@ -720,9 +711,9 @@ void Runtime::revokeRead(ReadNode *R) {
     heapRemove(R);
   ReadMemo.remove(R);
   unlinkUse(R);
-  Om.remove(R->Start);
-  assert(R->End && "revoking a read whose interval is still open");
-  Om.remove(R->End);
+  // Both stamps are inside R: unlink them, then free the node once.
+  Om.remove(R);
+  Om.remove(&R->End);
   freeClosure(Mem.ptr(R->Clo));
   destroyNode(R);
 }
@@ -744,14 +735,14 @@ void Runtime::revokeWrite(WriteNode *W) {
       invalidate(R);
   }
   unlinkUse(W);
-  Om.remove(W->Start);
+  Om.remove(W);
   destroyNode(W);
 }
 
 void Runtime::revokeAlloc(AllocNode *A) {
   ++Main.S.NodesRevoked;
   AllocMemo.remove(A);
-  Om.remove(A->Start);
+  Om.remove(A);
   freeClosure(Mem.ptr(A->Init));
   Main.DeferredFrees.push_back({Mem.ptr(A->Block), A->Size, A->isModrefBlock()});
   destroyNode(A);
@@ -810,7 +801,7 @@ uint64_t Runtime::allocMemoHash(const Closure *Init, size_t Size) const {
 /// True if an old trace node starting at \p Start may be reused: it must
 /// lie strictly between the cursor and the end of the interval being
 /// re-executed.
-bool Runtime::inReuseWindow(Handle<OmNode> Start) const {
+bool Runtime::inReuseWindow(const OmNode *Start) const {
   return Om.precedes(Main.Cursor, Start) &&
          Om.precedes(Start, Main.IntervalEnd);
 }
@@ -832,9 +823,9 @@ ReadNode *Runtime::findReadMemo(const Modref *M, const Closure *C,
     if (N->Memo.Hash != H32 || Mem.ptr(N->Ref) != M ||
         !sameTrailingArgs(Mem.ptr(N->Clo), C))
       continue;
-    if (!inReuseWindow(N->Start))
+    if (!inReuseWindow(N))
       continue;
-    if (!Best || Om.precedes(N->Start, Best->Start))
+    if (!Best || Om.precedes(N, Best))
       Best = N;
   }
   return Best;
@@ -848,9 +839,9 @@ AllocNode *Runtime::findAllocMemo(const Closure *Init, size_t Size,
     if (N->Memo.Hash != H32 || N->Size != Size ||
         !sameTrailingArgs(Mem.ptr(N->Init), Init))
       continue;
-    if (!inReuseWindow(N->Start))
+    if (!inReuseWindow(N))
       continue;
-    if (!Best || Om.precedes(N->Start, Best->Start))
+    if (!Best || Om.precedes(N, Best))
       Best = N;
   }
   return Best;
@@ -861,7 +852,7 @@ AllocNode *Runtime::findAllocMemo(const Closure *Init, size_t Size,
 //===----------------------------------------------------------------------===//
 
 bool Runtime::heapLess(const ReadNode *A, const ReadNode *B) const {
-  return Om.precedes(A->Start, B->Start);
+  return Om.precedes(A, B);
 }
 
 void Runtime::heapPush(ReadNode *R) {
@@ -955,15 +946,13 @@ void Runtime::maybeSimulateGc() {
   if (Total - GcAllocMark < Headroom)
     return;
   // "Collect": a tracing collector's cost is proportional to the live
-  // data; walk every live timestamp and touch the trace object it marks
-  // (the pointer chase is what makes real collections expensive).
+  // data; walk every live timestamp, each of which is (or sits inside)
+  // the trace object it marks, and touch it (the pointer chase is what
+  // makes real collections expensive).
   ++Main.S.GcScans;
   uint64_t Sink = 0;
-  for (const OmNode *N = Om.node(Om.base()); N; N = Om.node(N->Next)) {
-    Sink += N->Label;
-    if (N->Item && !isEndItem(N->Item))
-      Sink += itemNode(Mem, N->Item)->Flags;
-  }
+  for (const OmNode *N = Om.base(); N; N = Om.next(N))
+    Sink += N->Label + N->Flags;
   asm volatile("" : : "r"(Sink) : "memory");
   GcAllocMark = Mem.totalAllocatedBytes();
 }

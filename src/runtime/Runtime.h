@@ -176,7 +176,7 @@ public:
   void run(Closure *C);
 
   /// Input-size hint: pre-sizes the trace containers (memo tables, arena
-  /// chunks, pending-read stack, OM node storage) for a run_core expected
+  /// region, pending-read stack) for a run_core expected
   /// to perform about \p ExpectedOps traced operations (reads + writes +
   /// allocations). Purely an optimization — construction is correct with
   /// any hint including none; the hint only removes incremental grows and
@@ -309,7 +309,8 @@ public:
   bool outOfMemory() const { return Oom; }
   /// Number of trace timestamps currently live (incl. the base).
   size_t traceSize() const { return Om.size(); }
-  /// The trace's order-maintenance list (timestamps, read-only).
+  /// The trace's order-maintenance list (timestamps, read-only). Its
+  /// groups and base live in arena(), like the timestamps themselves.
   const OrderList &orderList() const { return Om; }
   /// Bytes currently held by tracked mutator-owned blocks (metaAlloc).
   size_t metaBytes() const { return MetaBytes; }
@@ -317,8 +318,9 @@ public:
 
   /// Per-kind live-memory accounting: walks the trace (meta phase only)
   /// and attributes every live arena byte to reads, writes, allocations,
-  /// user blocks, closures, or meta blocks, alongside OM/memo-index
-  /// footprints and arena occupancy. See MemoryStats in Profile.h.
+  /// user blocks, closures, meta blocks, or the order list's groups,
+  /// alongside the memo-index footprint and arena occupancy. See
+  /// MemoryStats in Profile.h.
   MemoryStats memoryStats() const;
 
   /// Runs the trace sanitizer if Config::Audit is not Off; prints all
@@ -335,7 +337,7 @@ public:
 private:
   friend class TraceAudit;
   /// Trace persistence (runtime/Snapshot): serializes and restores the
-  /// runtime's scalar state around the arenas' same-base remap.
+  /// runtime's scalar state around the arena's same-base remap.
   friend class Snapshot;
   template <typename... Keys>
   static Closure *modrefInit(Runtime &, void *Block, Keys...) {
@@ -396,8 +398,8 @@ private:
     /// consume it as their first declared parameter; plain closures
     /// ignore it.
     Word PendingSubst = 0;
-    Handle<OmNode> Cursor{};
-    Handle<OmNode> IntervalEnd{};
+    OmNode *Cursor = nullptr;
+    OmNode *IntervalEnd = nullptr;
     bool SplicedFlag = false;
     std::vector<ReadNode *> PendingReads;
     /// Propagation queue (intrusive binary heap ordered by start time).
@@ -411,7 +413,7 @@ private:
   template <typename NodeT> NodeT *newNode();
   template <typename NodeT> void destroyNode(NodeT *N);
   void freeClosure(Closure *C);
-  Handle<OmNode> stampAfterCursor(OmItem Item);
+  void stampAfterCursor(OmNode *Stamp);
   void insertUse(Modref *M, Use *U);
   void insertUseTail(Modref *M, Use *U);
   void unlinkUse(Use *U);
@@ -437,7 +439,7 @@ private:
   // Change propagation.
   void reexecute(ReadNode *R);
   void invalidate(ReadNode *R);
-  void revokeInterval(Handle<OmNode> From, Handle<OmNode> To);
+  void revokeInterval(OmNode *From, OmNode *To);
   void revokeRead(ReadNode *R);
   void revokeWrite(WriteNode *W);
   void revokeAlloc(AllocNode *A);
@@ -448,7 +450,7 @@ private:
   uint64_t allocMemoHash(const Closure *Init, size_t Size) const;
   ReadNode *findReadMemo(const Modref *M, const Closure *C, uint64_t Hash);
   AllocNode *findAllocMemo(const Closure *Init, size_t Size, uint64_t Hash);
-  bool inReuseWindow(Handle<OmNode> Start) const;
+  bool inReuseWindow(const OmNode *Start) const;
 
   // Propagation queue operations over Main's intrusive binary heap
   // (ordered by start time, position cached in ReadNode::HeapIndex).
@@ -463,10 +465,12 @@ private:
   void maybeSimulateGc();
 
   Config Cfg;
+  /// The runtime's one arena: trace nodes with their timestamps, the
+  /// order list's groups, closures, user and meta blocks.
   Arena Mem;
-  OrderList Om;
+  OrderList Om{Mem};
   /// The maximum stamped position: where a subsequent run_core appends.
-  Handle<OmNode> TraceEnd;
+  OmNode *TraceEnd;
   Phase CurPhase = Phase::Meta;
 
   /// The execution state. See ExecState.

@@ -1,18 +1,18 @@
 //===- runtime/Snapshot.cpp - Versioned trace checkpoints -----------------===//
 //
-// Save lays the file out as a 4096-byte header block plus six contiguous
+// Save lays the file out as a 4096-byte header block plus five contiguous
 // sections (META, the two memo bucket arrays, the root table, then the
-// two page-aligned arena images) and checksums every byte: the header
-// block as a whole, each section over its full padded length. Load runs
-// two stages: parseAndValidate() proves the file internally consistent
+// page-aligned arena image) and checksums every byte: the header block as
+// a whole, each section over its full padded length. Load runs two
+// stages: parseAndValidate() proves the file internally consistent
 // without touching the runtime (so early failures leave it untouched),
-// then install() claims the recorded region bases, adopts the arena
-// images (copy or mmap), restores the scalar state, and hands the result
+// then install() claims the recorded region base, adopts the arena image
+// (copy or mmap), restores the scalar state, and hands the result
 // to TraceAudit's load-mode validator before anyone trusts it. Any
 // failure after the claim rewinds the runtime to a pristine empty state.
 // The Verify flag (always on for load(), WarmStartOptions-governed for
-// the mmap path) selects the O(file)+O(trace) content passes — arena
-// section checksums and the TraceAudit walk; everything else runs
+// the mmap path) selects the O(file)+O(trace) content passes — the arena
+// section checksum and the TraceAudit walk; everything else runs
 // unconditionally.
 //
 // The threat model for the loader is "arbitrary bytes on disk": nothing
@@ -100,7 +100,7 @@ uint64_t byteswap64(uint64_t V) { return __builtin_bswap64(V); }
 
 static_assert(sizeof(Snapshot::SectionEntry) == 32,
               "section table entry layout drifted");
-static_assert(sizeof(Snapshot::FileHeader) == 304,
+static_assert(sizeof(Snapshot::FileHeader) == 248,
               "file header layout drifted");
 static_assert(sizeof(Snapshot::FileHeader) <= Snapshot::HeaderBytes,
               "header must fit its block");
@@ -193,10 +193,10 @@ bool Snapshot::readyToSave(const Runtime &RT, std::string *Why) {
 
 struct Snapshot::Impl {
   // Section indexes in the fixed file order.
-  enum : size_t { IMeta = 0, IMemoRead, IMemoAlloc, IRoots, IMem, IOm };
+  enum : size_t { IMeta = 0, IMemoRead, IMemoAlloc, IRoots, IMem };
 
   //===------------------------------------------------------------===//
-  // Offset <-> pointer/handle translation (both handle widths)
+  // Offset <-> pointer/handle translation
   //===------------------------------------------------------------===//
 
   static uint64_t offOfPtr(const Arena &A, const void *P) {
@@ -274,9 +274,7 @@ struct Snapshot::Impl {
       return Fail(Status::BadState, "runtime not checkpointable: " + Why);
 
     const Arena &Mem = RT.Mem;
-    const Arena &OmA = RT.Om.Allocator;
     const uint64_t MemUsed = Mem.bumpUsedBytes();
-    const uint64_t OmUsed = OmA.bumpUsedBytes();
     const uint64_t Page = systemPageBytes();
 
     for (size_t I = 0; I < Opt.Roots.size(); ++I) {
@@ -291,8 +289,8 @@ struct Snapshot::Impl {
 
     // META section.
     MetaFixed MF = {};
-    MF.CursorOff = offOfHandle(RT.Main.Cursor);
-    MF.TraceEndOff = offOfHandle(RT.TraceEnd);
+    MF.CursorOff = offOfPtr(Mem, RT.Main.Cursor);
+    MF.TraceEndOff = offOfPtr(Mem, RT.TraceEnd);
     std::memcpy(MF.Stats, &RT.Main.S, sizeof(MF.Stats));
     MF.MetaBytes = RT.MetaBytes;
     MF.GcAllocMark = RT.GcAllocMark;
@@ -308,13 +306,11 @@ struct Snapshot::Impl {
     MF.AllocMemoBuckets = RT.AllocMemo.Buckets.size();
     MF.RootCount = Opt.Roots.size();
     fillArenaMeta(MF.MemA, Mem);
-    fillArenaMeta(MF.OmA, OmA);
 
     ByteBuf Meta;
     Meta.u64(sectionPreamble(SecMeta));
     Meta.raw(&MF, sizeof(MF));
     appendLargePairs(Meta, Mem);
-    appendLargePairs(Meta, OmA);
 
     ByteBuf MemoR = memoSection(SecMemoRead, RT.ReadMemo);
     ByteBuf MemoA = memoSection(SecMemoAlloc, RT.AllocMemo);
@@ -326,7 +322,7 @@ struct Snapshot::Impl {
       Roots.u64(offOfPtr(Mem, P));
 
     // Lay the sections out contiguously; ROOTS absorbs the padding that
-    // page-aligns the arena images.
+    // page-aligns the arena image.
     FileHeader H = {};
     SectionEntry *SE = H.Sections;
     uint64_t Off = HeaderBytes;
@@ -343,7 +339,6 @@ struct Snapshot::Impl {
     Roots.padToLength(RootsLen);
     Place(IRoots, SecRoots, RootsLen);
     Place(IMem, SecMem, padTo(MemUsed, Page));
-    Place(IOm, SecOm, padTo(OmUsed, Page));
     const uint64_t FileBytes = Off;
 
     io::File F = io::File::createTrunc(Path);
@@ -358,24 +353,22 @@ struct Snapshot::Impl {
       SE[I].Checksum = Checksum64::of(Small[I]->B.data(), Small[I]->B.size());
     }
 
-    // Arena sections: an 8-byte kind preamble overlays region bytes
+    // Arena section: an 8-byte kind preamble overlays region bytes
     // [0, 8) — never used by the runtime (offset 0 is the null handle) —
     // then the region image verbatim. The source region is not modified.
-    auto WriteArena = [&](size_t Index, const Arena &A) -> bool {
-      uint64_t Pre = sectionPreamble(SE[Index].Kind);
-      uint64_t Len = SE[Index].Length;
-      if (!F.pwriteAll(&Pre, sizeof(Pre), SE[Index].Offset) ||
-          !F.pwriteAll(A.Base + Arena::HandleGrain, Len - Arena::HandleGrain,
-                       SE[Index].Offset + Arena::HandleGrain))
-        return false;
+    {
+      uint64_t Pre = sectionPreamble(SecMem);
+      uint64_t Len = SE[IMem].Length;
+      if (!F.pwriteAll(&Pre, sizeof(Pre), SE[IMem].Offset) ||
+          !F.pwriteAll(Mem.Base + Arena::HandleGrain,
+                       Len - Arena::HandleGrain,
+                       SE[IMem].Offset + Arena::HandleGrain))
+        return Fail(Status::IoError, "write failed for " + Path);
       Checksum64 C;
       C.update(&Pre, sizeof(Pre));
-      C.update(A.Base + Arena::HandleGrain, Len - Arena::HandleGrain);
-      SE[Index].Checksum = C.digest();
-      return true;
-    };
-    if (!WriteArena(IMem, Mem) || !WriteArena(IOm, OmA))
-      return Fail(Status::IoError, "write failed for " + Path);
+      C.update(Mem.Base + Arena::HandleGrain, Len - Arena::HandleGrain);
+      SE[IMem].Checksum = C.digest();
+    }
 
     H.MagicWord = Magic;
     H.Version = FormatVersion;
@@ -387,9 +380,6 @@ struct Snapshot::Impl {
     H.MemBase = reinterpret_cast<uint64_t>(Mem.Base);
     H.MemRegionBytes = Mem.RegionBytes;
     H.MemBumpUsed = MemUsed;
-    H.OmBase = reinterpret_cast<uint64_t>(OmA.Base);
-    H.OmRegionBytes = OmA.RegionBytes;
-    H.OmBumpUsed = OmUsed;
     H.SectionCount = NumSections;
 
     // The header checksum covers the whole 4096-byte block (padding
@@ -417,7 +407,7 @@ struct Snapshot::Impl {
     io::File F;
     FileHeader H;
     MetaFixed MF;
-    std::vector<std::pair<uint64_t, uint64_t>> MemLarge, OmLarge;
+    std::vector<std::pair<uint64_t, uint64_t>> MemLarge;
     std::vector<uint64_t> ReadBuckets, AllocBuckets, RootOffs;
   };
 
@@ -516,36 +506,27 @@ struct Snapshot::Impl {
                         (unsigned long long)(ActualSize - H.FileBytes)));
 
     // Region geometry.
-    if (H.MemRegionBytes == 0 || H.MemRegionBytes > Arena::MaxRegionBytes ||
-        H.OmRegionBytes == 0 || H.OmRegionBytes > Arena::MaxRegionBytes)
+    if (H.MemRegionBytes == 0 || H.MemRegionBytes > Arena::MaxRegionBytes)
       return failL(Out, Status::BadHeader, "region size out of range");
-    if (H.MemBase == 0 || H.OmBase == 0 || H.MemBase % H.PageBytes != 0 ||
-        H.OmBase % H.PageBytes != 0)
+    if (H.MemBase == 0 || H.MemBase % H.PageBytes != 0)
       return failL(Out, Status::BadHeader, "region base not page-aligned");
-    if (H.MemBase + H.MemRegionBytes < H.MemBase ||
-        H.OmBase + H.OmRegionBytes < H.OmBase)
+    if (H.MemBase + H.MemRegionBytes < H.MemBase)
       return failL(Out, Status::BadHeader, "region wraps the address space");
-    bool Disjoint = H.MemBase + H.MemRegionBytes <= H.OmBase ||
-                    H.OmBase + H.OmRegionBytes <= H.MemBase;
-    if (!Disjoint)
-      return failL(Out, Status::BadHeader, "arena regions overlap");
     if (H.MemBumpUsed < Arena::HandleGrain ||
         H.MemBumpUsed % Arena::HandleGrain != 0 ||
-        H.MemBumpUsed > H.MemRegionBytes || H.OmBumpUsed < Arena::HandleGrain ||
-        H.OmBumpUsed % Arena::HandleGrain != 0 ||
-        H.OmBumpUsed > H.OmRegionBytes)
+        H.MemBumpUsed > H.MemRegionBytes)
       return failL(Out, Status::BadHeader,
                    "arena bump frontier outside its region");
 
     // Section table: exact kinds in order, contiguous from the header
-    // block to FileBytes, arena sections page-aligned with the lengths
-    // their bump frontiers dictate.
+    // block to FileBytes, the arena section page-aligned with the length
+    // its bump frontier dictates.
     if (H.SectionCount != NumSections)
       return failL(Out, Status::BadSectionTable,
                    strf("section count %u, expected %u", H.SectionCount,
                         NumSections));
     static const uint32_t WantKinds[NumSections] = {
-        SecMeta, SecMemoRead, SecMemoAlloc, SecRoots, SecMem, SecOm};
+        SecMeta, SecMemoRead, SecMemoAlloc, SecRoots, SecMem};
     uint64_t Cursor = HeaderBytes;
     for (size_t I = 0; I < NumSections; ++I) {
       const SectionEntry &E = H.Sections[I];
@@ -569,12 +550,10 @@ struct Snapshot::Impl {
     if (Cursor != H.FileBytes)
       return failL(Out, Status::BadSectionTable,
                    "sections do not cover the file exactly");
-    if (H.Sections[IMem].Offset % H.PageBytes != 0 ||
-        H.Sections[IOm].Offset % H.PageBytes != 0)
+    if (H.Sections[IMem].Offset % H.PageBytes != 0)
       return failL(Out, Status::BadSectionTable,
                    "arena section not page-aligned");
-    if (H.Sections[IMem].Length != padTo(H.MemBumpUsed, H.PageBytes) ||
-        H.Sections[IOm].Length != padTo(H.OmBumpUsed, H.PageBytes))
+    if (H.Sections[IMem].Length != padTo(H.MemBumpUsed, H.PageBytes))
       return failL(Out, Status::BadSectionTable,
                    "arena section length disagrees with its bump frontier");
 
@@ -597,20 +576,19 @@ struct Snapshot::Impl {
         return failL(Out, Status::BadChecksum,
                      strf("section %zu checksum mismatch", I));
     }
-    // The arena payloads are the O(file) part; the fast warm-start path
-    // skips their content checksums by contract (WarmStartOptions) —
-    // their geometry, preambles, and every offset installed from them
-    // are still checked below.
-    if (Verify)
-      for (size_t I : {IMem, IOm}) {
-        uint64_t Sum = 0;
-        if (!checksumRange(P.F, H.Sections[I].Offset, H.Sections[I].Length,
-                           Sum))
-          return failL(Out, Status::IoError, "section read failed");
-        if (Sum != H.Sections[I].Checksum)
-          return failL(Out, Status::BadChecksum,
-                       strf("section %zu checksum mismatch", I));
-      }
+    // The arena payload is the O(file) part; the fast warm-start path
+    // skips its content checksum by contract (WarmStartOptions) — its
+    // geometry, preamble, and every offset installed from it are still
+    // checked below.
+    if (Verify) {
+      uint64_t Sum = 0;
+      if (!checksumRange(P.F, H.Sections[IMem].Offset,
+                         H.Sections[IMem].Length, Sum))
+        return failL(Out, Status::IoError, "section read failed");
+      if (Sum != H.Sections[IMem].Checksum)
+        return failL(Out, Status::BadChecksum,
+                     strf("section %zu checksum mismatch", size_t(IMem)));
+    }
     for (size_t I = 0; I < NumSections; ++I) {
       uint64_t Pre = 0;
       if (I < 4)
@@ -640,16 +618,15 @@ struct Snapshot::Impl {
     std::memcpy(&MF, Meta.data() + 8, sizeof(MF));
 
     // Cross-checks between the header and META copies of the frontier.
-    if (MF.MemA.BumpUsed != H.MemBumpUsed || MF.OmA.BumpUsed != H.OmBumpUsed)
+    if (MF.MemA.BumpUsed != H.MemBumpUsed)
       return failL(Out, Status::BadMeta,
                    "META arena frontier disagrees with the header");
 
-    // Large-freelist pairs (Mem's, then Om's). Check each count against
-    // the tail capacity separately — the counts are untrusted uint64s and
-    // summing them first can wrap past the bound.
+    // Large-freelist pairs. Check the count against the tail capacity in
+    // pairs — the count is an untrusted uint64, and its byte size
+    // (count * 16) can wrap past the bound.
     uint64_t PairCap = (Meta.size() - 8 - sizeof(MetaFixed)) / 16;
-    if (MF.MemA.LargeCount > PairCap ||
-        MF.OmA.LargeCount > PairCap - MF.MemA.LargeCount)
+    if (MF.MemA.LargeCount > PairCap)
       return failL(Out, Status::BadMeta,
                    "META large-freelist table exceeds its section");
     const uint8_t *Tail = Meta.data() + 8 + sizeof(MetaFixed);
@@ -664,7 +641,6 @@ struct Snapshot::Impl {
       }
     };
     ReadPairs(P.MemLarge, MF.MemA.LargeCount);
-    ReadPairs(P.OmLarge, MF.OmA.LargeCount);
 
     // Every offset the loader will turn into a pointer gets bounds- and
     // alignment-checked against the serialized frontier it indexes.
@@ -677,28 +653,24 @@ struct Snapshot::Impl {
                    strf("%s offset %llu points outside the serialized arena",
                         What, (unsigned long long)Off));
     };
-    if (!OffOk(MF.CursorOff, sizeof(OmNode), H.OmBumpUsed))
+    if (!OffOk(MF.CursorOff, sizeof(OmNode), H.MemBumpUsed))
       return BadOff("cursor timestamp", MF.CursorOff);
-    if (!OffOk(MF.TraceEndOff, sizeof(OmNode), H.OmBumpUsed))
+    if (!OffOk(MF.TraceEndOff, sizeof(OmNode), H.MemBumpUsed))
       return BadOff("trace-end timestamp", MF.TraceEndOff);
-    if (!OffOk(MF.OmBaseOff, sizeof(OmNode), H.OmBumpUsed))
+    if (!OffOk(MF.OmBaseOff, sizeof(OmNode), H.MemBumpUsed))
       return BadOff("order-list base", MF.OmBaseOff);
-    if (!OffOk(MF.OmFirstGroupOff, sizeof(OmGroup), H.OmBumpUsed))
+    if (!OffOk(MF.OmFirstGroupOff, sizeof(OmGroup), H.MemBumpUsed))
       return BadOff("order-list first group", MF.OmFirstGroupOff);
-    if (MF.OmSize == 0 || MF.OmSize > H.OmBumpUsed / sizeof(OmNode) + 1)
+    if (MF.OmSize == 0 || MF.OmSize > H.MemBumpUsed / sizeof(OmNode) + 1)
       return failL(Out, Status::BadMeta,
                    strf("order-list size %llu impossible for a %llu-byte "
                         "arena",
                         (unsigned long long)MF.OmSize,
-                        (unsigned long long)H.OmBumpUsed));
-    for (size_t I = 0; I < Arena::NumClasses; ++I) {
+                        (unsigned long long)H.MemBumpUsed));
+    for (size_t I = 0; I < Arena::NumClasses; ++I)
       if (MF.MemA.FreeHeads[I] &&
           !OffOk(MF.MemA.FreeHeads[I], Arena::classSize(I), H.MemBumpUsed))
         return BadOff("trace-arena freelist head", MF.MemA.FreeHeads[I]);
-      if (MF.OmA.FreeHeads[I] &&
-          !OffOk(MF.OmA.FreeHeads[I], Arena::classSize(I), H.OmBumpUsed))
-        return BadOff("order-arena freelist head", MF.OmA.FreeHeads[I]);
-    }
     auto CheckLarge =
         [&](const std::vector<std::pair<uint64_t, uint64_t>> &Pairs,
             uint64_t Used, const char *What) {
@@ -714,8 +686,7 @@ struct Snapshot::Impl {
           }
           return true;
         };
-    if (!CheckLarge(P.MemLarge, H.MemBumpUsed, "trace-arena") ||
-        !CheckLarge(P.OmLarge, H.OmBumpUsed, "order-arena"))
+    if (!CheckLarge(P.MemLarge, H.MemBumpUsed, "trace-arena"))
       return false;
 
     // Memo bucket arrays.
@@ -798,17 +769,16 @@ struct Snapshot::Impl {
   //===------------------------------------------------------------===//
 
   /// Rewinds a runtime whose install failed partway back to the pristine
-  /// empty state a fresh Runtime has: both regions are dropped and
-  /// re-claimed anonymously at their current bases (guaranteed free once
-  /// our own mappings are gone), the order list is rebuilt, and every
+  /// empty state a fresh Runtime has: the region is dropped and
+  /// re-claimed anonymously at its current base (guaranteed free once
+  /// our own mapping is gone), the order list is rebuilt in it, and every
   /// scalar is reset. A failed load is therefore always recoverable —
   /// the runtime can run cores again or retry a different checkpoint.
   static void resetToPristine(Runtime &RT) {
     RT.Mem.remapTo(RT.Mem.Base, RT.Mem.RegionBytes);
-    RT.Om.Allocator.remapTo(RT.Om.Allocator.Base, RT.Om.Allocator.RegionBytes);
     RT.Om.rebuildEmpty();
     RT.Main.Cursor = RT.TraceEnd = RT.Om.base();
-    RT.Main.IntervalEnd = Handle<OmNode>{};
+    RT.Main.IntervalEnd = nullptr;
     RT.Main.PendingSubst = 0;
     RT.Main.SplicedFlag = false;
     RT.CurPhase = Runtime::Phase::Meta;
@@ -899,61 +869,46 @@ struct Snapshot::Impl {
   static bool install(Runtime &RT, Parsed &P, bool Mmap, bool Verify,
                       LoadResult &Out) {
     const FileHeader &H = P.H;
+    // Pristine: no trace, and nothing in the arena but the empty order
+    // list's own base and group.
     if (RT.CurPhase != Runtime::Phase::Meta || RT.Om.size() != 1 ||
-        RT.Mem.allocationCount() != 0 || RT.Mem.liveBytes() != 0)
+        RT.Mem.liveBytes() != RT.Om.ownBytes())
       return failL(Out, Status::BadState,
                    "load requires a pristine runtime (fresh, no trace)");
 
-    // Claim the recorded bases. The claims are atomic (nothing foreign is
-    // clobbered); the one retry covers the case where this runtime's own
-    // other region sat on a target and has since been moved off it.
+    // Claim the recorded base. The claim is atomic (nothing foreign is
+    // clobbered).
     char *MemWant = reinterpret_cast<char *>(H.MemBase);
-    char *OmWant = reinterpret_cast<char *>(H.OmBase);
-    bool MemOk = RT.Mem.remapTo(MemWant, H.MemRegionBytes);
-    bool OmOk = RT.Om.Allocator.remapTo(OmWant, H.OmRegionBytes);
-    if (!MemOk)
-      MemOk = RT.Mem.remapTo(MemWant, H.MemRegionBytes);
-    if (!MemOk || !OmOk) {
+    if (!RT.Mem.remapTo(MemWant, H.MemRegionBytes)) {
       resetToPristine(RT);
       return failL(Out, Status::AddressUnavailable,
-                   strf("cannot claim the recorded region bases %p/%p "
+                   strf("cannot claim the recorded region base %p "
                         "(address space occupied; load in a fresh process, "
                         "with ASLR disabled for cross-process use)",
-                        (void *)MemWant, (void *)OmWant));
+                        (void *)MemWant));
     }
 
-    // Adopt the arena images. The copy path reads past the 8-byte kind
+    // Adopt the arena image. The copy path reads past the 8-byte kind
     // preamble so region bytes [0, 8) stay zero; the mmap path maps the
     // whole page-aligned section copy-on-write (the preamble lands in the
     // never-used first grain).
     bool ContentOk;
-    if (Mmap) {
+    if (Mmap)
       ContentOk = RT.Mem.mapFilePrefix(P.F.fd(), H.Sections[IMem].Offset,
-                                       H.Sections[IMem].Length) &&
-                  RT.Om.Allocator.mapFilePrefix(
-                      P.F.fd(), H.Sections[IOm].Offset,
-                      H.Sections[IOm].Length);
-    } else {
-      ContentOk =
-          (H.MemBumpUsed == Arena::HandleGrain ||
-           P.F.preadAll(RT.Mem.Base + Arena::HandleGrain,
-                        H.MemBumpUsed - Arena::HandleGrain,
-                        H.Sections[IMem].Offset + Arena::HandleGrain)) &&
-          (H.OmBumpUsed == Arena::HandleGrain ||
-           P.F.preadAll(RT.Om.Allocator.Base + Arena::HandleGrain,
-                        H.OmBumpUsed - Arena::HandleGrain,
-                        H.Sections[IOm].Offset + Arena::HandleGrain));
-    }
+                                       H.Sections[IMem].Length);
+    else
+      ContentOk = H.MemBumpUsed == Arena::HandleGrain ||
+                  P.F.preadAll(RT.Mem.Base + Arena::HandleGrain,
+                               H.MemBumpUsed - Arena::HandleGrain,
+                               H.Sections[IMem].Offset + Arena::HandleGrain);
     if (!ContentOk) {
       resetToPristine(RT);
       return failL(Out, Status::IoError,
-                   "reading the arena images into the region failed");
+                   "reading the arena image into the region failed");
     }
 
     if (!restoreArena(RT.Mem, P.MF.MemA, H.MemBumpUsed, P.MemLarge, Verify,
-                      "trace-arena", Out) ||
-        !restoreArena(RT.Om.Allocator, P.MF.OmA, H.OmBumpUsed, P.OmLarge,
-                      Verify, "order-arena", Out)) {
+                      "trace-arena", Out)) {
       resetToPristine(RT);
       return false;
     }
@@ -967,9 +922,9 @@ struct Snapshot::Impl {
     Om.FillLimit = OrderList::GroupLimit;
     Om.AppendActive = false;
 
-    RT.Main.Cursor = handleAtOff<OmNode>(P.MF.CursorOff);
-    RT.TraceEnd = handleAtOff<OmNode>(P.MF.TraceEndOff);
-    RT.Main.IntervalEnd = Handle<OmNode>{};
+    RT.Main.Cursor = RT.Mem.at(handleAtOff<OmNode>(P.MF.CursorOff));
+    RT.TraceEnd = RT.Mem.at(handleAtOff<OmNode>(P.MF.TraceEndOff));
+    RT.Main.IntervalEnd = nullptr;
     RT.Main.PendingSubst = 0;
     RT.Main.SplicedFlag = false;
     RT.CurPhase = Runtime::Phase::Meta;
@@ -1061,32 +1016,33 @@ struct Snapshot::Impl {
       for (size_t I = 0, N = C->numArgs(); I < N; ++I)
         MixVal(C->args()[I]);
     };
-    for (Handle<OmNode> N = RT.Om.next(RT.Om.base()); N; N = RT.Om.next(N)) {
-      OmItem Item = RT.Om.item(N);
-      if (isEndItem(Item)) {
+    for (const OmNode *N = RT.Om.next(RT.Om.base()); N; N = RT.Om.next(N)) {
+      if (N->Kind == TraceKind::End) {
         MixRaw(2);
         continue;
       }
-      const TraceNode *T = itemNode(RT.Mem, Item);
       MixRaw(3);
-      MixRaw(static_cast<uint64_t>(T->Kind));
-      MixRaw(T->Flags);
-      switch (T->Kind) {
+      MixRaw(static_cast<uint64_t>(N->Kind));
+      MixRaw(N->Flags);
+      switch (N->Kind) {
+      case TraceKind::Base:
+      case TraceKind::End:
+        break;
       case TraceKind::Read: {
-        const auto *R = static_cast<const ReadNode *>(T);
+        const auto *R = static_cast<const ReadNode *>(N);
         MixVal(toWord(RT.Mem.ptr(R->Ref)));
         MixVal(R->SeenValue);
         MixClosure(RT.Mem.ptr(R->Clo));
         break;
       }
       case TraceKind::Write: {
-        const auto *W = static_cast<const WriteNode *>(T);
+        const auto *W = static_cast<const WriteNode *>(N);
         MixVal(toWord(RT.Mem.ptr(W->Ref)));
         MixVal(W->Value);
         break;
       }
       case TraceKind::Alloc: {
-        const auto *A = static_cast<const AllocNode *>(T);
+        const auto *A = static_cast<const AllocNode *>(N);
         MixVal(toWord(RT.Mem.ptr(A->Block)));
         MixRaw(A->Size);
         MixClosure(RT.Mem.ptr(A->Init));

@@ -6,16 +6,17 @@
 ///
 /// \file
 /// Trace persistence: a versioned, integrity-checked checkpoint of a
-/// quiescent Runtime — the arena regions (trace nodes, closures, user
-/// blocks, OM timestamps and groups), the memo indexes, the runtime's
-/// scalar state, and caller-chosen root pointers — plus two load paths:
+/// quiescent Runtime — the arena region (trace nodes with their embedded
+/// timestamps, order-list groups, closures, user blocks), the memo
+/// indexes, the runtime's scalar state, and caller-chosen root pointers
+/// — plus two load paths:
 ///
 ///  * load()           safe copying restore: every section is read into
-///                     freshly claimed regions, every byte checksummed,
+///                     a freshly claimed region, every byte checksummed,
 ///                     and the full trace sanitizer (TraceAudit::inspect)
 ///                     runs on top of the linear load validator. The
 ///                     trust-nothing path for untrusted files.
-///  * mmapWarmStart()  maps the arena sections copy-on-write straight
+///  * mmapWarmStart()  maps the arena section copy-on-write straight
 ///                     from the file and resumes propagation in place in
 ///                     O(metadata): by default the O(file) arena
 ///                     checksums and the O(trace) validator are skipped —
@@ -27,17 +28,17 @@
 ///
 /// The format is position-dependent by design: every trace edge,
 /// order-list link, and freelist link is a region offset (a 32-bit
-/// handle), so the OM image holds no raw addresses at all, but user data
-/// words in the trace arena (modifiable values, closure arguments, cell
-/// fields) are raw addresses. The loader therefore claims the exact
-/// region bases recorded in the header (an atomic MAP_FIXED_NOREPLACE
-/// claim; AddressUnavailable if the space is taken) and the entire region
-/// image is then valid verbatim. Code addresses (closure functions and
-/// function-pointer arguments) must also coincide, which the header's
-/// anchor-address field checks (CodeMoved otherwise); cross-process use
-/// therefore requires the same binary loaded at the same base — run both
-/// ends with ASLR disabled (`setarch -R`) or from a non-PIE build. See
-/// DESIGN.md "Trace persistence".
+/// handle), but user data words in the trace arena (modifiable values,
+/// closure arguments, cell fields) are raw addresses. The loader
+/// therefore claims the exact region base recorded in the header (an
+/// atomic MAP_FIXED_NOREPLACE claim; AddressUnavailable if the space is
+/// taken) and the entire region image is then valid verbatim. Code
+/// addresses (closure functions and function-pointer arguments) must also
+/// coincide, which the header's anchor-address field checks (CodeMoved
+/// otherwise); cross-process use therefore requires the same binary
+/// loaded at the same base — run both ends with ASLR disabled
+/// (`setarch -R`) or from a non-PIE build. See DESIGN.md "Trace
+/// persistence".
 ///
 /// On-disk layout (all integers native-endian; an endianness tag rejects
 /// foreign files):
@@ -46,10 +47,10 @@
 ///               a whole with the checksum field zeroed.
 ///   sections    contiguous (each starts where the previous ended, the
 ///               last ends at FileBytes), in the fixed order META,
-///               MEMO_READ, MEMO_ALLOC, ROOTS, MEM, OM; MEM and OM are
-///               page-aligned so they can be mapped directly. Every
-///               section starts with an 8-byte kind preamble — for the
-///               arena sections it overlays region bytes [0, 8), which
+///               MEMO_READ, MEMO_ALLOC, ROOTS, MEM; MEM is page-aligned
+///               so it can be mapped directly. Every section starts
+///               with an 8-byte kind preamble — for the arena section
+///               it overlays region bytes [0, 8), which
 ///               the runtime never uses (offset 0 is the null handle) —
 ///               so a checksum-preserving payload swap still fails.
 ///
@@ -115,7 +116,7 @@ public:
     CodeMoved,
     /// An offset/handle points outside the serialized arena extent.
     HandleOutOfBounds,
-    /// The recorded region base addresses are already occupied in this
+    /// The recorded region base address is already occupied in this
     /// process (retry in a fresh process, or with ASLR disabled).
     AddressUnavailable,
     /// Content passed all checksums but failed the load-time trace
@@ -130,8 +131,10 @@ public:
 
   static constexpr uint64_t Magic = 0x50414e534c414543ULL; // "CEALSNAP"
   // Version 2: Checksum64 moved to the 32-lane block format
-  // (support/Checksum.h), so v1 digests no longer verify.
-  static constexpr uint32_t FormatVersion = 2;
+  // (support/Checksum.h), so v1 digests no longer verify. Version 3: the
+  // order list lives in the trace arena, so the OM section and the
+  // header's second region are gone (the checksum is still the v2 one).
+  static constexpr uint32_t FormatVersion = 3;
   static constexpr uint32_t EndianTag = 0x01020304;
   static constexpr uint64_t HeaderBytes = 4096;
 
@@ -141,9 +144,8 @@ public:
     SecMemoAlloc = 3,
     SecRoots = 4,
     SecMem = 5,
-    SecOm = 6,
   };
-  static constexpr uint32_t NumSections = 6;
+  static constexpr uint32_t NumSections = 5;
 
   /// The 8-byte tag at the start of every section payload.
   static constexpr uint64_t sectionPreamble(uint32_t Kind) {
@@ -167,14 +169,13 @@ public:
     uint64_t FileBytes;         ///< Total file size.
     uint64_t PageBytes;         ///< Saver's page size (mmap path only).
     uint64_t MemBase, MemRegionBytes, MemBumpUsed;
-    uint64_t OmBase, OmRegionBytes, OmBumpUsed;
     uint32_t SectionCount;
     uint32_t Reserved0;
     uint64_t HeaderChecksum; ///< Over the 4096-byte block, field zeroed.
     SectionEntry Sections[NumSections];
   };
 
-  /// Per-arena scalar state inside the META section.
+  /// The arena's scalar state inside the META section.
   struct ArenaMeta {
     uint64_t BumpUsed;
     uint64_t LiveBytes, MaxLiveBytes, TotalAllocated, AllocCount;
@@ -183,10 +184,10 @@ public:
   };
 
   /// Fixed part of the META section body (follows the 8-byte preamble;
-  /// the variable tail holds the Mem then Om large-freelist pairs). All
+  /// the variable tail holds the arena's large-freelist pairs). All
   /// pointers are stored as region offsets.
   struct MetaFixed {
-    uint64_t CursorOff, TraceEndOff; ///< OM-region offsets.
+    uint64_t CursorOff, TraceEndOff; ///< Timestamp offsets.
     uint64_t Stats[11];              ///< Runtime::Stats, declared order.
     uint64_t MetaBytes, GcAllocMark;
     uint64_t BoxBytesPerNode; ///< Layout-affecting config, must match.
@@ -195,7 +196,7 @@ public:
     uint64_t ReadMemoCount, ReadMemoBuckets;
     uint64_t AllocMemoCount, AllocMemoBuckets;
     uint64_t RootCount;
-    ArenaMeta MemA, OmA;
+    ArenaMeta MemA;
   };
 
   //===--------------------------------------------------------------===//
@@ -229,7 +230,7 @@ public:
                          const SaveOptions &Opt = {});
 
   /// Safe copying restore into the pristine \p RT (no trace yet): claims
-  /// the recorded region bases, copies every section in, runs the linear
+  /// the recorded region base, copies every section in, runs the linear
   /// load validator and then the full trace sanitizer. This is the
   /// trust-nothing path: every byte is checksummed and every trace
   /// structure walked before the runtime may propagate. Use it whenever
@@ -253,7 +254,7 @@ public:
     bool VerifyTrace = false;
   };
 
-  /// Warm start: like load(), but the arena sections are mapped
+  /// Warm start: like load(), but the arena section is mapped
   /// copy-on-write from the file instead of copied, and the O(trace)
   /// verification passes are governed by \p Opt (off by default; the
   /// page-in cost is deferred to first touch during propagation).

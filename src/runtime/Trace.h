@@ -15,22 +15,25 @@
 /// invalidate exactly the readers it governs.
 ///
 /// Every inter-node edge is a 32-bit arena handle (Arena::Handle), not a
-/// pointer: trace nodes, closures, and user blocks live in the runtime's
-/// Mem arena, timestamps in the order list's own arena, and each edge
-/// names its target by region offset. That packs the per-node layouts to
+/// pointer: trace nodes, their timestamps, the order list's groups,
+/// closures, and user blocks all live in the runtime's one Mem arena, and
+/// each edge names its target by region offset. Timestamps are intrusive:
+/// a trace node *is* its start timestamp (it begins with an OmNode, whose
+/// client bytes hold the node's kind and flags), and a read embeds its end
+/// timestamp as a second OmNode. An order walk therefore reaches the
+/// owning node by address, with no back-pointer. The per-node layouts:
 ///
-///   TraceNode  8 B   (kind, flags, start timestamp)
-///   Use       20 B   (+ modifiable, prev/next use)
-///   ReadNode  56 B   (+ closure, seen value, end, governing write,
-///                      queue index, memo links)
-///   WriteNode 32 B   (+ value)
-///   AllocNode 32 B   (+ initializer, block, size, memo links)
+///   TraceNode 24 B   (start timestamp: prev/next/group handles, kind,
+///                      flags, label)
+///   Use       36 B   (+ modifiable, prev/next use; 40 with tail padding)
+///   ReadNode  96 B   (+ closure in Use's tail padding, seen value, end
+///                      timestamp, governing write, queue index, memo links)
+///   WriteNode 48 B   (+ value)
+///   AllocNode 48 B   (+ initializer, block, size, memo links)
 ///   Modref    24 B   (initial value + head/tail/hint of the use list)
-///   OmNode    24 B   (prev/next/group handles, payload, label)
 ///   OmGroup   24 B   (prev/next/first handles, count, label)
 ///
-/// — roughly half the pointer-width layout. See DESIGN.md "Trace memory
-/// layout".
+/// See DESIGN.md "Trace memory layout".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +45,7 @@
 #include "runtime/MemoTable.h"
 #include "runtime/Word.h"
 
+#include <cstddef>
 #include <cstdint>
 
 namespace ceal {
@@ -51,30 +55,33 @@ struct Use;
 struct WriteNode;
 struct ReadNode;
 
+/// What a timestamp belongs to (declared opaque in om/OrderList.h). Base
+/// is zero, the value the order list gives its own sentinel.
 enum class TraceKind : uint8_t {
+  Base,
   Read,
   Write,
   Alloc,
+  /// A read's end timestamp (ReadNode::End).
+  End,
 };
 
-/// Base of all trace nodes. Start is the node's timestamp (a handle into
-/// the order list's arena); the timestamp's Item refers back to this node
-/// (reads additionally tag their end timestamp, see ReadNode::End).
-struct TraceNode {
-  TraceKind Kind;
-  uint8_t Flags;
-  Handle<OmNode> Start;
-
+/// Base of all trace nodes: the node's start timestamp, whose client
+/// bytes carry the node's kind and flags.
+struct TraceNode : OmNode {
   /// Tag for Runtime::newNode: skip zero-initializing the fields the
   /// tracing hot paths overwrite unconditionally before anything reads
   /// them (every trace node is stamped, linked, and memo-keyed in the
   /// same traced operation that creates it). Kind and Flags are still
   /// initialized — the dirty bit must start clear no matter who
-  /// allocates (as must ReadNode's queue index, see its RawInit).
+  /// allocates (as must ReadNode's queue index and end kind, see its
+  /// RawInit).
   struct RawInit {};
 
-  explicit TraceNode(TraceKind K) : Kind(K), Flags(0), Start{} {}
-  TraceNode(TraceKind K, RawInit) : Kind(K), Flags(0) {}
+  TraceNode(TraceKind K, RawInit) {
+    Kind = K;
+    Flags = 0;
+  }
 };
 
 /// Base of per-modifiable uses (reads and writes), linked in time order.
@@ -83,7 +90,6 @@ struct Use : TraceNode {
   Handle<Use> PrevUse;
   Handle<Use> NextUse;
 
-  explicit Use(TraceKind K) : TraceNode(K), Ref{}, PrevUse{}, NextUse{} {}
   Use(TraceKind K, RawInit R) : TraceNode(K, R) {}
 };
 
@@ -92,16 +98,21 @@ struct Use : TraceNode {
 /// end is the point where the enclosing tail-call chain finished; during
 /// change propagation the closure re-executes inside (Start, End).
 struct ReadNode : Use {
-  ReadNode()
-      : Use(TraceKind::Read), Clo{}, SeenValue(0), End{}, Gov{},
-        HeapIndex(-1), Memo{} {}
-  explicit ReadNode(RawInit R) : Use(TraceKind::Read, R), HeapIndex(-1) {}
+  explicit ReadNode(RawInit R) : Use(TraceKind::Read, R), HeapIndex(-1) {
+    End.Kind = TraceKind::End;
+    End.Flags = 0;
+  }
 
   static constexpr uint8_t FlagDirty = 1;
 
+  /// Placed in Use's tail padding: Use is not a POD (it has
+  /// constructors), so the Itanium C++ ABI lets a derived class reuse
+  /// it (offset static_asserted below).
   Handle<Closure> Clo;
   Word SeenValue;
-  Handle<OmNode> End;
+  /// The interval's end timestamp, stamped when the read's tail-call
+  /// chain finishes. Its kind byte is TraceKind::End.
+  OmNode End;
   /// Governing-write cache: the latest write strictly preceding this read
   /// in its modifiable's use list — the write whose value the read
   /// observes — or null when the prefix holds no write (the read is
@@ -122,11 +133,12 @@ struct ReadNode : Use {
     Flags = D ? (Flags | FlagDirty) : (Flags & ~FlagDirty);
   }
 
+  /// The read whose end timestamp is \p E (E->Kind == TraceKind::End).
+  static const ReadNode *ofEnd(const OmNode *E);
 };
 
 /// A traced write of a word into a modifiable.
 struct WriteNode : Use {
-  WriteNode() : Use(TraceKind::Write), Value(0) {}
   explicit WriteNode(RawInit R) : Use(TraceKind::Write, R) {}
 
   Word Value;
@@ -138,8 +150,6 @@ struct WriteNode : Use {
 /// the pointer identity that lets downstream writes equality-cut and
 /// downstream reads memo-match (the paper's Sec. 1 "memoization" role).
 struct AllocNode : TraceNode {
-  AllocNode()
-      : TraceNode(TraceKind::Alloc), Init{}, Block{}, Size(0), Memo{} {}
   explicit AllocNode(RawInit R) : TraceNode(TraceKind::Alloc, R) {}
 
   static constexpr uint8_t FlagModref = 1;
@@ -173,66 +183,60 @@ struct Modref {
 // must exactly fill its 8-byte arena class; growing any of them is a
 // measured regression on every app's max-live footprint, so it fails the
 // build rather than landing silently.
-static_assert(sizeof(TraceNode) == 8, "TraceNode outgrew its packed layout");
-static_assert(sizeof(Use) == 20, "Use outgrew its packed layout");
-static_assert(sizeof(ReadNode) == 56, "ReadNode outgrew its size class");
-static_assert(sizeof(WriteNode) == 32, "WriteNode outgrew its size class");
-static_assert(sizeof(AllocNode) == 32, "AllocNode outgrew its size class");
-static_assert(sizeof(Modref) == 24, "Modref outgrew its size class");
-static_assert(sizeof(OmNode) == 24, "OmNode outgrew its size class");
+static_assert(sizeof(OmNode) == 24, "OmNode outgrew its packed layout");
 static_assert(sizeof(OmGroup) == 24, "OmGroup outgrew its size class");
+static_assert(sizeof(TraceNode) == 24, "TraceNode outgrew its start stamp");
+static_assert(sizeof(Use) == 40, "Use outgrew its packed layout");
+static_assert(sizeof(ReadNode) == 96, "ReadNode outgrew its size class");
+static_assert(sizeof(WriteNode) == 48, "WriteNode outgrew its size class");
+static_assert(sizeof(AllocNode) == 48, "AllocNode outgrew its size class");
+static_assert(sizeof(Modref) == 24, "Modref outgrew its size class");
+
+/// Byte offset of ReadNode::End, by which an end timestamp finds its read.
+/// offsetof on a type with base-class members is conditionally supported
+/// (GCC and Clang accept it under -Winvalid-offsetof), so the offset is a
+/// named constant that the compiler's layout is checked against here.
+inline constexpr size_t ReadEndOffset = 48;
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+static_assert(offsetof(ReadNode, End) == ReadEndOffset,
+              "ReadNode::End moved; its owner is found by this offset");
+static_assert(offsetof(ReadNode, Clo) == 36,
+              "ReadNode::Clo no longer reuses Use's tail padding");
+#pragma GCC diagnostic pop
+static_assert(ReadEndOffset % Arena::HandleGrain == 0,
+              "the end timestamp must be handle-addressable");
+
+inline const ReadNode *ReadNode::ofEnd(const OmNode *E) {
+  return reinterpret_cast<const ReadNode *>(
+      reinterpret_cast<const char *>(E) - ReadEndOffset);
+}
 
 /// A fingerprint of the trace's in-memory layout, derived from the
 /// static_asserted node sizes above plus the handle width and grain. Two
 /// builds agree on this value exactly when a trace region serialized by
 /// one is byte-compatible with the other, so the snapshot loader
 /// (runtime/Snapshot) embeds it in the checkpoint header and rejects any
-/// mismatch. Revision 2: order-list links and arena freelist links are
-/// handles, not pointers.
+/// mismatch. Revision 3: timestamps are embedded in their trace nodes and
+/// the order list shares the trace arena.
 inline uint64_t traceLayoutFingerprint() {
-  uint64_t H = 0x4345414c00000002ULL; // format root: 'CEAL', revision 2
+  uint64_t H = 0x4345414c00000003ULL; // format root: 'CEAL', revision 3
   auto Mix = [&H](uint64_t W) { H = hashMixWord(H, W); };
   Mix(sizeof(void *));
   Mix(Arena::HandleGrain);
   Mix(sizeof(Handle<int>));
-  Mix(sizeof(OmItem));
   Mix(sizeof(OmNode));
   Mix(sizeof(OmGroup));
   Mix(sizeof(Closure));
   Mix(sizeof(TraceNode));
   Mix(sizeof(Use));
   Mix(sizeof(ReadNode));
+  Mix(ReadEndOffset);
   Mix(sizeof(WriteNode));
   Mix(sizeof(AllocNode));
   Mix(sizeof(Modref));
   Mix(sizeof(MemoLinks<ReadNode>));
   return H;
-}
-
-/// Tagging scheme for OmNode::Item (an OmItem — see om/OrderList.h). A
-/// trace node's start timestamp carries the node's Mem-arena handle; a
-/// read's end timestamp carries the read's handle with bit 31 set so
-/// interval walks can tell starts from ends — which requires the trace
-/// arena region to stay under 2^31 grains (16 GB; the default region is
-/// 8 GB).
-constexpr OmItem OmItemEndBit = OmItem(1) << 31;
-
-inline OmItem itemOf(const Arena &Mem, const TraceNode *T) {
-  OmItem I = Mem.handle(T).Bits;
-  assert(!(I & OmItemEndBit) && "trace arena outgrew the end-tag bit");
-  return I;
-}
-inline OmItem endItemOf(const Arena &Mem, const ReadNode *R) {
-  OmItem I = Mem.handle(R).Bits;
-  assert(!(I & OmItemEndBit) && "trace arena outgrew the end-tag bit");
-  return I | OmItemEndBit;
-}
-inline bool isEndItem(OmItem I) { return I & OmItemEndBit; }
-inline TraceNode *itemNode(const Arena &Mem, OmItem I) {
-  return Mem.ptr(Handle<TraceNode>(I));
-}
-inline ReadNode *endItemRead(const Arena &Mem, OmItem I) {
-  return Mem.ptr(Handle<ReadNode>(I & ~OmItemEndBit));
 }
 
 } // namespace ceal

@@ -3,13 +3,14 @@
 // The audit walks the runtime's state in five passes:
 //
 //   1. order structure   (groups, labels, links, two-level agreement)
-//   2. trace walk        (payload back-pointers, interval nesting,
-//                         closure ownership, per-node byte accounting)
+//   2. trace walk        (stamp kinds vs. their containers, interval
+//                         nesting, closure ownership, per-node byte
+//                         accounting)
 //   3. use-lists + heap  (per-modifiable ordering, equality-cut
 //                         soundness, dirty/queue agreement)
 //   4. memo indexes      (chain shape, hash placement, exact membership)
-//   5. arena             (trace-reachable + tracked meta bytes ==
-//                         liveBytes)
+//   5. arena             (trace-reachable + order-list + tracked meta
+//                         bytes == liveBytes)
 //
 // Every check records a violation string instead of asserting, so one
 // corrupted structure produces a full report rather than a lone abort;
@@ -172,6 +173,8 @@ struct TraceAudit::Impl {
   std::vector<const WriteNode *> Writes;
   std::vector<const AllocNode *> Allocs;
   std::unordered_map<const Modref *, std::vector<const Use *>> UsesByRef;
+  /// Order-list groups walked by pass 1 (for the arena reconciliation).
+  size_t Groups = 0;
 
   Impl(const Runtime &R, TraceAudit::Report &Out) : RT(R), Rep(Out) {}
 
@@ -191,25 +194,13 @@ struct TraceAudit::Impl {
     return RT.Mem.ptr(H);
   }
 
-  /// Same, for order-list handles (timestamps and groups), which resolve
-  /// against the order list's own arena.
-  template <typename T> const T *omAt(Handle<T> H, const char *What) {
-    if (!H.Bits)
-      return nullptr;
-    if (!RT.Om.Allocator.handleInBounds(H.Bits)) {
-      fail("%s: handle 0x%x outside the order-list arena", What, H.Bits);
-      return nullptr;
-    }
-    return RT.Om.Allocator.ptr(H);
-  }
-
   /// OrderList::precedes over bounds-checked decodes: false (with a
   /// report line) when either node's group handle is forged.
   bool ordered(const OmNode *A, const OmNode *B) {
     if (A->Group == B->Group)
       return A->Label < B->Label;
-    const OmGroup *GA = omAt(A->Group, "om: node group");
-    const OmGroup *GB = omAt(B->Group, "om: node group");
+    const OmGroup *GA = decode(A->Group, "om: node group");
+    const OmGroup *GB = decode(B->Group, "om: node group");
     return GA && GB && GA->Label < GB->Label;
   }
 
@@ -243,8 +234,8 @@ struct TraceAudit::Impl {
 
   void checkOrderStructure() {
     const OrderList &Om = RT.Om;
-    size_t SeenNodes = 0, SeenGroups = 0;
-    // Every link is decoded through omAt before it is followed, so a
+    size_t SeenNodes = 0;
+    // Every link is decoded through decode() before it is followed, so a
     // forged handle becomes a report line instead of a wild read; the
     // group walk is capped at one group per node so a forged cycle
     // terminates.
@@ -253,10 +244,10 @@ struct TraceAudit::Impl {
     Handle<OmGroup> PrevGH{};
     const OmGroup *PrevG = nullptr;
     for (Handle<OmGroup> GH = Om.FirstGroup; GH;) {
-      const OmGroup *G = omAt(GH, "om: group link");
+      const OmGroup *G = decode(GH, "om: group link");
       if (!G)
         return;
-      if (++SeenGroups > Om.Size) {
+      if (++Groups > Om.Size) {
         fail("om: group chain longer than the node count allows (cycle)");
         return;
       }
@@ -278,7 +269,7 @@ struct TraceAudit::Impl {
       Handle<OmNode> NH = G->First;
       uint64_t PrevLabel = 0;
       for (uint32_t I = 0; NH && I < G->Count; ++I) {
-        const OmNode *N = omAt(NH, "om: node link");
+        const OmNode *N = decode(NH, "om: node link");
         if (!N)
           return;
         if (++SeenNodes > Om.Size) {
@@ -296,7 +287,7 @@ struct TraceAudit::Impl {
                "%llu/%llu)",
                (unsigned long long)PrevN->Label,
                (unsigned long long)N->Label);
-        if (const OmNode *Succ = omAt(N->Next, "om: node link"))
+        if (const OmNode *Succ = decode(N->Next, "om: node link"))
           if (Succ->Prev != NH)
             fail("om: node back-link broken");
         PrevLabel = N->Label;
@@ -316,44 +307,64 @@ struct TraceAudit::Impl {
   // Pass 2: trace walk
   //===------------------------------------------------------------===//
 
+  /// The read whose End member is the timestamp \p N, or null (with a
+  /// report line) when that address would fall outside the arena.
+  const ReadNode *endOwner(const OmNode *N) {
+    uint64_t Off = uint64_t(reinterpret_cast<const char *>(N) -
+                            static_cast<const char *>(RT.Mem.regionBase()));
+    if (Off < ReadEndOffset + Arena::HandleGrain) {
+      fail("trace: end stamp at offset %llu has no room for its read",
+           (unsigned long long)Off);
+      return nullptr;
+    }
+    return ReadNode::ofEnd(N);
+  }
+
   void walkTrace() {
     std::vector<const ReadNode *> OpenReads;
     std::unordered_set<const void *> Blocks;
-    const OmNode *Last = RT.Om.node(RT.Om.base());
+    const OmNode *Last = RT.Om.base();
     size_t Steps = 0;
-    for (const OmNode *N = omAt(Last->Next, "trace: timestamp link"); N;
-         N = omAt(N->Next, "trace: timestamp link")) {
+    for (const OmNode *N = decode(Last->Next, "trace: timestamp link"); N;
+         N = decode(N->Next, "trace: timestamp link")) {
       if (++Steps >= RT.Om.size()) { // Size counts the base as well.
         fail("trace: timestamp chain longer than the order list (cycle)");
         break;
       }
       Last = N;
-      OmItem Item = N->Item;
-      if (!Item) {
-        fail("trace: non-base timestamp with no payload");
+      // The innermost open read's end stamp is recognized by address, so
+      // a corrupted kind byte there is reported instead of trusted.
+      if (!OpenReads.empty() && N == &OpenReads.back()->End) {
+        if (N->Kind != TraceKind::End)
+          fail("trace: read's end stamp carries kind %u, not End",
+               unsigned(N->Kind));
+        OpenReads.pop_back();
         continue;
       }
-      if (!RT.Mem.handleInBounds(Item & ~OmItemEndBit)) {
-        fail("trace: timestamp payload handle 0x%x outside the trace "
-             "arena's allocated region",
-             unsigned(Item & ~OmItemEndBit));
-        continue;
-      }
-      if (isEndItem(Item)) {
-        const ReadNode *R = endItemRead(RT.Mem, Item);
-        if (omAt(R->End, "read end") != N)
-          fail("trace: end marker not pointed back at by its read");
-        if (OpenReads.empty())
+      switch (N->Kind) {
+      case TraceKind::End: {
+        const ReadNode *R = endOwner(N);
+        if (R && R->Kind != TraceKind::Read)
+          fail("trace: end stamp embedded in a non-read node (kind %u)",
+               unsigned(R->Kind));
+        else if (OpenReads.empty())
           fail("trace: interval end with no open read");
-        else if (OpenReads.back() != R)
-          fail("trace: read intervals not properly nested");
         else
-          OpenReads.pop_back();
+          fail("trace: read intervals not properly nested");
         continue;
       }
-      const TraceNode *T = itemNode(RT.Mem, Item);
-      if (omAt(T->Start, "node start") != N)
-        fail("trace: node's Start does not point back at its timestamp");
+      case TraceKind::Base:
+        fail("trace: non-base timestamp carries the base kind");
+        continue;
+      case TraceKind::Read:
+      case TraceKind::Write:
+      case TraceKind::Alloc:
+        break;
+      default:
+        fail("trace: timestamp with invalid kind %u", unsigned(N->Kind));
+        continue;
+      }
+      const auto *T = static_cast<const TraceNode *>(N);
       if (!LiveNodes.insert(T).second) {
         fail("trace: node stamped at two timestamps");
         continue;
@@ -367,10 +378,9 @@ struct TraceAudit::Impl {
           UsesByRef[M].push_back(R);
         else
           fail("read: null modifiable");
-        if (!R->End)
-          fail("read: interval never closed");
-        else
-          OpenReads.push_back(R);
+        if (!ordered(R, &R->End))
+          fail("read: End does not follow Start");
+        OpenReads.push_back(R);
         const Closure *Clo = decode(R->Clo, "read closure");
         if (!Clo)
           fail("read: null closure");
@@ -404,12 +414,14 @@ struct TraceAudit::Impl {
           fail("alloc: initializer not marked trace-owned");
         break;
       }
+      default:
+        break;
       }
     }
     if (!OpenReads.empty())
       fail("trace: %zu read interval(s) missing their end markers",
            OpenReads.size());
-    if (RT.Om.node(RT.TraceEnd) != Last)
+    if (RT.TraceEnd != Last)
       fail("trace: TraceEnd is not the maximum timestamp");
     if (!RT.Main.PendingReads.empty())
       fail("trace: pending-read stack not empty at meta time");
@@ -448,12 +460,8 @@ struct TraceAudit::Impl {
           fail("uselist: member is not a live trace node (dangling use)");
         if (decode(U->PrevUse, "uselist prev") != Prev)
           fail("uselist: PrevUse back-link broken");
-        if (Prev) {
-          const OmNode *PrevStart = omAt(Prev->Start, "uselist prev start");
-          const OmNode *UStart = omAt(U->Start, "uselist start");
-          if (!PrevStart || !UStart || !ordered(PrevStart, UStart))
-            fail("uselist: uses not sorted by timestamp");
-        }
+        if (Prev && !ordered(Prev, U))
+          fail("uselist: uses not sorted by timestamp");
         if (U->Kind == TraceKind::Read) {
           const auto *R = static_cast<const ReadNode *>(U);
           if (decode(R->Gov, "governing-write cache") != GovW)
@@ -496,13 +504,8 @@ struct TraceAudit::Impl {
         fail("heap: entry %zu carries HeapIndex %d", I, R->HeapIndex);
       if (!R->isDirty())
         fail("heap: entry %zu is not dirty", I);
-      if (I > 0) {
-        const ReadNode *Parent = Heap[(I - 1) / 2];
-        const OmNode *RStart = omAt(R->Start, "heap entry start");
-        const OmNode *PStart = omAt(Parent->Start, "heap parent start");
-        if (RStart && PStart && ordered(RStart, PStart))
-          fail("heap: min-heap property violated at entry %zu", I);
-      }
+      if (I > 0 && ordered(R, Heap[(I - 1) / 2]))
+        fail("heap: min-heap property violated at entry %zu", I);
     }
     size_t DirtyReads = 0;
     for (const ReadNode *R : Reads) {
@@ -625,13 +628,16 @@ struct TraceAudit::Impl {
         Bytes += Arena::accountedSize(A->Size);
     }
     Rep.TraceBytes = Bytes;
-    size_t Expected = Bytes + RT.MetaBytes;
+    // The order list's own blocks: the groups pass 1 walked, plus the base.
+    size_t OmBytes = Arena::accountedSize(sizeof(OmNode)) +
+                     Groups * Arena::accountedSize(sizeof(OmGroup));
+    size_t Expected = Bytes + OmBytes + RT.MetaBytes;
     size_t Live = RT.Mem.liveBytes();
     if (Expected != Live) {
       if (Expected < Live)
-        fail("arena: %zu live bytes but only %zu reachable from the trace "
-             "or tracked meta blocks (leak of %zu bytes; untracked "
-             "arena().allocate()?)",
+        fail("arena: %zu live bytes but only %zu reachable from the trace, "
+             "the order list, or tracked meta blocks (leak of %zu bytes; "
+             "untracked arena().allocate()?)",
              Live, Expected, Live - Expected);
       else
         fail("arena: %zu reachable bytes exceed %zu live bytes "
@@ -662,8 +668,8 @@ struct TraceAudit::LoadImpl {
   const Runtime &RT;
   TraceAudit::Report &Rep;
 
-  const char *MemBase, *OmBase;
-  uint64_t MemUsed, OmUsed;
+  const char *MemBase;
+  uint64_t MemUsed;
 
   // One byte per trace-arena grain.
   static constexpr uint8_t MarkStamped = 1;
@@ -680,9 +686,7 @@ struct TraceAudit::LoadImpl {
   LoadImpl(const Runtime &R, TraceAudit::Report &Out)
       : RT(R), Rep(Out),
         MemBase(static_cast<const char *>(RT.Mem.regionBase())),
-        OmBase(static_cast<const char *>(RT.Om.Allocator.regionBase())),
         MemUsed(RT.Mem.bumpUsedBytes()),
-        OmUsed(RT.Om.Allocator.bumpUsedBytes()),
         Mark(MemUsed / Arena::HandleGrain, 0) {}
 
   /// Records the (single) violation; always false so checks read as
@@ -709,22 +713,14 @@ struct TraceAudit::LoadImpl {
   bool memOk(uint64_t Off, uint64_t Need) const {
     return extentOk(Off, Need, MemUsed);
   }
-  bool omOk(uint64_t Off, uint64_t Need) const {
-    return extentOk(Off, Need, OmUsed);
-  }
 
-  /// Trace-arena handle -> region offset (0 for null), without resolving.
-  /// Handle -> region offset (0 for null), without resolving; the same
-  /// encoding in both arenas.
+  /// Handle -> region offset (0 for null), without resolving.
   template <typename T> static uint64_t hoff(Handle<T> H) {
     return uint64_t(H.Bits) * Arena::HandleGrain;
   }
 
   template <typename T> const T *memAt(uint64_t Off) const {
     return reinterpret_cast<const T *>(MemBase + Off);
-  }
-  template <typename T> const T *omAt(uint64_t Off) const {
-    return reinterpret_cast<const T *>(OmBase + Off);
   }
 
   bool run() {
@@ -748,23 +744,25 @@ struct TraceAudit::LoadImpl {
 
   bool checkOrder() {
     const OrderList &Om = RT.Om;
-    if (!omOk(hoff(Om.Base), sizeof(OmNode)))
+    if (!memOk(hoff(Om.Base), sizeof(OmNode)))
       return fail("order-list base handle outside the serialized arena");
-    if (!omOk(hoff(Om.FirstGroup), sizeof(OmGroup)))
+    if (!memOk(hoff(Om.FirstGroup), sizeof(OmGroup)))
       return fail("first-group handle outside the serialized arena");
-    if (omAt<OmGroup>(hoff(Om.FirstGroup))->First != Om.Base)
+    if (memAt<OmGroup>(hoff(Om.FirstGroup))->First != Om.Base)
       return fail("first group does not start at the base timestamp");
-    if (omAt<OmNode>(hoff(Om.Base))->Prev)
+    if (memAt<OmNode>(hoff(Om.Base))->Prev)
       return fail("base timestamp has a predecessor");
+    const uint64_t CursorOff = rawOff(MemBase, RT.Main.Cursor);
+    const uint64_t TraceEndOff = rawOff(MemBase, RT.TraceEnd);
 
     size_t SeenNodes = 0;
     Handle<OmNode> Expected = Om.Base;
     Handle<OmGroup> PrevGH{};
     const OmGroup *PrevG = nullptr;
     for (Handle<OmGroup> GH = Om.FirstGroup; GH;) {
-      if (!omOk(hoff(GH), sizeof(OmGroup)))
+      if (!memOk(hoff(GH), sizeof(OmGroup)))
         return fail("group handle outside the serialized arena");
-      const OmGroup *G = omAt<OmGroup>(hoff(GH));
+      const OmGroup *G = memAt<OmGroup>(hoff(GH));
       if (++GroupCount > Om.Size + 1)
         return fail("group chain longer than the node count allows "
                     "(cycle)");
@@ -781,9 +779,9 @@ struct TraceAudit::LoadImpl {
       for (uint32_t I = 0; I < G->Count; ++I) {
         if (!NH)
           return fail("group Count overruns the node chain");
-        if (!omOk(hoff(NH), sizeof(OmNode)))
+        if (!memOk(hoff(NH), sizeof(OmNode)))
           return fail("timestamp handle outside the serialized arena");
-        const OmNode *N = omAt<OmNode>(hoff(NH));
+        const OmNode *N = memAt<OmNode>(hoff(NH));
         if (++SeenNodes > Om.Size)
           return fail("node chain longer than the recorded size (cycle)");
         if (N->Group != GH)
@@ -791,14 +789,14 @@ struct TraceAudit::LoadImpl {
         if (I > 0 && N->Label <= PrevLabel)
           return fail("timestamp labels not strictly increasing in group");
         if (N->Next) {
-          if (!omOk(hoff(N->Next), sizeof(OmNode)))
+          if (!memOk(hoff(N->Next), sizeof(OmNode)))
             return fail("timestamp handle outside the serialized arena");
-          if (omAt<OmNode>(hoff(N->Next))->Prev != NH)
+          if (memAt<OmNode>(hoff(N->Next))->Prev != NH)
             return fail("timestamp back-link broken");
         }
-        if (NH == RT.Main.Cursor)
+        if (hoff(NH) == CursorOff)
           CursorSeen = true;
-        if (NH == RT.TraceEnd)
+        if (hoff(NH) == TraceEndOff)
           TraceEndSeen = true;
         PrevLabel = N->Label;
         Expected = N->Next;
@@ -866,31 +864,22 @@ struct TraceAudit::LoadImpl {
   bool walkTrace() {
     const size_t Box = RT.Cfg.BoxBytesPerNode;
     std::vector<uint64_t> OpenReads;
-    Handle<OmNode> Last = RT.Om.base();
-    for (Handle<OmNode> NH = RT.Om.next(Last); NH; NH = RT.Om.next(NH)) {
-      Last = NH;
-      OmItem Item = RT.Om.item(NH);
-      if (!Item)
-        return fail("non-base timestamp with no payload");
-      uint64_t Off = uint64_t(Item & ~OmItemEndBit) * Arena::HandleGrain;
-      if (isEndItem(Item)) {
-        if (!memOk(Off, sizeof(ReadNode)))
-          return fail("end-marker payload outside the serialized arena");
-        const ReadNode *R = memAt<ReadNode>(Off);
-        if (R->Kind != TraceKind::Read)
-          return fail("end marker names a non-read node");
-        if (R->End != NH)
-          return fail("end marker not pointed back at by its read");
-        if (OpenReads.empty() || OpenReads.back() != Off)
-          return fail("read intervals not properly nested");
+    uint64_t LastOff = hoff(RT.Om.Base);
+    for (Handle<OmNode> NH = memAt<OmNode>(LastOff)->Next; NH;
+         NH = memAt<OmNode>(LastOff)->Next) {
+      const uint64_t Off = hoff(NH);
+      LastOff = Off;
+      const OmNode *N = memAt<OmNode>(Off);
+      // The innermost open read's end stamp is recognized by address;
+      // any other end stamp is out of place.
+      if (!OpenReads.empty() && Off == OpenReads.back() + ReadEndOffset) {
+        if (N->Kind != TraceKind::End)
+          return fail("read's end stamp at offset %llu carries kind %u",
+                      (unsigned long long)Off, unsigned(N->Kind));
         OpenReads.pop_back();
         continue;
       }
-      if (!memOk(Off, sizeof(TraceNode)))
-        return fail("timestamp payload outside the serialized arena");
-      const TraceNode *T = memAt<TraceNode>(Off);
-      if (T->Start != NH)
-        return fail("node's Start does not point back at its timestamp");
+      const auto *T = static_cast<const TraceNode *>(N);
       switch (T->Kind) {
       case TraceKind::Read: {
         if (!memOk(Off, sizeof(ReadNode)))
@@ -904,8 +893,6 @@ struct TraceAudit::LoadImpl {
         uint64_t CloOff = hoff(R->Clo);
         if (!CloOff || !checkClosure(CloOff, "read"))
           return CloOff ? false : fail("read with a null closure");
-        if (!R->End)
-          return fail("read interval never closed");
         if (R->isDirty() || R->HeapIndex != -1)
           return fail("read restored dirty or queued (snapshots are "
                       "quiescent)");
@@ -968,15 +955,19 @@ struct TraceAudit::LoadImpl {
                       Arena::accountedSize(A->Size);
         break;
       }
+      case TraceKind::End:
+        return fail("end stamp at offset %llu out of place (read intervals "
+                    "not properly nested)",
+                    (unsigned long long)Off);
       default:
-        return fail("trace node with invalid kind %u at offset %llu",
+        return fail("timestamp with invalid kind %u at offset %llu",
                     unsigned(T->Kind), (unsigned long long)Off);
       }
     }
     if (!OpenReads.empty())
       return fail("%zu read interval(s) missing their end markers",
                   OpenReads.size());
-    if (RT.TraceEnd != Last)
+    if (rawOff(MemBase, RT.TraceEnd) != LastOff)
       return fail("restored trace end is not the maximum timestamp");
     Rep.Reads = NReads;
     Rep.Writes = NWrites;
@@ -1080,22 +1071,17 @@ struct TraceAudit::LoadImpl {
 
   //===------------------------------------------------------------===//
   // Accounting: the restored counters must reconcile with what the walk
-  // actually found, in both arenas.
+  // actually found.
   //===------------------------------------------------------------===//
 
   bool checkAccounting() {
-    size_t Expected = TraceBytes + RT.MetaBytes;
+    size_t OmBytes = Arena::accountedSize(sizeof(OmNode)) +
+                     GroupCount * Arena::accountedSize(sizeof(OmGroup));
+    size_t Expected = TraceBytes + OmBytes + RT.MetaBytes;
     if (Expected != RT.Mem.liveBytes())
-      return fail("trace arena records %zu live bytes but the trace "
-                  "reaches %zu",
+      return fail("trace arena records %zu live bytes but the trace, its "
+                  "order list, and the meta blocks account for %zu",
                   RT.Mem.liveBytes(), Expected);
-    size_t OmExpected =
-        RT.Om.Size * Arena::accountedSize(sizeof(OmNode)) +
-        GroupCount * Arena::accountedSize(sizeof(OmGroup));
-    if (OmExpected != RT.Om.Allocator.liveBytes())
-      return fail("order arena records %zu live bytes but its structures "
-                  "account for %zu",
-                  RT.Om.Allocator.liveBytes(), OmExpected);
     return true;
   }
 };

@@ -15,9 +15,11 @@
 ///    two levels agree — `precedes` is a strict total order consistent
 ///    with the linked-list order (Dietz-Sleator consistency).
 ///
-///  * Trace shape: every timestamp's payload points back at it, read
-///    intervals are well-formed (Start before End) and properly nested,
-///    and the global TraceEnd is the maximum timestamp.
+///  * Trace shape: every timestamp's kind byte matches the node that
+///    embeds it (a read's End member says End, every other stamp names
+///    its own node's kind), read intervals are well-formed (Start before
+///    End) and properly nested, and the global TraceEnd is the maximum
+///    timestamp.
 ///
 ///  * Modifiable use-lists: doubly linked, sorted by timestamp, members
 ///    all live trace nodes, and every clean (non-dirty) read's SeenValue
@@ -33,10 +35,11 @@
 ///    the bucket their hash selects, and table membership is exactly the
 ///    set of live read/alloc nodes.
 ///
-///  * Arena accounting: the bytes reachable from live trace nodes (nodes,
-///    trace-owned closures, allocation blocks) plus tracked mutator
-///    blocks (Runtime::metaAlloc) reconcile exactly with Arena
-///    liveBytes — a leak or double-free shows up as a delta.
+///  * Arena accounting: the bytes reachable from live trace nodes (nodes
+///    with their timestamps, trace-owned closures, allocation blocks),
+///    the order list's groups and base, and tracked mutator blocks
+///    (Runtime::metaAlloc) reconcile exactly with Arena liveBytes — a
+///    leak or double-free shows up as a delta.
 ///
 /// The audit is read-only and meta-phase only. Runtime::Config::Audit
 /// picks the level: Off (auditNow is a no-op), Checkpoints (explicit

@@ -20,8 +20,8 @@
 /// physical pages materialize only when touched). A Handle is the block's
 /// byte offset into the region divided by the 8-byte allocation grain;
 /// handle 0 is reserved as null (the bump pointer starts past offset 0).
-/// The default 8 GB region keeps every handle below 2^30, leaving the
-/// top handle bits free for client tags (the trace end-timestamp tag).
+/// The default 8 GB region keeps every handle below 2^30; a region may
+/// grow to the full 32-bit handle space (MaxRegionBytes, 32 GB).
 /// Exhausting the region — minting a handle past the 32-bit-addressable
 /// space — is a checkAlways hard failure, never a silent wrap.
 ///

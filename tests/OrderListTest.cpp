@@ -2,7 +2,9 @@
 //
 // Unit and property tests for the order-maintenance list, including a
 // randomized comparison against an exact oracle (a std::list whose
-// iterator order defines the truth).
+// iterator order defines the truth). The list is intrusive, so the tests
+// own their nodes the way the runtime does: one per insertion, allocated
+// from the arena the list is bound to, freed after removal.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,9 +20,37 @@
 
 using namespace ceal;
 
+namespace {
+
+/// Holds the arena so it is constructed before the list bound to it.
+struct TestArena {
+  Arena A;
+};
+
+/// An OrderList over its own test arena, with node ownership folded into
+/// insertAfter/remove so the tests read like the list's own API.
+struct TestList : TestArena, OrderList {
+  TestList() : OrderList(A) {}
+
+  using OrderList::insertAfter;
+  /// Links a fresh caller-owned node after \p X and returns it.
+  OmNode *insertAfter(OmNode *X) {
+    auto *N = A.create<OmNode>();
+    insertAfter(X, N);
+    return N;
+  }
+  /// Unlinks \p X and frees it.
+  void remove(OmNode *X) {
+    OrderList::remove(X);
+    A.destroy(X);
+  }
+};
+
+} // namespace
+
 TEST(OrderList, BaseIsMinimum) {
-  OrderList L;
-  Handle<OmNode> A = L.insertAfter(L.base());
+  TestList L;
+  OmNode *A = L.insertAfter(L.base());
   EXPECT_TRUE(L.precedes(L.base(), A));
   EXPECT_FALSE(L.precedes(A, L.base()));
   EXPECT_FALSE(L.precedes(A, A));
@@ -28,10 +58,10 @@ TEST(OrderList, BaseIsMinimum) {
 }
 
 TEST(OrderList, InsertAfterOrdersChain) {
-  OrderList L;
-  Handle<OmNode> A = L.insertAfter(L.base());
-  Handle<OmNode> B = L.insertAfter(A);
-  Handle<OmNode> C = L.insertAfter(A); // Between A and B.
+  TestList L;
+  OmNode *A = L.insertAfter(L.base());
+  OmNode *B = L.insertAfter(A);
+  OmNode *C = L.insertAfter(A); // Between A and B.
   EXPECT_TRUE(L.precedes(A, C));
   EXPECT_TRUE(L.precedes(C, B));
   EXPECT_TRUE(L.precedes(A, B));
@@ -39,16 +69,31 @@ TEST(OrderList, InsertAfterOrdersChain) {
 }
 
 TEST(OrderList, PayloadIsPreserved) {
-  OrderList L;
-  Handle<OmNode> A = L.insertAfter(L.base(), OmItem(42));
-  EXPECT_EQ(L.item(A), OmItem(42));
+  // The kind and flag bytes belong to the client (the trace keeps each
+  // node's kind and flags there): linking the node, relabeling around
+  // it, and unlinking its neighbours must leave them untouched.
+  TestList L;
+  OmNode *A = L.A.create<OmNode>();
+  A->Kind = static_cast<TraceKind>(42);
+  A->Flags = 7;
+  L.insertAfter(L.base(), A);
+  std::vector<OmNode *> After;
+  for (int I = 0; I < 5000; ++I)
+    After.push_back(L.insertAfter(A));
+  for (size_t I = 0; I < After.size(); I += 2)
+    L.remove(After[I]);
+  EXPECT_GT(L.relabelCount(), 0u) << "no relabel passed over the node";
+  EXPECT_EQ(A->Kind, static_cast<TraceKind>(42));
+  EXPECT_EQ(A->Flags, 7u);
+  EXPECT_EQ(L.base()->Kind, TraceKind{}) << "the base's kind byte is zero";
+  L.verifyInvariants();
 }
 
 TEST(OrderList, RemoveKeepsOrder) {
-  OrderList L;
-  Handle<OmNode> A = L.insertAfter(L.base());
-  Handle<OmNode> B = L.insertAfter(A);
-  Handle<OmNode> C = L.insertAfter(B);
+  TestList L;
+  OmNode *A = L.insertAfter(L.base());
+  OmNode *B = L.insertAfter(A);
+  OmNode *C = L.insertAfter(B);
   L.remove(B);
   EXPECT_TRUE(L.precedes(A, C));
   EXPECT_EQ(L.next(A), C);
@@ -57,9 +102,9 @@ TEST(OrderList, RemoveKeepsOrder) {
 }
 
 TEST(OrderList, SequentialInsertionIsTotalOrder) {
-  OrderList L;
-  std::vector<Handle<OmNode>> Nodes;
-  Handle<OmNode> Cur = L.base();
+  TestList L;
+  std::vector<OmNode *> Nodes;
+  OmNode *Cur = L.base();
   for (int I = 0; I < 10000; ++I) {
     Cur = L.insertAfter(Cur);
     Nodes.push_back(Cur);
@@ -71,8 +116,8 @@ TEST(OrderList, SequentialInsertionIsTotalOrder) {
 
 TEST(OrderList, PathologicalFrontInsertion) {
   // Always inserting at the same position maximizes relabeling pressure.
-  OrderList L;
-  std::vector<Handle<OmNode>> Nodes;
+  TestList L;
+  std::vector<OmNode *> Nodes;
   for (int I = 0; I < 20000; ++I)
     Nodes.push_back(L.insertAfter(L.base()));
   // Later-created nodes come earlier in the order.
@@ -85,8 +130,8 @@ TEST(OrderList, FrontInsertionTriggersRangeRelabel) {
   // Inserting at one spot exhausts the local label gaps, forcing first
   // group splits and eventually the expensive range redistribution; the
   // structure must come out of the cascade still totally ordered.
-  OrderList L;
-  std::vector<Handle<OmNode>> Nodes;
+  TestList L;
+  std::vector<OmNode *> Nodes;
   int Inserted = 0;
   while (L.rangeRelabelCount() == 0 && Inserted < 2000000) {
     Nodes.push_back(L.insertAfter(L.base()));
@@ -99,8 +144,8 @@ TEST(OrderList, FrontInsertionTriggersRangeRelabel) {
   for (size_t I = 1; I < Nodes.size(); I += 251)
     EXPECT_TRUE(L.precedes(Nodes[I], Nodes[I - 1]));
   // The structure still absorbs fresh inserts after the cascade.
-  Handle<OmNode> A = L.insertAfter(L.base());
-  Handle<OmNode> B = L.insertAfter(A);
+  OmNode *A = L.insertAfter(L.base());
+  OmNode *B = L.insertAfter(A);
   EXPECT_TRUE(L.precedes(A, B));
   EXPECT_TRUE(L.precedes(B, Nodes.back()));
   L.verifyInvariants();
@@ -110,33 +155,33 @@ TEST(OrderList, RemoveFirstAndLastNodeOfAGroup) {
   // Build enough nodes for many level-two groups, then delete group
   // boundary members: the group's First pointer and the predecessor
   // chain must be repaired in both cases.
-  OrderList L;
-  std::vector<Handle<OmNode>> Nodes;
-  Handle<OmNode> Cur = L.base();
+  TestList L;
+  std::vector<OmNode *> Nodes;
+  OmNode *Cur = L.base();
   for (int I = 0; I < 4096; ++I) {
     Cur = L.insertAfter(Cur);
     Nodes.push_back(Cur);
   }
 
   // A node that *leads* a group (and is not base).
-  auto IsGroupFirst = [&L](Handle<OmNode> N) {
-    return L.group(L.node(N)->Group)->First == N;
+  auto IsGroupFirst = [&L](OmNode *N) {
+    return L.node(L.group(N->Group)->First) == N;
   };
   // A node that *ends* a group: successor absent or in another group.
-  auto IsGroupLast = [&L](Handle<OmNode> N) {
-    return !L.next(N) || L.node(L.next(N))->Group != L.node(N)->Group;
+  auto IsGroupLast = [&L](OmNode *N) {
+    return !L.next(N) || L.next(N)->Group != N->Group;
   };
 
   size_t Removed = 0;
   for (size_t I = 0; I < Nodes.size() && Removed < 64; ++I) {
-    Handle<OmNode> N = Nodes[I];
+    OmNode *N = Nodes[I];
     if (!N)
       continue;
     if (IsGroupFirst(N) || IsGroupLast(N)) {
-      Handle<OmNode> Before = L.prev(N);
-      Handle<OmNode> After = L.next(N);
+      OmNode *Before = L.prev(N);
+      OmNode *After = L.next(N);
       L.remove(N);
-      Nodes[I] = Handle<OmNode>{};
+      Nodes[I] = nullptr;
       ++Removed;
       if (Before && After) {
         EXPECT_TRUE(L.precedes(Before, After));
@@ -147,8 +192,8 @@ TEST(OrderList, RemoveFirstAndLastNodeOfAGroup) {
   EXPECT_GE(Removed, 2u) << "no group boundaries found to delete";
 
   // Residual order is intact.
-  Handle<OmNode> Prev{};
-  for (Handle<OmNode> N : Nodes) {
+  OmNode *Prev{};
+  for (OmNode *N : Nodes) {
     if (!N)
       continue;
     if (Prev) {
@@ -162,8 +207,8 @@ TEST(OrderList, InterleavedInsertDeleteStressChecksEveryOp) {
   // Tight interleaving with invariants verified after *every* operation:
   // catches transient corruption that end-of-run checks miss.
   Rng R(4242);
-  OrderList L;
-  std::vector<Handle<OmNode>> Live{L.base()};
+  TestList L;
+  std::vector<OmNode *> Live{L.base()};
   for (int Op = 0; Op < 3000; ++Op) {
     bool DoRemove = Live.size() > 1 && R.below(100) < 40;
     if (DoRemove) {
@@ -241,9 +286,9 @@ class OrderListRandomTest : public ::testing::TestWithParam<RandomOpsParam> {};
 TEST_P(OrderListRandomTest, MatchesOracle) {
   const RandomOpsParam P = GetParam();
   Rng R(P.Seed);
-  OrderList L;
+  TestList L;
   OrderOracle Oracle;
-  std::map<int, Handle<OmNode>> NodeById;
+  std::map<int, OmNode *> NodeById;
   NodeById[0] = L.base();
 
   for (int Op = 0; Op < P.NumOps; ++Op) {
@@ -296,9 +341,9 @@ TEST(OrderList, HandlePrecedesMatchesOracleThroughRelabels) {
   // rewrite labels through the relabel kernel's handle chase) while
   // precedes() is checked against the exact oracle.
   Rng R(1515);
-  OrderList L;
+  TestList L;
   OrderOracle Oracle;
-  std::map<int, Handle<OmNode>> NodeById;
+  std::map<int, OmNode *> NodeById;
   NodeById[0] = L.base();
   std::vector<int> Hot{0};
   for (int I = 0; I < 2; ++I) {
@@ -349,7 +394,7 @@ TEST(OrderList, HandlePrecedesMatchesOracleThroughRelabels) {
   std::vector<int> Seq = Oracle.sequence();
   ASSERT_EQ(Seq.size(), L.size());
   for (size_t I = 1; I < Seq.size(); ++I) {
-    Handle<OmNode> A = NodeById.at(Seq[I - 1]), B = NodeById.at(Seq[I]);
+    OmNode *A = NodeById.at(Seq[I - 1]), *B = NodeById.at(Seq[I]);
     ASSERT_TRUE(L.precedes(A, B)) << "position " << I;
     ASSERT_FALSE(L.precedes(B, A)) << "position " << I;
     ASSERT_EQ(L.next(A), B) << "position " << I;
@@ -360,10 +405,10 @@ TEST(OrderList, HeavyMixedChurn) {
   // Large-scale smoke test: interleave bursts of localized insertion with
   // random deletion; verify invariants at the end.
   Rng R(99);
-  OrderList L;
-  std::vector<Handle<OmNode>> Live{L.base()};
+  TestList L;
+  std::vector<OmNode *> Live{L.base()};
   for (int Round = 0; Round < 50; ++Round) {
-    Handle<OmNode> Spot = Live[R.below(Live.size())];
+    OmNode *Spot = Live[R.below(Live.size())];
     for (int I = 0; I < 500; ++I) {
       Spot = L.insertAfter(Spot);
       Live.push_back(Spot);
@@ -387,11 +432,11 @@ TEST(OrderListAppend, MonotoneAppendNeverRelabels) {
   // The whole point of append mode: a monotone run of tail insertions —
   // the trace of an initial run — must never rewrite an existing label,
   // so both relabel counters stay at zero from start to finalize.
-  OrderList L;
+  TestList L;
   L.beginAppend();
   EXPECT_TRUE(L.inAppendMode());
-  std::vector<Handle<OmNode>> Nodes;
-  Handle<OmNode> Cur = L.base();
+  std::vector<OmNode *> Nodes;
+  OmNode *Cur = L.base();
   for (int I = 0; I < 50000; ++I) {
     Cur = L.insertAfter(Cur);
     Nodes.push_back(Cur);
@@ -415,9 +460,9 @@ TEST(OrderListAppend, MidGroupReentryPeelsSuffix) {
   // post-split occupancy, then enter append mode and insert at mid-group
   // positions (the re-traced interval case): appendSlow must peel the
   // in-group suffix into a fresh group and keep the total order exact.
-  OrderList L;
-  std::vector<Handle<OmNode>> Order{L.base()};
-  Handle<OmNode> Cur = L.base();
+  TestList L;
+  std::vector<OmNode *> Order{L.base()};
+  OmNode *Cur = L.base();
   for (int I = 0; I < 1000; ++I) {
     Cur = L.insertAfter(Cur);
     Order.push_back(Cur);
@@ -429,7 +474,7 @@ TEST(OrderListAppend, MidGroupReentryPeelsSuffix) {
     // Re-enter at a random interior position and append a short monotone
     // run there, exactly like re-tracing a revoked interval.
     size_t At = 1 + R.below(Order.size() - 2);
-    Handle<OmNode> Spot = Order[At];
+    OmNode *Spot = Order[At];
     for (int I = 0; I < 8; ++I) {
       Spot = L.insertAfter(Spot);
       Order.insert(Order.begin() + static_cast<long>(++At), Spot);
@@ -453,9 +498,9 @@ TEST(OrderListAppend, RandomOpsInAndAfterAppendMatchOracle) {
   // finalize mid-stream, and keep going — the order answers must agree
   // throughout, and the relabeling policy flip must leave no seam.
   Rng R(77);
-  OrderList L;
+  TestList L;
   OrderOracle Oracle;
-  std::map<int, Handle<OmNode>> NodeById;
+  std::map<int, OmNode *> NodeById;
   NodeById[0] = L.base();
   L.beginAppend();
 
@@ -501,10 +546,10 @@ TEST(OrderListAppend, RemoveDuringAppendKeepsInvariants) {
   // trace intervals die mid-construction); the structure must stay sound
   // at every step, including group-emptying removals.
   Rng R(2026);
-  OrderList L;
+  TestList L;
   L.beginAppend();
-  std::vector<Handle<OmNode>> Live{L.base()};
-  Handle<OmNode> Cur = L.base();
+  std::vector<OmNode *> Live{L.base()};
+  OmNode *Cur = L.base();
   for (int I = 0; I < 5000; ++I) {
     Cur = L.insertAfter(Cur);
     Live.push_back(Cur);

@@ -90,10 +90,14 @@ TEST(MemoTable, InsertFindRemove) {
 //===----------------------------------------------------------------------===//
 
 TEST(OrderListPerf, AppendRelabelsStayAmortizedConstant) {
-  OrderList L;
-  Handle<OmNode> Cur = L.base();
-  for (int I = 0; I < 200000; ++I)
-    Cur = L.insertAfter(Cur);
+  Arena A;
+  OrderList L(A);
+  OmNode *Cur = L.base();
+  for (int I = 0; I < 200000; ++I) {
+    OmNode *N = A.create<OmNode>();
+    L.insertAfter(Cur, N);
+    Cur = N;
+  }
   // Group splits are cheap and bounded; the expensive range
   // redistribution must essentially never fire for appends (the
   // group-gap pathology fixed in OrderList::insertAfter).
@@ -102,16 +106,18 @@ TEST(OrderListPerf, AppendRelabelsStayAmortizedConstant) {
 }
 
 TEST(OrderList, WalkVisitsInOrder) {
-  OrderList L;
+  Arena A;
+  OrderList L(A);
   Rng R(9);
-  std::vector<Handle<OmNode>> Seq{L.base()};
+  std::vector<OmNode *> Seq{L.base()};
   for (int I = 0; I < 500; ++I) {
     size_t At = R.below(Seq.size());
-    Handle<OmNode> N = L.insertAfter(Seq[At]);
+    OmNode *N = A.create<OmNode>();
+    L.insertAfter(Seq[At], N);
     Seq.insert(Seq.begin() + At + 1, N);
   }
   size_t Index = 0;
-  for (Handle<OmNode> N = L.base(); N; N = L.next(N), ++Index) {
+  for (OmNode *N = L.base(); N; N = L.next(N), ++Index) {
     ASSERT_LT(Index, Seq.size());
     EXPECT_EQ(N, Seq[Index]);
   }

@@ -621,3 +621,51 @@ TEST(Runtime, TraceMemoryIsReclaimedOnDelete) {
     Expected.push_back(mapFn(I));
   EXPECT_EQ(readListBack(RT, Dst), Expected);
 }
+
+TEST(Runtime, MapFootprintPerElementMatchesTheLayout) {
+  // Each map element traces one read, one write and two allocations (the
+  // output tail modifiable and the output cell), and every timestamp is
+  // embedded in its node, so the trace costs exactly the node layouts
+  // plus closures and blocks per element: 336 B.
+  const size_t N = 100000;
+  Runtime RT;
+  std::vector<Word> In(N);
+  for (size_t I = 0; I < N; ++I)
+    In[I] = I;
+  CellOwner Owner;
+  Modref *Src = buildList(RT, Owner, In);
+  Modref *Dst = RT.modref();
+  RT.runCore<&mapCore>(Src, Dst);
+
+  const size_t ReadBytes = sizeof(ReadNode) + Closure::byteSize(1);
+  const size_t WriteBytes = sizeof(WriteNode);
+  const size_t ModrefAlloc =
+      sizeof(AllocNode) + Closure::byteSize(1) + sizeof(Modref);
+  const size_t CellAlloc =
+      sizeof(AllocNode) + Closure::byteSize(2) + sizeof(Cell);
+  const size_t PerElement = ReadBytes + WriteBytes + ModrefAlloc + CellAlloc;
+  EXPECT_EQ(PerElement, 336u);
+
+  MemoryStats S = RT.memoryStats();
+  EXPECT_EQ(S.Reads, N + 1); // The last read sees the end of the list.
+  EXPECT_EQ(S.Writes, N + 1);
+  EXPECT_EQ(S.Allocs, 2 * N);
+  EXPECT_EQ(S.Timestamps, 2 * (N + 1) + (N + 1) + 2 * N);
+  EXPECT_EQ(S.ReadBytes, (N + 1) * sizeof(ReadNode));
+  EXPECT_EQ(S.WriteBytes, (N + 1) * sizeof(WriteNode));
+  EXPECT_EQ(S.AllocBytes, 2 * N * sizeof(AllocNode));
+  const size_t TraceBytes = S.ReadBytes + S.WriteBytes + S.AllocBytes +
+                            S.ClosureBytes + S.UserBlockBytes;
+  EXPECT_EQ(TraceBytes, N * PerElement + ReadBytes + WriteBytes);
+
+  // The whole footprint: every arena byte is a trace byte, a meta block
+  // (the input's tail modifiables and the output head), or an order-list
+  // group, and nothing lives in a second arena.
+  EXPECT_EQ(S.OmBytes, 0u);
+  EXPECT_EQ(S.MetaBytes, (N + 2) * sizeof(Modref));
+  EXPECT_EQ(S.ArenaLiveBytes, TraceBytes + S.MetaBytes + S.OmGroupBytes);
+  // Construction fills groups to half their 64-member capacity, so the
+  // groups add 24 B per 32 timestamps.
+  EXPECT_LE(S.OmGroupBytes, (S.Timestamps / 32 + 2) * sizeof(OmGroup));
+  EXPECT_EQ(RT.maxLiveBytes(), S.ArenaLiveBytes);
+}

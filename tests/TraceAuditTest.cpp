@@ -228,28 +228,74 @@ TEST(TraceAudit, DetectsOutOfBoundsHandle) {
 
 TEST(TraceAudit, DetectsOutOfBoundsOmHandle) {
   // The order list links its timestamps and groups by 32-bit handles
-  // too: a Next or Group handle forged past the order-list arena's bump
-  // frontier must be reported, not dereferenced.
+  // too: a Next or Group handle forged past the trace arena's bump
+  // frontier must be reported, not dereferenced. A read is its own start
+  // timestamp, so the forgery goes straight into the read's links.
   Fixture F;
   ReadNode *R = F.someRead();
   ASSERT_NE(R, nullptr);
-  const OrderList &Om = F.RT.orderList();
-  OmNode *N = Om.arena().ptr(R->Start);
-  ASSERT_NE(N, nullptr);
+  OmNode *N = R;
   const uint32_t Forged = 0x3fffffffu; // Far beyond the bump frontier.
-  ASSERT_FALSE(Om.arena().handleInBounds(Forged));
+  ASSERT_FALSE(F.RT.arena().handleInBounds(Forged));
 
   Handle<OmNode> SavedNext = N->Next;
   N->Next = Handle<OmNode>(Forged);
   EXPECT_TRUE(reports(TraceAudit::inspect(F.RT),
-                      "outside the order-list arena"));
+                      "om: node link: handle 0x3fffffff outside the trace "
+                      "arena"));
   N->Next = SavedNext;
 
   Handle<OmGroup> SavedGroup = N->Group;
   N->Group = Handle<OmGroup>(Forged);
   EXPECT_TRUE(reports(TraceAudit::inspect(F.RT),
-                      "outside the order-list arena"));
+                      "om: node group: handle 0x3fffffff outside the trace "
+                      "arena"));
   N->Group = SavedGroup;
+  EXPECT_TRUE(TraceAudit::inspect(F.RT).ok());
+}
+
+TEST(TraceAudit, DetectsEndStampKindCorruption) {
+  // Every timestamp is embedded in a trace node, and its kind byte must
+  // say which part of the node it is: a read's End member is the only
+  // stamp that may say End, and it must.
+  Fixture F;
+  ReadNode *R = F.someRead();
+  ASSERT_NE(R, nullptr);
+  ASSERT_EQ(R->End.Kind, TraceKind::End);
+
+  // The end stamp claims to be a write's start.
+  R->End.Kind = TraceKind::Write;
+  EXPECT_TRUE(reports(TraceAudit::inspect(F.RT),
+                      "read's end stamp carries kind"));
+  R->End.Kind = TraceKind::End;
+  EXPECT_TRUE(TraceAudit::inspect(F.RT).ok());
+
+  // A read's start stamp claims to be an end: it then names no open
+  // read, and the read it really is drops out of the trace.
+  R->Kind = TraceKind::End;
+  TraceAudit::Report Rep = TraceAudit::inspect(F.RT);
+  EXPECT_FALSE(Rep.ok());
+  EXPECT_TRUE(reports(Rep, "end stamp embedded in a non-read node") ||
+              reports(Rep, "interval end with no open read") ||
+              reports(Rep, "not properly nested"))
+      << Rep.summary();
+  R->Kind = TraceKind::Read;
+
+  // End moved before Start: the interval is inverted. Relabeling inside
+  // one group is enough, so take a read whose interval fits in one.
+  const OrderList &Om = F.RT.orderList();
+  R = nullptr;
+  for (OmNode *N = Om.next(Om.base()); N && !R; N = Om.next(N))
+    if (N->Kind == TraceKind::Read &&
+        static_cast<ReadNode *>(N)->End.Group == N->Group)
+      R = static_cast<ReadNode *>(N);
+  ASSERT_NE(R, nullptr) << "no read interval within one group";
+  uint64_t SavedLabel = R->End.Label;
+  R->End.Label = R->Label - 1;
+  Rep = TraceAudit::inspect(F.RT);
+  EXPECT_TRUE(reports(Rep, "read: End does not follow Start"))
+      << Rep.summary();
+  R->End.Label = SavedLabel;
   EXPECT_TRUE(TraceAudit::inspect(F.RT).ok());
 }
 
