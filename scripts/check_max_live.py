@@ -39,25 +39,25 @@ import sys
 # Per-app max_live_bytes (trace arena, timestamps and order-list groups
 # included) at smoke scale.
 BASELINES = {
-    "filter": 625376,
-    "map": 887856,
-    "minimum": 3190104,
-    "quicksort": 977064,
-    "exptrees": 1778840,
-    "quickhull": 3541624,
-    "rctree-opt": 1616704,
+    "filter": 569720,
+    "map": 807816,
+    "minimum": 2872480,
+    "quicksort": 878488,
+    "exptrees": 1586880,
+    "quickhull": 3179984,
+    "rctree-opt": 1464376,
 }
 
 # Per-app total_live_bytes (trace arena high-water mark + memo bucket
 # arrays) at smoke scale.
 TOTAL_BASELINES = {
-    "filter": 658144,
-    "map": 920624,
-    "minimum": 3321176,
-    "quicksort": 1042600,
-    "exptrees": 1844376,
-    "quickhull": 3591024,
-    "rctree-opt": 1665856,
+    "filter": 602488,
+    "map": 840584,
+    "minimum": 3003552,
+    "quicksort": 944024,
+    "exptrees": 1652416,
+    "quickhull": 3311056,
+    "rctree-opt": 1513528,
 }
 
 TOLERANCE = 0.10

@@ -27,17 +27,17 @@ void OrderList::rebuildEmpty() {
   G->Count = 1;
   FirstGroup = Mem->handle(G);
 
-  auto *N = Mem->create<OmNode>(); // Value-initialized: client bytes zero.
+  auto *N = Mem->create<OmNode>(); // Value-initialized: client bits zero.
   N->Prev = N->Next = Handle<OmNode>{};
   N->Group = FirstGroup;
-  N->Label = UINT64_MAX / 2;
+  N->Label = LabelLimit / 2;
   Base = Mem->handle(N);
   G->First = Base;
   Size = 1;
 }
 
 void OrderList::linkAfter(OmNode *X, OmNode *N, Handle<OmGroup> G,
-                          uint64_t Label) {
+                          uint32_t Label) {
   Handle<OmNode> H = Mem->handle(N);
   N->Label = Label;
   N->Group = G;
@@ -58,18 +58,18 @@ void OrderList::insertAfterSlow(OmNode *X, OmNode *N) {
     return appendSlow(X, N);
   for (;;) {
     OmGroup *G = at(X->Group);
-    uint64_t Lo = X->Label;
+    uint32_t Lo = X->Label;
     const OmNode *Succ = Mem->ptr(X->Next);
-    uint64_t Hi = Succ && Succ->Group == X->Group ? Succ->Label : UINT64_MAX;
+    uint32_t Hi = Succ && Succ->Group == X->Group ? Succ->Label : LabelLimit;
     if (Hi - Lo >= 2 && G->Count < GroupLimit) {
       ++G->Count;
       return linkAfter(X, N, X->Group,
                        Lo + std::min((Hi - Lo) / 2, AppendGap));
     }
     if (G->Count >= GroupLimit)
-      splitGroup(G);
+      splitGroup(G, X);
     else
-      relabelGroupItems(G);
+      relabelGroupItems(G, X);
   }
 }
 
@@ -91,7 +91,7 @@ void OrderList::appendSlow(OmNode *X, OmNode *N) {
       Handle<OmGroup> NewGH = Mem->handle(NewG);
       NewG->First = X->Next;
       uint32_t Moved = 0;
-      uint64_t Label = AppendGap;
+      uint32_t Label = AppendGap;
       for (OmNode *M = Mem->ptr(X->Next); M && M->Group == GH;
            M = Mem->ptr(M->Next)) {
         M->Group = NewGH;
@@ -104,7 +104,7 @@ void OrderList::appendSlow(OmNode *X, OmNode *N) {
       G->Count -= Moved;
       continue;
     }
-    if (G->Count >= FillLimit || UINT64_MAX - X->Label < 2) {
+    if (G->Count >= FillLimit || LabelLimit - X->Label < 2) {
       // Group tail, but the group is at the append-mode fill target or
       // the label space above X is gone: start a fresh group after G and
       // put the new node there.
@@ -118,7 +118,7 @@ void OrderList::appendSlow(OmNode *X, OmNode *N) {
     ++G->Count;
     return linkAfter(
         X, N, GH,
-        X->Label + std::min((UINT64_MAX - X->Label) / 2, AppendGap));
+        X->Label + std::min((LabelLimit - X->Label) / 2, AppendGap));
   }
 }
 
@@ -141,15 +141,29 @@ void OrderList::removeEmptyGroup(OmGroup *G) {
   Mem->destroy(G);
 }
 
-void OrderList::relabelGroupItems(OmGroup *G) {
+void OrderList::relabelGroupItems(OmGroup *G, const OmNode *Hot) {
   ++Relabels;
   assert(G->Count > 0 && "relabeling an empty group");
-  uint64_t Gap = UINT64_MAX / (uint64_t(G->Count) + 1);
-  // The counted relabel kernel chases the 32-bit Next handles off the
-  // arena's region base.
-  simd::omRelabel(Mem->regionBase(), G->First.Bits, G->Count,
-                  /*Base=*/0, Gap, offsetof(OmNode, Next),
-                  offsetof(OmNode, Label));
+  // Why Hot gets half the space: a run of insertions behind it (the
+  // re-execution cursor stamping forward) then advances by 32 AppendGap
+  // bumps, where an even gap of LabelLimit / (Count + 1) is halved away
+  // after about 18 insertions.
+  //
+  // The label shares its word with the client's kind and flags, so this
+  // is a bit-field store per node rather than the 64-bit relabel kernel
+  // the group level uses; it is counted with that kernel all the same.
+  simd::note(simd::Kernel::OmRelabel,
+             uint64_t(G->Count) * sizeof(uint32_t) * 2);
+  const bool Biased = Hot && Hot->Group == Mem->handle(G);
+  const uint32_t Gap = (Biased ? LabelLimit / 2 : LabelLimit) / (G->Count + 1);
+  uint32_t Label = 0;
+  OmNode *N = at(G->First);
+  for (uint32_t I = 0; I < G->Count; ++I, N = Mem->ptr(N->Next)) {
+    Label += Gap;
+    N->Label = Label;
+    if (N == Hot)
+      Label += LabelLimit / 2;
+  }
 }
 
 OmGroup *OrderList::createGroupAfter(OmGroup *G, uint64_t Label) {
@@ -178,7 +192,7 @@ OmGroup *OrderList::freshGroupAfter(OmGroup *G) {
                           Lo + std::min((Hi - Lo) / 2, uint64_t(1) << 31));
 }
 
-void OrderList::splitGroup(OmGroup *G) {
+void OrderList::splitGroup(OmGroup *G, const OmNode *Hot) {
   ++Relabels;
   // Leave the first GroupTarget members in G and distribute the remainder
   // into fresh groups of GroupTarget members each, inserted after G.
@@ -188,7 +202,6 @@ void OrderList::splitGroup(OmGroup *G) {
   for (uint32_t I = 0; I < GroupTarget; ++I)
     N = at(N)->Next;
   G->Count = GroupTarget;
-  relabelGroupItems(G);
 
   uint32_t Remaining = Total - GroupTarget;
   OmGroup *Pred = G;
@@ -203,10 +216,12 @@ void OrderList::splitGroup(OmGroup *G) {
       NN->Group = NewGH;
       N = NN->Next;
     }
-    relabelGroupItems(NewG);
+    relabelGroupItems(NewG, Hot);
     Remaining -= Take;
     Pred = NewG;
   }
+  // After the moves, so that Hot's group handle says where it ended up.
+  relabelGroupItems(G, Hot);
 }
 
 uint64_t OrderList::makeGroupGapAfter(OmGroup *G) {
@@ -247,8 +262,8 @@ uint64_t OrderList::makeGroupGapAfter(OmGroup *G) {
       continue; // Too dense for this height; widen the range.
     uint64_t Gap = Width / (Count + 1);
     assert(Gap >= 2 && "density bound guarantees usable gaps");
-    // Same chain-relabel shape as relabelGroupItems, over the group chain
-    // instead of a node chain.
+    // The counted relabel kernel chases the 32-bit Next handles of the
+    // group chain off the arena's region base.
     simd::omRelabel(Mem->regionBase(), Mem->handle(Lo).Bits, Count,
                     RangeBase, Gap, offsetof(OmGroup, Next),
                     offsetof(OmGroup, Label));

@@ -37,21 +37,24 @@ namespace ceal {
 struct OmGroup;
 
 /// What a timestamp belongs to. The trace defines the enumerators
-/// (runtime/Trace.h); to the list the kind is an opaque client byte that
+/// (runtime/Trace.h); to the list the kind is an opaque client field that
 /// it never reads, and writes only for its own base sentinel (zero).
 enum class TraceKind : uint8_t;
 
-/// One position in the total order. Every link is a 32-bit handle into
-/// the arena the list is bound to, so a node packs into 24 bytes. Kind
-/// and Flags belong to the client: a trace node begins with its start
-/// timestamp, so they are the node's own kind and flags.
+/// One position in the total order: three 32-bit handle links into the
+/// arena the list is bound to, plus one 32-bit word that packs the 24-bit
+/// in-group label with the client byte, so a node is 16 bytes and only
+/// 4-byte aligned. Kind and Flags belong to the client: a trace node
+/// begins with its start timestamp, so they are the node's own kind (3
+/// bits) and flags (5 bits). The list writes only the label bits of a
+/// linked node.
 struct OmNode {
   Handle<OmNode> Prev;
   Handle<OmNode> Next;
   Handle<OmGroup> Group;
-  TraceKind Kind;
-  uint8_t Flags;
-  uint64_t Label;
+  uint32_t Label : 24;
+  TraceKind Kind : 3;
+  uint8_t Flags : 5;
 };
 
 /// A group of up to OrderList::GroupLimit consecutive nodes. Groups carry
@@ -91,9 +94,9 @@ public:
     assert(X && N && "insertAfter requires a position and a node");
     Handle<OmGroup> GH = X->Group;
     OmGroup *G = Mem->at(GH);
-    uint64_t Lo = X->Label;
+    uint32_t Lo = X->Label;
     OmNode *Succ = Mem->ptr(X->Next);
-    uint64_t Hi = Succ && Succ->Group == GH ? Succ->Label : UINT64_MAX;
+    uint32_t Hi = Succ && Succ->Group == GH ? Succ->Label : LabelLimit;
     if (Hi - Lo >= 2 && G->Count < FillLimit) {
       Handle<OmNode> H = Mem->handle(N);
       N->Label = Lo + std::min((Hi - Lo) / 2, AppendGap);
@@ -133,7 +136,7 @@ public:
   /// pays the Bender density machinery), a full group at the insertion
   /// point opens a *fresh* group after it, and a mid-group position whose
   /// label gap is exhausted peels its in-group suffix into a fresh group
-  /// so the position becomes a group tail with the whole 64-bit label
+  /// so the position becomes a group tail with the whole in-group label
   /// space above it. No existing label is ever rewritten, so a monotone
   /// run of insertions — the initial trace run, or the re-traced prefix
   /// of a re-executed interval — costs O(1) worst case per insertion, not
@@ -215,10 +218,20 @@ private:
   static constexpr uint32_t GroupTarget = 32;
   /// Upper-level label space: [0, 2^62).
   static constexpr uint64_t GroupLabelSpace = uint64_t(1) << 62;
+  /// Width of an in-group label (OmNode::Label).
+  static constexpr unsigned LabelBits = 24;
+  /// In-group label space: [0, LabelLimit). LabelLimit itself is the
+  /// "no in-group successor" sentinel above a group's tail and the span a
+  /// relabel spreads the members over.
+  static constexpr uint32_t LabelLimit = uint32_t(1) << LabelBits;
   /// Appending halves the remaining label space if done by midpoint,
-  /// which exhausts it after ~64 insertions and triggers pathological
+  /// which exhausts it after ~24 insertions and triggers pathological
   /// relabeling; bound the gap so appends consume label space linearly.
-  static constexpr uint64_t AppendGap = uint64_t(1) << 32;
+  /// A whole group's worth of bump labels fits: a peel of up to
+  /// GroupLimit - 1 nodes takes labels AppendGap .. 63 * AppendGap.
+  static constexpr uint32_t AppendGap = uint32_t(1) << 18;
+  static_assert((GroupLimit - 1) * uint64_t(AppendGap) < LabelLimit,
+                "a peeled group's bump labels must fit the label space");
 
   /// Handle resolution for links the structure guarantees are non-null.
   OmNode *at(Handle<OmNode> H) const { return Mem->at(H); }
@@ -228,15 +241,21 @@ private:
   void appendSlow(OmNode *X, OmNode *N);
   /// Links \p N with \p Label in group \p G immediately after \p X (the
   /// group's Count is the caller's).
-  void linkAfter(OmNode *X, OmNode *N, Handle<OmGroup> G, uint64_t Label);
+  void linkAfter(OmNode *X, OmNode *N, Handle<OmGroup> G, uint32_t Label);
   void removeEmptyGroup(OmGroup *G);
   OmGroup *createGroupAfter(OmGroup *G, uint64_t Label);
   /// Creates an empty group after \p G with a label midway to its
   /// successor (bounded by the append stride), relabeling the enclosing
   /// group range first if the upper-level label space is exhausted there.
   OmGroup *freshGroupAfter(OmGroup *G);
-  void splitGroup(OmGroup *G);
-  void relabelGroupItems(OmGroup *G);
+  /// Splits the full group \p G into groups of GroupTarget members and
+  /// relabels each; \p Hot is the member an insertion is waiting behind
+  /// (see relabelGroupItems).
+  void splitGroup(OmGroup *G, const OmNode *Hot);
+  /// Rewrites the labels of \p G's members. When \p Hot (the node an
+  /// insertion is waiting behind) is one of them, half the label space
+  /// becomes the gap after it; otherwise the members are spread evenly.
+  void relabelGroupItems(OmGroup *G, const OmNode *Hot);
   /// Makes room in the group-label space around \p G so that a new group
   /// can be inserted after it; relabels a low-density enclosing range.
   uint64_t makeGroupGapAfter(OmGroup *G);

@@ -667,7 +667,7 @@ void Runtime::reexecute(ReadNode *R) {
 
 /// Revokes every old trace node strictly between \p From and \p To.
 /// Each timestamp is its trace node, so the walk dispatches on the
-/// stamp's own kind byte. Read nodes remove both their start and end
+/// stamp's own kind bits. Read nodes remove both their start and end
 /// timestamps; end timestamps encountered directly belong to reads whose
 /// start lies in the interval as well and are handled when the start is
 /// visited.

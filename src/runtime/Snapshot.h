@@ -134,7 +134,9 @@ public:
   // (support/Checksum.h), so v1 digests no longer verify. Version 3: the
   // order list lives in the trace arena, so the OM section and the
   // header's second region are gone (the checksum is still the v2 one).
-  static constexpr uint32_t FormatVersion = 3;
+  // Version 4: trace nodes use the packed 16-byte timestamp (layout
+  // fingerprint revision 4), so every node offset in the arena moved.
+  static constexpr uint32_t FormatVersion = 4;
   static constexpr uint32_t EndianTag = 0x01020304;
   static constexpr uint64_t HeaderBytes = 4096;
 

@@ -19,17 +19,17 @@
 /// closures, and user blocks all live in the runtime's one Mem arena, and
 /// each edge names its target by region offset. Timestamps are intrusive:
 /// a trace node *is* its start timestamp (it begins with an OmNode, whose
-/// client bytes hold the node's kind and flags), and a read embeds its end
+/// client bits hold the node's kind and flags), and a read embeds its end
 /// timestamp as a second OmNode. An order walk therefore reaches the
 /// owning node by address, with no back-pointer. The per-node layouts:
 ///
-///   TraceNode 24 B   (start timestamp: prev/next/group handles, kind,
-///                      flags, label)
-///   Use       36 B   (+ modifiable, prev/next use; 40 with tail padding)
-///   ReadNode  96 B   (+ closure in Use's tail padding, seen value, end
-///                      timestamp, governing write, queue index, memo links)
-///   WriteNode 48 B   (+ value)
-///   AllocNode 48 B   (+ initializer, block, size, memo links)
+///   TraceNode 16 B   (start timestamp: prev/next/group handles, then one
+///                      word of 24-bit label, 3-bit kind, 5-bit flags)
+///   Use       28 B   (+ modifiable, prev/next use)
+///   ReadNode  80 B   (+ closure, seen value, end timestamp, governing
+///                      write, queue index, memo links)
+///   WriteNode 40 B   (+ value)
+///   AllocNode 40 B   (+ initializer, block, size, memo links)
 ///   Modref    24 B   (initial value + head/tail/hint of the use list)
 ///   OmGroup   24 B   (prev/next/first handles, count, label)
 ///
@@ -57,6 +57,8 @@ struct ReadNode;
 
 /// What a timestamp belongs to (declared opaque in om/OrderList.h). Base
 /// is zero, the value the order list gives its own sentinel.
+/// The kind is a 3-bit field of the timestamp, so values 5-7 are
+/// undefined; the trace sanitizer and the snapshot loader report them.
 enum class TraceKind : uint8_t {
   Base,
   Read,
@@ -67,7 +69,7 @@ enum class TraceKind : uint8_t {
 };
 
 /// Base of all trace nodes: the node's start timestamp, whose client
-/// bytes carry the node's kind and flags.
+/// bits carry the node's kind and flags.
 struct TraceNode : OmNode {
   /// Tag for Runtime::newNode: skip zero-initializing the fields the
   /// tracing hot paths overwrite unconditionally before anything reads
@@ -105,13 +107,12 @@ struct ReadNode : Use {
 
   static constexpr uint8_t FlagDirty = 1;
 
-  /// Placed in Use's tail padding: Use is not a POD (it has
-  /// constructors), so the Itanium C++ ABI lets a derived class reuse
-  /// it (offset static_asserted below).
+  /// Directly after Use, which is only 4-byte aligned now that a
+  /// timestamp is (offset static_asserted below).
   Handle<Closure> Clo;
   Word SeenValue;
   /// The interval's end timestamp, stamped when the read's tail-call
-  /// chain finishes. Its kind byte is TraceKind::End.
+  /// chain finishes. Its kind is TraceKind::End.
   OmNode End;
   /// Governing-write cache: the latest write strictly preceding this read
   /// in its modifiable's use list — the write whose value the read
@@ -183,26 +184,32 @@ struct Modref {
 // must exactly fill its 8-byte arena class; growing any of them is a
 // measured regression on every app's max-live footprint, so it fails the
 // build rather than landing silently.
-static_assert(sizeof(OmNode) == 24, "OmNode outgrew its packed layout");
+static_assert(sizeof(OmNode) == 16, "OmNode outgrew its packed layout");
+static_assert(alignof(OmNode) == 4, "a timestamp must not force 8-byte "
+                                    "alignment on the node around it");
 static_assert(sizeof(OmGroup) == 24, "OmGroup outgrew its size class");
-static_assert(sizeof(TraceNode) == 24, "TraceNode outgrew its start stamp");
-static_assert(sizeof(Use) == 40, "Use outgrew its packed layout");
-static_assert(sizeof(ReadNode) == 96, "ReadNode outgrew its size class");
-static_assert(sizeof(WriteNode) == 48, "WriteNode outgrew its size class");
-static_assert(sizeof(AllocNode) == 48, "AllocNode outgrew its size class");
+static_assert(sizeof(TraceNode) == 16, "TraceNode outgrew its start stamp");
+static_assert(sizeof(Use) == 28, "Use outgrew its packed layout");
+static_assert(sizeof(ReadNode) == 80, "ReadNode outgrew its size class");
+static_assert(sizeof(WriteNode) == 40, "WriteNode outgrew its size class");
+static_assert(sizeof(AllocNode) == 40, "AllocNode outgrew its size class");
 static_assert(sizeof(Modref) == 24, "Modref outgrew its size class");
+// The kind field holds every TraceKind, the flag field every node flag.
+static_assert(unsigned(TraceKind::End) < 8, "TraceKind outgrew 3 bits");
+static_assert(ReadNode::FlagDirty < 32 && AllocNode::FlagModref < 32,
+              "a node flag outgrew the 5 flag bits");
 
 /// Byte offset of ReadNode::End, by which an end timestamp finds its read.
 /// offsetof on a type with base-class members is conditionally supported
 /// (GCC and Clang accept it under -Winvalid-offsetof), so the offset is a
 /// named constant that the compiler's layout is checked against here.
-inline constexpr size_t ReadEndOffset = 48;
+inline constexpr size_t ReadEndOffset = 40;
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Winvalid-offsetof"
 static_assert(offsetof(ReadNode, End) == ReadEndOffset,
               "ReadNode::End moved; its owner is found by this offset");
-static_assert(offsetof(ReadNode, Clo) == 36,
-              "ReadNode::Clo no longer reuses Use's tail padding");
+static_assert(offsetof(ReadNode, Clo) == 28,
+              "ReadNode::Clo no longer follows Use directly");
 #pragma GCC diagnostic pop
 static_assert(ReadEndOffset % Arena::HandleGrain == 0,
               "the end timestamp must be handle-addressable");
@@ -218,9 +225,10 @@ inline const ReadNode *ReadNode::ofEnd(const OmNode *E) {
 /// one is byte-compatible with the other, so the snapshot loader
 /// (runtime/Snapshot) embeds it in the checkpoint header and rejects any
 /// mismatch. Revision 3: timestamps are embedded in their trace nodes and
-/// the order list shares the trace arena.
+/// the order list shares the trace arena. Revision 4: a timestamp packs a
+/// 24-bit in-group label with the kind and flags into one word.
 inline uint64_t traceLayoutFingerprint() {
-  uint64_t H = 0x4345414c00000003ULL; // format root: 'CEAL', revision 3
+  uint64_t H = 0x4345414c00000004ULL; // format root: 'CEAL', revision 4
   auto Mix = [&H](uint64_t W) { H = hashMixWord(H, W); };
   Mix(sizeof(void *));
   Mix(Arena::HandleGrain);

@@ -333,7 +333,7 @@ struct TraceAudit::Impl {
       }
       Last = N;
       // The innermost open read's end stamp is recognized by address, so
-      // a corrupted kind byte there is reported instead of trusted.
+      // a corrupted kind there is reported instead of trusted.
       if (!OpenReads.empty() && N == &OpenReads.back()->End) {
         if (N->Kind != TraceKind::End)
           fail("trace: read's end stamp carries kind %u, not End",

@@ -15,7 +15,7 @@
 ///    two levels agree — `precedes` is a strict total order consistent
 ///    with the linked-list order (Dietz-Sleator consistency).
 ///
-///  * Trace shape: every timestamp's kind byte matches the node that
+///  * Trace shape: every timestamp's kind bits match the node that
 ///    embeds it (a read's End member says End, every other stamp names
 ///    its own node's kind), read intervals are well-formed (Start before
 ///    End) and properly nested, and the global TraceEnd is the maximum

@@ -164,7 +164,11 @@ inline void bucketIndex(const void *const *Nodes, size_t N, size_t HashOff,
 /// arena region: node 0 sits at Region + First * OmHandleGrain, and node
 /// i+1 at Region + load_u32(node_i + NextOff) * OmHandleGrain. Stores
 ///   Base + Gap * (i + 1)  at  node_i + LabelOff
-/// for i = 0 .. Count-1.
+/// for i = 0 .. Count-1, as a whole 64-bit word: this is the order
+/// list's group-level relabel. An in-group label is a 24-bit field that
+/// shares its word with the trace's kind and flags, so the node-level
+/// relabel is a loop in om/OrderList.cpp that notes this same counter;
+/// Kernel::OmRelabel therefore counts relabels at both levels.
 inline void omRelabel(void *Region, uint32_t First, uint64_t Count,
                       uint64_t Base, uint64_t Gap, size_t NextOff,
                       size_t LabelOff) {

@@ -10,6 +10,7 @@
 
 #include "om/OrderList.h"
 #include "support/Random.h"
+#include "support/simd/Simd.h"
 
 #include <gtest/gtest.h>
 
@@ -69,23 +70,152 @@ TEST(OrderList, InsertAfterOrdersChain) {
 }
 
 TEST(OrderList, PayloadIsPreserved) {
-  // The kind and flag bytes belong to the client (the trace keeps each
-  // node's kind and flags there): linking the node, relabeling around
-  // it, and unlinking its neighbours must leave them untouched.
+  // The kind and flag bits belong to the client (the trace keeps each
+  // node's kind and flags there) and share a word with the node's label:
+  // linking nodes, relabeling and splitting their groups, peeling them in
+  // append mode, and unlinking their neighbours must write only the
+  // label bits.
+  constexpr uint8_t Dirty = 1;
   TestList L;
+  auto Stamp = [&](OmNode *N, int I) {
+    N->Kind = static_cast<TraceKind>(1 + I % 4); // Every non-base kind.
+    N->Flags = Dirty | uint8_t(I % 2 ? 0x10 : 0);
+  };
+  auto Intact = [&](const OmNode *N, int I) {
+    return N->Kind == static_cast<TraceKind>(1 + I % 4) &&
+           N->Flags == (Dirty | uint8_t(I % 2 ? 0x10 : 0));
+  };
   OmNode *A = L.A.create<OmNode>();
-  A->Kind = static_cast<TraceKind>(42);
-  A->Flags = 7;
+  A->Kind = static_cast<TraceKind>(7); // The widest value the field holds.
+  A->Flags = 0x1f;
   L.insertAfter(L.base(), A);
   std::vector<OmNode *> After;
-  for (int I = 0; I < 5000; ++I)
-    After.push_back(L.insertAfter(A));
+  for (int I = 0; I < 5000; ++I) {
+    OmNode *N = L.A.create<OmNode>();
+    Stamp(N, I);
+    L.insertAfter(A, N);
+    After.push_back(N);
+  }
+  EXPECT_GT(L.relabelCount(), 0u) << "no relabel passed over the nodes";
+  // Append mode: re-entering mid-group peels the in-group suffix.
+  L.beginAppend();
+  for (int I = 0; I < 64; ++I) {
+    OmNode *N = L.A.create<OmNode>();
+    Stamp(N, 5000 + I);
+    L.insertAfter(After[size_t(I) * 71], N);
+    After.push_back(N);
+  }
+  L.finalizeAppend();
   for (size_t I = 0; I < After.size(); I += 2)
     L.remove(After[I]);
-  EXPECT_GT(L.relabelCount(), 0u) << "no relabel passed over the node";
-  EXPECT_EQ(A->Kind, static_cast<TraceKind>(42));
-  EXPECT_EQ(A->Flags, 7u);
-  EXPECT_EQ(L.base()->Kind, TraceKind{}) << "the base's kind byte is zero";
+  EXPECT_EQ(A->Kind, static_cast<TraceKind>(7));
+  EXPECT_EQ(A->Flags, 0x1fu);
+  for (size_t I = 1; I < After.size(); I += 2)
+    ASSERT_TRUE(Intact(After[I], int(I))) << "node " << I;
+  EXPECT_EQ(L.base()->Kind, TraceKind{}) << "the base's kind bits are zero";
+  EXPECT_EQ(L.base()->Flags, 0u);
+  L.verifyInvariants();
+}
+
+TEST(OrderList, FixedPositionInsertionStaysWithinTheRelabelBound) {
+  // Adversarial for the 24-bit in-group labels: every insertion lands
+  // right after one fixed node, so each one halves the same label gap.
+  // The bound follows from the label width. A relabel spreads at most
+  // GroupLimit = 64 members over 2^24 labels, or over half of them when
+  // it keeps the other half free behind the insertion point, so every
+  // gap it leaves is above 2^16 and a group takes at least 16
+  // insertions between an item relabel and the next. A group splits only
+  // after growing from 32 members to 64, and a split counts three
+  // relabels (the split and one item relabel per resulting group). Range
+  // relabels are the group level's, at most one per fresh group.
+  constexpr size_t Inserts = 100000;
+  constexpr size_t HalvingsPerRelabel = 16, InsertsPerSplit = 32;
+  TestList L;
+  OmNode *X = L.insertAfter(L.base());
+  OmNode *Tail = L.insertAfter(X);
+  std::vector<OmNode *> Order; // Inserted after X: later ones come first.
+  for (size_t I = 0; I < Inserts; ++I)
+    Order.push_back(L.insertAfter(X));
+  L.verifyInvariants();
+  EXPECT_LE(L.relabelCount() - L.rangeRelabelCount(),
+            Inserts / HalvingsPerRelabel + 3 * Inserts / InsertsPerSplit);
+  EXPECT_LE(L.rangeRelabelCount(), Inserts / InsertsPerSplit);
+  std::reverse(Order.begin(), Order.end());
+  Order.insert(Order.begin(), X);
+  Order.push_back(Tail);
+  // The list order is exactly the oracle order...
+  const OmNode *N = X;
+  for (size_t I = 0; I < Order.size(); ++I, N = L.next(N))
+    ASSERT_EQ(N, Order[I]) << "position " << I;
+  // ...and precedes() agrees with it on adjacent and random pairs.
+  for (size_t I = 1; I < Order.size(); ++I)
+    ASSERT_TRUE(L.precedes(Order[I - 1], Order[I])) << "position " << I;
+  Rng R(1717);
+  for (int Q = 0; Q < 20000; ++Q) {
+    size_t I = R.below(Order.size()), J = R.below(Order.size());
+    ASSERT_EQ(L.precedes(Order[I], Order[J]), I < J) << I << " vs " << J;
+  }
+
+  // Alternating insert/remove at one position must not consume labels:
+  // the list ends exactly as it started.
+  const size_t Relabels = L.relabelCount();
+  OmNode *Spot = Order[Order.size() / 2];
+  for (size_t I = 0; I < Inserts; ++I) {
+    OmNode *T = L.insertAfter(Spot);
+    ASSERT_TRUE(L.precedes(Spot, T));
+    ASSERT_TRUE(L.precedes(T, L.next(T)));
+    L.remove(T);
+  }
+  EXPECT_LE(L.relabelCount(), Relabels + 3) << "at most one split";
+  L.verifyInvariants();
+  EXPECT_EQ(L.size(), Order.size() + 1);
+}
+
+TEST(OrderList, MonotoneRunMidGroupPaysOnlyForSplits) {
+  // Outside append mode, re-execution stamps forward from a cursor in the
+  // middle of old groups. A relabel or split that makes room for the
+  // cursor leaves half the label space as the gap behind it, so the run
+  // advances by AppendGap bumps (32 of them per half space) and the only
+  // rebalancing it pays is one split, three relabels, per 32 insertions.
+  // Spreading the members evenly instead would spend the gap by halving
+  // after about 18 insertions and add an item relabel to every split.
+  constexpr size_t Run = 10000, InsertsPerSplit = 32;
+  TestList L;
+  std::vector<OmNode *> Old{L.base()};
+  for (int I = 0; I < 1000; ++I)
+    Old.push_back(L.insertAfter(Old.back()));
+  const size_t Relabels0 = L.relabelCount();
+  const size_t Range0 = L.rangeRelabelCount();
+  OmNode *Cursor = Old[500];
+  std::vector<OmNode *> Stamped{Cursor};
+  for (size_t I = 0; I < Run; ++I)
+    Stamped.push_back(Cursor = L.insertAfter(Cursor));
+  const size_t Rebalances = (L.relabelCount() - Relabels0) -
+                            (L.rangeRelabelCount() - Range0);
+  EXPECT_LE(Rebalances, 3 * (Run / InsertsPerSplit + 1));
+  L.verifyInvariants();
+  for (size_t I = 1; I < Stamped.size(); ++I)
+    ASSERT_TRUE(L.precedes(Stamped[I - 1], Stamped[I])) << "stamp " << I;
+  EXPECT_TRUE(L.precedes(Stamped.back(), Old[501]));
+}
+
+TEST(OrderList, ItemRelabelsAreCountedWithTheRelabelKernel) {
+  // Node labels are relabeled by a plain loop, not by simd::omRelabel
+  // (which writes whole 64-bit group labels), but the loop notes the same
+  // counter: simd.om_relabel counts relabels at both levels. Inserting
+  // right after the base halves one gap until it is spent; the group is
+  // far from full, so that is exactly one item relabel and no split.
+  simd::KernelCounters &C = simd::counters(simd::Kernel::OmRelabel);
+  const uint64_t Calls0 = C.Calls.load(), Bytes0 = C.Bytes.load();
+  TestList L;
+  while (L.relabelCount() == 0)
+    L.insertAfter(L.base());
+  EXPECT_LT(L.size(), 32u) << "a 24-bit gap lasts about 20 halvings";
+  EXPECT_EQ(L.rangeRelabelCount(), 0u);
+  EXPECT_EQ(C.Calls.load(), Calls0 + 1);
+  // Each member's next handle is read and its label word written; the
+  // node that triggered the relabel is linked afterwards.
+  EXPECT_EQ(C.Bytes.load(), Bytes0 + (L.size() - 1) * 8);
   L.verifyInvariants();
 }
 

@@ -626,7 +626,7 @@ TEST(Runtime, MapFootprintPerElementMatchesTheLayout) {
   // Each map element traces one read, one write and two allocations (the
   // output tail modifiable and the output cell), and every timestamp is
   // embedded in its node, so the trace costs exactly the node layouts
-  // plus closures and blocks per element: 336 B.
+  // plus closures and blocks per element: 296 B.
   const size_t N = 100000;
   Runtime RT;
   std::vector<Word> In(N);
@@ -644,7 +644,7 @@ TEST(Runtime, MapFootprintPerElementMatchesTheLayout) {
   const size_t CellAlloc =
       sizeof(AllocNode) + Closure::byteSize(2) + sizeof(Cell);
   const size_t PerElement = ReadBytes + WriteBytes + ModrefAlloc + CellAlloc;
-  EXPECT_EQ(PerElement, 336u);
+  EXPECT_EQ(PerElement, 296u);
 
   MemoryStats S = RT.memoryStats();
   EXPECT_EQ(S.Reads, N + 1); // The last read sees the end of the list.

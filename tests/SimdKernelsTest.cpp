@@ -84,21 +84,31 @@ TEST(SimdDispatch, CountersAccumulate) {
         [&] { simd::bucketIndex(Nodes, 2, 0, 0xff, Out); });
   EXPECT_EQ(Out[0], 0x34u);
   EXPECT_EQ(Out[1], 0xf1u);
-  // The chain 2 -> 6 -> 4 of 16-byte {u32 Next, u32 pad, u64 Label} nodes.
-  alignas(8) unsigned char Region[8 * simd::OmHandleGrain] = {};
+  // The relabel kernel rewrites the order list's 64-bit group labels
+  // (in-group labels are 24-bit fields; OrderListTest counts those). The
+  // chain 2 -> 9 -> 5 of 24-byte group-shaped records {u32 Prev, u32 Next,
+  // u32 First, u32 Count, u64 Label}; every other byte stays untouched.
+  alignas(8) unsigned char Region[12 * simd::OmHandleGrain];
+  std::memset(Region, 0xA5, sizeof(Region));
   auto NodeAt = [&](uint32_t H) { return Region + H * simd::OmHandleGrain; };
-  const uint32_t Next2 = 6, Next6 = 4;
-  std::memcpy(NodeAt(2), &Next2, 4);
-  std::memcpy(NodeAt(6), &Next6, 4);
+  const uint32_t Next2 = 9, Next9 = 5;
+  std::memcpy(NodeAt(2) + 4, &Next2, 4);
+  std::memcpy(NodeAt(9) + 4, &Next9, 4);
+  unsigned char Before[sizeof(Region)];
+  std::memcpy(Before, Region, sizeof(Region));
   Check(simd::Kernel::OmRelabel, 3 * (sizeof(uint32_t) + 8),
-        [&] { simd::omRelabel(Region, 2, 3, 100, 10, 0, 8); });
+        [&] { simd::omRelabel(Region, 2, 3, 100, 10, 4, 16); });
   uint64_t Label[3];
-  std::memcpy(&Label[0], NodeAt(2) + 8, 8);
-  std::memcpy(&Label[1], NodeAt(6) + 8, 8);
-  std::memcpy(&Label[2], NodeAt(4) + 8, 8);
+  std::memcpy(&Label[0], NodeAt(2) + 16, 8);
+  std::memcpy(&Label[1], NodeAt(9) + 16, 8);
+  std::memcpy(&Label[2], NodeAt(5) + 16, 8);
   EXPECT_EQ(Label[0], 110u);
   EXPECT_EQ(Label[1], 120u);
   EXPECT_EQ(Label[2], 130u);
+  for (uint32_t H : {2u, 9u, 5u})
+    std::memcpy(NodeAt(H) + 16, Before + (NodeAt(H) + 16 - Region), 8);
+  EXPECT_EQ(std::memcmp(Before, Region, sizeof(Region)), 0)
+      << "the kernel wrote outside the three label words";
 }
 
 //===----------------------------------------------------------------------===//

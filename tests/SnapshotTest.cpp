@@ -48,10 +48,39 @@ struct Checkpoint {
   std::vector<Word> Input;
 };
 
+/// A region base far below the kernel's top-down mmap area, and outside
+/// the shadow and allocator ranges of AddressSanitizer on x86-64. A
+/// checkpoint's recorded base must still be free when a test loads it,
+/// long after the source runtime is gone; near the top-down area the
+/// freed range is the first hole the next mmap fills (under ASan, a
+/// large-chunk mapping of its allocator did, and the load failed with
+/// AddressUnavailable).
+constexpr uint64_t QuietBase = 0x400000000000ULL;
+
+/// Moves the fresh runtime \p RT's region to QuietBase. An empty
+/// runtime's arena image holds no raw address, so its checkpoint loads at
+/// any base the header names. If the base cannot be claimed on this host,
+/// the load leaves \p RT pristine at a base of the kernel's choosing.
+void claimQuietBase(Runtime &RT) {
+  TempFile Empty;
+  {
+    Runtime Fresh(testConfig());
+    ASSERT_TRUE(Snapshot::save(Fresh, Empty.Path).ok());
+  }
+  std::vector<uint8_t> B = slurpFile(Empty.Path);
+  headerOf(B)->MemBase = QuietBase;
+  resealHeader(B);
+  ASSERT_TRUE(spitFile(Empty.Path, B));
+  Snapshot::LoadResult LR = Snapshot::load(RT, Empty.Path);
+  ASSERT_TRUE(LR.ok() || LR.St == St::AddressUnavailable)
+      << Snapshot::statusName(LR.St) << ": " << LR.Diagnostic;
+}
+
 void makeCheckpoint(Checkpoint &C, size_t N = 24) {
   for (size_t I = 0; I < N; ++I)
     C.Input.push_back((I * 2654435761u) % 1000);
   Runtime RT(testConfig());
+  claimQuietBase(RT);
   apps::ListHandle L = apps::buildList(RT, C.Input);
   Modref *Dst = RT.modref();
   RT.runCore<&apps::mapCore>(L.Head, Dst, &mapPaper, Word(0));
@@ -294,6 +323,20 @@ TEST(Snapshot, FutureVersionIsBadVersion) {
   EXPECT_EQ(tryLoad(C, B), St::BadVersion);
 }
 
+TEST(Snapshot, PreviousFormatIsBadVersion) {
+  // Format 3 held the 24-byte timestamps of layout revision 3; its arena
+  // image cannot be read as the packed layout, so the header alone
+  // rejects it before any payload is mapped.
+  static_assert(Snapshot::FormatVersion == 4, "bump this test with the format");
+  Checkpoint C;
+  makeCheckpoint(C);
+  std::vector<uint8_t> B = C.Bytes;
+  headerOf(B)->Version = 3;
+  resealHeader(B);
+  EXPECT_EQ(tryLoad(C, B), St::BadVersion);
+  EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/true), St::BadVersion);
+}
+
 TEST(Snapshot, LayoutFingerprintMismatchIsBadLayout) {
   Checkpoint C;
   makeCheckpoint(C);
@@ -424,6 +467,52 @@ TEST(Snapshot, BrokenAccountingIsAuditFailed) {
   std::string Diag;
   EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/false, &Diag), St::AuditFailed);
   EXPECT_FALSE(Diag.empty());
+}
+
+TEST(Snapshot, UndefinedKindBitsAreAuditFailed) {
+  // A timestamp's kind is a 3-bit field, so 5-7 are representable but
+  // undefined. A checkpoint whose payload carries one (checksums resealed,
+  // as a crafted file would) must come back as a status on both verified
+  // paths. Find one stamp of every kind by loading the checkpoint once.
+  Checkpoint C;
+  makeCheckpoint(C);
+  std::vector<uint64_t> StampOffs; // Region offsets: read, write, alloc, end.
+  {
+    ASSERT_TRUE(spitFile(C.Tmp.Path, C.Bytes));
+    Runtime RT(testConfig());
+    ASSERT_TRUE(Snapshot::load(RT, C.Tmp.Path).ok());
+    const OrderList &Om = RT.orderList();
+    const char *Base = static_cast<const char *>(RT.arena().regionBase());
+    for (TraceKind K : {TraceKind::Read, TraceKind::Write, TraceKind::Alloc,
+                        TraceKind::End})
+      for (const OmNode *N = Om.next(Om.base()); N; N = Om.next(N))
+        if (N->Kind == K) {
+          StampOffs.push_back(uint64_t(reinterpret_cast<const char *>(N) -
+                                       Base));
+          break;
+        }
+  }
+  ASSERT_EQ(StampOffs.size(), 4u);
+  const size_t IMem = 4;
+  for (uint64_t Off : StampOffs)
+    for (unsigned K = 5; K < 8; ++K) {
+      std::vector<uint8_t> B = C.Bytes;
+      unsigned char *At = B.data() + headerOf(B)->Sections[IMem].Offset + Off;
+      OmNode Stamp;
+      std::memcpy(&Stamp, At, sizeof(Stamp));
+      const uint32_t Label = Stamp.Label;
+      Stamp.Kind = static_cast<TraceKind>(K);
+      ASSERT_EQ(Stamp.Label, Label) << "the kind store touched the label";
+      std::memcpy(At, &Stamp, sizeof(Stamp));
+      resealSection(B, IMem);
+      resealHeader(B);
+      std::string Diag;
+      EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/false, &Diag), St::AuditFailed)
+          << "kind " << K << " at offset " << Off;
+      EXPECT_NE(Diag.find("kind"), std::string::npos) << Diag;
+      EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/true), St::AuditFailed)
+          << "kind " << K << " at offset " << Off;
+    }
 }
 
 TEST(Snapshot, FailedLoadLeavesRuntimeUsable) {

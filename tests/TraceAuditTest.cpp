@@ -162,10 +162,11 @@ TEST(TraceAudit, FastPathTraceMatchesLegacyShape) {
 // change alters only how nodes are packed, not what gets traced.
 TEST(TraceAudit, TraceShapeIsLayoutIndependent) {
   // Golden trace-shape signature for a fixed workload (seeded Fixture,
-  // N = 64). The compressed and CEAL_WIDE_TRACE builds both run this
-  // test, so if either layout changes what gets traced — rather than
-  // just how the nodes are packed — one of the two builds diverges from
-  // the golden and fails. This is the cross-build analogue of
+  // N = 64), recorded before the node layouts were compressed and kept
+  // through every repacking since (32-bit handles, embedded timestamps,
+  // packed labels). A layout change that alters what gets traced, rather
+  // than just how the nodes are packed, diverges from the golden and
+  // fails. This is the cross-layout analogue of
   // FastPathTraceMatchesLegacyShape above.
   Fixture F({}, 64);
   TraceAudit::Report Rep = TraceAudit::inspect(F.RT);
@@ -296,6 +297,58 @@ TEST(TraceAudit, DetectsEndStampKindCorruption) {
   EXPECT_TRUE(reports(Rep, "read: End does not follow Start"))
       << Rep.summary();
   R->End.Label = SavedLabel;
+  EXPECT_TRUE(TraceAudit::inspect(F.RT).ok());
+}
+
+TEST(TraceAudit, DetectsUndefinedKindsAndLabelDisorderInThePackedWord) {
+  // A timestamp packs its in-group label, kind and flags into one word.
+  // The kind field is 3 bits wide, so 5-7 fit but name no TraceKind; a
+  // stamp carrying one, on any kind of node, is reported rather than
+  // trusted. The label bits are checked for order independently.
+  Fixture F;
+  const OrderList &Om = F.RT.orderList();
+  std::vector<OmNode *> Stamps; // One read, write, alloc and end stamp.
+  for (TraceKind K : {TraceKind::Read, TraceKind::Write, TraceKind::Alloc,
+                      TraceKind::End})
+    for (OmNode *N = Om.next(Om.base()); N; N = Om.next(N))
+      if (N->Kind == K) {
+        Stamps.push_back(N);
+        break;
+      }
+  ASSERT_EQ(Stamps.size(), 4u);
+  for (OmNode *N : Stamps)
+    for (unsigned K = 5; K < 8; ++K) {
+      const TraceKind Saved = N->Kind;
+      const uint32_t Label = N->Label;
+      const uint8_t Flags = N->Flags;
+      N->Kind = static_cast<TraceKind>(K);
+      ASSERT_EQ(unsigned(N->Kind), K);
+      EXPECT_EQ(N->Label, Label) << "the kind store touched the label";
+      EXPECT_EQ(N->Flags, Flags) << "the kind store touched the flags";
+      TraceAudit::Report Rep = TraceAudit::inspect(F.RT);
+      EXPECT_TRUE(reports(Rep, ("kind " + std::to_string(K)).c_str()))
+          << "stamp of kind " << unsigned(Saved) << ": " << Rep.summary();
+      N->Kind = Saved;
+    }
+  EXPECT_TRUE(TraceAudit::inspect(F.RT).ok());
+
+  // Two neighbours in one group: the second's label drops to the
+  // first's, then below it.
+  OmNode *A = nullptr, *B = nullptr;
+  for (OmNode *N = Om.next(Om.base()); N && !A; N = Om.next(N))
+    if (OmNode *Succ = Om.next(N); Succ && Succ->Group == N->Group)
+      A = N, B = Succ;
+  ASSERT_NE(A, nullptr) << "no two stamps share a group";
+  const uint32_t Saved = B->Label;
+  const TraceKind Kind = B->Kind;
+  for (uint32_t Broken : {uint32_t(A->Label), uint32_t(A->Label - 1)}) {
+    B->Label = Broken;
+    EXPECT_EQ(B->Kind, Kind) << "the label store touched the kind";
+    TraceAudit::Report Rep = TraceAudit::inspect(F.RT);
+    EXPECT_TRUE(reports(Rep, "labels not strictly increasing within group"))
+        << Rep.summary();
+  }
+  B->Label = Saved;
   EXPECT_TRUE(TraceAudit::inspect(F.RT).ok());
 }
 
