@@ -38,6 +38,7 @@
 #include <memory>
 #include <string>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 namespace ceal {
@@ -57,6 +58,9 @@ struct Measurement {
   bool HasProfile = false;
   PropagationProfile BuildProf;
   PropagationProfile Prof;
+  /// Minor page faults the process took during the kept from-scratch run
+  /// (list apps only): one per page of fresh memory the run touched.
+  long MinorFaults = 0;
   /// Per-kind live-byte accounting, captured after the update loop (the
   /// trace is back to its steady-state shape by then).
   MemoryStats Mem;
@@ -85,6 +89,13 @@ struct Measurement {
     return MaxLiveBytes + Mem.OmBytes + Mem.MemoIndexBytes;
   }
 };
+
+/// The process's minor page faults so far (getrusage).
+inline long minorFaults() {
+  struct rusage U;
+  ::getrusage(RUSAGE_SELF, &U);
+  return U.ru_minflt;
+}
 
 inline std::vector<Word> randomWords(Rng &R, size_t N) {
   std::vector<Word> V(N);
@@ -314,9 +325,11 @@ inline Measurement benchList(ListKind K, size_t N, size_t UpdateSamples,
   ListHandle L = buildList(RT, In);
   Modref *Dst = RT.modref();
   {
+    long FaultsBefore = minorFaults();
     Timer T;
     runListCore(RT, K, L.Head, Dst);
     M.SelfSeconds = std::min(T.seconds(), RepBest);
+    M.MinorFaults = minorFaults() - FaultsBefore;
   }
 
   size_t Samples = std::min(UpdateSamples, N);

@@ -22,7 +22,8 @@
 //  * "profiles" — per app (map, plus quicksort, whose update speedup is
 //    an outlier needing a phase breakdown on record), a
 //    "construction_profile" of the from-scratch run (run_core time, OM /
-//    arena / memo / dispatch counters, deferred memo-build time) and a
+//    arena / memo / dispatch counters, deferred memo-build time, and the
+//    minor page faults the run took, counted here with getrusage) and a
 //    "propagation_profile" of the update loop (re-execute / revoke /
 //    memo-lookup / queue time, interval-size and use-scan histograms);
 //
@@ -43,6 +44,7 @@
 
 #include <cstddef>
 #include <fstream>
+#include <sstream>
 
 using namespace ceal;
 using namespace ceal::apps;
@@ -346,7 +348,13 @@ void writeUpdateBench(std::ostream &Out, double Scale, size_t Samples) {
     const Measurement &P = Profiled[I];
     Out << "    {\"name\": \"" << P.Name << "\", \"n\": " << P.N
         << ",\n     \"construction_profile\": ";
-    P.BuildProf.writeJson(Out);
+    // The profile object gains the bench-side fault count as its last
+    // field: the library counts no page faults itself.
+    std::ostringstream Build;
+    P.BuildProf.writeJson(Build);
+    std::string Json = Build.str();
+    Json.pop_back(); // The closing brace.
+    Out << Json << ", \"minor_faults\": " << P.MinorFaults << "}";
     Out << ",\n     \"propagation_profile\": ";
     P.Prof.writeJson(Out);
     Out << "}" << (I + 1 < Profiled.size() ? ",\n" : "\n");

@@ -175,12 +175,14 @@ public:
   }
   void run(Closure *C);
 
-  /// Input-size hint: pre-sizes the trace containers (memo tables, arena
-  /// region, pending-read stack) for a run_core expected
-  /// to perform about \p ExpectedOps traced operations (reads + writes +
-  /// allocations). Purely an optimization — construction is correct with
-  /// any hint including none; the hint only removes incremental grows and
-  /// chunk refills from the from-scratch path.
+  /// Input-size hint: pre-sizes the trace containers (memo tables,
+  /// pending-read stack) for a run_core expected to perform about
+  /// \p ExpectedOps traced operations (reads + writes + allocations), and
+  /// checks that the arena region can hold their trace (the region is
+  /// mapped whole up front, so that part is an overflow check only).
+  /// Purely an optimization — construction is correct with any hint
+  /// including none; the hint only removes incremental grows from the
+  /// from-scratch path.
   void reserveTrace(size_t ExpectedOps);
 
   /// Propagates all pending modifications (paper: `propagate`).

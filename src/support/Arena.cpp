@@ -8,6 +8,28 @@
 
 using namespace ceal;
 
+namespace {
+
+/// Advises transparent huge pages for [Base, Base + Bytes) from the first
+/// 2 MiB boundary at or after Base + 2 MiB; the prefix keeps base pages
+/// (see Arena.h). Best effort: a kernel without THP refuses the call and
+/// the region keeps 4 KiB pages.
+void adviseHugePages(char *Base, size_t Bytes) {
+#ifdef MADV_HUGEPAGE
+  constexpr uintptr_t Huge = uintptr_t(2) << 20;
+  uintptr_t Lo =
+      (reinterpret_cast<uintptr_t>(Base) + 2 * Huge - 1) & ~(Huge - 1);
+  uintptr_t End = reinterpret_cast<uintptr_t>(Base) + Bytes;
+  if (Lo < End)
+    (void)::madvise(reinterpret_cast<void *>(Lo), End - Lo, MADV_HUGEPAGE);
+#else
+  (void)Base;
+  (void)Bytes;
+#endif
+}
+
+} // namespace
+
 Arena::Arena(size_t Bytes) {
   checkAlways(Bytes > 0 && Bytes <= MaxRegionBytes,
               "Arena region size out of range");
@@ -28,6 +50,7 @@ Arena::Arena(size_t Bytes) {
   checkAlways(Mapped != MAP_FAILED, "Arena region mmap failed");
   Base = static_cast<char *>(Mapped);
   RegionBytes = Attempt;
+  adviseHugePages(Base, RegionBytes);
   // Offset 0 encodes the null handle; the first block starts one grain in.
   BumpPtr = Base + HandleGrain;
   BumpEnd = Base + RegionBytes;
@@ -109,6 +132,7 @@ bool Arena::remapTo(char *WantBase, size_t WantBytes) {
     RegionBytes = WantBytes;
   }
   Base = static_cast<char *>(Got);
+  adviseHugePages(Base, RegionBytes);
   BumpPtr = Base + HandleGrain;
   BumpEnd = Base + RegionBytes;
   for (uint32_t &Head : FreeLists)

@@ -16,14 +16,28 @@
 /// in 4 bytes per edge instead of 8.
 ///
 /// Handles work because each Arena owns one contiguous virtual-memory
-/// region (mmap with MAP_NORESERVE: address space is reserved up front,
-/// physical pages materialize only when touched). A Handle is the block's
-/// byte offset into the region divided by the 8-byte allocation grain;
-/// handle 0 is reserved as null (the bump pointer starts past offset 0).
-/// The default 8 GB region keeps every handle below 2^30; a region may
-/// grow to the full 32-bit handle space (MaxRegionBytes, 32 GB).
-/// Exhausting the region — minting a handle past the 32-bit-addressable
-/// space — is a checkAlways hard failure, never a silent wrap.
+/// region, mapped once when the arena is built (mmap with MAP_NORESERVE:
+/// address space is reserved up front, physical pages materialize only
+/// when touched). There are no chunks and no refills: the bump pointer
+/// walks the one region, and reserve() only checks that a burst still
+/// fits. A Handle is the block's byte offset into the region divided by
+/// the 8-byte allocation grain; handle 0 is reserved as null (the bump
+/// pointer starts past offset 0). The default 8 GB region keeps every
+/// handle below 2^30; a region may be as large as the full 32-bit handle
+/// space (MaxRegionBytes, 32 GB). Exhausting the region — minting a
+/// handle past the 32-bit-addressable space — is a checkAlways hard
+/// failure, never a silent wrap.
+///
+/// Past its first 2 MiB the region asks for transparent huge pages
+/// (madvise MADV_HUGEPAGE from the first 2 MiB boundary at or after
+/// Base + 2 MiB to the end, after every anonymous mapping of the region).
+/// A large trace then costs one page fault and one TLB entry per 2 MiB
+/// instead of per 4 KiB, and unmapping it releases a few hundred pages
+/// rather than a hundred thousand. The prefix stays on 4 KiB pages so a
+/// small or pristine arena (a test, a fresh Runtime, a warm start's
+/// throwaway region) never zeroes a 2 MiB page it will not fill. The
+/// advice is best effort and unconditional: where the kernel has no THP
+/// it is ignored, and the library reads nothing about the host to decide.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,11 +1,17 @@
 //===- tests/ArenaTest.cpp - Arena allocator tests ------------------------===//
 
+#include "runtime/Runtime.h"
 #include "support/Arena.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 using namespace ceal;
@@ -63,8 +69,8 @@ TEST(Arena, DistinctBlocksDoNotOverlap) {
 }
 
 TEST(Arena, ReservePreallocatesOneContiguousChunk) {
-  // reserve() is an input-size hint: a burst that fits the reservation
-  // must be served by pure pointer bumps from one chunk (consecutive
+  // reserve() is an overflow check: a burst that fits the reservation
+  // is served by pure pointer bumps through the one region (consecutive
   // same-class blocks are adjacent), with no accounting side effects.
   Arena A;
   constexpr size_t Bytes = 1 << 18;
@@ -74,15 +80,15 @@ TEST(Arena, ReservePreallocatesOneContiguousChunk) {
   char *Prev = static_cast<char *>(A.allocate(64));
   for (size_t Used = 64; Used + 64 <= Bytes; Used += 64) {
     auto *P = static_cast<char *>(A.allocate(64));
-    ASSERT_EQ(P, Prev + 64) << "chunk refill inside a reserved burst";
+    ASSERT_EQ(P, Prev + 64) << "gap inside a reserved burst";
     Prev = P;
   }
   EXPECT_EQ(A.liveBytes(), Bytes);
 }
 
 TEST(Arena, ReserveIsIdempotentWhenSpaceRemains) {
-  // A second reserve within the first one's headroom must not abandon
-  // the current chunk: the next allocation still comes from it.
+  // A second reserve within the first one's headroom must not move the
+  // bump pointer: the next allocation is adjacent to the last.
   Arena A;
   A.reserve(1 << 16);
   auto *P = static_cast<char *>(A.allocate(64));
@@ -165,4 +171,137 @@ TEST(Arena, RandomizedChurn) {
     A.deallocate(Entry.first, Entry.second);
   EXPECT_EQ(A.liveBytes(), 0u);
   EXPECT_GT(A.allocationCount(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Transparent-huge-page advice: the region is madvise(MADV_HUGEPAGE)d from
+// the first 2 MiB boundary at or after Base + 2 MiB to its end. The tests
+// read the advice back from /proc/self/smaps; the library itself never
+// looks under /proc or /sys.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr uintptr_t HugeBytes = uintptr_t(2) << 20;
+
+/// One mapping from /proc/self/smaps, clipped to the region asked about.
+struct Vma {
+  uintptr_t Lo = 0, Hi = 0;
+  bool Advised = false;  // "hg" in VmFlags.
+  size_t AnonHugeKb = 0; // AnonHugePages.
+};
+
+/// Why this host cannot show the advice, or "" when it can.
+std::string thpUnavailable() {
+  std::ifstream Enabled("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string Mode;
+  if (!std::getline(Enabled, Mode))
+    return "the kernel has no transparent huge pages";
+  if (Mode.find("[never]") != std::string::npos)
+    return "transparent huge pages are set to [never]";
+  if (!std::ifstream("/proc/self/smaps"))
+    return "/proc/self/smaps is missing";
+  return "";
+}
+
+/// The mappings overlapping [Base, Base + Bytes), clipped to that range,
+/// in address order.
+std::vector<Vma> regionVmas(const void *Base, size_t Bytes) {
+  uintptr_t Lo = reinterpret_cast<uintptr_t>(Base), Hi = Lo + Bytes;
+  std::vector<Vma> Out;
+  bool InRegion = false;
+  std::ifstream In("/proc/self/smaps");
+  std::string Line;
+  while (std::getline(In, Line)) {
+    unsigned long long VLo, VHi;
+    char Perms[8];
+    if (std::sscanf(Line.c_str(), "%llx-%llx %7s", &VLo, &VHi, Perms) == 3) {
+      InRegion = VLo < Hi && VHi > Lo;
+      if (InRegion)
+        Out.push_back({std::max<uintptr_t>(VLo, Lo),
+                       std::min<uintptr_t>(VHi, Hi), false, 0});
+      continue;
+    }
+    if (!InRegion)
+      continue;
+    std::istringstream Fields(Line);
+    std::string Key, Word;
+    Fields >> Key;
+    if (Key == "AnonHugePages:")
+      Fields >> Out.back().AnonHugeKb;
+    else if (Key == "VmFlags:")
+      while (Fields >> Word)
+        Out.back().Advised |= Word == "hg";
+  }
+  return Out;
+}
+
+/// Expects the region to be mapped without holes, on base pages below
+/// the first 2 MiB boundary at or after Base + 2 MiB and advised from
+/// there to its end.
+void expectAdvisedPastPrefix(const void *Base, size_t Bytes) {
+  uintptr_t Lo = reinterpret_cast<uintptr_t>(Base);
+  uintptr_t Cut = (Lo + 2 * HugeBytes - 1) & ~(HugeBytes - 1);
+  std::vector<Vma> Vmas = regionVmas(Base, Bytes);
+  ASSERT_FALSE(Vmas.empty()) << "region not found in /proc/self/smaps";
+  uintptr_t Covered = Lo;
+  for (const Vma &V : Vmas) {
+    EXPECT_EQ(V.Lo, Covered) << "hole in the region";
+    Covered = V.Hi;
+    if (V.Hi <= Cut)
+      EXPECT_FALSE(V.Advised) << "the 2 MiB prefix must stay on base pages";
+    else if (V.Lo >= Cut)
+      EXPECT_TRUE(V.Advised) << "the region past the prefix must be advised";
+    else
+      ADD_FAILURE() << "one mapping straddles the end of the prefix";
+  }
+  EXPECT_EQ(Covered, Lo + Bytes);
+}
+
+} // namespace
+
+TEST(Arena, HugePageAdviceStartsPastTheFirst2MiB) {
+  if (std::string Why = thpUnavailable(); !Why.empty())
+    GTEST_SKIP() << Why;
+  Arena A;
+  expectAdvisedPastPrefix(A.regionBase(), A.regionBytes());
+}
+
+TEST(Arena, HugePageAdviceSurvivesRemapClaim) {
+  // Re-claiming the arena's own base is what a snapshot's
+  // resetToPristine does; the fresh mapping must be advised again.
+  if (std::string Why = thpUnavailable(); !Why.empty())
+    GTEST_SKIP() << Why;
+  Arena A;
+  char *Base = static_cast<char *>(A.regionBase());
+  ASSERT_TRUE(A.remapTo(Base, A.regionBytes()));
+  ASSERT_EQ(A.regionBase(), Base);
+  expectAdvisedPastPrefix(A.regionBase(), A.regionBytes());
+}
+
+TEST(Arena, HugePageAdviceSurvivesRemapFallback) {
+  // A target that another arena occupies cannot be claimed; the region
+  // the arena falls back to must be advised like a fresh one.
+  if (std::string Why = thpUnavailable(); !Why.empty())
+    GTEST_SKIP() << Why;
+  Arena A, B;
+  EXPECT_FALSE(
+      A.remapTo(static_cast<char *>(B.regionBase()), B.regionBytes()));
+  expectAdvisedPastPrefix(A.regionBase(), A.regionBytes());
+  expectAdvisedPastPrefix(B.regionBase(), B.regionBytes());
+}
+
+TEST(Arena, PristineRuntimeHoldsNoHugePages) {
+  // A Runtime that has run nothing stays inside the base-page prefix, so
+  // constructing one never zeroes a 2 MiB page.
+  if (std::string Why = thpUnavailable(); !Why.empty())
+    GTEST_SKIP() << Why;
+  Runtime RT;
+  const Arena &Mem = RT.arena();
+  EXPECT_LT(Mem.bumpUsedBytes(), size_t(HugeBytes));
+  expectAdvisedPastPrefix(Mem.regionBase(), Mem.regionBytes());
+  size_t HugeKb = 0;
+  for (const Vma &V : regionVmas(Mem.regionBase(), Mem.regionBytes()))
+    HugeKb += V.AnonHugeKb;
+  EXPECT_EQ(HugeKb, 0u);
 }
