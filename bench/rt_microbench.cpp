@@ -5,13 +5,9 @@
 // insertion, closure creation, traced reads/writes, memo lookups, and
 // small change-propagation cycles.
 //
-// Before the timing loops run, main() writes BENCH_rt.json with four
+// Before the timing loops run, main() writes BENCH_rt.json with three
 // sections CI tracks PR over PR:
 //
-//  * "closure_env" — a deterministic closure-environment census over the
-//    CL samples (the VM's per-closure word counts with and without the
-//    analysis-driven pass pipeline), the trace-size win of closure
-//    slimming without timing noise;
 //  * "update_bench" — average update times and from-scratch overheads
 //    (self_seconds / conv_seconds, the paper's Table 1 "Ovr." column) for
 //    the headline applications through the shared AppBench harness
@@ -19,23 +15,19 @@
 //    trace-persistence accounting per app: the checkpoint size
 //    (snapshot_bytes) and the mmap warm-start time (warm_start_seconds;
 //    scripts/check_warmstart.py gates warm_speedup on quickhull);
+//  * "memory" — the per-kind live-byte accounting of the same runs;
 //  * "profiles" — per app (map, plus quicksort, whose update speedup is
 //    an outlier needing a phase breakdown on record), a
 //    "construction_profile" of the from-scratch run (run_core time, OM /
 //    arena / memo / dispatch counters, deferred memo-build time, and the
 //    minor page faults the run took, counted here with getrusage) and a
 //    "propagation_profile" of the update loop (re-execute / revoke /
-//    memo-lookup / queue time, interval-size and use-scan histograms);
+//    memo-lookup / queue time, interval-size and use-scan histograms).
 //
 //===----------------------------------------------------------------------===//
 
 #include "AppBench.h"
 #include "apps/ListApps.h"
-#include "cl/Parser.h"
-#include "cl/Samples.h"
-#include "interp/Vm.h"
-#include "normalize/Normalize.h"
-#include "normalize/Optimize.h"
 #include "om/OrderList.h"
 #include "runtime/Runtime.h"
 #include "support/Random.h"
@@ -204,83 +196,6 @@ void BM_MetaModifyDeref(benchmark::State &State) {
 BENCHMARK(BM_MetaModifyDeref);
 
 //===----------------------------------------------------------------------===//
-// Closure-environment census (BENCH_rt.json)
-//===----------------------------------------------------------------------===//
-
-struct ClosureCensusRow {
-  const char *Program;
-  const char *Entry;
-  size_t N;
-  uint64_t ClosuresBase = 0, EnvWordsBase = 0;
-  uint64_t ClosuresOpt = 0, EnvWordsOpt = 0;
-  size_t StaticEnvBase = 0, StaticEnvOpt = 0;
-};
-
-/// Runs \p Entry over a deterministic modifiable list of \p N elements
-/// and returns the VM's closure accounting.
-void censusListRun(const cl::Program &Prog, const char *Entry, size_t N,
-                   uint64_t &Closures, uint64_t &EnvWords) {
-  Runtime RT;
-  interp::Vm M(RT, Prog);
-  Modref *Head = M.metaModref();
-  Modref *Cur = Head;
-  for (size_t I = 0; I < N; ++I) {
-    auto *Blk = static_cast<Word *>(M.metaAlloc(16));
-    Modref *Tail = M.metaModref();
-    Blk[0] = toWord(int64_t((I * 7919) % 1000));
-    Blk[1] = toWord(Tail);
-    M.metaWrite(Cur, toWord(Blk));
-    Cur = Tail;
-  }
-  Modref *Out = M.metaModref();
-  M.runCore(Entry, {toWord(Head), toWord(Out)});
-  Closures = M.closuresMade();
-  EnvWords = M.closureEnvWords();
-}
-
-ClosureCensusRow censusRow(const char *Program, const char *Source,
-                           const char *Entry, size_t N) {
-  ClosureCensusRow Row{Program, Entry, N};
-  auto Parsed = cl::parseProgram(Source);
-  cl::Program Base = normalize::normalizeProgram(*Parsed.Prog).Prog;
-  optimize::PipelineResult PR = optimize::runPassPipeline(*Parsed.Prog);
-  Row.StaticEnvBase = optimize::readTailEnvWords(Base);
-  Row.StaticEnvOpt = PR.Post.ReadEnvWordsAfter;
-  censusListRun(Base, Entry, N, Row.ClosuresBase, Row.EnvWordsBase);
-  censusListRun(PR.Prog, Entry, N, Row.ClosuresOpt, Row.EnvWordsOpt);
-  return Row;
-}
-
-void writeClosureCensus(std::ostream &Out) {
-  constexpr size_t N = 256;
-  std::vector<ClosureCensusRow> Rows = {
-      censusRow("listprims", cl::samples::ListPrims, "map", N),
-      censusRow("listreduce", cl::samples::ListReduce, "lrsum", N),
-      censusRow("mergesort", cl::samples::Mergesort, "msort", N),
-  };
-  Out << "  \"closure_env\": [\n";
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    const ClosureCensusRow &R = Rows[I];
-    double PerBase =
-        R.ClosuresBase ? double(R.EnvWordsBase) / double(R.ClosuresBase) : 0;
-    double PerOpt =
-        R.ClosuresOpt ? double(R.EnvWordsOpt) / double(R.ClosuresOpt) : 0;
-    Out << "    {\"program\": \"" << R.Program << "\", \"entry\": \""
-        << R.Entry << "\", \"n\": " << R.N
-        << ",\n     \"closures_base\": " << R.ClosuresBase
-        << ", \"env_words_base\": " << R.EnvWordsBase
-        << ", \"env_words_per_closure_base\": " << PerBase
-        << ",\n     \"closures_opt\": " << R.ClosuresOpt
-        << ", \"env_words_opt\": " << R.EnvWordsOpt
-        << ", \"env_words_per_closure_opt\": " << PerOpt
-        << ",\n     \"static_read_env_words_base\": " << R.StaticEnvBase
-        << ", \"static_read_env_words_opt\": " << R.StaticEnvOpt << "}"
-        << (I + 1 < Rows.size() ? ",\n" : "\n");
-  }
-  Out << "  ]";
-}
-
-//===----------------------------------------------------------------------===//
 // Application update times and phase profiles (BENCH_rt.json)
 //===----------------------------------------------------------------------===//
 
@@ -365,13 +280,9 @@ void writeUpdateBench(std::ostream &Out, double Scale, size_t Samples) {
 void writeBenchJson(const char *Path, double Scale, size_t Samples) {
   std::ofstream Out(Path);
   Out << "{\n";
-  writeClosureCensus(Out);
-  Out << ",\n";
   writeUpdateBench(Out, Scale, Samples);
   Out << "\n}\n";
-  std::printf("wrote closure census, update bench and phase profiles to "
-              "%s\n",
-              Path);
+  std::printf("wrote update bench and phase profiles to %s\n", Path);
 }
 
 } // namespace

@@ -5,8 +5,6 @@
 //
 //   cealc [options] [file.cl]         reads stdin if no file is given
 //     --emit=c|c-basic|cl|cl-normal   output kind (default: c, refined)
-//     -O, --optimize                  run the analysis-driven pass
-//                                     pipeline around NORMALIZE
 //     --stats                         print pipeline statistics to stderr
 //     --sample=NAME                   use a built-in sample program
 //                                     (exptrees, listprims, quicksort,
@@ -19,7 +17,6 @@
 #include "cl/Samples.h"
 #include "cl/Verifier.h"
 #include "normalize/Normalize.h"
-#include "normalize/Optimize.h"
 #include "support/Timer.h"
 #include "translate/EmitC.h"
 
@@ -34,7 +31,6 @@ using namespace ceal;
 int main(int argc, char **argv) {
   std::string Emit = "c";
   bool Stats = false;
-  bool Optimize = false;
   std::string Sample;
   std::string Path;
 
@@ -44,15 +40,16 @@ int main(int argc, char **argv) {
       Emit = A.substr(7);
     else if (A == "--stats")
       Stats = true;
-    else if (A == "-O" || A == "--optimize")
-      Optimize = true;
     else if (A.rfind("--sample=", 0) == 0)
       Sample = A.substr(9);
     else if (A == "--help" || A == "-h") {
       std::fprintf(stderr,
-                   "usage: cealc [--emit=c|c-basic|cl|cl-normal] [-O] "
-                   "[--stats] [--sample=NAME | file.cl]\n");
+                   "usage: cealc [--emit=c|c-basic|cl|cl-normal] [--stats] "
+                   "[--sample=NAME | file.cl]\n");
       return 0;
+    } else if (A.size() > 1 && A[0] == '-') {
+      std::fprintf(stderr, "cealc: unknown option '%s'\n", A.c_str());
+      return 1;
     } else
       Path = A;
   }
@@ -87,10 +84,9 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "cealc: %s\n", Parsed.Error.c_str());
     return 1;
   }
-  auto Diags = cl::verifyProgram(*Parsed.Prog);
+  auto Diags = cl::verifyProgramDiags(*Parsed.Prog);
   if (!Diags.empty()) {
-    for (const std::string &D : Diags)
-      std::fprintf(stderr, "cealc: %s\n", D.c_str());
+    std::fputs(cl::renderDiagnostics(*Parsed.Prog, Diags).c_str(), stderr);
     return 1;
   }
   if (Emit == "cl") {
@@ -98,17 +94,7 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  normalize::NormalizeResult Norm;
-  optimize::OptStats Pre, Post;
-  if (Optimize) {
-    optimize::PipelineResult R = optimize::runPassPipeline(*Parsed.Prog);
-    Norm.Prog = std::move(R.Prog);
-    Norm.Stats = R.NStats;
-    Pre = R.Pre;
-    Post = R.Post;
-  } else {
-    Norm = normalize::normalizeProgram(*Parsed.Prog);
-  }
+  normalize::NormalizeResult Norm = normalize::normalizeProgram(*Parsed.Prog);
   if (Emit == "cl-normal") {
     std::fputs(cl::printProgram(Norm.Prog).c_str(), stdout);
   } else if (Emit == "c" || Emit == "c-basic") {
@@ -124,26 +110,12 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "cealc: unknown --emit kind '%s'\n", Emit.c_str());
     return 1;
   }
-  if (Stats) {
-    if (Optimize)
-      std::fprintf(
-          stderr,
-          "cealc: opt: %zu redundant reads, %zu dead writes, %zu dead "
-          "ops, %zu const args rematerialized, %zu params pruned; "
-          "read-tail env words %zu -> %zu\n",
-          Pre.RedundantReadsElim + Post.RedundantReadsElim,
-          Pre.DeadWritesElim + Post.DeadWritesElim,
-          Pre.DeadReadsElim + Pre.DeadAssignsElim + Pre.DeadAllocsElim +
-              Post.DeadReadsElim + Post.DeadAssignsElim +
-              Post.DeadAllocsElim,
-          Post.ConstArgsRemat, Post.ParamsPruned, Post.ReadEnvWordsBefore,
-          Post.ReadEnvWordsAfter);
+  if (Stats)
     std::fprintf(
         stderr,
         "cealc: %zu blocks in, %zu blocks out, %zu fresh functions, "
         "max live %zu, %.2f ms\n",
         Norm.Stats.InputBlocks, Norm.Stats.OutputBlocks,
         Norm.Stats.FreshFunctions, Norm.Stats.MaxLive, Total.milliseconds());
-  }
   return 0;
 }

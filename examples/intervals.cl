@@ -1,9 +1,9 @@
 // Interval accumulation over a modifiable list — a small CL source for
-// the cealc / cl-lint command-line tools (the shipped samples live in
-// src/cl/Samples.cpp; this one exercises the file-input path).
+// the cealc command-line compiler (the shipped samples live in
+// src/cl/Samples.cpp; this one exercises the file-input path). The
+// examples_compile ctest compiles it to C on every build.
 //
-//   cealc examples/intervals.cl -O --stats
-//   cl-lint examples/intervals.cl
+//   cealc examples/intervals.cl --stats
 //
 // Cell layout: [0] lo, [1] hi, [2] tail modref. The core tracks the
 // running sum of positive interval widths and the count of intervals

@@ -2,7 +2,6 @@
 
 #include "analysis/Dataflow.h"
 
-#include <algorithm>
 #include <cassert>
 #include <deque>
 
@@ -10,7 +9,7 @@ using namespace ceal;
 using namespace ceal::analysis;
 using namespace ceal::cl;
 
-BlockCfg BlockCfg::build(const Function &F, bool ReadEntriesAreEntries) {
+BlockCfg BlockCfg::build(const Function &F) {
   size_t N = F.Blocks.size();
   BlockCfg G;
   G.Succs.resize(N);
@@ -38,20 +37,6 @@ BlockCfg BlockCfg::build(const Function &F, bool ReadEntriesAreEntries) {
   }
   if (N > 0)
     G.Entries.push_back(0);
-  if (ReadEntriesAreEntries) {
-    // A read suspends the function; propagation may restart execution at
-    // the read's continuation (the tail target is in another function,
-    // but a pre-normalization read followed by a goto re-enters here).
-    for (BlockId B = 0; B < N; ++B) {
-      const BasicBlock &BB = F.Blocks[B];
-      if (BB.K == BasicBlock::Cmd && BB.C.K == Command::Read &&
-          BB.J.K == Jump::Goto)
-        G.Entries.push_back(BB.J.Target);
-    }
-    std::sort(G.Entries.begin(), G.Entries.end());
-    G.Entries.erase(std::unique(G.Entries.begin(), G.Entries.end()),
-                    G.Entries.end());
-  }
 
   G.Reachable.assign(N, false);
   std::deque<BlockId> Work(G.Entries.begin(), G.Entries.end());
@@ -67,42 +52,6 @@ BlockCfg BlockCfg::build(const Function &F, bool ReadEntriesAreEntries) {
       }
   }
   return G;
-}
-
-std::vector<BlockId> analysis::findLoopHeaders(const BlockCfg &G) {
-  size_t N = G.size();
-  std::vector<BlockId> Headers;
-  // Iterative DFS; an edge into a node currently on the DFS stack closes
-  // a cycle through that node.
-  enum Color : uint8_t { White, Grey, Black };
-  std::vector<uint8_t> Col(N, White);
-  std::vector<bool> IsHeader(N, false);
-  for (BlockId Root : G.Entries) {
-    if (Col[Root] != White)
-      continue;
-    // Stack of (node, next-successor-index).
-    std::vector<std::pair<BlockId, size_t>> Stack{{Root, 0}};
-    Col[Root] = Grey;
-    while (!Stack.empty()) {
-      auto &[B, NextI] = Stack.back();
-      if (NextI < G.Succs[B].size()) {
-        BlockId S = G.Succs[B][NextI++];
-        if (Col[S] == White) {
-          Col[S] = Grey;
-          Stack.emplace_back(S, 0);
-        } else if (Col[S] == Grey) {
-          IsHeader[S] = true;
-        }
-      } else {
-        Col[B] = Black;
-        Stack.pop_back();
-      }
-    }
-  }
-  for (BlockId B = 0; B < N; ++B)
-    if (IsHeader[B])
-      Headers.push_back(B);
-  return Headers;
 }
 
 DataflowResult analysis::solveDataflow(const BlockCfg &G,

@@ -7,12 +7,10 @@
 /// \file
 /// A reusable iterative dataflow framework over CL control-flow graphs:
 /// a dense bitset domain (\c BitVec), a per-function CFG view (\c
-/// BlockCfg, optionally treating read-continuation entries as extra
-/// roots, matching analysis::ProgramGraph), and a worklist solver for
-/// forward/backward gen-kill problems under union or intersection meet.
+/// BlockCfg), and a worklist solver for forward/backward gen-kill
+/// problems under union or intersection meet.
 ///
-/// NORMALIZE's liveness, reaching definitions, redundant-read and
-/// dead-write detection, and the cl-lint checks are all instances.
+/// NORMALIZE's liveness (Liveness.h) is the one client in the library.
 /// Control flow may be arbitrary (including irreducible graphs); the
 /// solver iterates to the unique fixed point of the monotone gen-kill
 /// transfer functions.
@@ -151,17 +149,10 @@ private:
 
 /// The intra-function control-flow graph of a CL function: nodes are
 /// block ids, edges are gotos (tails and done leave the function).
-///
-/// With \p ReadEntriesAreEntries, the continuation block after every
-/// read command is an additional entry, mirroring the root edges of
-/// analysis::ProgramGraph: change propagation may re-enter the function
-/// there. Analyses about a single from-entry execution (reaching defs,
-/// availability) use the plain graph; see the soundness note in
-/// RedundantOps.h for why that is still correct under re-execution.
 struct BlockCfg {
   std::vector<std::vector<cl::BlockId>> Succs;
   std::vector<std::vector<cl::BlockId>> Preds;
-  /// Forward entry nodes: block 0, plus read continuations if requested.
+  /// Forward entry nodes: block 0.
   std::vector<cl::BlockId> Entries;
   /// Backward entry nodes: blocks with a tail jump or done.
   std::vector<cl::BlockId> Exits;
@@ -170,14 +161,8 @@ struct BlockCfg {
 
   size_t size() const { return Succs.size(); }
 
-  static BlockCfg build(const cl::Function &F,
-                        bool ReadEntriesAreEntries = false);
+  static BlockCfg build(const cl::Function &F);
 };
-
-/// Loop headers of \p F's CFG: targets of DFS back/cross edges that
-/// close a cycle (any node that heads a cycle in an irreducible region
-/// is reported). Deterministic, ascending block order.
-std::vector<cl::BlockId> findLoopHeaders(const BlockCfg &G);
 
 //===----------------------------------------------------------------------===//
 // Worklist solver

@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A located diagnostic for CL programs, shared by the verifier, the
-/// dataflow analyses, and cl-lint. Locations are IR coordinates
-/// (function, block, index-within-block); Printer.h renders them against
-/// the program source.
+/// A located error in a CL program, as the verifier reports it.
+/// Locations are IR coordinates (function, block, index-within-block);
+/// Printer.h renders them against the program source.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,24 +17,9 @@
 #include "cl/Ir.h"
 
 #include <string>
-#include <vector>
 
 namespace ceal {
 namespace cl {
-
-enum class Severity { Error, Warning, Note };
-
-inline const char *severityName(Severity S) {
-  switch (S) {
-  case Severity::Error:
-    return "error";
-  case Severity::Warning:
-    return "warning";
-  case Severity::Note:
-    return "note";
-  }
-  return "?";
-}
 
 /// A diagnostic anchored to a position in the CL IR.
 ///
@@ -47,20 +31,8 @@ struct Diagnostic {
   FuncId Function = InvalidId;
   BlockId Block = InvalidId;
   uint32_t Index = 0;
-  Severity Sev = Severity::Error;
-  /// Stable machine-readable check name (e.g. "verify", "redundant-read").
-  std::string Check;
   std::string Message;
-
-  bool isError() const { return Sev == Severity::Error; }
 };
-
-inline size_t countErrors(const std::vector<Diagnostic> &Ds) {
-  size_t N = 0;
-  for (const Diagnostic &D : Ds)
-    N += D.isError();
-  return N;
-}
 
 } // namespace cl
 } // namespace ceal

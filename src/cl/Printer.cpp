@@ -174,10 +174,7 @@ std::string cl::printProgram(const Program &P) {
 
 std::string cl::renderDiagnostic(const Program &P, const Diagnostic &D) {
   std::ostringstream Out;
-  Out << severityName(D.Sev);
-  if (!D.Check.empty())
-    Out << "[" << D.Check << "]";
-  Out << ": ";
+  Out << "error: ";
   bool HaveFunc = D.Function < P.Funcs.size();
   if (HaveFunc) {
     const Function &F = P.Funcs[D.Function];

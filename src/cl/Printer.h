@@ -27,9 +27,8 @@ std::string printFunction(const Program &P, FuncId F);
 
 /// Renders one located diagnostic against its program source, e.g.
 ///
-///   warning[redundant-read]: function 'kk', block 'n7': modref 'mb'
-///       was already read on every path
-///     --> n7: y := read mb; tail k(y)    [at the command]
+///   error: function 'f', block 'r' (#1): read of non-modref* variable 'x'
+///     --> r: y := read x; goto g;    [at the command]
 ///
 /// Out-of-range locations degrade gracefully (no block line).
 std::string renderDiagnostic(const Program &P, const Diagnostic &D);

@@ -23,8 +23,6 @@ private:
     D.Function = CurFuncId;
     D.Block = CurBlock;
     D.Index = CurIndex;
-    D.Sev = Severity::Error;
-    D.Check = "verify";
     D.Message = Msg;
     Diags.push_back(std::move(D));
   }

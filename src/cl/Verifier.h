@@ -24,9 +24,8 @@
 namespace ceal {
 namespace cl {
 
-/// Checks structural well-formedness; returns located diagnostics
-/// (empty if OK). Every diagnostic has Check == "verify" and Severity
-/// Error, anchored at the offending block/index.
+/// Checks structural well-formedness; returns located errors (empty if
+/// OK), each anchored at the offending block/index.
 std::vector<Diagnostic> verifyProgramDiags(const Program &P);
 
 /// String-compat shim over verifyProgramDiags: one "function 'f': ..."

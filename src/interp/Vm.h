@@ -66,7 +66,7 @@ public:
   /// Closure-environment accounting: every closure this VM built (reads,
   /// tail calls, allocation initializers) and the total CL-argument words
   /// those closures carried. The ratio approximates the per-trace-node
-  /// environment cost ML(P) that closure slimming shrinks.
+  /// environment cost ML(P); perfbench reports it.
   uint64_t closuresMade() const { return ClosuresMade; }
   uint64_t closureEnvWords() const { return ClosureEnvWords; }
 

@@ -1,95 +1,31 @@
-//===- normalize/Optimize.h - Analysis-driven CL optimization --*- C++ -*-===//
+//===- normalize/Optimize.h - Forwarder for the benchmark -------*- C++ -*-===//
 //
 // Part of the CEAL reproduction. MIT license; see LICENSE.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The optimization pass pipeline that runs around NORMALIZE, built on
-/// the dataflow analyses (Dataflow.h, ModrefEffects.h, RedundantOps.h):
-///
-///  Pre-normalization (on arbitrary CL):
-///   * redundant-read elimination — a read available on every path
-///     becomes an assignment from the earlier read's destination;
-///   * dead-write elimination — writes surely overwritten before any
-///     observation become nops;
-///   * dead-code elimination — assigns/reads/allocations whose
-///     destination is dead become nops.
-///
-///  Post-normalization (on the fresh read-entry functions only, whose
-///  signatures are internal to the program):
-///   * constant-argument rematerialization — a parameter that receives
-///     the same integer constant at every tail site is dropped and
-///     rematerialized by an entry assignment in the callee;
-///   * dead-parameter elimination — parameters unused by the callee
-///     body are dropped at every site.
-///
-/// Both post passes shrink the environments of the closures that read
-/// commands allocate per trace node (ML(P) of Theorems 3-5): fewer tail
-/// arguments mean fewer words per closure and smaller memo keys.
-/// Removing a key word is uniform across all sites, so memo matches are
-/// unchanged or strictly improved; a dropped word was either the same
-/// constant everywhere or never used, so a match never revives a trace
-/// the full key would have rejected for an observable reason.
+/// runPassPipeline is NORMALIZE alone. It exists only for the call in
+/// perfbench/Compile.cpp, which changes only with the benchmark, and it
+/// goes together with that call at the next benchmark change.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CEAL_NORMALIZE_OPTIMIZE_H
 #define CEAL_NORMALIZE_OPTIMIZE_H
 
-#include "cl/Ir.h"
 #include "normalize/Normalize.h"
-
-#include <cstddef>
 
 namespace ceal {
 namespace optimize {
 
-struct OptStats {
-  size_t RedundantReadsElim = 0;
-  size_t DeadWritesElim = 0;
-  size_t DeadReadsElim = 0;
-  size_t DeadAssignsElim = 0;
-  size_t DeadAllocsElim = 0;
-  size_t ConstArgsRemat = 0;
-  size_t ParamsPruned = 0;
-  /// Static read-tail environment words (sum of tail-argument counts
-  /// over all read blocks) before/after closure slimming; only
-  /// meaningful for slimClosures / runPassPipeline.
-  size_t ReadEnvWordsBefore = 0;
-  size_t ReadEnvWordsAfter = 0;
-
-  size_t totalElim() const {
-    return RedundantReadsElim + DeadWritesElim + DeadReadsElim +
-           DeadAssignsElim + DeadAllocsElim + ConstArgsRemat + ParamsPruned;
-  }
-};
-
-/// Pre-normalization cleanups, in place. Preserves function signatures
-/// and block ids (eliminated commands become nops), the conventional
-/// semantics, and the self-adjusting semantics of the normalized result.
-OptStats optimizeProgram(cl::Program &P);
-
-/// Post-normalization closure slimming, in place. Only functions with
-/// id >= \p FirstInternal (the fresh functions NORMALIZE created —
-/// callers always pass In.Funcs.size()) have their signatures changed;
-/// every tail site is rewritten consistently. Preserves normal form.
-OptStats slimClosures(cl::Program &P, cl::FuncId FirstInternal);
-
-/// Sum of tail-argument counts over all read blocks: the static measure
-/// of per-trace-node closure environment size.
-size_t readTailEnvWords(const cl::Program &P);
-
 struct PipelineResult {
   cl::Program Prog;
-  normalize::NormalizeStats NStats;
-  OptStats Pre;
-  OptStats Post;
 };
 
-/// The full pipeline: pre-normalization cleanups, NORMALIZE, then
-/// closure slimming on the fresh functions.
-PipelineResult runPassPipeline(const cl::Program &P);
+inline PipelineResult runPassPipeline(const cl::Program &P) {
+  return {normalize::normalizeProgram(P).Prog};
+}
 
 } // namespace optimize
 } // namespace ceal

@@ -43,10 +43,6 @@ struct EmitResult {
   size_t MonomorphInstances = 0; ///< Generated closure_make_* makers.
   size_t EmittedBytes = 0;       ///< == Code.size(); the "binary size"
                                  ///< proxy of Table 3 / Fig. 15.
-  size_t ReadTailEnvWords = 0;   ///< Static closure-environment words
-                                 ///< over all read continuations (the
-                                 ///< per-trace-node ML(P) proxy that
-                                 ///< closure slimming shrinks).
 };
 
 /// Linkage of the emitted core functions: Static yields a self-contained

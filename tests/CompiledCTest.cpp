@@ -11,7 +11,6 @@
 #include "cl/Parser.h"
 #include "cl/Samples.h"
 #include "normalize/Normalize.h"
-#include "normalize/Optimize.h"
 #include "support/Random.h"
 #include "translate/EmitC.h"
 #include "translate/RtsShim.h"
@@ -31,16 +30,13 @@ using namespace ceal::translate;
 namespace {
 
 /// Compiles \p Source's normalized translation into a shared object and
-/// returns the dlopen handle (null on failure). With \p Optimize, the
-/// analysis-driven pass pipeline runs around NORMALIZE first.
-void *compileToSharedObject(const char *Source, const std::string &Tag,
-                            bool Optimize = false) {
+/// returns the dlopen handle (null on failure).
+void *compileToSharedObject(const char *Source, const std::string &Tag) {
   auto Parsed = parseProgram(Source);
   EXPECT_TRUE(Parsed) << Parsed.Error;
   if (!Parsed)
     return nullptr;
-  Program Norm = Optimize ? optimize::runPassPipeline(*Parsed.Prog).Prog
-                          : normalizeProgram(*Parsed.Prog).Prog;
+  Program Norm = normalizeProgram(*Parsed.Prog).Prog;
   EmitResult R = emitC(Norm, Mode::Refined, Linkage::External);
   std::string CPath = "/tmp/ceal_dl_" + Tag + ".c";
   std::string SoPath = "/tmp/libceal_dl_" + Tag + ".so";
@@ -211,118 +207,5 @@ TEST(CompiledC, QuicksortSortsInMachineCode) {
   std::vector<int64_t> Expected = In;
   std::sort(Expected.begin(), Expected.end());
   EXPECT_EQ(Result, Expected);
-  shim::setRuntime(nullptr);
-}
-
-//===----------------------------------------------------------------------===//
-// The optimized pipeline in machine code
-//===----------------------------------------------------------------------===//
-
-TEST(CompiledC, OptimizedMapSelfAdjustsIdentically) {
-  void *Handle =
-      compileToSharedObject(samples::ListPrims, "listprims_opt", true);
-  ASSERT_NE(Handle, nullptr);
-  void *MapFn = dlsym(Handle, "f_map");
-  ASSERT_NE(MapFn, nullptr) << dlerror();
-
-  Runtime RT;
-  shim::setRuntime(&RT);
-  Rng R(15);
-  constexpr size_t N = 300;
-  std::vector<int64_t> In;
-  Modref *Head = RT.modref();
-  std::vector<Modref *> Tails;
-  std::vector<Word *> Cells;
-  Modref *Cur = Head;
-  for (size_t I = 0; I < N; ++I) {
-    int64_t V = static_cast<int64_t>(R.below(100000));
-    In.push_back(V);
-    auto *Blk = static_cast<Word *>(RT.arena().allocate(16));
-    Modref *Tail = RT.modref();
-    Blk[0] = toWord(V);
-    Blk[1] = toWord(Tail);
-    RT.modifyT(Cur, Blk);
-    Cells.push_back(Blk);
-    Tails.push_back(Tail);
-    Cur = Tail;
-  }
-  Modref *Out = RT.modref();
-  RT.run(shim::makeEntryClosure(RT, MapFn, {toWord(Head), toWord(Out)}));
-
-  auto ReadOut = [&] {
-    std::vector<int64_t> Result;
-    for (Word W = RT.deref(Out); W;) {
-      Word *Blk = fromWord<Word *>(W);
-      Result.push_back(fromWord<int64_t>(Blk[0]));
-      W = RT.deref(fromWord<Modref *>(Blk[1]));
-    }
-    return Result;
-  };
-  auto Expect = [&](const std::vector<int64_t> &Vals) {
-    std::vector<int64_t> E;
-    for (int64_t V : Vals)
-      E.push_back(V / 3 + V / 7 + V / 9);
-    return E;
-  };
-  ASSERT_EQ(ReadOut(), Expect(In));
-
-  for (size_t I : {size_t(7), size_t(150), size_t(299)}) {
-    Modref *Before = I == 0 ? Head : Tails[I - 1];
-    RT.modify(Before, RT.deref(Tails[I]));
-    RT.propagate();
-    std::vector<int64_t> Smaller;
-    for (size_t J = 0; J < N; ++J)
-      if (J != I)
-        Smaller.push_back(In[J]);
-    ASSERT_EQ(ReadOut(), Expect(Smaller)) << "after deleting " << I;
-    RT.modify(Before, toWord(Cells[I]));
-    RT.propagate();
-    ASSERT_EQ(ReadOut(), Expect(In)) << "after reinserting " << I;
-  }
-  EXPECT_GE(RT.stats().MemoReadHits, 3u)
-      << "slimmed memo keys must still splice through the memo";
-  shim::setRuntime(nullptr);
-}
-
-TEST(CompiledC, OptimizedExpTreesPaperExample) {
-  void *Handle =
-      compileToSharedObject(samples::ExpTrees, "exptrees_opt", true);
-  ASSERT_NE(Handle, nullptr);
-  void *EvalFn = dlsym(Handle, "f_eval");
-  ASSERT_NE(EvalFn, nullptr) << dlerror();
-
-  Runtime RT;
-  shim::setRuntime(&RT);
-  auto Leaf = [&](int64_t V) {
-    auto *Nd = static_cast<Word *>(RT.arena().allocate(32));
-    Nd[0] = 1;
-    Nd[1] = toWord(V);
-    return Nd;
-  };
-  auto Node = [&](int64_t Op, Word *L, Word *Rn) {
-    auto *Nd = static_cast<Word *>(RT.arena().allocate(32));
-    Modref *LM = RT.modref(), *RM = RT.modref();
-    RT.modifyT(LM, L);
-    RT.modifyT(RM, Rn);
-    Nd[0] = 0;
-    Nd[1] = toWord(Op);
-    Nd[2] = toWord(LM);
-    Nd[3] = toWord(RM);
-    return Nd;
-  };
-  Word *B = Node(1, Node(0, Leaf(3), Leaf(4)), Node(1, Leaf(1), Leaf(2)));
-  Word *I = Node(1, Leaf(5), Leaf(6));
-  Word *A = Node(0, B, I);
-  Modref *Root = RT.modref();
-  RT.modifyT(Root, A);
-  Modref *Res = RT.modref();
-
-  RT.run(shim::makeEntryClosure(RT, EvalFn, {toWord(Root), toWord(Res)}));
-  EXPECT_EQ(fromWord<int64_t>(RT.deref(Res)), 7);
-
-  Word *Sub = Node(0, Leaf(6), Leaf(7));
-  RT.modifyT(fromWord<Modref *>(I[3]), Sub);
-  RT.propagate();
-  EXPECT_EQ(fromWord<int64_t>(RT.deref(Res)), 0);
   shim::setRuntime(nullptr);
 }

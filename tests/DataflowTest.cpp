@@ -239,13 +239,6 @@ TEST(Dataflow, BackwardIntersectMultipleExits) {
   EXPECT_TRUE(R.In[0].none()); // Intersect of {1} (via 1) and {} (via 2).
 }
 
-TEST(Dataflow, FindLoopHeadersSelfAndNested) {
-  // 0 -> 1 -> 2 -> 1 (loop), 2 -> 2 (self-loop), 2 -> 3.
-  BlockCfg G = makeCfg(4, {{0, 1}, {1, 2}, {2, 1}, {2, 2}, {2, 3}}, {3});
-  std::vector<BlockId> H = findLoopHeaders(G);
-  EXPECT_EQ(H, (std::vector<BlockId>{1, 2}));
-}
-
 //===----------------------------------------------------------------------===//
 // Dominators on pathological shapes
 //===----------------------------------------------------------------------===//

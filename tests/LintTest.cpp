@@ -1,21 +1,25 @@
-//===- tests/LintTest.cpp - CEAL-specific lints on seeded defects ---------===//
+//===- tests/LintTest.cpp - Checks that gate CL sources ------------------===//
 //
-// One purpose-built bad program per lint, each asserting the check slug,
-// severity, and exact block location of the expected diagnostic — plus
-// the other half of the contract: the shipped samples are clean (zero
-// errors, zero warnings), so cl-lint can gate CI on them.
+// What a CL source must pass before translation, checked on seeded
+// defects and on the shipped samples: the verifier's located errors and
+// their source-anchored rendering, the normal-form predicate NORMALIZE
+// establishes, and the block-graph facts the compiler relies on
+// (reachability, live sets at loop headers and join points).
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Lints.h"
+#include "analysis/Dataflow.h"
+#include "analysis/Liveness.h"
 #include "cl/Parser.h"
 #include "cl/Printer.h"
 #include "cl/Samples.h"
+#include "cl/Verifier.h"
 #include "normalize/Normalize.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
+#include <vector>
 
 using namespace ceal;
 using namespace ceal::analysis;
@@ -29,30 +33,25 @@ Program parseOrDie(const std::string &Src) {
   return std::move(*R.Prog);
 }
 
-LintReport lint(const std::string &Src, LintOptions O = {}) {
-  Program P = parseOrDie(Src);
-  return runLints(P, O);
-}
-
-/// The diagnostics matching \p Check.
-std::vector<Diagnostic> ofCheck(const LintReport &R, const std::string &Check) {
-  std::vector<Diagnostic> Out;
-  for (const Diagnostic &D : R.Diags)
-    if (D.Check == Check)
-      Out.push_back(D);
+/// The names of the variables live at the start of \p B, in VarId order.
+std::vector<std::string> liveNames(const Function &F, const LivenessInfo &L,
+                                   BlockId B) {
+  std::vector<std::string> Out;
+  for (VarId V : L.liveAt(B))
+    Out.push_back(F.Vars[V].Name);
   return Out;
 }
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Seeded defects, one per lint
+// Verifier errors, located and rendered
 //===----------------------------------------------------------------------===//
 
 TEST(Lint, VerifyErrorIsLocated) {
   // Reading a plain int variable is a verifier error; the diagnostic
   // must carry the function and the offending block.
-  LintReport R = lint(R"(
+  Program P = parseOrDie(R"(
 func bad_verify(modref* m) {
   var int x; var int y;
   e: x := 1; goto r;
@@ -60,38 +59,66 @@ func bad_verify(modref* m) {
   f: done;
 }
 )");
-  auto Ds = ofCheck(R, "verify");
+  std::vector<Diagnostic> Ds = verifyProgramDiags(P);
   ASSERT_EQ(Ds.size(), 1u);
-  EXPECT_EQ(Ds[0].Sev, Severity::Error);
   EXPECT_EQ(Ds[0].Function, 0u);
   EXPECT_EQ(Ds[0].Block, 1u); // Block 'r'.
   EXPECT_EQ(Ds[0].Index, 0u);
   EXPECT_NE(Ds[0].Message.find("read of non-modref*"), std::string::npos);
-  EXPECT_EQ(R.errorCount(), 1u);
 }
 
+TEST(Lint, RenderedDiagnosticIsSourceAnchored) {
+  Program P = parseOrDie(R"(
+func bad_arity(int x) {
+  var int y;
+  e: y := add(x, x); goto t;
+  t: call bad_arity(x, y); goto f;
+  f: done;
+}
+)");
+  std::vector<Diagnostic> Ds = verifyProgramDiags(P);
+  ASSERT_EQ(Ds.size(), 1u);
+  std::string Text = renderDiagnostic(P, Ds[0]);
+  EXPECT_EQ(Text.rfind("error: ", 0), 0u) << Text;
+  EXPECT_NE(Text.find("function 'bad_arity'"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("block 't'"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("passes 2 arguments"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("call bad_arity(x, y)"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("[at the command]"), std::string::npos) << Text;
+  EXPECT_EQ(renderDiagnostics(P, Ds), Text);
+}
+
+//===----------------------------------------------------------------------===//
+// Normal form (Sec. 5: every read is followed by a tail jump)
+//===----------------------------------------------------------------------===//
+
 TEST(Lint, ReadNotTailRequiresNormalForm) {
-  const char *Src = R"(
+  Program P = parseOrDie(R"(
 func bad_rnt(modref* m, modref* out) {
   var int x;
   r: x := read m; goto w;
   w: write(out, x); goto f;
   f: done;
 }
-)";
-  // Without the flag the program is fine (reads may goto in source CL).
-  EXPECT_EQ(lint(Src).errorCount(), 0u);
-  LintOptions O;
-  O.RequireNormalForm = true;
-  LintReport R = lint(Src, O);
-  auto Ds = ofCheck(R, "read-not-tail");
-  ASSERT_EQ(Ds.size(), 1u);
-  EXPECT_EQ(Ds[0].Sev, Severity::Error);
-  EXPECT_EQ(Ds[0].Block, 0u); // Block 'r'.
+)");
+  // A read may goto in source CL: the program verifies, but it is not in
+  // the normal form translation and the VM need until NORMALIZE runs.
+  EXPECT_TRUE(verifyProgramDiags(P).empty());
+  EXPECT_FALSE(isNormalForm(P));
+  Program Norm = normalize::normalizeProgram(P).Prog;
+  EXPECT_TRUE(isNormalForm(Norm));
+  EXPECT_TRUE(verifyProgramDiags(Norm).empty());
 }
 
+//===----------------------------------------------------------------------===//
+// Block-graph facts
+//===----------------------------------------------------------------------===//
+
 TEST(Lint, UseBeforeDef) {
-  LintReport R = lint(R"(
+  // 'x' is defined on the 'la' arm only, so it is live into 'lb' and,
+  // through it, into the entry block: a non-parameter variable live at
+  // entry may be read before any definition.
+  Program P = parseOrDie(R"(
 func bad_ubd(modref* out) {
   var int x; var int y; var int c;
   e: c := 0; goto br;
@@ -102,90 +129,19 @@ func bad_ubd(modref* out) {
   f: done;
 }
 )");
-  auto Ds = ofCheck(R, "use-before-def");
-  ASSERT_EQ(Ds.size(), 1u);
-  EXPECT_EQ(Ds[0].Sev, Severity::Warning);
-  EXPECT_EQ(Ds[0].Block, 4u); // Block 'w': x undefined via 'lb'.
-  EXPECT_NE(Ds[0].Message.find("'x'"), std::string::npos);
-}
-
-TEST(Lint, RedundantRead) {
-  LintReport R = lint(R"(
-func bad_rr(modref* m, modref* out) {
-  var int a; var int b; var int s;
-  r1: a := read m; goto r2;
-  r2: b := read m; goto ad;
-  ad: s := add(a, b); goto w;
-  w: write(out, s); goto f;
-  f: done;
-}
-)");
-  auto Ds = ofCheck(R, "redundant-read");
-  ASSERT_EQ(Ds.size(), 1u);
-  EXPECT_EQ(Ds[0].Sev, Severity::Warning);
-  EXPECT_EQ(Ds[0].Block, 1u); // Block 'r2', provided by 'r1'.
-  EXPECT_NE(Ds[0].Message.find("block 'r1'"), std::string::npos);
-}
-
-TEST(Lint, DeadWrite) {
-  LintReport R = lint(R"(
-func bad_dw(modref* out) {
-  var int a; var int b;
-  e: a := 1; goto w1;
-  w1: write(out, a); goto e2;
-  e2: b := 2; goto w2;
-  w2: write(out, b); goto f;
-  f: done;
-}
-)");
-  auto Ds = ofCheck(R, "dead-write");
-  ASSERT_EQ(Ds.size(), 1u);
-  EXPECT_EQ(Ds[0].Sev, Severity::Warning);
-  EXPECT_EQ(Ds[0].Block, 1u); // 'w1' is surely overwritten by 'w2'.
-}
-
-TEST(Lint, UnusedAlloc) {
-  LintReport R = lint(R"(
-func init0(int* blk) {
-  f: done;
-}
-func bad_ua(modref* out) {
-  var int* p; var int sz; var int z;
-  e: sz := 4; goto al;
-  al: p := alloc(sz, init0); goto z1;
-  z1: z := 7; goto w;
-  w: write(out, z); goto f;
-  f: done;
-}
-)");
-  auto Ds = ofCheck(R, "unused-alloc");
-  ASSERT_EQ(Ds.size(), 1u);
-  EXPECT_EQ(Ds[0].Sev, Severity::Warning);
-  EXPECT_EQ(Ds[0].Function, 1u); // bad_ua.
-  EXPECT_EQ(Ds[0].Block, 1u);    // Block 'al'.
-}
-
-TEST(Lint, MemoKeyWrite) {
-  LintReport R = lint(R"(
-func bad_mkw(modref* m, modref* out) {
-  var modref* k; var int v; var int r;
-  e: v := 5; goto mk;
-  mk: k := modref(m); goto w1;
-  w1: write(m, v); goto rd;
-  rd: r := read k; goto w2;
-  w2: write(out, r); goto f;
-  f: done;
-}
-)");
-  auto Ds = ofCheck(R, "memo-key-write");
-  ASSERT_EQ(Ds.size(), 1u);
-  EXPECT_EQ(Ds[0].Sev, Severity::Warning);
-  EXPECT_EQ(Ds[0].Block, 2u); // 'w1' writes through an escaped key.
-  EXPECT_NE(Ds[0].Message.find("'m'"), std::string::npos);
+  const Function &F = P.Funcs[0];
+  LivenessInfo L = computeLiveness(F);
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(liveNames(F, L, 0), (Names{"out", "x"})); // Block 'e'.
+  EXPECT_EQ(liveNames(F, L, 2), (Names{"out"}));      // Block 'la'.
+  EXPECT_EQ(liveNames(F, L, 3), (Names{"out", "x"})); // Block 'lb'.
+  EXPECT_EQ(liveNames(F, L, 4), (Names{"out", "x"})); // Block 'w'.
 }
 
 TEST(Lint, LoopHeaderLiveSet) {
-  const char *Src = R"(
+  // Every trace node in a loop carries the variables live at its header
+  // as closure words; here that is everything but the condition 'c'.
+  Program P = parseOrDie(R"(
 func bad_ll(modref* out) {
   var int i; var int a; var int b; var int n; var int c;
   e: i := 0; goto e2;
@@ -198,21 +154,19 @@ func bad_ll(modref* out) {
   x: write(out, b); goto f;
   f: done;
 }
-)";
-  LintOptions O;
-  O.LoopLiveThreshold = 2;
-  LintReport R = lint(Src, O);
-  auto Ds = ofCheck(R, "loop-live");
-  ASSERT_EQ(Ds.size(), 1u);
-  EXPECT_EQ(Ds[0].Sev, Severity::Warning);
-  EXPECT_EQ(Ds[0].Block, 4u); // Header 'h'.
-  EXPECT_NE(Ds[0].Message.find("ML(P)"), std::string::npos);
-  // Above the default threshold the same program is quiet.
-  EXPECT_TRUE(ofCheck(lint(Src), "loop-live").empty());
+)");
+  const Function &F = P.Funcs[0];
+  BlockCfg G = BlockCfg::build(F);
+  EXPECT_EQ(G.Preds[4], (std::vector<BlockId>{3, 6})); // 'h' <- 'e4', 'body'.
+  LivenessInfo L = computeLiveness(F);
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(liveNames(F, L, 4), (Names{"out", "i", "a", "b", "n"}));
+  EXPECT_EQ(L.liveCountAt(4), 5u);
+  EXPECT_EQ(L.maxLive(), 6u); // 'br' also holds 'c'.
 }
 
 TEST(Lint, DeadCodeAndUnreachableNotes) {
-  LintReport R = lint(R"(
+  Program P = parseOrDie(R"(
 func bad_notes(modref* out) {
   var int a; var int z;
   e: a := 1; goto w;
@@ -221,62 +175,32 @@ func bad_notes(modref* out) {
   orphan: z := 9; goto f;
 }
 )");
-  auto Unreach = ofCheck(R, "unreachable");
-  ASSERT_EQ(Unreach.size(), 1u);
-  EXPECT_EQ(Unreach[0].Sev, Severity::Note);
-  EXPECT_EQ(Unreach[0].Block, 3u); // 'orphan'.
+  BlockCfg G = BlockCfg::build(P.Funcs[0]);
+  EXPECT_EQ(G.Reachable, (std::vector<bool>{true, true, true, false}));
+  // The orphan's assignment is dead as well: 'z' is live nowhere.
+  LivenessInfo L = computeLiveness(P.Funcs[0]);
+  for (BlockId B = 0; B < 4; ++B)
+    EXPECT_FALSE(L.liveInAt(B, 2)) << "block " << B; // 'z'.
 }
 
 //===----------------------------------------------------------------------===//
-// Rendering
-//===----------------------------------------------------------------------===//
-
-TEST(Lint, RenderedDiagnosticIsSourceAnchored) {
-  Program P = parseOrDie(R"(
-func bad_rr(modref* m, modref* out) {
-  var int a; var int b; var int s;
-  r1: a := read m; goto r2;
-  r2: b := read m; goto ad;
-  ad: s := add(a, b); goto w;
-  w: write(out, s); goto f;
-  f: done;
-}
-)");
-  LintReport R = runLints(P, {});
-  auto Ds = ofCheck(R, "redundant-read");
-  ASSERT_EQ(Ds.size(), 1u);
-  std::string Text = renderDiagnostic(P, Ds[0]);
-  EXPECT_NE(Text.find("warning[redundant-read]"), std::string::npos) << Text;
-  EXPECT_NE(Text.find("function 'bad_rr'"), std::string::npos) << Text;
-  EXPECT_NE(Text.find("block 'r2'"), std::string::npos) << Text;
-  EXPECT_NE(Text.find("b := read m"), std::string::npos) << Text;
-}
-
-//===----------------------------------------------------------------------===//
-// The other half: shipped samples are clean
+// The shipped samples pass every gate
 //===----------------------------------------------------------------------===//
 
 TEST(Lint, ShippedSamplesAreClean) {
   for (const auto &[Name, Source] : samples::allPrograms()) {
-    LintReport R = lint(Source);
-    size_t Warnings = 0;
-    for (const Diagnostic &D : R.Diags)
-      if (D.Sev != Severity::Note)
-        ++Warnings;
-    EXPECT_EQ(R.errorCount(), 0u) << Name;
-    EXPECT_EQ(Warnings, 0u) << Name;
+    Program P = parseOrDie(Source);
+    std::vector<Diagnostic> Ds = verifyProgramDiags(P);
+    EXPECT_TRUE(Ds.empty()) << Name << ":\n" << renderDiagnostics(P, Ds);
   }
 }
 
 TEST(Lint, NormalizedSamplesPassNormalFormLint) {
   // After NORMALIZE every read tails, so the strict gate holds too.
   for (const auto &[Name, Source] : samples::allPrograms()) {
-    Program P = parseOrDie(Source);
-    Program Norm = ceal::normalize::normalizeProgram(P).Prog;
-    LintOptions O;
-    O.RequireNormalForm = true;
-    LintReport R = runLints(Norm, O);
-    EXPECT_TRUE(ofCheck(R, "read-not-tail").empty()) << Name;
-    EXPECT_EQ(R.errorCount(), 0u) << Name;
+    Program Norm = normalize::normalizeProgram(parseOrDie(Source)).Prog;
+    EXPECT_TRUE(isNormalForm(Norm)) << Name;
+    std::vector<Diagnostic> Ds = verifyProgramDiags(Norm);
+    EXPECT_TRUE(Ds.empty()) << Name << ":\n" << renderDiagnostics(Norm, Ds);
   }
 }
