@@ -81,13 +81,11 @@ struct Measurement {
   double warmSpeedup() const {
     return WarmStartSeconds > 0 ? SelfSeconds / WarmStartSeconds : 0;
   }
-  /// The whole footprint: trace-arena high-water mark (trace nodes with
-  /// their timestamps, order-list groups, closures, blocks) plus the
-  /// order-list bytes outside that arena (none) and the memo bucket
-  /// arrays at the end of the update loop.
-  size_t totalLiveBytes() const {
-    return MaxLiveBytes + Mem.OmBytes + Mem.MemoIndexBytes;
-  }
+  /// The whole footprint: the trace arena's high-water mark. The arena
+  /// holds the trace nodes with their timestamps, the order-list groups,
+  /// closures, blocks and the memo bucket arrays, so nothing lives
+  /// outside it.
+  size_t totalLiveBytes() const { return MaxLiveBytes; }
 };
 
 /// The process's minor page faults so far (getrusage).

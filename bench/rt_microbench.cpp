@@ -223,8 +223,7 @@ void writeUpdateBench(std::ostream &Out, double Scale, size_t Samples) {
         << ", \"speedup\": " << M.speedup()
         << ", \"fromscratch_overhead\": " << M.overhead()
         << ", \"max_live_bytes\": " << M.MaxLiveBytes
-        << ",\n     \"om_bytes\": " << M.Mem.OmBytes
-        << ", \"memo_index_bytes\": " << M.Mem.MemoIndexBytes
+        << ",\n     \"memo_bucket_bytes\": " << M.Mem.MemoBucketBytes
         << ", \"total_live_bytes\": " << M.totalLiveBytes()
         << ",\n     \"warm_start_seconds\": " << M.WarmStartSeconds
         << ", \"snapshot_bytes\": " << M.SnapshotBytes
@@ -234,8 +233,8 @@ void writeUpdateBench(std::ostream &Out, double Scale, size_t Samples) {
   Out << "  ],\n";
 
   // Per-kind live-byte accounting for the same runs: where every live
-  // arena byte went (nodes, closures, user blocks, meta), plus OM and
-  // memo-index footprints and arena occupancy. CI's check_max_live.py
+  // arena byte went (nodes, closures, user blocks, meta, order-list
+  // groups, memo buckets) and arena occupancy. CI's check_max_live.py
   // gates on update_bench's max_live_bytes and total_live_bytes; this
   // section explains any movement in them.
   Out << "  \"memory\": [\n";

@@ -299,6 +299,7 @@ void OrderList::verifyInvariants() const {
       Expected = NN->Next;
       N = NN->Next;
     }
+    (void)PrevLabel;
   }
   assert(!Expected && "trailing nodes beyond last group");
   assert(SeenNodes == Size && "size accounting out of sync");

@@ -12,7 +12,11 @@
 ///
 /// Chain links are 32-bit arena handles (Arena::Handle), which is why the
 /// table carries a reference to the arena that owns its nodes: every
-/// probe resolves handles against that one region base.
+/// probe resolves handles against that one region base. The bucket array
+/// is allocated from the same arena, so the trace region holds the whole
+/// index: it counts in the arena's live bytes and high-water mark, and a
+/// snapshot's arena image carries it (runtime/Snapshot maps it back in
+/// place rather than rebuilding it).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <cstring>
 
 namespace ceal {
 
@@ -50,10 +54,13 @@ template <typename NodeT> struct MemoLinks {
 };
 
 /// Intrusive chained hash table over NodeT with a MemoLinks member `Memo`.
-/// All nodes must come from the single Arena the table is bound to.
+/// All nodes must come from the single Arena the table is bound to, and
+/// so does the bucket array. A pristine table has no array (it allocates
+/// on its first reserve() or insert()), so a fresh Runtime's arena holds
+/// nothing but its order list.
 template <typename NodeT> class MemoTable {
 public:
-  explicit MemoTable(Arena &A) : Mem(&A), Buckets(64, Handle<NodeT>{}) {}
+  explicit MemoTable(Arena &A) : Mem(&A) {}
 
   /// Resolves a chain handle (auditors and chain walks).
   NodeT *resolve(Handle<NodeT> H) const { return Mem->ptr(H); }
@@ -65,7 +72,7 @@ public:
     // Load factor 1: every chain probe is a dependent cache miss on the
     // propagation hot path, so buckets are kept at least as numerous as
     // entries (growing at 2 measurably lengthened memo lookups).
-    if (Count >= Buckets.size())
+    if (Count >= NBuckets)
       grow();
     size_t Index = bucketIndex(N->Memo.Hash);
     Handle<NodeT> HN = Mem->handle(N);
@@ -84,7 +91,7 @@ public:
     size_t Want = 64;
     while (Want < Expected)
       Want <<= 1;
-    if (Want > Buckets.size())
+    if (Want > NBuckets)
       rehashTo(Want);
   }
 
@@ -100,10 +107,12 @@ public:
   /// bucket lines — the random-address cache misses that dominate
   /// pay-as-you-go insertion — prefetched from the precomputed indexes.
   void insertBulk(NodeT *const *Nodes, size_t N) {
+    if (N == 0)
+      return;
     reserve(Count + N);
     constexpr size_t Block = 256;
     constexpr size_t BucketAhead = 8;
-    const uint32_t Mask = uint32_t(Buckets.size() - 1);
+    const uint32_t Mask = uint32_t(NBuckets - 1);
     uint32_t Idx[Block];
     for (size_t Base = 0; Base < N; Base += Block) {
       const size_t BN = N - Base < Block ? N - Base : Block;
@@ -147,40 +156,52 @@ public:
 
   /// Head of the chain that would contain nodes with \p Hash.
   NodeT *chainHead(uint64_t Hash) const {
-    return Mem->ptr(Buckets[bucketIndex(Hash)]);
+    return NBuckets ? Mem->ptr(Buckets[bucketIndex(Hash)]) : nullptr;
   }
 
   size_t size() const { return Count; }
 
   /// Bucket enumeration for auditors (TraceAudit walks every chain to
-  /// check acyclicity, hash placement, and membership).
-  size_t bucketCount() const { return Buckets.size(); }
+  /// check acyclicity, hash placement, and membership). Zero for a
+  /// pristine table.
+  size_t bucketCount() const { return NBuckets; }
   NodeT *bucketHead(size_t Index) const { return Mem->ptr(Buckets[Index]); }
-  /// The packed bucket array itself, for auditors that sweep every head
-  /// handle at once (TraceAudit's bounds pre-check) rather
-  /// than resolving them one by one.
-  const Handle<NodeT> *bucketArray() const { return Buckets.data(); }
+  /// The packed bucket array itself (null for a pristine table), for
+  /// auditors that sweep every head handle at once (TraceAudit's bounds
+  /// pre-check) rather than resolving them one by one.
+  const Handle<NodeT> *bucketArray() const { return Buckets; }
+  /// Arena bytes the bucket array occupies (its share of liveBytes()).
+  size_t bucketBytes() const {
+    return Arena::accountedSize(NBuckets * sizeof(Handle<NodeT>));
+  }
   /// The bucket \p Hash maps to under the current table size.
   size_t bucketFor(uint64_t Hash) const { return bucketIndex(Hash); }
 
 private:
-  /// The snapshot subsystem serializes and restores the bucket array and
-  /// count directly (chain links live inside the nodes themselves).
+  /// The snapshot subsystem records the bucket array's region offset and
+  /// the counts, and re-adopts the array in place on load (chain links
+  /// live inside the nodes themselves).
   friend class Snapshot;
 
   size_t bucketIndex(uint64_t Hash) const {
     // Bucket counts stay well under 2^32, so bucketing by the stored
     // 32-bit hash and by the full 64-bit hash agree.
-    return Hash & (Buckets.size() - 1);
+    return Hash & (NBuckets - 1);
   }
 
-  void grow() { rehashTo(Buckets.size() * 4); }
+  void grow() { rehashTo(NBuckets ? NBuckets * 4 : 64); }
 
+  /// Moves every chain into a fresh zeroed array of \p NewBucketCount
+  /// heads and frees the old array back to the arena.
   void rehashTo(size_t NewBucketCount) {
-    std::vector<Handle<NodeT>> Old = std::move(Buckets);
-    Buckets.assign(NewBucketCount, Handle<NodeT>{});
-    for (Handle<NodeT> ChainH : Old) {
-      NodeT *Chain = Mem->ptr(ChainH);
+    Handle<NodeT> *Old = Buckets;
+    const size_t OldCount = NBuckets;
+    const size_t Bytes = NewBucketCount * sizeof(Handle<NodeT>);
+    Buckets = static_cast<Handle<NodeT> *>(Mem->allocate(Bytes));
+    std::memset(static_cast<void *>(Buckets), 0, Bytes);
+    NBuckets = NewBucketCount;
+    for (size_t I = 0; I < OldCount; ++I) {
+      NodeT *Chain = Mem->ptr(Old[I]);
       while (Chain) {
         NodeT *Next = Mem->ptr(Chain->Memo.Next);
         size_t Index = bucketIndex(Chain->Memo.Hash);
@@ -193,10 +214,15 @@ private:
         Chain = Next;
       }
     }
+    if (Old)
+      Mem->deallocate(Old, OldCount * sizeof(Handle<NodeT>));
   }
 
   Arena *Mem;
-  std::vector<Handle<NodeT>> Buckets;
+  /// NBuckets chain heads in Mem (a power of two, at least 64), or null
+  /// with NBuckets 0 until the first reserve() or insert().
+  Handle<NodeT> *Buckets = nullptr;
+  size_t NBuckets = 0;
   size_t Count = 0;
 };
 

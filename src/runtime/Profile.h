@@ -164,12 +164,12 @@ struct PropagationProfile {
 /// to what the arena actually charges:
 ///
 ///   ReadBytes + WriteBytes + AllocBytes + UserBlockBytes + ClosureBytes
-///     + MetaBytes + OmGroupBytes == ArenaLiveBytes
+///     + MetaBytes + OmGroupBytes + MemoBucketBytes == ArenaLiveBytes
 ///
 /// (TraceAudit enforces the same identity). Timestamps are inside their
 /// trace nodes, so ReadBytes/WriteBytes/AllocBytes include them. The memo
-/// bucket arrays live outside the trace arena and are reported
-/// separately.
+/// bucket arrays are arena blocks too, so the arena's high-water mark is
+/// the whole footprint.
 struct MemoryStats {
   uint64_t ReadBytes = 0;      ///< ReadNode records (+ per-node box).
   uint64_t WriteBytes = 0;     ///< WriteNode records (+ per-node box).
@@ -180,11 +180,14 @@ struct MemoryStats {
   /// Order-list groups and base sentinel (in the trace arena; every
   /// other timestamp is inside its trace node and counted with it).
   uint64_t OmGroupBytes = 0;
-  /// Order-list bytes outside the trace arena: zero, since the list is
-  /// intrusive over it. Kept so `max live + OmBytes + MemoIndexBytes`
-  /// stays the whole footprint for every reader.
+  /// The two memo tables' bucket arrays (in the trace arena).
+  uint64_t MemoBucketBytes = 0;
+  /// Order-list and memo-index bytes outside the trace arena: both zero,
+  /// since the list and the bucket arrays live in it. Kept so
+  /// `max live + OmBytes + MemoIndexBytes` stays the whole footprint for
+  /// every reader that still adds them.
   uint64_t OmBytes = 0;
-  uint64_t MemoIndexBytes = 0; ///< memo-table bucket arrays (malloc side).
+  uint64_t MemoIndexBytes = 0;
 
   uint64_t Reads = 0, Writes = 0, Allocs = 0, Timestamps = 0;
 
@@ -211,6 +214,7 @@ struct MemoryStats {
         << ", \"closure_bytes\": " << ClosureBytes
         << ", \"meta_bytes\": " << MetaBytes
         << ", \"om_group_bytes\": " << OmGroupBytes
+        << ", \"memo_bucket_bytes\": " << MemoBucketBytes
         << ", \"om_bytes\": " << OmBytes
         << ", \"memo_index_bytes\": " << MemoIndexBytes
         << ", \"reads\": " << Reads << ", \"writes\": " << Writes

@@ -374,8 +374,7 @@ MemoryStats Runtime::memoryStats() const {
   }
   S.MetaBytes = MetaBytes;
   S.OmGroupBytes = Om.ownBytes();
-  S.MemoIndexBytes = ReadMemo.bucketCount() * sizeof(Handle<ReadNode>) +
-                     AllocMemo.bucketCount() * sizeof(Handle<AllocNode>);
+  S.MemoBucketBytes = ReadMemo.bucketBytes() + AllocMemo.bucketBytes();
   S.ArenaLiveBytes = Mem.liveBytes();
   S.ArenaMaxLiveBytes = Mem.maxLiveBytes();
   S.ArenaBumpUsedBytes = Mem.bumpUsedBytes();

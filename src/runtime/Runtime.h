@@ -320,8 +320,8 @@ public:
 
   /// Per-kind live-memory accounting: walks the trace (meta phase only)
   /// and attributes every live arena byte to reads, writes, allocations,
-  /// user blocks, closures, meta blocks, or the order list's groups,
-  /// alongside the memo-index footprint and arena occupancy. See
+  /// user blocks, closures, meta blocks, the order list's groups, or the
+  /// memo bucket arrays, alongside arena occupancy. See
   /// MemoryStats in Profile.h.
   MemoryStats memoryStats() const;
 
@@ -479,7 +479,8 @@ private:
   ExecState Main;
 
   /// The memo indexes chain through 32-bit handles, so each table is
-  /// bound to the arena that owns its nodes (Mem, declared above).
+  /// bound to the arena that owns its nodes (Mem, declared above), which
+  /// also holds its bucket array.
   MemoTable<ReadNode> ReadMemo{Mem};
   MemoTable<AllocNode> AllocMemo{Mem};
   /// Memo-index inserts deferred by the construction fast path; flushed

@@ -1,19 +1,20 @@
 //===- runtime/Snapshot.cpp - Versioned trace checkpoints -----------------===//
 //
-// Save lays the file out as a 4096-byte header block plus five contiguous
-// sections (META, the two memo bucket arrays, the root table, then the
-// page-aligned arena image) and checksums every byte: the header block as
-// a whole, each section over its full padded length. Load runs two
-// stages: parseAndValidate() proves the file internally consistent
-// without touching the runtime (so early failures leave it untouched),
-// then install() claims the recorded region base, adopts the arena image
-// (copy or mmap), restores the scalar state, and hands the result
-// to TraceAudit's load-mode validator before anyone trusts it. Any
-// failure after the claim rewinds the runtime to a pristine empty state.
-// The Verify flag (always on for load(), WarmStartOptions-governed for
-// the mmap path) selects the O(file)+O(trace) content passes — the arena
-// section checksum and the TraceAudit walk; everything else runs
-// unconditionally.
+// Save lays the file out as a 4096-byte header block plus three contiguous
+// sections (META, the root table, then the page-aligned arena image, which
+// also holds the memo tables' bucket arrays) and checksums every byte: the
+// header block as a whole, each section over its full padded length. Load
+// runs two stages: parseAndValidate() proves the file internally
+// consistent without touching the runtime (so early failures leave it
+// untouched), then install() claims the recorded region base, adopts the
+// arena image (copy or mmap), restores the scalar state, adopts the
+// bucket arrays in place after one bounds sweep over their heads, and
+// hands the result to TraceAudit's load-mode validator before anyone
+// trusts it. Any failure after the claim rewinds the runtime to a pristine
+// empty state. The Verify flag (always on for load(), WarmStartOptions-
+// governed for the mmap path) selects the O(file)+O(trace) content passes
+// — the arena section checksum and the TraceAudit walk; everything else
+// runs unconditionally.
 //
 // The threat model for the loader is "arbitrary bytes on disk": nothing
 // read from the file is dereferenced, indexed, or size-cast before a
@@ -30,6 +31,7 @@
 #include "runtime/TraceAudit.h"
 #include "support/Checksum.h"
 #include "support/FileIo.h"
+#include "support/simd/Simd.h"
 
 #include <algorithm>
 #include <cstdarg>
@@ -100,7 +102,7 @@ uint64_t byteswap64(uint64_t V) { return __builtin_bswap64(V); }
 
 static_assert(sizeof(Snapshot::SectionEntry) == 32,
               "section table entry layout drifted");
-static_assert(sizeof(Snapshot::FileHeader) == 248,
+static_assert(sizeof(Snapshot::FileHeader) == 184,
               "file header layout drifted");
 static_assert(sizeof(Snapshot::FileHeader) <= Snapshot::HeaderBytes,
               "header must fit its block");
@@ -192,8 +194,9 @@ bool Snapshot::readyToSave(const Runtime &RT, std::string *Why) {
 //===----------------------------------------------------------------------===//
 
 struct Snapshot::Impl {
-  // Section indexes in the fixed file order.
-  enum : size_t { IMeta = 0, IMemoRead, IMemoAlloc, IRoots, IMem };
+  // Section indexes in the fixed file order; the sections before IMem are
+  // the small ones, read whole and always checksummed.
+  enum : size_t { IMeta = 0, IRoots, IMem, NumSmall = IMem };
 
   //===------------------------------------------------------------===//
   // Offset <-> pointer/handle translation
@@ -251,13 +254,8 @@ struct Snapshot::Impl {
   }
 
   template <typename NodeT>
-  static ByteBuf memoSection(uint32_t Kind, const MemoTable<NodeT> &Table) {
-    ByteBuf Buf;
-    Buf.u64(sectionPreamble(Kind));
-    Buf.u64(Table.Buckets.size());
-    for (Handle<NodeT> H : Table.Buckets)
-      Buf.u64(offOfHandle(H));
-    return Buf;
+  static MemoMeta memoMeta(const Arena &A, const MemoTable<NodeT> &Table) {
+    return MemoMeta{offOfPtr(A, Table.Buckets), Table.NBuckets, Table.Count};
   }
 
   static SaveResult save(const Runtime &RT, const std::string &Path,
@@ -300,10 +298,8 @@ struct Snapshot::Impl {
     MF.OmSize = RT.Om.Size;
     MF.OmRelabels = RT.Om.Relabels;
     MF.OmRangeRelabels = RT.Om.RangeRelabels;
-    MF.ReadMemoCount = RT.ReadMemo.Count;
-    MF.ReadMemoBuckets = RT.ReadMemo.Buckets.size();
-    MF.AllocMemoCount = RT.AllocMemo.Count;
-    MF.AllocMemoBuckets = RT.AllocMemo.Buckets.size();
+    MF.ReadMemo = memoMeta(Mem, RT.ReadMemo);
+    MF.AllocMemo = memoMeta(Mem, RT.AllocMemo);
     MF.RootCount = Opt.Roots.size();
     fillArenaMeta(MF.MemA, Mem);
 
@@ -311,9 +307,6 @@ struct Snapshot::Impl {
     Meta.u64(sectionPreamble(SecMeta));
     Meta.raw(&MF, sizeof(MF));
     appendLargePairs(Meta, Mem);
-
-    ByteBuf MemoR = memoSection(SecMemoRead, RT.ReadMemo);
-    ByteBuf MemoA = memoSection(SecMemoAlloc, RT.AllocMemo);
 
     ByteBuf Roots;
     Roots.u64(sectionPreamble(SecRoots));
@@ -333,8 +326,6 @@ struct Snapshot::Impl {
       Off += Length;
     };
     Place(IMeta, SecMeta, Meta.size());
-    Place(IMemoRead, SecMemoRead, MemoR.size());
-    Place(IMemoAlloc, SecMemoAlloc, MemoA.size());
     uint64_t RootsLen = padTo(Off + Roots.size(), Page) - Off;
     Roots.padToLength(RootsLen);
     Place(IRoots, SecRoots, RootsLen);
@@ -346,8 +337,8 @@ struct Snapshot::Impl {
       return Fail(Status::IoError, "cannot create " + Path);
 
     // Small sections: write from the buffers, checksum the same bytes.
-    const ByteBuf *Small[] = {&Meta, &MemoR, &MemoA, &Roots};
-    for (size_t I = 0; I < 4; ++I) {
+    const ByteBuf *Small[NumSmall] = {&Meta, &Roots};
+    for (size_t I = 0; I < NumSmall; ++I) {
       if (!F.pwriteAll(Small[I]->B.data(), Small[I]->B.size(), SE[I].Offset))
         return Fail(Status::IoError, "write failed for " + Path);
       SE[I].Checksum = Checksum64::of(Small[I]->B.data(), Small[I]->B.size());
@@ -408,7 +399,7 @@ struct Snapshot::Impl {
     FileHeader H;
     MetaFixed MF;
     std::vector<std::pair<uint64_t, uint64_t>> MemLarge;
-    std::vector<uint64_t> ReadBuckets, AllocBuckets, RootOffs;
+    std::vector<uint64_t> RootOffs;
   };
 
   static bool failL(LoadResult &Out, Status St, std::string Diag) {
@@ -525,8 +516,8 @@ struct Snapshot::Impl {
       return failL(Out, Status::BadSectionTable,
                    strf("section count %u, expected %u", H.SectionCount,
                         NumSections));
-    static const uint32_t WantKinds[NumSections] = {
-        SecMeta, SecMemoRead, SecMemoAlloc, SecRoots, SecMem};
+    static const uint32_t WantKinds[NumSections] = {SecMeta, SecRoots,
+                                                    SecMem};
     uint64_t Cursor = HeaderBytes;
     for (size_t I = 0; I < NumSections; ++I) {
       const SectionEntry &E = H.Sections[I];
@@ -558,28 +549,23 @@ struct Snapshot::Impl {
                    "arena section length disagrees with its bump frontier");
 
     // Section content checksums, then the embedded kind preambles (so a
-    // checksum-preserving payload swap is still caught). The fast
-    // warm-start path verifies only the header (already done) and the
-    // META and root sections here: the memo sections are trace-sized
-    // (one word per bucket), so checksumming them would scale the warm
-    // start with the trace again. Every bucket offset installed from
-    // them is still bounds-checked in parseMeta either way.
-    std::vector<uint8_t> Small[4];
-    for (size_t I = 0; I < 4; ++I) {
+    // checksum-preserving payload swap is still caught). Both load paths
+    // checksum the header (already done) and the META and root sections.
+    std::vector<uint8_t> Small[NumSmall];
+    for (size_t I = 0; I < NumSmall; ++I) {
       const SectionEntry &E = H.Sections[I];
       Small[I].resize(E.Length);
       if (!P.F.preadAll(Small[I].data(), E.Length, E.Offset))
         return failL(Out, Status::IoError, "section read failed");
-      if (!Verify && (I == IMemoRead || I == IMemoAlloc))
-        continue;
       if (Checksum64::of(Small[I].data(), E.Length) != E.Checksum)
         return failL(Out, Status::BadChecksum,
                      strf("section %zu checksum mismatch", I));
     }
-    // The arena payload is the O(file) part; the fast warm-start path
-    // skips its content checksum by contract (WarmStartOptions) — its
-    // geometry, preamble, and every offset installed from it are still
-    // checked below.
+    // The arena payload (trace and memo bucket arrays) is the O(file)
+    // part; the fast warm-start path skips its content checksum by
+    // contract (WarmStartOptions) — its geometry, preamble, and every
+    // offset installed from it are still checked below, and the bucket
+    // heads are bounds-swept in install().
     if (Verify) {
       uint64_t Sum = 0;
       if (!checksumRange(P.F, H.Sections[IMem].Offset,
@@ -591,7 +577,7 @@ struct Snapshot::Impl {
     }
     for (size_t I = 0; I < NumSections; ++I) {
       uint64_t Pre = 0;
-      if (I < 4)
+      if (I < NumSmall)
         std::memcpy(&Pre, Small[I].data(), sizeof(Pre));
       else if (!P.F.preadAll(&Pre, sizeof(Pre), H.Sections[I].Offset))
         return failL(Out, Status::IoError, "section read failed");
@@ -605,11 +591,11 @@ struct Snapshot::Impl {
     return parseMeta(RT, Mmap, Small, P, Out);
   }
 
-  /// META/memo/roots parsing + semantic validation (file still the only
-  /// thing touched; the runtime is read for config comparison only).
+  /// META/roots parsing + semantic validation (file still the only thing
+  /// touched; the runtime is read for config comparison only).
   static bool parseMeta(const Runtime &RT, bool Mmap,
-                        const std::vector<uint8_t> Small[4], Parsed &P,
-                        LoadResult &Out) {
+                        const std::vector<uint8_t> Small[NumSmall],
+                        Parsed &P, LoadResult &Out) {
     const FileHeader &H = P.H;
     MetaFixed &MF = P.MF;
     const std::vector<uint8_t> &Meta = Small[IMeta];
@@ -689,39 +675,33 @@ struct Snapshot::Impl {
     if (!CheckLarge(P.MemLarge, H.MemBumpUsed, "trace-arena"))
       return false;
 
-    // Memo bucket arrays.
-    auto ParseMemo = [&](size_t Index, uint64_t WantBuckets, uint64_t Count,
-                         uint64_t NodeBytes, std::vector<uint64_t> &Dst,
+    // Memo bucket arrays: geometry only. The arrays are arena payload;
+    // install() adopts them in place and bounds-sweeps their heads. A
+    // table that never allocated records offset, buckets and count 0.
+    auto CheckMemo = [&](const MemoMeta &MM, uint64_t NodeBytes,
                          const char *Name) {
-      const std::vector<uint8_t> &Sec = Small[Index];
-      if (!isPow2(WantBuckets) || WantBuckets < 64 ||
-          WantBuckets > (uint64_t(1) << 31))
+      if (MM.Buckets == 0 && MM.Off == 0 && MM.Count == 0)
+        return true;
+      if (!isPow2(MM.Buckets) || MM.Buckets < 64 ||
+          MM.Buckets > (uint64_t(1) << 31))
         return failL(Out, Status::BadMeta,
                      strf("%s memo bucket count %llu invalid", Name,
-                          (unsigned long long)WantBuckets));
-      if (Count > H.MemBumpUsed / NodeBytes)
+                          (unsigned long long)MM.Buckets));
+      if (MM.Count > H.MemBumpUsed / NodeBytes)
         return failL(Out, Status::BadMeta,
                      strf("%s memo count exceeds the arena's capacity", Name));
-      if (Sec.size() < 16 || (Sec.size() - 16) / 8 < WantBuckets)
-        return failL(Out, Status::BadMeta,
-                     strf("%s memo section too short for its buckets", Name));
-      uint64_t Stored;
-      std::memcpy(&Stored, Sec.data() + 8, 8);
-      if (Stored != WantBuckets)
-        return failL(Out, Status::BadMeta,
-                     strf("%s memo bucket count disagrees with META", Name));
-      Dst.resize(WantBuckets);
-      std::memcpy(Dst.data(), Sec.data() + 16, WantBuckets * 8);
-      for (uint64_t Off : Dst)
-        if (Off && !OffOk(Off, NodeBytes, H.MemBumpUsed))
-          return BadOff("memo bucket", Off);
+      if (!OffOk(MM.Off, MM.Buckets * sizeof(uint32_t), H.MemBumpUsed))
+        return BadOff(strf("%s memo bucket array", Name).c_str(), MM.Off);
       return true;
     };
-    if (!ParseMemo(IMemoRead, MF.ReadMemoBuckets, MF.ReadMemoCount,
-                   sizeof(ReadNode), P.ReadBuckets, "read") ||
-        !ParseMemo(IMemoAlloc, MF.AllocMemoBuckets, MF.AllocMemoCount,
-                   sizeof(AllocNode), P.AllocBuckets, "alloc"))
+    if (!CheckMemo(MF.ReadMemo, sizeof(ReadNode), "read") ||
+        !CheckMemo(MF.AllocMemo, sizeof(AllocNode), "alloc"))
       return false;
+    if (MF.ReadMemo.Buckets && MF.AllocMemo.Buckets &&
+        MF.ReadMemo.Off < MF.AllocMemo.Off + MF.AllocMemo.Buckets * 4 &&
+        MF.AllocMemo.Off < MF.ReadMemo.Off + MF.ReadMemo.Buckets * 4)
+      return failL(Out, Status::BadMeta,
+                   "the read and alloc memo bucket arrays overlap");
 
     // Root table.
     const std::vector<uint8_t> &RootsSec = Small[IRoots];
@@ -787,10 +767,8 @@ struct Snapshot::Impl {
     RT.PendingReadMemo.clear();
     RT.PendingAllocMemo.clear();
     RT.Main.DeferredFrees.clear();
-    RT.ReadMemo.Buckets.assign(64, Handle<ReadNode>{});
-    RT.ReadMemo.Count = 0;
-    RT.AllocMemo.Buckets.assign(64, Handle<AllocNode>{});
-    RT.AllocMemo.Count = 0;
+    clearMemo(RT.ReadMemo);
+    clearMemo(RT.AllocMemo);
     RT.Main.S = Runtime::Stats();
     RT.MetaBytes = 0;
     RT.GcAllocMark = 0;
@@ -856,14 +834,40 @@ struct Snapshot::Impl {
     return true;
   }
 
+  /// Returns \p Table to the pristine no-array state (its array, if any,
+  /// went with the region).
+  template <typename NodeT> static void clearMemo(MemoTable<NodeT> &Table) {
+    Table.Buckets = nullptr;
+    Table.NBuckets = 0;
+    Table.Count = 0;
+  }
+
+  /// Adopts a table's bucket array where the adopted arena image holds
+  /// it, after one sweep proving every head handle lies below the
+  /// frontier (parseMeta checked the array's own geometry). The heads are
+  /// arena payload, so the fast warm start does not checksum them; the
+  /// sweep keeps every head it installs in bounds anyway.
   template <typename NodeT>
-  static void restoreMemo(MemoTable<NodeT> &Table,
-                          const std::vector<uint64_t> &Offsets,
-                          uint64_t Count) {
-    Table.Buckets.assign(Offsets.size(), Handle<NodeT>{});
-    for (size_t I = 0; I < Offsets.size(); ++I)
-      Table.Buckets[I] = handleAtOff<NodeT>(Offsets[I]);
-    Table.Count = static_cast<size_t>(Count);
+  static bool adoptMemo(MemoTable<NodeT> &Table, const Arena &A,
+                        const MemoMeta &MM, uint64_t Used, const char *Name,
+                        LoadResult &Out) {
+    if (MM.Buckets == 0)
+      return true;
+    static_assert(sizeof(Handle<NodeT>) == sizeof(uint32_t),
+                  "packed head sweep assumes compressed handles");
+    const auto *Heads = reinterpret_cast<const uint32_t *>(A.Base + MM.Off);
+    const uint32_t Limit = static_cast<uint32_t>(Used / Arena::HandleGrain);
+    size_t Bad = simd::boundsCheckU32(Heads, MM.Buckets, Limit);
+    if (Bad != MM.Buckets)
+      return failL(Out, Status::HandleOutOfBounds,
+                   strf("%s memo bucket %zu head offset %llu points outside "
+                        "the serialized arena",
+                        Name, Bad,
+                        (unsigned long long)grainOff(Heads[Bad])));
+    Table.Buckets = reinterpret_cast<Handle<NodeT> *>(A.Base + MM.Off);
+    Table.NBuckets = static_cast<size_t>(MM.Buckets);
+    Table.Count = static_cast<size_t>(MM.Count);
+    return true;
   }
 
   static bool install(Runtime &RT, Parsed &P, bool Mmap, bool Verify,
@@ -938,8 +942,13 @@ struct Snapshot::Impl {
     RT.GcAllocMark = static_cast<size_t>(P.MF.GcAllocMark);
     RT.Oom = false;
 
-    restoreMemo(RT.ReadMemo, P.ReadBuckets, P.MF.ReadMemoCount);
-    restoreMemo(RT.AllocMemo, P.AllocBuckets, P.MF.AllocMemoCount);
+    if (!adoptMemo(RT.ReadMemo, RT.Mem, P.MF.ReadMemo, H.MemBumpUsed, "read",
+                   Out) ||
+        !adoptMemo(RT.AllocMemo, RT.Mem, P.MF.AllocMemo, H.MemBumpUsed,
+                   "alloc", Out)) {
+      resetToPristine(RT);
+      return false;
+    }
 
     Out.Roots.reserve(P.RootOffs.size());
     for (uint64_t Off : P.RootOffs)

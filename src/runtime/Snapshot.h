@@ -7,9 +7,9 @@
 /// \file
 /// Trace persistence: a versioned, integrity-checked checkpoint of a
 /// quiescent Runtime — the arena region (trace nodes with their embedded
-/// timestamps, order-list groups, closures, user blocks), the memo
-/// indexes, the runtime's scalar state, and caller-chosen root pointers
-/// — plus two load paths:
+/// timestamps, order-list groups, the memo tables' bucket arrays,
+/// closures, user blocks), the runtime's scalar state, and caller-chosen
+/// root pointers — plus two load paths:
 ///
 ///  * load()           safe copying restore: every section is read into
 ///                     a freshly claimed region, every byte checksummed,
@@ -18,7 +18,8 @@
 ///                     trust-nothing path for untrusted files.
 ///  * mmapWarmStart()  maps the arena section copy-on-write straight
 ///                     from the file and resumes propagation in place in
-///                     O(metadata): by default the O(file) arena
+///                     O(metadata) plus one bounds sweep over the memo
+///                     bucket heads: by default the O(file) arena
 ///                     checksums and the O(trace) validator are skipped —
 ///                     the file is assumed to be save()'s own unmodified
 ///                     output — which is what makes a warm start cheaper
@@ -47,17 +48,23 @@
 ///               a whole with the checksum field zeroed.
 ///   sections    contiguous (each starts where the previous ended, the
 ///               last ends at FileBytes), in the fixed order META,
-///               MEMO_READ, MEMO_ALLOC, ROOTS, MEM; MEM is page-aligned
-///               so it can be mapped directly. Every section starts
-///               with an 8-byte kind preamble — for the arena section
-///               it overlays region bytes [0, 8), which
-///               the runtime never uses (offset 0 is the null handle) —
-///               so a checksum-preserving payload swap still fails.
+///               ROOTS, MEM; MEM is page-aligned so it can be mapped
+///               directly. Every section starts with an 8-byte kind
+///               preamble — for the arena section it overlays region
+///               bytes [0, 8), which the runtime never uses (offset 0 is
+///               the null handle) — so a checksum-preserving payload
+///               swap still fails.
+///
+/// The memo tables' bucket arrays are arena blocks, so they travel inside
+/// MEM as packed 32-bit handles; META records each array's region
+/// offset, bucket count and entry count, and a load adopts the array in
+/// place (Base + offset) instead of parsing and converting it.
 ///
 /// The loader trusts nothing about the file's *structure* on either
-/// path: header fields, the section table, and every offset, handle, and
-/// pointer the loader itself follows are bounds-checked before any
-/// dereference, and every rejection carries a located diagnostic.
+/// path: header fields, the section table, the bucket arrays' geometry,
+/// every memo bucket head, and every other offset, handle, and pointer
+/// the loader itself follows are bounds-checked before any dereference,
+/// and every rejection carries a located diagnostic.
 /// Content verification (arena checksums + the trace walk) is always on
 /// for load() and opt-in for mmapWarmStart(). A failure before the
 /// address-space claim leaves the Runtime untouched; a failure after it
@@ -136,18 +143,21 @@ public:
   // header's second region are gone (the checksum is still the v2 one).
   // Version 4: trace nodes use the packed 16-byte timestamp (layout
   // fingerprint revision 4), so every node offset in the arena moved.
-  static constexpr uint32_t FormatVersion = 4;
+  // Version 5: the memo bucket arrays live in the arena, so the
+  // MEMO_READ/MEMO_ALLOC sections are gone and META records where each
+  // array sits.
+  static constexpr uint32_t FormatVersion = 5;
   static constexpr uint32_t EndianTag = 0x01020304;
   static constexpr uint64_t HeaderBytes = 4096;
 
+  /// Kinds 2 and 3 named the memo sections of versions 1-4 and stay
+  /// unused.
   enum SectionKind : uint32_t {
     SecMeta = 1,
-    SecMemoRead = 2,
-    SecMemoAlloc = 3,
     SecRoots = 4,
     SecMem = 5,
   };
-  static constexpr uint32_t NumSections = 5;
+  static constexpr uint32_t NumSections = 3;
 
   /// The 8-byte tag at the start of every section payload.
   static constexpr uint64_t sectionPreamble(uint32_t Kind) {
@@ -185,6 +195,14 @@ public:
     uint64_t LargeCount;    ///< (size, head-offset) pairs in the tail.
   };
 
+  /// Where one memo table's bucket array sits in the arena image: its
+  /// region offset (grain-aligned), its bucket count (a power of two in
+  /// [64, 2^31]) and the entries chained from it. All three are 0 for a
+  /// table that never allocated its array.
+  struct MemoMeta {
+    uint64_t Off, Buckets, Count;
+  };
+
   /// Fixed part of the META section body (follows the 8-byte preamble;
   /// the variable tail holds the arena's large-freelist pairs). All
   /// pointers are stored as region offsets.
@@ -195,8 +213,7 @@ public:
     uint64_t BoxBytesPerNode; ///< Layout-affecting config, must match.
     uint64_t OmBaseOff, OmFirstGroupOff;
     uint64_t OmSize, OmRelabels, OmRangeRelabels;
-    uint64_t ReadMemoCount, ReadMemoBuckets;
-    uint64_t AllocMemoCount, AllocMemoBuckets;
+    MemoMeta ReadMemo, AllocMemo;
     uint64_t RootCount;
     ArenaMeta MemA;
   };
@@ -240,18 +257,21 @@ public:
   static LoadResult load(Runtime &RT, const std::string &Path);
 
   struct WarmStartOptions {
-    /// Treat the file as untrusted: verify the arena and memo sections'
-    /// content checksums, walk the serialized freelist chains, and run
-    /// the linear TraceAudit load validator, exactly like load(). Off by
-    /// default — the warm-start contract is a checkpoint save() wrote on
-    /// this host that nothing modified since, and its point is to resume
-    /// in O(metadata) instead of O(trace). The header, META, and root
+    /// Treat the file as untrusted: verify the arena section's content
+    /// checksum, walk the serialized freelist chains, and run the linear
+    /// TraceAudit load validator, exactly like load(). Off by default —
+    /// the warm-start contract is a checkpoint save() wrote on this host
+    /// that nothing modified since, and its point is to resume in
+    /// O(metadata) instead of O(trace). The header, META, and root
     /// sections are still fully checksummed either way, and every offset
-    /// the loader installs (cursor, roots, freelist heads, memo buckets)
-    /// is bounds-checked, so a *loader* crash stays impossible; what the
-    /// fast path gives up is detecting corruption inside the trace-sized
-    /// payloads (the mapped arenas, the memo bucket words, the freelist
-    /// chains) before propagation walks them. See DESIGN.md "Trace
+    /// the loader installs (cursor, roots, freelist heads, bucket-array
+    /// geometry) is bounds-checked, so a *loader* crash stays impossible.
+    /// The memo bucket heads are arena payload: the fast path does not
+    /// checksum them, but one linear sweep checks every head against the
+    /// arena frontier before the tables adopt the array. What the fast
+    /// path gives up is detecting corruption inside the trace-sized
+    /// payload (the mapped arena, an in-bounds but wrong bucket head, the
+    /// freelist chains) before propagation walks it. See DESIGN.md "Trace
     /// persistence".
     bool VerifyTrace = false;
   };

@@ -9,8 +9,8 @@
 //   3. use-lists + heap  (per-modifiable ordering, equality-cut
 //                         soundness, dirty/queue agreement)
 //   4. memo indexes      (chain shape, hash placement, exact membership)
-//   5. arena             (trace-reachable + order-list + tracked meta
-//                         bytes == liveBytes)
+//   5. arena             (trace-reachable + order-list + memo-bucket +
+//                         tracked meta bytes == liveBytes)
 //
 // Every check records a violation string instead of asserting, so one
 // corrupted structure produces a full report rather than a lone abort;
@@ -631,13 +631,14 @@ struct TraceAudit::Impl {
     // The order list's own blocks: the groups pass 1 walked, plus the base.
     size_t OmBytes = Arena::accountedSize(sizeof(OmNode)) +
                      Groups * Arena::accountedSize(sizeof(OmGroup));
-    size_t Expected = Bytes + OmBytes + RT.MetaBytes;
+    size_t MemoBytes = RT.ReadMemo.bucketBytes() + RT.AllocMemo.bucketBytes();
+    size_t Expected = Bytes + OmBytes + MemoBytes + RT.MetaBytes;
     size_t Live = RT.Mem.liveBytes();
     if (Expected != Live) {
       if (Expected < Live)
         fail("arena: %zu live bytes but only %zu reachable from the trace, "
-             "the order list, or tracked meta blocks (leak of %zu bytes; "
-             "untracked arena().allocate()?)",
+             "the order list, the memo buckets, or tracked meta blocks "
+             "(leak of %zu bytes; untracked arena().allocate()?)",
              Live, Expected, Live - Expected);
       else
         fail("arena: %zu reachable bytes exceed %zu live bytes "
@@ -988,12 +989,12 @@ struct TraceAudit::LoadImpl {
                       TraceKind WantKind, uint8_t SeenBit, size_t WantCount,
                       uint64_t Seed, KeyFn MakeKey) {
     size_t Buckets = Table.bucketCount();
-    if (Buckets < 64 || (Buckets & (Buckets - 1)) != 0)
+    if ((Buckets && Buckets < 64) || (Buckets & (Buckets - 1)) != 0)
       return fail("%s memo bucket count %zu invalid", Name, Buckets);
-    // Head sweep: the restored bucket array is dense packed
+    // Head sweep: the adopted bucket array is dense packed
     // u32 handles, so one simd::boundsCheckU32 pass rejects any head
     // pointing past the serialized arena before the chain walk begins.
-    {
+    if (Buckets) {
       static_assert(sizeof(Handle<NodeT>) == sizeof(uint32_t),
                     "packed head sweep assumes compressed handles");
       const uint32_t *HeadBits =
@@ -1077,10 +1078,12 @@ struct TraceAudit::LoadImpl {
   bool checkAccounting() {
     size_t OmBytes = Arena::accountedSize(sizeof(OmNode)) +
                      GroupCount * Arena::accountedSize(sizeof(OmGroup));
-    size_t Expected = TraceBytes + OmBytes + RT.MetaBytes;
+    size_t MemoBytes = RT.ReadMemo.bucketBytes() + RT.AllocMemo.bucketBytes();
+    size_t Expected = TraceBytes + OmBytes + MemoBytes + RT.MetaBytes;
     if (Expected != RT.Mem.liveBytes())
       return fail("trace arena records %zu live bytes but the trace, its "
-                  "order list, and the meta blocks account for %zu",
+                  "order list, the memo buckets, and the meta blocks "
+                  "account for %zu",
                   RT.Mem.liveBytes(), Expected);
     return true;
   }

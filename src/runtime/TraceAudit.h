@@ -37,7 +37,8 @@
 ///
 ///  * Arena accounting: the bytes reachable from live trace nodes (nodes
 ///    with their timestamps, trace-owned closures, allocation blocks),
-///    the order list's groups and base, and tracked mutator blocks
+///    the order list's groups and base, the memo tables' bucket arrays,
+///    and tracked mutator blocks
 ///    (Runtime::metaAlloc) reconcile exactly with Arena liveBytes — a
 ///    leak or double-free shows up as a delta.
 ///

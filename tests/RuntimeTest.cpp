@@ -609,12 +609,14 @@ TEST(Runtime, TraceMemoryIsReclaimedOnDelete) {
   Modref *Src = buildList(RT, Owner, In, &Cells);
   Modref *Dst = RT.modref();
   RT.runCore<&mapCore>(Src, Dst);
-  size_t LiveFull = RT.liveBytes();
+  // The memo tables' bucket arrays live in the arena too, and a table
+  // never shrinks, so the trace's own bytes are live minus the buckets.
+  size_t LiveFull = RT.liveBytes() - RT.memoryStats().MemoBucketBytes;
 
   // Cut the list to its first 10 elements: ~99% of the trace is revoked.
   RT.modifyT(Cells[9]->Tail, static_cast<Cell *>(nullptr));
   RT.propagate();
-  size_t LiveCut = RT.liveBytes();
+  size_t LiveCut = RT.liveBytes() - RT.memoryStats().MemoBucketBytes;
   EXPECT_LT(LiveCut, LiveFull / 10);
   std::vector<Word> Expected;
   for (Word I = 0; I < 10; ++I)
@@ -659,11 +661,17 @@ TEST(Runtime, MapFootprintPerElementMatchesTheLayout) {
   EXPECT_EQ(TraceBytes, N * PerElement + ReadBytes + WriteBytes);
 
   // The whole footprint: every arena byte is a trace byte, a meta block
-  // (the input's tail modifiables and the output head), or an order-list
-  // group, and nothing lives in a second arena.
+  // (the input's tail modifiables and the output head), an order-list
+  // group, or a memo bucket, and nothing lives in a second arena. Each
+  // memo table's one bulk build sizes its array to its entry count
+  // rounded up to a power of two: 2^17 read and 2^18 alloc buckets.
   EXPECT_EQ(S.OmBytes, 0u);
+  EXPECT_EQ(S.MemoIndexBytes, 0u);
   EXPECT_EQ(S.MetaBytes, (N + 2) * sizeof(Modref));
-  EXPECT_EQ(S.ArenaLiveBytes, TraceBytes + S.MetaBytes + S.OmGroupBytes);
+  EXPECT_EQ(S.MemoBucketBytes,
+            ((size_t(1) << 17) + (size_t(1) << 18)) * sizeof(uint32_t));
+  EXPECT_EQ(S.ArenaLiveBytes, TraceBytes + S.MetaBytes + S.OmGroupBytes +
+                                  S.MemoBucketBytes);
   // Construction fills groups to half their 64-member capacity, so the
   // groups add 24 B per 32 timestamps.
   EXPECT_LE(S.OmGroupBytes, (S.Timestamps / 32 + 2) * sizeof(OmGroup));

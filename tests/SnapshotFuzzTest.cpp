@@ -3,13 +3,15 @@
 // The full corruption fuzz run over the snapshot loader: 1024 seeded
 // mutations of each of two valid checkpoint images (a small and a
 // mid-size computation), alternating the copying and the fully-verified
-// mmap load paths. Every mutant must come back as a diagnostic error —
-// never Ok, never a crash, never a sanitizer trip (CI runs this suite's
-// tier-1 slice under ASan/UBSan; the full run is nightly).
+// mmap load paths, then 1024 more of each aimed at the default (trusted
+// file) mmap warm start, which checks only the header, META, ROOTS and
+// the memo bucket heads. Every mutant must come back as a diagnostic
+// error — never Ok, never a crash, never a sanitizer trip (CI runs this
+// suite under ASan/UBSan).
 //
 // The mutation strategies live in tests/support/SnapshotCorruption.h and
-// are guaranteed-detectable by construction, so Status::Ok is always a
-// loader bug, not fuzz noise.
+// are guaranteed-detectable by the path they target, so Status::Ok is
+// always a loader bug, not fuzz noise.
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,27 +53,33 @@ std::vector<uint8_t> checkpointBytes(const std::string &Path, size_t N) {
   return slurpFile(Path);
 }
 
+/// Loads every mutant on the verified paths (\p FastPath false) or on the
+/// default mmap warm start (\p FastPath true), expecting a diagnostic
+/// error each time.
 void fuzzImage(const std::vector<uint8_t> &Valid, uint64_t SeedBase,
-               int Cases) {
+               int Cases, bool FastPath = false) {
   TempFile Mutated;
   for (int I = 0; I < Cases; ++I) {
     uint64_t Seed = SeedBase + static_cast<uint64_t>(I);
     std::string Desc;
-    std::vector<uint8_t> Mutant = mutateSnapshot(Valid, Seed, &Desc);
+    std::vector<uint8_t> Mutant = FastPath
+                                      ? mutateForFastPath(Valid, Seed, &Desc)
+                                      : mutateSnapshot(Valid, Seed, &Desc);
     ASSERT_TRUE(spitFile(Mutated.Path, Mutant));
     Runtime RT{Runtime::Config{}};
-    bool UseMmap = (Seed & 1) != 0;
+    bool UseMmap = FastPath || (Seed & 1) != 0;
     // The mmap side runs with VerifyTrace on: the guaranteed-detection
     // property belongs to the *verified* loaders (the fast warm start
     // explicitly trusts the arena payload; see WarmStartOptions).
     Snapshot::WarmStartOptions Verified;
-    Verified.VerifyTrace = true;
+    Verified.VerifyTrace = !FastPath;
     Snapshot::LoadResult LR =
         UseMmap ? Snapshot::mmapWarmStart(RT, Mutated.Path, Verified)
                 : Snapshot::load(RT, Mutated.Path);
     EXPECT_NE(LR.St, Snapshot::Status::Ok)
         << "seed " << Seed << " (" << Desc << ", "
-        << (UseMmap ? "mmap" : "copy") << ") loaded successfully";
+        << (FastPath ? "fast mmap" : UseMmap ? "mmap" : "copy")
+        << ") loaded successfully";
     if (LR.St != Snapshot::Status::Ok) {
       EXPECT_FALSE(LR.Diagnostic.empty())
           << "seed " << Seed << ": error without a diagnostic";
@@ -93,4 +101,18 @@ TEST(SnapshotFuzz, MidImage1024) {
   std::vector<uint8_t> Bytes = checkpointBytes(Valid.Path, 300);
   ASSERT_FALSE(Bytes.empty());
   fuzzImage(Bytes, /*SeedBase=*/500000, /*Cases=*/1024);
+}
+
+TEST(SnapshotFuzz, FastWarmStartSmallImage1024) {
+  TempFile Valid;
+  std::vector<uint8_t> Bytes = checkpointBytes(Valid.Path, 16);
+  ASSERT_FALSE(Bytes.empty());
+  fuzzImage(Bytes, /*SeedBase=*/2000, /*Cases=*/1024, /*FastPath=*/true);
+}
+
+TEST(SnapshotFuzz, FastWarmStartMidImage1024) {
+  TempFile Valid;
+  std::vector<uint8_t> Bytes = checkpointBytes(Valid.Path, 300);
+  ASSERT_FALSE(Bytes.empty());
+  fuzzImage(Bytes, /*SeedBase=*/600000, /*Cases=*/1024, /*FastPath=*/true);
 }

@@ -115,6 +115,17 @@ St tryLoad(Checkpoint &C, const std::vector<uint8_t> &B, bool UseMmap = false,
   return LR.St;
 }
 
+/// Loads \p B on the *default* (trusted-file) mmap warm start.
+St tryFastMmap(Checkpoint &C, const std::vector<uint8_t> &B,
+               std::string *Diag = nullptr) {
+  EXPECT_TRUE(spitFile(C.Tmp.Path, B));
+  Runtime RT(testConfig());
+  Snapshot::LoadResult LR = Snapshot::mmapWarmStart(RT, C.Tmp.Path);
+  if (Diag)
+    *Diag = LR.Diagnostic;
+  return LR.St;
+}
+
 /// Patches a u64 field at absolute file offset \p Off.
 void pokeU64(std::vector<uint8_t> &B, size_t Off, uint64_t V) {
   ASSERT_LE(Off + 8, B.size());
@@ -125,12 +136,6 @@ uint64_t peekU64(const std::vector<uint8_t> &B, size_t Off) {
   uint64_t V = 0;
   std::memcpy(&V, B.data() + Off, 8);
   return V;
-}
-
-/// Absolute file offset of a MetaFixed field (the META section payload
-/// starts with the 8-byte kind preamble).
-size_t metaOff(std::vector<uint8_t> &B, size_t FieldOff) {
-  return static_cast<size_t>(headerOf(B)->Sections[0].Offset) + 8 + FieldOff;
 }
 
 } // namespace
@@ -324,14 +329,14 @@ TEST(Snapshot, FutureVersionIsBadVersion) {
 }
 
 TEST(Snapshot, PreviousFormatIsBadVersion) {
-  // Format 3 held the 24-byte timestamps of layout revision 3; its arena
-  // image cannot be read as the packed layout, so the header alone
-  // rejects it before any payload is mapped.
-  static_assert(Snapshot::FormatVersion == 4, "bump this test with the format");
+  // Format 4 kept the memo bucket arrays in two sections of their own;
+  // its section table and META cannot be read as format 5's, so the
+  // header alone rejects it before any payload is mapped.
+  static_assert(Snapshot::FormatVersion == 5, "bump this test with the format");
   Checkpoint C;
   makeCheckpoint(C);
   std::vector<uint8_t> B = C.Bytes;
-  headerOf(B)->Version = 3;
+  headerOf(B)->Version = 4;
   resealHeader(B);
   EXPECT_EQ(tryLoad(C, B), St::BadVersion);
   EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/true), St::BadVersion);
@@ -379,31 +384,70 @@ TEST(Snapshot, PayloadCorruptionIsBadChecksum) {
   EXPECT_EQ(tryLoad(C, B), St::BadChecksum);
 }
 
-TEST(Snapshot, MemoPayloadSwapIsBadSectionKind) {
+TEST(Snapshot, ForeignSectionPreambleIsBadSectionKind) {
+  // A section whose payload carries another section's kind tag, with its
+  // checksum resealed (a payload moved between sections), is caught by
+  // the preamble, not by the checksum.
   Checkpoint C;
   makeCheckpoint(C);
   std::vector<uint8_t> B = C.Bytes;
-  Snapshot::FileHeader *H = headerOf(B);
-  ASSERT_EQ(H->Sections[1].Length, H->Sections[2].Length)
-      << "memo sections expected symmetric at this scale";
-  std::vector<uint8_t> Tmp(
-      B.begin() + static_cast<ptrdiff_t>(H->Sections[1].Offset),
-      B.begin() +
-          static_cast<ptrdiff_t>(H->Sections[1].Offset +
-                                 H->Sections[1].Length));
-  std::memmove(B.data() + H->Sections[1].Offset,
-               B.data() + H->Sections[2].Offset, H->Sections[2].Length);
-  std::memcpy(B.data() + H->Sections[2].Offset, Tmp.data(), Tmp.size());
-  std::swap(H->Sections[1].Checksum, H->Sections[2].Checksum);
+  pokeU64(B, static_cast<size_t>(headerOf(B)->Sections[RootsSection].Offset),
+          Snapshot::sectionPreamble(Snapshot::SecMeta));
+  resealSection(B, RootsSection);
   resealHeader(B);
   EXPECT_EQ(tryLoad(C, B), St::BadSectionKind);
+  EXPECT_EQ(tryFastMmap(C, B), St::BadSectionKind);
+}
+
+TEST(Snapshot, BadMemoGeometryIsRejectedOnEveryPath) {
+  // META records where each memo bucket array sits in the arena image.
+  // Every load path checks that geometry before adopting the array: a
+  // crafted offset or count comes back as a status, never as a table
+  // over bytes outside the arena.
+  Checkpoint C;
+  makeCheckpoint(C);
+  for (bool Alloc : {false, true}) {
+    const Snapshot::MemoMeta MM = memoMetaOf(C.Bytes, Alloc);
+    const Snapshot::MemoMeta Other = memoMetaOf(C.Bytes, !Alloc);
+    ASSERT_GE(MM.Buckets, 64u);
+    const uint64_t Used = headerOf(C.Bytes)->MemBumpUsed;
+    struct Case {
+      const char *What;
+      Snapshot::MemoMeta Patched;
+      St Want;
+    };
+    const Case Cases[] = {
+        {"offset past the frontier", {Used + 1024, MM.Buckets, MM.Count},
+         St::HandleOutOfBounds},
+        {"array overrunning the frontier", {Used - 8, MM.Buckets, MM.Count},
+         St::HandleOutOfBounds},
+        {"misaligned offset", {MM.Off + 4, MM.Buckets, MM.Count},
+         St::HandleOutOfBounds},
+        {"non-power-of-two count", {MM.Off, MM.Buckets + 32, MM.Count},
+         St::BadMeta},
+        {"array over the other table's", {Other.Off, MM.Buckets, MM.Count},
+         St::BadMeta},
+    };
+    for (const Case &K : Cases) {
+      std::vector<uint8_t> B = C.Bytes;
+      std::memcpy(B.data() + memoMetaOffset(B, Alloc), &K.Patched,
+                  sizeof(K.Patched));
+      resealSection(B, MetaSection);
+      resealHeader(B);
+      const char *Table = Alloc ? "alloc" : "read";
+      EXPECT_EQ(tryLoad(C, B), K.Want) << Table << ": " << K.What;
+      EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/true), K.Want)
+          << Table << ": " << K.What;
+      EXPECT_EQ(tryFastMmap(C, B), K.Want) << Table << ": " << K.What;
+    }
+  }
 }
 
 TEST(Snapshot, ZeroOmSizeIsBadMeta) {
   Checkpoint C;
   makeCheckpoint(C);
   std::vector<uint8_t> B = C.Bytes;
-  pokeU64(B, metaOff(B, offsetof(Snapshot::MetaFixed, OmSize)), 0);
+  pokeU64(B, metaFieldOffset(B, offsetof(Snapshot::MetaFixed, OmSize)), 0);
   resealSection(B, 0);
   resealHeader(B);
   EXPECT_EQ(tryLoad(C, B), St::BadMeta);
@@ -418,7 +462,7 @@ TEST(Snapshot, OverflowingLargeCountsAreBadMeta) {
   for (uint64_t Huge : {uint64_t(1) << 63, uint64_t(1) << 60}) {
     std::vector<uint8_t> B = C.Bytes;
     pokeU64(B,
-            metaOff(B, offsetof(Snapshot::MetaFixed, MemA) +
+            metaFieldOffset(B, offsetof(Snapshot::MetaFixed, MemA) +
                            offsetof(Snapshot::ArenaMeta, LargeCount)),
             Huge);
     resealSection(B, 0);
@@ -432,7 +476,8 @@ TEST(Snapshot, CursorPastArenaIsHandleOutOfBounds) {
   makeCheckpoint(C);
   std::vector<uint8_t> B = C.Bytes;
   uint64_t Past = headerOf(B)->MemBumpUsed + 1024;
-  pokeU64(B, metaOff(B, offsetof(Snapshot::MetaFixed, CursorOff)), Past);
+  pokeU64(B, metaFieldOffset(B, offsetof(Snapshot::MetaFixed, CursorOff)),
+          Past);
   resealSection(B, 0);
   resealHeader(B);
   EXPECT_EQ(tryLoad(C, B), St::HandleOutOfBounds);
@@ -460,7 +505,7 @@ TEST(Snapshot, BrokenAccountingIsAuditFailed) {
   Checkpoint C;
   makeCheckpoint(C);
   std::vector<uint8_t> B = C.Bytes;
-  uint64_t Off = metaOff(B, offsetof(Snapshot::MetaFixed, MetaBytes));
+  uint64_t Off = metaFieldOffset(B, offsetof(Snapshot::MetaFixed, MetaBytes));
   pokeU64(B, Off, peekU64(B, Off) + 8);
   resealSection(B, 0);
   resealHeader(B);
@@ -493,18 +538,18 @@ TEST(Snapshot, UndefinedKindBitsAreAuditFailed) {
         }
   }
   ASSERT_EQ(StampOffs.size(), 4u);
-  const size_t IMem = 4;
   for (uint64_t Off : StampOffs)
     for (unsigned K = 5; K < 8; ++K) {
       std::vector<uint8_t> B = C.Bytes;
-      unsigned char *At = B.data() + headerOf(B)->Sections[IMem].Offset + Off;
+      unsigned char *At =
+          B.data() + headerOf(B)->Sections[MemSection].Offset + Off;
       OmNode Stamp;
       std::memcpy(&Stamp, At, sizeof(Stamp));
       const uint32_t Label = Stamp.Label;
       Stamp.Kind = static_cast<TraceKind>(K);
       ASSERT_EQ(Stamp.Label, Label) << "the kind store touched the label";
       std::memcpy(At, &Stamp, sizeof(Stamp));
-      resealSection(B, IMem);
+      resealSection(B, MemSection);
       resealHeader(B);
       std::string Diag;
       EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/false, &Diag), St::AuditFailed)
@@ -522,7 +567,7 @@ TEST(Snapshot, FailedLoadLeavesRuntimeUsable) {
   // already replaced the arena regions and must restore a pristine,
   // usable runtime.
   std::vector<uint8_t> B = C.Bytes;
-  uint64_t Off = metaOff(B, offsetof(Snapshot::MetaFixed, MetaBytes));
+  uint64_t Off = metaFieldOffset(B, offsetof(Snapshot::MetaFixed, MetaBytes));
   pokeU64(B, Off, peekU64(B, Off) + 8);
   resealSection(B, 0);
   resealHeader(B);
@@ -551,22 +596,11 @@ TEST(Snapshot, FailedLoadLeavesRuntimeUsable) {
 // Fast warm start: the trusted-file contract
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Loads \p B on the *default* (trusted-file) mmap warm start.
-St tryFastMmap(Checkpoint &C, const std::vector<uint8_t> &B) {
-  EXPECT_TRUE(spitFile(C.Tmp.Path, B));
-  Runtime RT(testConfig());
-  return Snapshot::mmapWarmStart(RT, C.Tmp.Path).St;
-}
-
-} // namespace
-
 TEST(Snapshot, FastWarmStartStillChecksStructure) {
   // The fast path skips arena *content* verification only; the header,
-  // META, memo-index and root sections plus every offset the loader
-  // installs stay fully checked, so structural corruption comes back
-  // with the same codes as on the verified paths.
+  // META and root sections plus every offset the loader installs stay
+  // fully checked, so structural corruption comes back with the same
+  // codes as on the verified paths.
   Checkpoint C;
   makeCheckpoint(C);
 
@@ -589,10 +623,25 @@ TEST(Snapshot, FastWarmStartStillChecksStructure) {
 
   B = C.Bytes;
   uint64_t Past = headerOf(B)->MemBumpUsed + 1024;
-  pokeU64(B, metaOff(B, offsetof(Snapshot::MetaFixed, CursorOff)), Past);
+  pokeU64(B, metaFieldOffset(B, offsetof(Snapshot::MetaFixed, CursorOff)),
+          Past);
   resealSection(B, 0);
   resealHeader(B);
   EXPECT_EQ(tryFastMmap(C, B), St::HandleOutOfBounds);
+
+  // A bucket head inside the mapped arena image is payload the fast path
+  // does not checksum, but the head sweep still keeps every installed
+  // head below the frontier.
+  B = C.Bytes;
+  const Snapshot::MemoMeta MM = memoMetaOf(B, /*Alloc=*/false);
+  ASSERT_GE(MM.Buckets, 64u);
+  const uint32_t PastHead =
+      static_cast<uint32_t>(headerOf(B)->MemBumpUsed / 8 + 3);
+  std::memcpy(B.data() + bucketHeadOffset(B, MM, MM.Buckets / 2), &PastHead,
+              sizeof(PastHead));
+  std::string Diag;
+  EXPECT_EQ(tryFastMmap(C, B, &Diag), St::HandleOutOfBounds);
+  EXPECT_NE(Diag.find("memo bucket"), std::string::npos) << Diag;
 }
 
 TEST(Snapshot, FastWarmStartTrustsArenaPayload) {
@@ -606,10 +655,10 @@ TEST(Snapshot, FastWarmStartTrustsArenaPayload) {
   makeCheckpoint(C);
   std::vector<uint8_t> B = C.Bytes;
   Snapshot::FileHeader *H = headerOf(B);
-  const size_t IMem = 4;
-  ASSERT_LT(H->MemBumpUsed, H->Sections[IMem].Length)
+  ASSERT_LT(H->MemBumpUsed, H->Sections[MemSection].Length)
       << "checkpoint expected to carry MEM tail padding at this scale";
-  B[static_cast<size_t>(H->Sections[IMem].Offset + H->MemBumpUsed)] ^= 0x01;
+  B[static_cast<size_t>(H->Sections[MemSection].Offset + H->MemBumpUsed)] ^=
+      0x01;
 
   // Both verified paths reject it as content corruption...
   EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/false), St::BadChecksum);

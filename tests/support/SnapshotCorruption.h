@@ -13,17 +13,21 @@
 /// the loader returns a diagnostic error on every mutant, and never
 /// crashes or trips a sanitizer.
 ///
-/// Strategies (selected by seed):
+/// Strategies of mutateSnapshot (selected by seed), for the verified
+/// loaders (load() and mmapWarmStart with VerifyTrace):
 ///   0. bit flip anywhere in the file (full-byte checksum coverage
 ///      catches it wherever it lands);
 ///   1. truncation to any shorter length;
 ///   2. section length-field inflation with the header resealed (breaks
 ///      section-table contiguity);
-///   3. checksum-preserving payload swap of the two memo sections, their
-///      table checksums swapped and the header resealed (the section
-///      kind preambles catch it);
-///   4. orphaning a non-empty memo bucket with both checksums resealed
+///   3. orphaning a non-empty memo bucket inside the arena image, found
+///      through META, with the arena section and the header resealed
 ///      (the load validator's membership count catches it).
+///
+/// mutateForFastPath hits only what the default mmapWarmStart promises
+/// to check: bit flips in the header block, META or ROOTS (all always
+/// checksummed), META's bucket-array geometry with META resealed, and a
+/// memo bucket head pushed past the arena frontier (the head sweep).
 ///
 /// Tests can also use the reseal helpers directly to build targeted
 /// negative-path inputs (patch a field, reseal, expect a specific
@@ -38,6 +42,7 @@
 #include "support/Checksum.h"
 #include "support/Random.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -69,6 +74,9 @@ inline bool spitFile(const std::string &Path, const std::vector<uint8_t> &B) {
   return (std::fclose(F) == 0) && Ok;
 }
 
+/// Section indexes in the fixed file order.
+constexpr size_t MetaSection = 0, RootsSection = 1, MemSection = 2;
+
 /// A mutable view of the header inside a file image.
 inline Snapshot::FileHeader *headerOf(std::vector<uint8_t> &B) {
   return B.size() >= sizeof(Snapshot::FileHeader)
@@ -97,6 +105,37 @@ inline void resealSection(std::vector<uint8_t> &B, size_t Index) {
     E.Checksum = Checksum64::of(B.data() + E.Offset, E.Length);
 }
 
+/// Absolute file offset of the MetaFixed field at \p FieldOff (the META
+/// payload starts with the 8-byte kind preamble).
+inline size_t metaFieldOffset(const std::vector<uint8_t> &B,
+                              size_t FieldOff) {
+  const auto *H = reinterpret_cast<const Snapshot::FileHeader *>(B.data());
+  return static_cast<size_t>(H->Sections[MetaSection].Offset) + 8 + FieldOff;
+}
+
+/// Absolute file offset of the MemoMeta record of the read (\p Alloc
+/// false) or alloc (\p Alloc true) memo table.
+inline size_t memoMetaOffset(const std::vector<uint8_t> &B, bool Alloc) {
+  return metaFieldOffset(B, Alloc ? offsetof(Snapshot::MetaFixed, AllocMemo)
+                                  : offsetof(Snapshot::MetaFixed, ReadMemo));
+}
+
+/// The bucket-array geometry META records for one memo table.
+inline Snapshot::MemoMeta memoMetaOf(const std::vector<uint8_t> &B,
+                                     bool Alloc) {
+  Snapshot::MemoMeta MM{};
+  std::memcpy(&MM, B.data() + memoMetaOffset(B, Alloc), sizeof(MM));
+  return MM;
+}
+
+/// Absolute file offset of bucket \p I's head in a table's array (the
+/// arena section is the region image from offset 0).
+inline size_t bucketHeadOffset(const std::vector<uint8_t> &B,
+                               const Snapshot::MemoMeta &MM, uint64_t I) {
+  const auto *H = reinterpret_cast<const Snapshot::FileHeader *>(B.data());
+  return static_cast<size_t>(H->Sections[MemSection].Offset + MM.Off + 4 * I);
+}
+
 /// One seeded, guaranteed-detectable mutation of a valid snapshot image.
 /// Returns the mutant and a one-line description for failure messages.
 inline std::vector<uint8_t> mutateSnapshot(std::vector<uint8_t> B,
@@ -109,7 +148,7 @@ inline std::vector<uint8_t> mutateSnapshot(std::vector<uint8_t> B,
     if (Desc)
       *Desc = S;
   };
-  unsigned Strategy = H ? unsigned(R.below(5)) : 0;
+  unsigned Strategy = H ? unsigned(R.below(4)) : 0;
   switch (Strategy) {
   case 1: { // Truncation (any cut strictly shorter than the file).
     size_t Cut = R.below(B.size());
@@ -126,51 +165,25 @@ inline std::vector<uint8_t> mutateSnapshot(std::vector<uint8_t> B,
     resealHeader(B);
     return B;
   }
-  case 3: { // Checksum-preserving payload swap of the memo sections.
-    Snapshot::SectionEntry &RE = H->Sections[1]; // MEMO_READ
-    Snapshot::SectionEntry &AE = H->Sections[2]; // MEMO_ALLOC
-    if (RE.Length == AE.Length && AE.Offset + AE.Length <= B.size()) {
-      Describe("swap memo payloads, swap their checksums, reseal header");
-      std::vector<uint8_t> Tmp(B.begin() + static_cast<ptrdiff_t>(RE.Offset),
-                               B.begin() +
-                                   static_cast<ptrdiff_t>(RE.Offset +
-                                                          RE.Length));
-      std::memmove(B.data() + RE.Offset, B.data() + AE.Offset, AE.Length);
-      std::memcpy(B.data() + AE.Offset, Tmp.data(), Tmp.size());
-      std::swap(RE.Checksum, AE.Checksum);
+  case 3: { // Orphan a non-empty memo bucket, MEM and header resealed.
+    Snapshot::MemoMeta MM = memoMetaOf(B, /*Alloc=*/R.below(2) != 0);
+    std::vector<size_t> NonEmpty;
+    for (uint64_t I = 0; I < MM.Buckets; ++I) {
+      size_t At = bucketHeadOffset(B, MM, I);
+      uint32_t Head;
+      std::memcpy(&Head, B.data() + At, 4);
+      if (Head != 0)
+        NonEmpty.push_back(At);
+    }
+    if (!NonEmpty.empty()) {
+      size_t At = NonEmpty[R.below(NonEmpty.size())];
+      Describe("orphan memo bucket at file offset " + std::to_string(At) +
+               ", reseal the arena section + header");
+      uint32_t Zero = 0;
+      std::memcpy(B.data() + At, &Zero, 4);
+      resealSection(B, MemSection);
       resealHeader(B);
       return B;
-    }
-    break; // Unequal lengths: fall through to a bit flip.
-  }
-  case 4: { // Orphan a non-empty memo bucket, both checksums resealed.
-    size_t Index = 1 + R.below(2); // MEMO_READ or MEMO_ALLOC
-    Snapshot::SectionEntry &E = H->Sections[Index];
-    // Payload: 8-byte preamble, 8-byte bucket count, then the bucket
-    // head offsets.
-    if (E.Offset + 16 <= B.size()) {
-      uint64_t Buckets;
-      std::memcpy(&Buckets, B.data() + E.Offset + 8, 8);
-      std::vector<size_t> NonEmpty;
-      for (uint64_t I = 0; I < Buckets; ++I) {
-        size_t At = E.Offset + 16 + I * 8;
-        if (At + 8 > B.size() || At + 8 > E.Offset + E.Length)
-          break;
-        uint64_t Head;
-        std::memcpy(&Head, B.data() + At, 8);
-        if (Head != 0)
-          NonEmpty.push_back(At);
-      }
-      if (!NonEmpty.empty()) {
-        size_t At = NonEmpty[R.below(NonEmpty.size())];
-        Describe("orphan memo bucket at file offset " + std::to_string(At) +
-                 ", reseal section " + std::to_string(Index) + " + header");
-        uint64_t Zero = 0;
-        std::memcpy(B.data() + At, &Zero, 8);
-        resealSection(B, Index);
-        resealHeader(B);
-        return B;
-      }
     }
     break; // No non-empty bucket: fall through to a bit flip.
   }
@@ -185,6 +198,82 @@ inline std::vector<uint8_t> mutateSnapshot(std::vector<uint8_t> B,
   Describe("flip bit " + std::to_string(Bit) + " of byte " +
            std::to_string(Byte));
   B[Byte] ^= uint8_t(1u << Bit);
+  return B;
+}
+
+/// One seeded mutation of a valid snapshot image that the *default*
+/// (trusted-file) mmapWarmStart must reject: it changes only bytes that
+/// path checksums or bounds-checks.
+inline std::vector<uint8_t> mutateForFastPath(std::vector<uint8_t> B,
+                                              uint64_t Seed,
+                                              std::string *Desc = nullptr) {
+  uint64_t State = Seed ^ 0xfa57fa57ULL;
+  Rng R(splitMix64(State));
+  Snapshot::FileHeader *H = headerOf(B);
+  auto Describe = [&](const std::string &S) {
+    if (Desc)
+      *Desc = S;
+  };
+  const Snapshot::SectionEntry &Meta = H->Sections[MetaSection];
+  const Snapshot::SectionEntry &Roots = H->Sections[RootsSection];
+  switch (R.below(4)) {
+  case 0: { // Bit flip in the header block, META or ROOTS.
+    const uint64_t Span = Snapshot::HeaderBytes + Meta.Length + Roots.Length;
+    size_t Byte = static_cast<size_t>(R.below(Span));
+    unsigned Bit = unsigned(R.below(8));
+    Describe("flip bit " + std::to_string(Bit) + " of byte " +
+             std::to_string(Byte));
+    B[Byte] ^= uint8_t(1u << Bit);
+    return B;
+  }
+  case 1: { // Bit flip in a bucket-array geometry word, META resealed.
+    // Any flip of the power-of-two bucket count leaves zero or two bits
+    // set. An offset flip is detectable when it misaligns the offset
+    // (bits 0-2) or lands past the frontier (a bit above MemBumpUsed's
+    // top bit, which an in-bounds offset has clear); a flip in between
+    // could name another in-bounds array, which the fast path trusts.
+    const bool Alloc = R.below(2) != 0;
+    const bool CountWord = R.below(2) != 0;
+    size_t At = memoMetaOffset(B, Alloc) + (CountWord ? 8 : 0);
+    unsigned Bit = unsigned(R.below(64));
+    if (!CountWord) {
+      unsigned Top = 64 - unsigned(__builtin_clzll(H->MemBumpUsed));
+      Bit = R.below(2) ? unsigned(R.below(3))
+                       : Top + unsigned(R.below(64 - Top));
+    }
+    uint64_t V;
+    std::memcpy(&V, B.data() + At, 8);
+    V ^= uint64_t(1) << Bit;
+    std::memcpy(B.data() + At, &V, 8);
+    Describe(std::string(Alloc ? "alloc" : "read") +
+             " memo geometry: flip bit " + std::to_string(Bit) +
+             " of the word at file offset " + std::to_string(At) +
+             ", reseal META + header");
+    resealSection(B, MetaSection);
+    resealHeader(B);
+    return B;
+  }
+  default: { // A bucket head pushed past the frontier, MEM not resealed.
+    const bool Alloc = R.below(2) != 0;
+    Snapshot::MemoMeta MM = memoMetaOf(B, Alloc);
+    if (MM.Buckets == 0)
+      break;
+    const uint64_t Limit = H->MemBumpUsed / 8;
+    const uint64_t Head =
+        Limit + R.below(uint64_t(0xffffffffu) - Limit + 1);
+    size_t At = bucketHeadOffset(B, MM, R.below(MM.Buckets));
+    uint32_t V = static_cast<uint32_t>(Head);
+    std::memcpy(B.data() + At, &V, 4);
+    Describe(std::string(Alloc ? "alloc" : "read") + " memo head at file "
+             "offset " + std::to_string(At) + " set to handle " +
+             std::to_string(V) + " past the frontier");
+    return B;
+  }
+  }
+  // No bucket array: flip a header bit instead.
+  size_t Byte = static_cast<size_t>(R.below(Snapshot::HeaderBytes));
+  Describe("flip bit 0 of header byte " + std::to_string(Byte));
+  B[Byte] ^= 1;
   return B;
 }
 
