@@ -33,7 +33,10 @@ std::string replicatedUnit(int K) {
          {"lp_cellinit", "map", "filter", "reverse", "rev_go", "sum_go",
           "sum"}) {
       std::string From = Fn;
-      std::string To = "u" + std::to_string(I) + "_" + Fn;
+      std::string To = "u";
+      To += std::to_string(I);
+      To += '_';
+      To += Fn;
       size_t Pos = 0;
       while ((Pos = Copy.find(From, Pos)) != std::string::npos) {
         // Token boundary check to avoid renaming inside longer names.

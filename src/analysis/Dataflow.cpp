@@ -35,13 +35,13 @@ BlockCfg BlockCfg::build(const Function &F) {
     if (IsExit)
       G.Exits.push_back(B);
   }
-  if (N > 0)
-    G.Entries.push_back(0);
 
   G.Reachable.assign(N, false);
-  std::deque<BlockId> Work(G.Entries.begin(), G.Entries.end());
-  for (BlockId E : G.Entries)
-    G.Reachable[E] = true;
+  std::deque<BlockId> Work;
+  if (N > 0) {
+    G.Reachable[0] = true;
+    Work.push_back(0);
+  }
   while (!Work.empty()) {
     BlockId B = Work.front();
     Work.pop_front();
@@ -58,7 +58,6 @@ DataflowResult analysis::solveDataflow(const BlockCfg &G,
                                        const DataflowProblem &P) {
   size_t N = G.size();
   assert(P.Transfer.size() == N && "one transfer function per block");
-  bool Fwd = P.Dir == Direction::Forward;
   BitVec Boundary = P.Boundary.size() == P.DomainSize
                         ? P.Boundary
                         : BitVec(P.DomainSize);
@@ -66,82 +65,41 @@ DataflowResult analysis::solveDataflow(const BlockCfg &G,
   DataflowResult R;
   R.In.assign(N, BitVec(P.DomainSize));
   R.Out.assign(N, BitVec(P.DomainSize));
+  std::vector<bool> IsExit(N, false);
+  for (BlockId B : G.Exits)
+    IsExit[B] = true;
 
-  // "MeetIn" is the meet-side slot (In for forward, Out for backward);
-  // "FlowOut" the transfer output. Initialize the meet side: bottom for
-  // union problems, top (universe) for intersection problems — except at
-  // boundary nodes, which hold the boundary value.
-  std::vector<BitVec> &MeetIn = Fwd ? R.In : R.Out;
-  std::vector<BitVec> &FlowOut = Fwd ? R.Out : R.In;
-  const std::vector<std::vector<BlockId>> &MeetPreds =
-      Fwd ? G.Preds : G.Succs;
-  const std::vector<std::vector<BlockId>> &FlowSuccs =
-      Fwd ? G.Succs : G.Preds;
-  const std::vector<BlockId> &BoundaryNodes = Fwd ? G.Entries : G.Exits;
-
-  std::vector<bool> IsBoundary(N, false);
-  for (BlockId B : BoundaryNodes)
-    IsBoundary[B] = true;
-
-  if (P.M == Meet::Intersect)
-    for (size_t B = 0; B < N; ++B)
-      MeetIn[B].setAll();
-  for (BlockId B : BoundaryNodes)
-    MeetIn[B] = Boundary;
-
-  auto Apply = [&](size_t B) {
-    // FlowOut = Gen ∪ (MeetIn \ Kill).
-    BitVec V = MeetIn[B];
-    V.subtract(P.Transfer[B].Kill);
-    V.unionWith(P.Transfer[B].Gen);
-    bool Changed = V != FlowOut[B];
-    FlowOut[B] = std::move(V);
-    return Changed;
-  };
-
-  // Prime every FlowOut from the initialized meet side. Without this,
-  // an intersect problem reading a back edge before its source block is
-  // processed would meet with an empty (bottom) FlowOut and wrongly
-  // drain the set — descending from top requires starting at top.
-  for (size_t B = 0; B < N; ++B)
-    Apply(B);
-
-  // Seed every node in a deterministic flow order: ascending block id
-  // for forward problems, descending for backward (cheap approximations
-  // of RPO that match how the builder lays blocks out).
+  // Seed every block in descending id order (a cheap approximation of
+  // reverse postorder on the reversed graph, given how the builder lays
+  // blocks out).
   std::deque<BlockId> Work;
   std::vector<bool> InWork(N, true);
   for (size_t I = 0; I < N; ++I)
-    Work.push_back(static_cast<BlockId>(Fwd ? I : N - 1 - I));
+    Work.push_back(static_cast<BlockId>(N - 1 - I));
 
   while (!Work.empty()) {
     BlockId B = Work.front();
     Work.pop_front();
     InWork[B] = false;
 
-    // Meet over incoming edges; a boundary node additionally has a
-    // virtual edge carrying the boundary value (so a loop back to the
-    // entry still meets with Boundary, not just its predecessors).
-    if (IsBoundary[B] || !MeetPreds[B].empty()) {
-      BitVec V(P.DomainSize);
-      if (IsBoundary[B])
-        V = Boundary;
-      else if (P.M == Meet::Intersect)
-        V.setAll();
-      for (BlockId Pd : MeetPreds[B]) {
-        if (P.M == Meet::Intersect)
-          V.intersectWith(FlowOut[Pd]);
-        else
-          V.unionWith(FlowOut[Pd]);
-      }
-      MeetIn[B] = std::move(V);
-    }
-    if (Apply(B))
-      for (BlockId S : FlowSuccs[B])
-        if (!InWork[S]) {
-          InWork[S] = true;
-          Work.push_back(S);
+    // Out = union of the successors' In; an exit additionally has a
+    // virtual edge carrying the boundary value (so an exit that loops
+    // back still meets Boundary, not just its successors).
+    BitVec Out = IsExit[B] ? Boundary : BitVec(P.DomainSize);
+    for (BlockId S : G.Succs[B])
+      Out.unionWith(R.In[S]);
+    R.Out[B] = Out;
+    // In = Gen ∪ (Out \ Kill).
+    Out.subtract(P.Transfer[B].Kill);
+    Out.unionWith(P.Transfer[B].Gen);
+    if (Out != R.In[B]) {
+      R.In[B] = std::move(Out);
+      for (BlockId Pd : G.Preds[B])
+        if (!InWork[Pd]) {
+          InWork[Pd] = true;
+          Work.push_back(Pd);
         }
+    }
   }
   return R;
 }

@@ -5,14 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A reusable iterative dataflow framework over CL control-flow graphs:
-/// a dense bitset domain (\c BitVec), a per-function CFG view (\c
-/// BlockCfg), and a worklist solver for forward/backward gen-kill
-/// problems under union or intersection meet.
-///
-/// NORMALIZE's liveness (Liveness.h) is the one client in the library.
+/// An iterative dataflow framework over CL control-flow graphs: a dense
+/// bitset domain (\c BitVec), a per-function CFG view (\c BlockCfg), and
+/// a worklist solver for backward gen-kill problems under union meet —
+/// the shape of NORMALIZE's liveness (Liveness.h), its one client.
 /// Control flow may be arbitrary (including irreducible graphs); the
-/// solver iterates to the unique fixed point of the monotone gen-kill
+/// solver iterates to the least fixed point of the monotone gen-kill
 /// transfer functions.
 ///
 //===----------------------------------------------------------------------===//
@@ -152,11 +150,10 @@ private:
 struct BlockCfg {
   std::vector<std::vector<cl::BlockId>> Succs;
   std::vector<std::vector<cl::BlockId>> Preds;
-  /// Forward entry nodes: block 0.
-  std::vector<cl::BlockId> Entries;
-  /// Backward entry nodes: blocks with a tail jump or done.
+  /// Blocks that leave the function (a tail jump or done): where the
+  /// backward boundary value enters.
   std::vector<cl::BlockId> Exits;
-  /// Reachable from any entry along Succs.
+  /// Reachable from the entry block 0 along Succs.
   std::vector<bool> Reachable;
 
   size_t size() const { return Succs.size(); }
@@ -168,32 +165,24 @@ struct BlockCfg {
 // Worklist solver
 //===----------------------------------------------------------------------===//
 
-enum class Direction { Forward, Backward };
-enum class Meet { Union, Intersect };
-
-/// Per-node gen-kill transfer function: out = Gen ∪ (in \ Kill).
-/// ("in" is the meet-side value: In for forward problems, Out for
-/// backward ones.) Sequential effects within a block are encoded by the
-/// caller: a command that first invalidates everything and then
+/// Per-block gen-kill transfer function, applied backward:
+/// In = Gen ∪ (Out \ Kill). Sequential effects within a block are encoded
+/// by the caller: a command that first invalidates everything and then
 /// generates one fact is Kill = universe, Gen = {fact}.
 struct GenKill {
   BitVec Gen;
   BitVec Kill;
 };
 
+/// A backward union problem: Out[b] is the union of In over b's
+/// successors, plus the boundary value at exits. Unreachable blocks are
+/// solved too (they start at the empty set and converge).
 struct DataflowProblem {
-  Direction Dir = Direction::Forward;
-  Meet M = Meet::Union;
   size_t DomainSize = 0;
   /// One transfer function per block.
   std::vector<GenKill> Transfer;
-  /// The value at the boundary: In at Entries (forward) or Out at Exits
-  /// (backward). Defaults to the empty set.
+  /// Out at Exits. Defaults to the empty set.
   BitVec Boundary;
-  /// For Meet::Union, unreachable blocks are still solved (they start at
-  /// bottom = ∅ and converge; liveness historically included them). For
-  /// Meet::Intersect, unreachable blocks keep the universe value and
-  /// consumers must filter on BlockCfg::Reachable.
 };
 
 struct DataflowResult {
@@ -202,9 +191,8 @@ struct DataflowResult {
   std::vector<BitVec> Out;
 };
 
-/// Solves \p P over \p G to the maximal (Intersect) or minimal (Union)
-/// fixed point. Deterministic: the worklist is seeded and processed in a
-/// fixed order.
+/// Solves \p P over \p G to the least fixed point. Deterministic: the
+/// worklist is seeded and processed in a fixed order.
 DataflowResult solveDataflow(const BlockCfg &G, const DataflowProblem &P);
 
 } // namespace analysis

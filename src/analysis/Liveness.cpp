@@ -111,8 +111,6 @@ LivenessInfo analysis::computeLiveness(const Function &F) {
   // `x := e` does not kill a use of x in e — uses are read first, so
   // LiveIn = Use ∪ (LiveOut \ Def) is exact at block granularity.
   DataflowProblem P;
-  P.Dir = Direction::Backward;
-  P.M = Meet::Union;
   P.DomainSize = NumVars;
   P.Transfer.resize(NumBlocks);
   for (BlockId B = 0; B < NumBlocks; ++B) {

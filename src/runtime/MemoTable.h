@@ -165,10 +165,8 @@ public:
   /// check acyclicity, hash placement, and membership). Zero for a
   /// pristine table.
   size_t bucketCount() const { return NBuckets; }
-  NodeT *bucketHead(size_t Index) const { return Mem->ptr(Buckets[Index]); }
-  /// The packed bucket array itself (null for a pristine table), for
-  /// auditors that sweep every head handle at once (TraceAudit's bounds
-  /// pre-check) rather than resolving them one by one.
+  /// The packed head handles themselves (null for a pristine table), so
+  /// an auditor can bounds-check each head before resolving it.
   const Handle<NodeT> *bucketArray() const { return Buckets; }
   /// Arena bytes the bucket array occupies (its share of liveBytes()).
   size_t bucketBytes() const {

@@ -252,10 +252,8 @@ void Runtime::run(Closure *C) {
   assert(CurPhase == Phase::Meta && "run_core is a mutator operation");
   CurPhase = Phase::Running;
   Main.Cursor = TraceEnd; // Append this run's trace after all previous runs.
-  const bool FastPath = !Cfg.DisableConstructionFastPath;
   uint64_t Allocs0 = Main.Prof.Enabled ? Mem.allocationCount() : 0;
-  if (FastPath)
-    Om.beginAppend(); // Construction stamps in monotone order.
+  Om.beginAppend(); // Construction stamps in monotone order.
   {
     ProfileTimer T(Main.Prof, Main.Prof.RunCoreNs);
     trampoline(C);
@@ -265,8 +263,7 @@ void Runtime::run(Closure *C) {
     // from-scratch cost), itemized under MemoBuildNs.
     flushConstructionMemo();
   }
-  if (FastPath)
-    Om.finalizeAppend();
+  Om.finalizeAppend();
   if (Main.Prof.Enabled) {
     ++Main.Prof.RunCoreCalls;
     Main.Prof.ArenaAllocs += Mem.allocationCount() - Allocs0;
@@ -439,7 +436,6 @@ Closure *Runtime::read(Modref *M, Closure *C) {
   // run(). The hash itself is still computed here, while the closure's
   // key words sit in cache (hashing at flush time was measurably slower:
   // it re-misses on every closure line).
-  const bool EagerMemo = Main.IntervalEnd || Cfg.DisableConstructionFastPath;
   uint64_t Hash = readMemoHash(M, C);
   if (Main.IntervalEnd) {
     ReadNode *Hit;
@@ -479,7 +475,7 @@ Closure *Runtime::read(Modref *M, Closure *C) {
   // Propagation both probes and revokes the memo index, so its inserts
   // must be immediate; construction defers them to the bulk build.
   R->Memo.Hash = static_cast<uint32_t>(Hash);
-  if (EagerMemo) {
+  if (Main.IntervalEnd) {
     ReadMemo.insert(R);
   } else {
     PendingReadMemo.push_back(R);
@@ -537,7 +533,6 @@ void *Runtime::allocate(size_t Size, Closure *Init, uint8_t NodeFlags) {
   checkAlways(Size < UINT32_MAX,
               "traced allocation exceeds the 32-bit size limit");
   // See read(): construction defers the memo insert, not the hashing.
-  const bool EagerMemo = Main.IntervalEnd || Cfg.DisableConstructionFastPath;
   uint64_t Hash = allocMemoHash(Init, Size);
   if (Main.IntervalEnd) {
     AllocNode *Hit;
@@ -586,7 +581,7 @@ void *Runtime::allocate(size_t Size, Closure *Init, uint8_t NodeFlags) {
   if (Main.Prof.Enabled)
     ++Main.Prof.MemoInserts;
   A->Memo.Hash = static_cast<uint32_t>(Hash);
-  if (EagerMemo) {
+  if (Main.IntervalEnd) {
     AllocMemo.insert(A);
   } else {
     PendingAllocMemo.push_back(A);

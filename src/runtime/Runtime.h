@@ -84,14 +84,6 @@ public:
     /// proportional to the live trace runs; if the live trace itself
     /// exceeds the limit, the runtime reports out-of-memory.
     size_t HeapLimitBytes = 0;
-    /// Ablation/debug: fall back to the pay-as-you-go construction path
-    /// (general-order OM insertion policy, immediate memo-table inserts).
-    /// The default exploits the monotone timestamp order of trace
-    /// construction: run_core and re-executed intervals build their trace
-    /// under the OM append-mode policy (OrderList::beginAppend) and a
-    /// from-scratch run defers its memo-index inserts into a bulk build
-    /// at the end of run(). Correctness is unaffected either way.
-    bool DisableConstructionFastPath = false;
     /// Trace-sanitizer level (see TraceAudit.h). A violation prints every
     /// finding and aborts, valgrind-style.
     AuditLevel Audit = AuditLevel::Off;

@@ -7,21 +7,20 @@
 // runs two stages: parseAndValidate() proves the file internally
 // consistent without touching the runtime (so early failures leave it
 // untouched), then install() claims the recorded region base, adopts the
-// arena image (copy or mmap), restores the scalar state, adopts the
-// bucket arrays in place after one bounds sweep over their heads, and
-// hands the result to TraceAudit's load-mode validator before anyone
-// trusts it. Any failure after the claim rewinds the runtime to a pristine
-// empty state. The Verify flag (always on for load(), WarmStartOptions-
-// governed for the mmap path) selects the O(file)+O(trace) content passes
-// — the arena section checksum and the TraceAudit walk; everything else
-// runs unconditionally.
+// arena image (copy or mmap), restores the scalar state, and adopts the
+// bucket arrays in place after one bounds sweep over their heads. Any
+// failure after the claim rewinds the runtime to a pristine empty state.
+// The copying path (Mmap false) alone adds the O(file)+O(trace) content
+// passes: the arena section checksum, the freelist chain walks, and one
+// TraceAudit::inspect walk over the installed trace. Everything else runs
+// on both paths.
 //
 // The threat model for the loader is "arbitrary bytes on disk": nothing
 // read from the file is dereferenced, indexed, or size-cast before a
 // bounds and alignment check, and every rejection names the section and
-// offset it happened at. With Verify off that guarantee covers the
-// loader itself, not the propagation that follows — see
-// WarmStartOptions::VerifyTrace. See Snapshot.h for the format contract.
+// offset it happened at. On the mmap path that guarantee covers the
+// loader itself, not the propagation that follows: the mapped payload is
+// trusted. See Snapshot.h for the format contract.
 //
 //===----------------------------------------------------------------------===//
 
@@ -426,8 +425,7 @@ struct Snapshot::Impl {
   }
 
   static bool parseAndValidate(const Runtime &RT, const std::string &Path,
-                               bool Mmap, bool Verify, Parsed &P,
-                               LoadResult &Out) {
+                               bool Mmap, Parsed &P, LoadResult &Out) {
     P.F = io::File::openRead(Path);
     if (!P.F)
       return failL(Out, Status::IoError, "cannot open " + Path);
@@ -562,11 +560,10 @@ struct Snapshot::Impl {
                      strf("section %zu checksum mismatch", I));
     }
     // The arena payload (trace and memo bucket arrays) is the O(file)
-    // part; the fast warm-start path skips its content checksum by
-    // contract (WarmStartOptions) — its geometry, preamble, and every
-    // offset installed from it are still checked below, and the bucket
-    // heads are bounds-swept in install().
-    if (Verify) {
+    // part; the warm start trusts it by contract — its geometry,
+    // preamble, and every offset installed from it are still checked
+    // below, and the bucket heads are bounds-swept in install().
+    if (!Mmap) {
       uint64_t Sum = 0;
       if (!checksumRange(P.F, H.Sections[IMem].Offset,
                          H.Sections[IMem].Length, Sum))
@@ -807,27 +804,28 @@ struct Snapshot::Impl {
   static bool restoreArena(Arena &A, const ArenaMeta &AM, uint64_t Used,
                            const std::vector<std::pair<uint64_t, uint64_t>>
                                &Large,
-                           bool Verify, const char *Name, LoadResult &Out) {
+                           bool WalkChains, const char *Name,
+                           LoadResult &Out) {
     A.BumpPtr = A.Base + Used;
     A.LiveBytes = AM.LiveBytes;
     A.MaxLiveBytes = AM.MaxLiveBytes;
     A.TotalAllocated = AM.TotalAllocated;
     A.AllocCount = AM.AllocCount;
     // The chain *heads* were bounds-checked in parseMeta; the chains
-    // themselves are arena payload, so on the fast warm-start path they
+    // themselves are arena payload, so on the warm-start path they
     // are adopted unwalked (the walk would fault in a page per scattered
     // free cell — the single largest cost of a warm start — to check
     // bytes the contract already trusts).
     for (size_t I = 0; I < Arena::NumClasses; ++I) {
       uint64_t HeadOff = AM.FreeHeads[I];
-      if (Verify &&
+      if (WalkChains &&
           !checkFreeChain(A, HeadOff, Arena::classSize(I), Used, Name, Out))
         return false;
       A.FreeLists[I] = handleAtOff<Arena::FreeCell>(HeadOff).Bits;
     }
     A.LargeFree.clear();
     for (const auto &[Size, HeadOff] : Large) {
-      if (Verify && !checkFreeChain(A, HeadOff, Size, Used, Name, Out))
+      if (WalkChains && !checkFreeChain(A, HeadOff, Size, Used, Name, Out))
         return false;
       A.LargeFree[Size] = handleAtOff<Arena::FreeCell>(HeadOff).Bits;
     }
@@ -845,8 +843,8 @@ struct Snapshot::Impl {
   /// Adopts a table's bucket array where the adopted arena image holds
   /// it, after one sweep proving every head handle lies below the
   /// frontier (parseMeta checked the array's own geometry). The heads are
-  /// arena payload, so the fast warm start does not checksum them; the
-  /// sweep keeps every head it installs in bounds anyway.
+  /// arena payload, so the warm start does not checksum them; the sweep
+  /// keeps every head it installs in bounds anyway.
   template <typename NodeT>
   static bool adoptMemo(MemoTable<NodeT> &Table, const Arena &A,
                         const MemoMeta &MM, uint64_t Used, const char *Name,
@@ -870,8 +868,7 @@ struct Snapshot::Impl {
     return true;
   }
 
-  static bool install(Runtime &RT, Parsed &P, bool Mmap, bool Verify,
-                      LoadResult &Out) {
+  static bool install(Runtime &RT, Parsed &P, bool Mmap, LoadResult &Out) {
     const FileHeader &H = P.H;
     // Pristine: no trace, and nothing in the arena but the empty order
     // list's own base and group.
@@ -911,7 +908,7 @@ struct Snapshot::Impl {
                    "reading the arena image into the region failed");
     }
 
-    if (!restoreArena(RT.Mem, P.MF.MemA, H.MemBumpUsed, P.MemLarge, Verify,
+    if (!restoreArena(RT.Mem, P.MF.MemA, H.MemBumpUsed, P.MemLarge, !Mmap,
                       "trace-arena", Out)) {
       resetToPristine(RT);
       return false;
@@ -954,17 +951,13 @@ struct Snapshot::Impl {
     for (uint64_t Off : P.RootOffs)
       Out.Roots.push_back(RT.Mem.Base + Off);
 
-    // Untrusted-file validation: the linear TraceAudit load mode, plus
-    // the full sanitizer on the safe copying path. The fast warm-start
-    // path (Verify off) skips this O(trace) walk by contract — the
-    // scalar state installed above was bounds-checked piece by piece, so
-    // the *loader* cannot have faulted, and what remains unverified is
-    // the mapped trace payload itself (WarmStartOptions::VerifyTrace
-    // documents the trade).
-    if (Verify) {
-      TraceAudit::Report Rep = TraceAudit::validateLoaded(RT);
-      if (Rep.ok() && !Mmap)
-        Rep = TraceAudit::inspect(RT);
+    // Untrusted-file validation: one TraceAudit walk over everything
+    // installed above. The warm start skips this O(trace) walk by
+    // contract — the scalar state installed above was bounds-checked
+    // piece by piece, so the *loader* cannot have faulted, and what
+    // remains unverified is the mapped trace payload itself.
+    if (!Mmap) {
+      TraceAudit::Report Rep = TraceAudit::inspect(RT);
       if (!Rep.ok()) {
         resetToPristine(RT);
         Out.Roots.clear();
@@ -975,13 +968,12 @@ struct Snapshot::Impl {
     return true;
   }
 
-  static LoadResult load(Runtime &RT, const std::string &Path, bool Mmap,
-                         bool Verify) {
+  static LoadResult load(Runtime &RT, const std::string &Path, bool Mmap) {
     LoadResult Out;
     Parsed P;
-    if (!parseAndValidate(RT, Path, Mmap, Verify, P, Out))
+    if (!parseAndValidate(RT, Path, Mmap, P, Out))
       return Out;
-    install(RT, P, Mmap, Verify, Out);
+    install(RT, P, Mmap, Out);
     // The fd may close now even on the mmap path: MAP_PRIVATE mappings
     // keep their file reference after close (and after unlink).
     return Out;
@@ -1073,18 +1065,12 @@ Snapshot::SaveResult Snapshot::save(const Runtime &RT, const std::string &Path,
 }
 
 Snapshot::LoadResult Snapshot::load(Runtime &RT, const std::string &Path) {
-  return Impl::load(RT, Path, /*Mmap=*/false, /*Verify=*/true);
+  return Impl::load(RT, Path, /*Mmap=*/false);
 }
 
 Snapshot::LoadResult Snapshot::mmapWarmStart(Runtime &RT,
                                              const std::string &Path) {
-  return mmapWarmStart(RT, Path, WarmStartOptions());
-}
-
-Snapshot::LoadResult Snapshot::mmapWarmStart(Runtime &RT,
-                                             const std::string &Path,
-                                             const WarmStartOptions &Opt) {
-  return Impl::load(RT, Path, /*Mmap=*/true, Opt.VerifyTrace);
+  return Impl::load(RT, Path, /*Mmap=*/true);
 }
 
 uint64_t Snapshot::traceShapeDigest(const Runtime &RT) {

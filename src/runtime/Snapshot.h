@@ -9,23 +9,21 @@
 /// quiescent Runtime — the arena region (trace nodes with their embedded
 /// timestamps, order-list groups, the memo tables' bucket arrays,
 /// closures, user blocks), the runtime's scalar state, and caller-chosen
-/// root pointers — plus two load paths:
+/// root pointers — plus two load paths with one contract each:
 ///
-///  * load()           safe copying restore: every section is read into
-///                     a freshly claimed region, every byte checksummed,
-///                     and the full trace sanitizer (TraceAudit::inspect)
-///                     runs on top of the linear load validator. The
-///                     trust-nothing path for untrusted files.
-///  * mmapWarmStart()  maps the arena section copy-on-write straight
-///                     from the file and resumes propagation in place in
-///                     O(metadata) plus one bounds sweep over the memo
-///                     bucket heads: by default the O(file) arena
-///                     checksums and the O(trace) validator are skipped —
-///                     the file is assumed to be save()'s own unmodified
-///                     output — which is what makes a warm start cheaper
-///                     than re-running the core from scratch.
-///                     WarmStartOptions::VerifyTrace restores load()'s
-///                     full verification on this path.
+///  * load()           the untrusted-file path: every section is copied
+///                     into a freshly claimed region, every byte
+///                     checksummed, every freelist chain walked, and then
+///                     the trace sanitizer (TraceAudit::inspect, the one
+///                     trace walker) runs once over the restored runtime
+///                     before anyone may propagate.
+///  * mmapWarmStart()  the trusted-file path: maps the arena section
+///                     copy-on-write straight from the file and resumes
+///                     propagation in place in O(metadata) plus one bounds
+///                     sweep over the memo bucket heads. The file is
+///                     assumed to be save()'s own unmodified output, which
+///                     is what makes a warm start cheaper than re-running
+///                     the core from scratch.
 ///
 /// The format is position-dependent by design: every trace edge,
 /// order-list link, and freelist link is a region offset (a 32-bit
@@ -64,11 +62,12 @@
 /// path: header fields, the section table, the bucket arrays' geometry,
 /// every memo bucket head, and every other offset, handle, and pointer
 /// the loader itself follows are bounds-checked before any dereference,
-/// and every rejection carries a located diagnostic.
-/// Content verification (arena checksums + the trace walk) is always on
-/// for load() and opt-in for mmapWarmStart(). A failure before the
-/// address-space claim leaves the Runtime untouched; a failure after it
-/// leaves the Runtime safe to destroy but not to use.
+/// and every rejection carries a located diagnostic. Content
+/// verification (the arena checksum, the freelist walks and the trace
+/// walk) belongs to load() alone: a mapping cannot stay verified, because
+/// the MAP_PRIVATE pages the runtime has not yet written still show later
+/// writes to the file. A failed load leaves the Runtime pristine and
+/// usable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -127,7 +126,7 @@ public:
     /// process (retry in a fresh process, or with ASLR disabled).
     AddressUnavailable,
     /// Content passed all checksums but failed the load-time trace
-    /// validation (TraceAudit load mode).
+    /// walk (TraceAudit::inspect) or a freelist chain walk.
     AuditFailed,
   };
   static const char *statusName(Status S);
@@ -248,44 +247,30 @@ public:
   static SaveResult save(const Runtime &RT, const std::string &Path,
                          const SaveOptions &Opt = {});
 
-  /// Safe copying restore into the pristine \p RT (no trace yet): claims
-  /// the recorded region base, copies every section in, runs the linear
-  /// load validator and then the full trace sanitizer. This is the
-  /// trust-nothing path: every byte is checksummed and every trace
-  /// structure walked before the runtime may propagate. Use it whenever
-  /// the file crossed a machine, a network, or an untrusted writer.
+  /// Untrusted-file restore into the pristine \p RT (no trace yet):
+  /// claims the recorded region base, copies every section in, verifies
+  /// every checksum, walks the freelist chains, then runs
+  /// TraceAudit::inspect once. Every byte is checksummed and every trace
+  /// structure walked before the runtime may propagate, so a crafted file
+  /// comes back as an error status, never as a trace propagation would
+  /// trip over. Use it whenever the file crossed a machine, a network, or
+  /// an untrusted writer.
   static LoadResult load(Runtime &RT, const std::string &Path);
 
-  struct WarmStartOptions {
-    /// Treat the file as untrusted: verify the arena section's content
-    /// checksum, walk the serialized freelist chains, and run the linear
-    /// TraceAudit load validator, exactly like load(). Off by default —
-    /// the warm-start contract is a checkpoint save() wrote on this host
-    /// that nothing modified since, and its point is to resume in
-    /// O(metadata) instead of O(trace). The header, META, and root
-    /// sections are still fully checksummed either way, and every offset
-    /// the loader installs (cursor, roots, freelist heads, bucket-array
-    /// geometry) is bounds-checked, so a *loader* crash stays impossible.
-    /// The memo bucket heads are arena payload: the fast path does not
-    /// checksum them, but one linear sweep checks every head against the
-    /// arena frontier before the tables adopt the array. What the fast
-    /// path gives up is detecting corruption inside the trace-sized
-    /// payload (the mapped arena, an in-bounds but wrong bucket head, the
-    /// freelist chains) before propagation walks it. See DESIGN.md "Trace
-    /// persistence".
-    bool VerifyTrace = false;
-  };
-
-  /// Warm start: like load(), but the arena section is mapped
-  /// copy-on-write from the file instead of copied, and the O(trace)
-  /// verification passes are governed by \p Opt (off by default; the
-  /// page-in cost is deferred to first touch during propagation).
-  /// Requires the saver's page size. (Two overloads rather than a `= {}`
-  /// default: a nested aggregate's member initializers are not usable in
-  /// a default argument of the enclosing class.)
+  /// Trusted-file warm start: like load(), but the arena section is
+  /// mapped copy-on-write from the file instead of copied, and its
+  /// content is trusted. The header, META and root sections are still
+  /// checksummed, and every offset the loader installs (cursor, roots,
+  /// freelist heads, bucket-array geometry, every memo bucket head) is
+  /// bounds-checked, so bad metadata never crashes the loader. What this
+  /// path gives up is detecting corruption inside the trace-sized payload
+  /// (the mapped arena, an in-bounds but wrong bucket head, the freelist
+  /// chains) before propagation walks it. The page-in cost is deferred to
+  /// first touch during propagation. Requires the saver's page size. A
+  /// caller that wants the mapped trace checked calls
+  /// TraceAudit::inspect after the load; that checks the runtime as it is
+  /// at that moment. See DESIGN.md "Trace persistence".
   static LoadResult mmapWarmStart(Runtime &RT, const std::string &Path);
-  static LoadResult mmapWarmStart(Runtime &RT, const std::string &Path,
-                                  const WarmStartOptions &Opt);
 
   /// Insensitive only where semantics are (memo chain order and block
   /// placement are excluded): a digest of the trace's observable shape —

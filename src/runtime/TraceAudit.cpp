@@ -2,10 +2,11 @@
 //
 // The audit walks the runtime's state in five passes:
 //
-//   1. order structure   (groups, labels, links, two-level agreement)
+//   1. order structure   (groups, labels, links, two-level agreement,
+//                         cursor and trace-end membership)
 //   2. trace walk        (stamp kinds vs. their containers, interval
-//                         nesting, closure ownership, per-node byte
-//                         accounting)
+//                         nesting, node/closure/block extents, closure
+//                         ownership, per-node byte accounting)
 //   3. use-lists + heap  (per-modifiable ordering, equality-cut
 //                         soundness, dirty/queue agreement)
 //   4. memo indexes      (chain shape, hash placement, exact membership)
@@ -14,7 +15,10 @@
 //
 // Every check records a violation string instead of asserting, so one
 // corrupted structure produces a full report rather than a lone abort;
-// enforce() turns a non-empty report into a banner + abort.
+// enforce() turns a non-empty report into a banner + abort. The same walk
+// gates Snapshot::load(), so it treats every handle as untrusted: each is
+// bounds-checked over the whole extent it names before the first read,
+// and no later pass follows a node or closure an earlier one rejected.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +54,7 @@ std::string formatv(const char *Fmt, va_list Args) {
 }
 
 /// Batches memo-hash recomputation through the 32-lane hash sweep (the
-/// cloned checksum loop). Both auditors re-derive every chained entry's
+/// cloned checksum loop). The audit re-derives every chained entry's
 /// hash from its key — per-entry that is a serial mix chain, so the
 /// audit's dominant cost on big traces is multiply latency. Entries are
 /// instead grouped by key-word count; each full group of simd::HashLanes
@@ -167,8 +171,12 @@ struct TraceAudit::Impl {
   const Runtime &RT;
   TraceAudit::Report &Rep;
 
-  // Populated by the trace walk, consumed by the later passes.
+  // Populated by the trace walk, consumed by the later passes. Every node
+  // in LiveNodes has its whole extent below the bump frontier.
   std::unordered_set<const TraceNode *> LiveNodes;
+  /// Live nodes whose closure failed its bounds check: the memo pass must
+  /// not hash their keys.
+  std::unordered_set<const TraceNode *> Unsound;
   std::vector<const ReadNode *> Reads;
   std::vector<const WriteNode *> Writes;
   std::vector<const AllocNode *> Allocs;
@@ -178,20 +186,51 @@ struct TraceAudit::Impl {
 
   Impl(const Runtime &R, TraceAudit::Report &Out) : RT(R), Rep(Out) {}
 
-  /// Decodes a trace-arena handle, bounds-checking it against the arena's
-  /// bump frontier first (a corrupted handle must produce a report line,
-  /// not an out-of-region dereference). Returns null for both the null
-  /// handle and a failed check, so callers treat the result like the
-  /// pointer it replaces.
-  template <typename T> const T *decode(Handle<T> H, const char *What) {
-    if (!H.Bits)
-      return nullptr;
-    if (!RT.Mem.handleInBounds(H.Bits)) {
+  /// True when the \p Need bytes at handle \p Bits lie below the arena's
+  /// bump frontier; otherwise a report line naming \p What.
+  bool within(uint32_t Bits, uint64_t Need, const char *What) {
+    const uint64_t Off = uint64_t(Bits) * Arena::HandleGrain;
+    const uint64_t Used = RT.Mem.bumpUsedBytes();
+    if (Off < Used && Need <= Used - Off)
+      return true;
+    if (Off < Used)
+      fail("%s: handle 0x%x: its %llu bytes overrun the trace arena's "
+           "allocated region",
+           What, Bits, (unsigned long long)Need);
+    else
       fail("%s: handle 0x%x outside the trace arena's allocated region",
-           What, H.Bits);
+           What, Bits);
+    return false;
+  }
+
+  /// Decodes a trace-arena handle, bounds-checking the \p Need bytes it
+  /// names (the whole object by default) against the arena's bump
+  /// frontier first: a corrupted handle must produce a report line, not
+  /// an out-of-region dereference. Returns null for both the null handle
+  /// and a failed check, so callers treat the result like the pointer it
+  /// replaces.
+  template <typename T>
+  const T *decode(Handle<T> H, const char *What, uint64_t Need = sizeof(T)) {
+    if (!H.Bits || !within(H.Bits, Need, What))
+      return nullptr;
+    return RT.Mem.ptr(H);
+  }
+
+  /// Decodes a trace-owned closure: its header, then the whole frame its
+  /// arity implies, both bounds-checked before anything reads an
+  /// argument. Null (with a report line) when \p H is null or either
+  /// check fails.
+  const Closure *traceClosure(Handle<Closure> H, const char *What) {
+    if (!H) {
+      fail("%s: null", What);
       return nullptr;
     }
-    return RT.Mem.ptr(H);
+    const Closure *C = decode(H, What);
+    if (!C || !within(H.Bits, C->byteSize(), What))
+      return nullptr;
+    if (!C->ownedByTrace())
+      fail("%s: not marked trace-owned", What);
+    return C;
   }
 
   /// OrderList::precedes over bounds-checked decodes: false (with a
@@ -234,7 +273,18 @@ struct TraceAudit::Impl {
 
   void checkOrderStructure() {
     const OrderList &Om = RT.Om;
+    const OmNode *Base = decode(Om.Base, "om: base");
+    if (!Base) {
+      fail("om: no base timestamp");
+      return;
+    }
+    if (Base->Prev)
+      fail("om: base timestamp has a predecessor");
     size_t SeenNodes = 0;
+    // The cursor and the trace end are raw pointers; they must name
+    // members, not merely in-bounds addresses (a freed node would pass a
+    // bounds check).
+    bool CursorSeen = false, TraceEndSeen = false;
     // Every link is decoded through decode() before it is followed, so a
     // forged handle becomes a report line instead of a wild read; the
     // group walk is capped at one group per node so a forged cycle
@@ -268,7 +318,11 @@ struct TraceAudit::Impl {
         fail("om: group First out of sync with node chain");
       Handle<OmNode> NH = G->First;
       uint64_t PrevLabel = 0;
-      for (uint32_t I = 0; NH && I < G->Count; ++I) {
+      for (uint32_t I = 0; I < G->Count; ++I) {
+        if (!NH) {
+          fail("om: group Count overruns the node chain");
+          break;
+        }
         const OmNode *N = decode(NH, "om: node link");
         if (!N)
           return;
@@ -290,6 +344,8 @@ struct TraceAudit::Impl {
         if (const OmNode *Succ = decode(N->Next, "om: node link"))
           if (Succ->Prev != NH)
             fail("om: node back-link broken");
+        CursorSeen |= N == RT.Main.Cursor;
+        TraceEndSeen |= N == RT.TraceEnd;
         PrevLabel = N->Label;
         PrevN = N;
         Expected = N->Next;
@@ -301,6 +357,10 @@ struct TraceAudit::Impl {
     if (SeenNodes != Om.Size)
       fail("om: size accounting out of sync (walked %zu, Size %zu)",
            SeenNodes, Om.Size);
+    if (!CursorSeen)
+      fail("om: the cursor is not a member of the order list");
+    if (!TraceEndSeen)
+      fail("om: TraceEnd is not a member of the order list");
   }
 
   //===------------------------------------------------------------===//
@@ -321,17 +381,24 @@ struct TraceAudit::Impl {
   }
 
   void walkTrace() {
+    const size_t Box = RT.Cfg.BoxBytesPerNode;
     std::vector<const ReadNode *> OpenReads;
     std::unordered_set<const void *> Blocks;
-    const OmNode *Last = RT.Om.base();
+    const OmNode *Last = decode(RT.Om.Base, "trace: base");
+    if (!Last)
+      return; // Pass 1 reported it.
     size_t Steps = 0;
-    for (const OmNode *N = decode(Last->Next, "trace: timestamp link"); N;
-         N = decode(N->Next, "trace: timestamp link")) {
+    for (Handle<OmNode> NH = Last->Next; NH;) {
+      const OmNode *N = decode(NH, "trace: timestamp link");
+      if (!N)
+        break;
       if (++Steps >= RT.Om.size()) { // Size counts the base as well.
         fail("trace: timestamp chain longer than the order list (cycle)");
         break;
       }
+      const uint32_t Bits = NH.Bits;
       Last = N;
+      NH = N->Next;
       // The innermost open read's end stamp is recognized by address, so
       // a corrupted kind there is reported instead of trusted.
       if (!OpenReads.empty() && N == &OpenReads.back()->End) {
@@ -341,6 +408,7 @@ struct TraceAudit::Impl {
         OpenReads.pop_back();
         continue;
       }
+      size_t NodeBytes = 0;
       switch (N->Kind) {
       case TraceKind::End: {
         const ReadNode *R = endOwner(N);
@@ -357,61 +425,74 @@ struct TraceAudit::Impl {
         fail("trace: non-base timestamp carries the base kind");
         continue;
       case TraceKind::Read:
+        NodeBytes = sizeof(ReadNode);
+        break;
       case TraceKind::Write:
+        NodeBytes = sizeof(WriteNode);
+        break;
       case TraceKind::Alloc:
+        NodeBytes = sizeof(AllocNode);
         break;
       default:
         fail("trace: timestamp with invalid kind %u", unsigned(N->Kind));
         continue;
       }
+      // The stamp's kind names the node around it; the whole node must
+      // lie below the frontier before any field past the stamp is read.
+      if (!within(Bits, NodeBytes, "trace: node"))
+        continue;
       const auto *T = static_cast<const TraceNode *>(N);
       if (!LiveNodes.insert(T).second) {
         fail("trace: node stamped at two timestamps");
         continue;
       }
+      Rep.TraceBytes += Arena::accountedSize(NodeBytes + Box);
       switch (T->Kind) {
       case TraceKind::Read: {
         const auto *R = static_cast<const ReadNode *>(T);
         Reads.push_back(R);
-        const Modref *M = decode(R->Ref, "read modifiable");
-        if (M)
+        if (const Modref *M = decode(R->Ref, "read modifiable"))
           UsesByRef[M].push_back(R);
-        else
+        else if (!R->Ref)
           fail("read: null modifiable");
         if (!ordered(R, &R->End))
           fail("read: End does not follow Start");
         OpenReads.push_back(R);
-        const Closure *Clo = decode(R->Clo, "read closure");
-        if (!Clo)
-          fail("read: null closure");
-        else if (!Clo->ownedByTrace())
-          fail("read: closure not marked trace-owned");
+        if (const WriteNode *G = decode(R->Gov, "governing-write cache"))
+          if (G->Kind != TraceKind::Write)
+            fail("read: governing-write cache names a node of kind %u",
+                 unsigned(G->Kind));
+        if (const Closure *Clo = traceClosure(R->Clo, "read closure"))
+          Rep.TraceBytes += Arena::accountedSize(Clo->byteSize());
+        else
+          Unsound.insert(R);
         break;
       }
       case TraceKind::Write: {
         const auto *W = static_cast<const WriteNode *>(T);
         Writes.push_back(W);
-        const Modref *M = decode(W->Ref, "write modifiable");
-        if (M)
+        if (const Modref *M = decode(W->Ref, "write modifiable"))
           UsesByRef[M].push_back(W);
-        else
+        else if (!W->Ref)
           fail("write: null modifiable");
         break;
       }
       case TraceKind::Alloc: {
         const auto *A = static_cast<const AllocNode *>(T);
         Allocs.push_back(A);
-        const void *Block = decode(A->Block, "alloc block");
-        if (!Block)
+        Rep.TraceBytes += Arena::accountedSize(A->Size);
+        if (A->Size == 0)
+          fail("alloc: zero-sized block");
+        else if (const void *Block = decode(A->Block, "alloc block", A->Size))
+          if (!Blocks.insert(Block).second)
+            fail("alloc: two live allocations share one block (double "
+                 "steal?)");
+        if (A->Size && !A->Block)
           fail("alloc: null block");
-        else if (!Blocks.insert(Block).second)
-          fail("alloc: two live allocations share one block (double "
-               "steal?)");
-        const Closure *Init = decode(A->Init, "alloc initializer");
-        if (!Init)
-          fail("alloc: null initializer closure");
-        else if (!Init->ownedByTrace())
-          fail("alloc: initializer not marked trace-owned");
+        if (const Closure *Init = traceClosure(A->Init, "alloc initializer"))
+          Rep.TraceBytes += Arena::accountedSize(Init->byteSize());
+        else
+          Unsound.insert(A);
         break;
       }
       default:
@@ -423,10 +504,16 @@ struct TraceAudit::Impl {
            OpenReads.size());
     if (RT.TraceEnd != Last)
       fail("trace: TraceEnd is not the maximum timestamp");
+    // Work a core or a propagation parks for later is drained before the
+    // meta phase resumes.
     if (!RT.Main.PendingReads.empty())
       fail("trace: pending-read stack not empty at meta time");
+    if (!RT.PendingReadMemo.empty() || !RT.PendingAllocMemo.empty())
+      fail("trace: deferred memo inserts not flushed at meta time");
     if (!RT.Main.DeferredFrees.empty())
       fail("trace: deferred frees not flushed at meta time");
+    if (RT.Om.inAppendMode())
+      fail("om: order list still in append mode at meta time");
     Rep.Reads = Reads.size();
     Rep.Writes = Writes.size();
     Rep.Allocs = Allocs.size();
@@ -456,13 +543,15 @@ struct TraceAudit::Impl {
         }
         if (decode(U->Ref, "uselist member modifiable") != M)
           fail("uselist: member belongs to a different modifiable");
-        if (!LiveNodes.count(U))
-          fail("uselist: member is not a live trace node (dangling use)");
         if (decode(U->PrevUse, "uselist prev") != Prev)
           fail("uselist: PrevUse back-link broken");
         if (Prev && !ordered(Prev, U))
           fail("uselist: uses not sorted by timestamp");
-        if (U->Kind == TraceKind::Read) {
+        Prev = U;
+        // Only a live node's fields past the Use header are in bounds.
+        if (!LiveNodes.count(U)) {
+          fail("uselist: member is not a live trace node (dangling use)");
+        } else if (U->Kind == TraceKind::Read) {
           const auto *R = static_cast<const ReadNode *>(U);
           if (decode(R->Gov, "governing-write cache") != GovW)
             fail("uselist: governing-write cache out of sync (cached %p, "
@@ -476,7 +565,6 @@ struct TraceAudit::Impl {
           GovW = static_cast<const WriteNode *>(U);
           Governing = GovW->Value;
         }
-        Prev = U;
       }
       if (decode(M->Tail, "uselist tail") != Prev)
         fail("uselist: Tail does not point at the last member");
@@ -492,23 +580,31 @@ struct TraceAudit::Impl {
     }
   }
 
+  bool liveRead(const ReadNode *R) const {
+    return LiveNodes.count(R) && R->Kind == TraceKind::Read;
+  }
+
   void checkHeap() {
     const auto &Heap = RT.Main.Heap;
     for (size_t I = 0; I < Heap.size(); ++I) {
       const ReadNode *R = Heap[I];
-      if (!LiveNodes.count(R)) {
-        fail("heap: entry %zu is not a live trace node", I);
+      if (!liveRead(R)) {
+        fail("heap: entry %zu is not a live read node", I);
         continue;
       }
       if (R->HeapIndex != static_cast<int32_t>(I))
         fail("heap: entry %zu carries HeapIndex %d", I, R->HeapIndex);
       if (!R->isDirty())
         fail("heap: entry %zu is not dirty", I);
-      if (I > 0 && ordered(R, Heap[(I - 1) / 2]))
+      const ReadNode *Parent = I > 0 ? Heap[(I - 1) / 2] : nullptr;
+      if (Parent && liveRead(Parent) && ordered(R, Parent))
         fail("heap: min-heap property violated at entry %zu", I);
     }
     size_t DirtyReads = 0;
     for (const ReadNode *R : Reads) {
+      if (R->HeapIndex < -1)
+        fail("read: HeapIndex %d is neither -1 nor a queue slot",
+             R->HeapIndex);
       if (R->isDirty() != (R->HeapIndex >= 0))
         fail("read: dirty flag and queue membership disagree "
              "(dirty=%d, HeapIndex=%d)",
@@ -527,39 +623,23 @@ struct TraceAudit::Impl {
 
   template <typename NodeT, typename KeyFn>
   void checkMemoTable(const MemoTable<NodeT> &Table, const char *Name,
+                      TraceKind Kind,
                       const std::vector<const NodeT *> &Expected,
                       uint64_t Seed, KeyFn MakeKey) {
     const size_t NBuckets = Table.bucketCount();
-    // Pre-pass over the packed head-handle array: every head is
-    // bounds-checked against the arena's bump frontier in one
-    // simd::boundsCheckU32 sweep, so the chain walk below never starts
-    // from a wild head. (Chain *interior* handles are still checked one
-    // by one through decode(); only the dense head array has the flat
-    // layout the sweep needs.)
-    static_assert(sizeof(Handle<NodeT>) == sizeof(uint32_t),
-                  "packed head sweep assumes compressed handles");
-    const uint32_t *HeadBits =
-        reinterpret_cast<const uint32_t *>(Table.bucketArray());
-    const uint32_t Limit =
-        uint32_t(RT.Mem.bumpUsedBytes() / Arena::HandleGrain);
-    for (size_t B = 0; B < NBuckets;) {
-      B += simd::boundsCheckU32(HeadBits + B, NBuckets - B, Limit);
-      if (B == NBuckets)
-        break;
-      fail("%s memo: bucket %zu head handle 0x%x outside the trace "
-           "arena's allocated region",
-           Name, B, HeadBits[B]);
-      ++B;
+    if (NBuckets && (NBuckets < 64 || (NBuckets & (NBuckets - 1)))) {
+      fail("%s memo: bucket count %zu is not a power of two of at least 64",
+           Name, NBuckets);
+      return;
     }
-    auto headOf = [&](size_t B) -> const NodeT * {
-      return HeadBits[B] < Limit ? Table.bucketHead(B) : nullptr;
-    };
+    const Handle<NodeT> *Heads = Table.bucketArray();
+    const std::string HeadWhat = std::string(Name) + " memo bucket head";
     MemoHashBatch<NodeT> Hashes(Seed);
     std::vector<uint64_t> Key;
     std::unordered_set<const NodeT *> InTable;
     for (size_t B = 0; B < NBuckets; ++B) {
       const NodeT *Prev = nullptr;
-      for (const NodeT *N = headOf(B); N;
+      for (const NodeT *N = decode(Heads[B], HeadWhat.c_str()); N;
            N = decode(N->Memo.Next, "memo chain next")) {
         if (!InTable.insert(N).second) {
           fail("%s memo: chain cycle in bucket %zu", Name, B);
@@ -570,9 +650,14 @@ struct TraceAudit::Impl {
         if (Table.bucketFor(N->Memo.Hash) != B)
           fail("%s memo: entry hashed to bucket %zu but chained in %zu",
                Name, Table.bucketFor(N->Memo.Hash), B);
-        if (!LiveNodes.count(N)) {
+        // The key is hashed only from a live node of the table's kind
+        // whose closure passed the trace walk's bounds checks.
+        if (!LiveNodes.count(N))
           fail("%s memo: entry is not a live trace node", Name);
-        } else {
+        else if (N->Kind != Kind)
+          fail("%s memo: entry is a node of kind %u", Name,
+               unsigned(N->Kind));
+        else if (!Unsound.count(N)) {
           MakeKey(N, Key);
           Hashes.add(N, Key.data(), Key.size());
         }
@@ -594,11 +679,12 @@ struct TraceAudit::Impl {
   }
 
   void checkMemos() {
-    checkMemoTable(RT.ReadMemo, "read", Reads, ReadMemoSeed,
+    checkMemoTable(RT.ReadMemo, "read", TraceKind::Read, Reads, ReadMemoSeed,
                    [&](const ReadNode *R, std::vector<uint64_t> &W) {
                      readMemoKey(RT.Mem.ptr(R->Ref), RT.Mem.ptr(R->Clo), W);
                    });
-    checkMemoTable(RT.AllocMemo, "alloc", Allocs, AllocMemoSeed,
+    checkMemoTable(RT.AllocMemo, "alloc", TraceKind::Alloc, Allocs,
+                   AllocMemoSeed,
                    [&](const AllocNode *A, std::vector<uint64_t> &W) {
                      allocMemoKey(RT.Mem.ptr(A->Init), A->Size, W);
                    });
@@ -609,30 +695,13 @@ struct TraceAudit::Impl {
   //===------------------------------------------------------------===//
 
   void checkArena() {
-    size_t Box = RT.Cfg.BoxBytesPerNode;
-    size_t Bytes = 0;
-    for (const ReadNode *R : Reads) {
-      Bytes += Arena::accountedSize(sizeof(ReadNode) + Box);
-      if (const Closure *Clo = RT.Mem.ptr(R->Clo))
-        Bytes += Arena::accountedSize(Clo->byteSize());
-    }
-    for (const WriteNode *W : Writes) {
-      (void)W;
-      Bytes += Arena::accountedSize(sizeof(WriteNode) + Box);
-    }
-    for (const AllocNode *A : Allocs) {
-      Bytes += Arena::accountedSize(sizeof(AllocNode) + Box);
-      if (const Closure *Init = RT.Mem.ptr(A->Init))
-        Bytes += Arena::accountedSize(Init->byteSize());
-      if (A->Size)
-        Bytes += Arena::accountedSize(A->Size);
-    }
-    Rep.TraceBytes = Bytes;
-    // The order list's own blocks: the groups pass 1 walked, plus the base.
+    // The trace walk summed its nodes, closures and blocks into
+    // TraceBytes; add the order list's own blocks (the groups pass 1
+    // walked, plus the base) and the memo buckets.
     size_t OmBytes = Arena::accountedSize(sizeof(OmNode)) +
                      Groups * Arena::accountedSize(sizeof(OmGroup));
     size_t MemoBytes = RT.ReadMemo.bucketBytes() + RT.AllocMemo.bucketBytes();
-    size_t Expected = Bytes + OmBytes + MemoBytes + RT.MetaBytes;
+    size_t Expected = Rep.TraceBytes + OmBytes + MemoBytes + RT.MetaBytes;
     size_t Live = RT.Mem.liveBytes();
     if (Expected != Live) {
       if (Expected < Live)
@@ -648,452 +717,6 @@ struct TraceAudit::Impl {
   }
 };
 
-//===--------------------------------------------------------------------===//
-// Load-mode validation (validateLoaded)
-//
-// A freshly loaded snapshot passed every checksum, but checksums only prove
-// the file arrived intact — a crafted file checksums perfectly. This
-// validator is the gate between "bytes in the arenas" and "trace the
-// propagation machinery may follow": one linear sweep that treats every
-// pointer, handle, and length as untrusted, bounds- and alignment-checks
-// it against the serialized frontier before the first dereference, and
-// stops at the first violation. It deliberately avoids the hash maps and
-// cross-walks of inspect() — its cost is what bounds an mmap warm start.
-//
-// A per-grain mark array over the trace arena stands in for inspect()'s
-// node sets: stamped-node marks catch double stamping, and memo-seen
-// marks catch chain cycles and duplicate indexing, all O(1) per node.
-//===--------------------------------------------------------------------===//
-
-struct TraceAudit::LoadImpl {
-  const Runtime &RT;
-  TraceAudit::Report &Rep;
-
-  const char *MemBase;
-  uint64_t MemUsed;
-
-  // One byte per trace-arena grain.
-  static constexpr uint8_t MarkStamped = 1;
-  static constexpr uint8_t MarkReadMemo = 2;
-  static constexpr uint8_t MarkAllocMemo = 4;
-  std::vector<uint8_t> Mark;
-
-  // Collected by the order walk / trace walk.
-  size_t GroupCount = 0;
-  bool CursorSeen = false, TraceEndSeen = false;
-  size_t NReads = 0, NWrites = 0, NAllocs = 0;
-  size_t TraceBytes = 0;
-
-  LoadImpl(const Runtime &R, TraceAudit::Report &Out)
-      : RT(R), Rep(Out),
-        MemBase(static_cast<const char *>(RT.Mem.regionBase())),
-        MemUsed(RT.Mem.bumpUsedBytes()),
-        Mark(MemUsed / Arena::HandleGrain, 0) {}
-
-  /// Records the (single) violation; always false so checks read as
-  /// `return fail(...)`.
-  bool fail(const char *Fmt, ...) __attribute__((format(printf, 2, 3))) {
-    va_list Args;
-    va_start(Args, Fmt);
-    Rep.Violations.push_back("load: " + formatv(Fmt, Args));
-    va_end(Args);
-    return false;
-  }
-
-  /// Wrap-safe region offset: anything below the base becomes huge and
-  /// fails the bounds test instead of looking small.
-  static uint64_t rawOff(const void *Base, const void *P) {
-    return static_cast<uint64_t>(reinterpret_cast<uintptr_t>(P) -
-                                 reinterpret_cast<uintptr_t>(Base));
-  }
-
-  bool extentOk(uint64_t Off, uint64_t Need, uint64_t Used) const {
-    return Off >= Arena::HandleGrain && Off % Arena::HandleGrain == 0 &&
-           Need <= Used && Off <= Used - Need;
-  }
-  bool memOk(uint64_t Off, uint64_t Need) const {
-    return extentOk(Off, Need, MemUsed);
-  }
-
-  /// Handle -> region offset (0 for null), without resolving.
-  template <typename T> static uint64_t hoff(Handle<T> H) {
-    return uint64_t(H.Bits) * Arena::HandleGrain;
-  }
-
-  template <typename T> const T *memAt(uint64_t Off) const {
-    return reinterpret_cast<const T *>(MemBase + Off);
-  }
-
-  bool run() {
-    if (RT.CurPhase != Runtime::Phase::Meta)
-      return fail("runtime not in the meta phase");
-    if (!RT.Main.Heap.empty() || !RT.Main.PendingReads.empty() ||
-        !RT.Main.DeferredFrees.empty() || !RT.PendingReadMemo.empty() ||
-        !RT.PendingAllocMemo.empty())
-      return fail("restored runtime carries pending work (corrupt scalar "
-                  "state)");
-    if (RT.Om.inAppendMode())
-      return fail("restored order list is in append mode");
-    return checkOrder() && walkTrace() && checkMemos() && checkAccounting();
-  }
-
-  //===------------------------------------------------------------===//
-  // Order-maintenance chain: every group and node pointer is validated
-  // before its first dereference, so the later passes may walk the node
-  // chain freely.
-  //===------------------------------------------------------------===//
-
-  bool checkOrder() {
-    const OrderList &Om = RT.Om;
-    if (!memOk(hoff(Om.Base), sizeof(OmNode)))
-      return fail("order-list base handle outside the serialized arena");
-    if (!memOk(hoff(Om.FirstGroup), sizeof(OmGroup)))
-      return fail("first-group handle outside the serialized arena");
-    if (memAt<OmGroup>(hoff(Om.FirstGroup))->First != Om.Base)
-      return fail("first group does not start at the base timestamp");
-    if (memAt<OmNode>(hoff(Om.Base))->Prev)
-      return fail("base timestamp has a predecessor");
-    const uint64_t CursorOff = rawOff(MemBase, RT.Main.Cursor);
-    const uint64_t TraceEndOff = rawOff(MemBase, RT.TraceEnd);
-
-    size_t SeenNodes = 0;
-    Handle<OmNode> Expected = Om.Base;
-    Handle<OmGroup> PrevGH{};
-    const OmGroup *PrevG = nullptr;
-    for (Handle<OmGroup> GH = Om.FirstGroup; GH;) {
-      if (!memOk(hoff(GH), sizeof(OmGroup)))
-        return fail("group handle outside the serialized arena");
-      const OmGroup *G = memAt<OmGroup>(hoff(GH));
-      if (++GroupCount > Om.Size + 1)
-        return fail("group chain longer than the node count allows "
-                    "(cycle)");
-      if (G->Prev != PrevGH)
-        return fail("group back-link broken");
-      if (PrevG && G->Label <= PrevG->Label)
-        return fail("group labels not strictly increasing");
-      if (G->Count == 0)
-        return fail("empty group in the chain");
-      if (G->First != Expected)
-        return fail("group First out of sync with the node chain");
-      Handle<OmNode> NH = Expected;
-      uint64_t PrevLabel = 0;
-      for (uint32_t I = 0; I < G->Count; ++I) {
-        if (!NH)
-          return fail("group Count overruns the node chain");
-        if (!memOk(hoff(NH), sizeof(OmNode)))
-          return fail("timestamp handle outside the serialized arena");
-        const OmNode *N = memAt<OmNode>(hoff(NH));
-        if (++SeenNodes > Om.Size)
-          return fail("node chain longer than the recorded size (cycle)");
-        if (N->Group != GH)
-          return fail("timestamp points at the wrong group");
-        if (I > 0 && N->Label <= PrevLabel)
-          return fail("timestamp labels not strictly increasing in group");
-        if (N->Next) {
-          if (!memOk(hoff(N->Next), sizeof(OmNode)))
-            return fail("timestamp handle outside the serialized arena");
-          if (memAt<OmNode>(hoff(N->Next))->Prev != NH)
-            return fail("timestamp back-link broken");
-        }
-        if (hoff(NH) == CursorOff)
-          CursorSeen = true;
-        if (hoff(NH) == TraceEndOff)
-          TraceEndSeen = true;
-        PrevLabel = N->Label;
-        Expected = N->Next;
-        NH = N->Next;
-      }
-      PrevGH = GH;
-      PrevG = G;
-      GH = G->Next;
-    }
-    if (Expected)
-      return fail("trailing timestamps beyond the last group");
-    if (SeenNodes != Om.Size)
-      return fail("walked %zu timestamps but the list records %zu",
-                  SeenNodes, Om.Size);
-    // The restored cursor and trace end must be *members* — a crafted
-    // offset naming a freed in-bounds node would otherwise slip through.
-    if (!CursorSeen)
-      return fail("restored cursor is not a member of the order list");
-    if (!TraceEndSeen)
-      return fail("restored trace end is not a member of the order list");
-    Rep.Timestamps = Om.Size;
-    return true;
-  }
-
-  //===------------------------------------------------------------===//
-  // Trace walk: the timestamp chain is safe now; every trace-arena
-  // reference hanging off it is not, yet.
-  //===------------------------------------------------------------===//
-
-  bool checkClosure(uint64_t Off, const char *What) {
-    if (!memOk(Off, sizeof(Closure)))
-      return fail("%s closure outside the serialized arena", What);
-    const Closure *C = memAt<Closure>(Off);
-    if (!memOk(Off, Closure::byteSize(C->numArgs())))
-      return fail("%s closure frame overruns the serialized arena", What);
-    if (!C->ownedByTrace())
-      return fail("%s closure not marked trace-owned", What);
-    return true;
-  }
-
-  /// Validates one use-list link field: null, or a Use-sized extent whose
-  /// opposite link points straight back.
-  bool checkUseLink(uint64_t TargetOff, uint64_t SelfOff, bool TargetPrev,
-                    const char *What) {
-    if (!TargetOff)
-      return true;
-    if (!memOk(TargetOff, sizeof(Use)))
-      return fail("%s link outside the serialized arena", What);
-    const Use *T = memAt<Use>(TargetOff);
-    uint64_t Back = hoff(TargetPrev ? T->PrevUse : T->NextUse);
-    if (Back != SelfOff)
-      return fail("%s link not mirrored by its target", What);
-    return true;
-  }
-
-  bool stamp(uint64_t Off) {
-    uint8_t &M = Mark[Off / Arena::HandleGrain];
-    if (M & MarkStamped)
-      return fail("trace node at offset %llu stamped at two timestamps",
-                  (unsigned long long)Off);
-    M |= MarkStamped;
-    return true;
-  }
-
-  bool walkTrace() {
-    const size_t Box = RT.Cfg.BoxBytesPerNode;
-    std::vector<uint64_t> OpenReads;
-    uint64_t LastOff = hoff(RT.Om.Base);
-    for (Handle<OmNode> NH = memAt<OmNode>(LastOff)->Next; NH;
-         NH = memAt<OmNode>(LastOff)->Next) {
-      const uint64_t Off = hoff(NH);
-      LastOff = Off;
-      const OmNode *N = memAt<OmNode>(Off);
-      // The innermost open read's end stamp is recognized by address;
-      // any other end stamp is out of place.
-      if (!OpenReads.empty() && Off == OpenReads.back() + ReadEndOffset) {
-        if (N->Kind != TraceKind::End)
-          return fail("read's end stamp at offset %llu carries kind %u",
-                      (unsigned long long)Off, unsigned(N->Kind));
-        OpenReads.pop_back();
-        continue;
-      }
-      const auto *T = static_cast<const TraceNode *>(N);
-      switch (T->Kind) {
-      case TraceKind::Read: {
-        if (!memOk(Off, sizeof(ReadNode)))
-          return fail("read node overruns the serialized arena");
-        if (!stamp(Off))
-          return false;
-        const ReadNode *R = memAt<ReadNode>(Off);
-        uint64_t RefOff = hoff(R->Ref);
-        if (!RefOff || !memOk(RefOff, sizeof(Modref)))
-          return fail("read's modifiable outside the serialized arena");
-        uint64_t CloOff = hoff(R->Clo);
-        if (!CloOff || !checkClosure(CloOff, "read"))
-          return CloOff ? false : fail("read with a null closure");
-        if (R->isDirty() || R->HeapIndex != -1)
-          return fail("read restored dirty or queued (snapshots are "
-                      "quiescent)");
-        uint64_t GovOff = hoff(R->Gov);
-        if (GovOff) {
-          if (!memOk(GovOff, sizeof(WriteNode)))
-            return fail("governing-write cache outside the serialized "
-                        "arena");
-          if (memAt<WriteNode>(GovOff)->Kind != TraceKind::Write)
-            return fail("governing-write cache names a non-write node");
-        }
-        if (!checkUseLink(hoff(R->NextUse), Off, /*TargetPrev=*/true,
-                          "read's next-use") ||
-            !checkUseLink(hoff(R->PrevUse), Off, /*TargetPrev=*/false,
-                          "read's prev-use"))
-          return false;
-        OpenReads.push_back(Off);
-        ++NReads;
-        TraceBytes += Arena::accountedSize(sizeof(ReadNode) + Box) +
-                      Arena::accountedSize(
-                          memAt<Closure>(CloOff)->byteSize());
-        break;
-      }
-      case TraceKind::Write: {
-        if (!memOk(Off, sizeof(WriteNode)))
-          return fail("write node overruns the serialized arena");
-        if (!stamp(Off))
-          return false;
-        const WriteNode *W = memAt<WriteNode>(Off);
-        uint64_t RefOff = hoff(W->Ref);
-        if (!RefOff || !memOk(RefOff, sizeof(Modref)))
-          return fail("write's modifiable outside the serialized arena");
-        if (!checkUseLink(hoff(W->NextUse), Off, /*TargetPrev=*/true,
-                          "write's next-use") ||
-            !checkUseLink(hoff(W->PrevUse), Off, /*TargetPrev=*/false,
-                          "write's prev-use"))
-          return false;
-        ++NWrites;
-        TraceBytes += Arena::accountedSize(sizeof(WriteNode) + Box);
-        break;
-      }
-      case TraceKind::Alloc: {
-        if (!memOk(Off, sizeof(AllocNode)))
-          return fail("alloc node overruns the serialized arena");
-        if (!stamp(Off))
-          return false;
-        const AllocNode *A = memAt<AllocNode>(Off);
-        uint64_t InitOff = hoff(A->Init);
-        if (!InitOff || !checkClosure(InitOff, "alloc"))
-          return InitOff ? false : fail("alloc with a null initializer");
-        uint64_t BlockOff = hoff(A->Block);
-        if (A->Size == 0)
-          return fail("alloc node with a zero-sized block");
-        if (!BlockOff || !memOk(BlockOff, A->Size))
-          return fail("alloc block outside the serialized arena");
-        ++NAllocs;
-        TraceBytes += Arena::accountedSize(sizeof(AllocNode) + Box) +
-                      Arena::accountedSize(
-                          memAt<Closure>(InitOff)->byteSize()) +
-                      Arena::accountedSize(A->Size);
-        break;
-      }
-      case TraceKind::End:
-        return fail("end stamp at offset %llu out of place (read intervals "
-                    "not properly nested)",
-                    (unsigned long long)Off);
-      default:
-        return fail("timestamp with invalid kind %u at offset %llu",
-                    unsigned(T->Kind), (unsigned long long)Off);
-      }
-    }
-    if (!OpenReads.empty())
-      return fail("%zu read interval(s) missing their end markers",
-                  OpenReads.size());
-    if (rawOff(MemBase, RT.TraceEnd) != LastOff)
-      return fail("restored trace end is not the maximum timestamp");
-    Rep.Reads = NReads;
-    Rep.Writes = NWrites;
-    Rep.Allocs = NAllocs;
-    Rep.TraceBytes = TraceBytes;
-    return true;
-  }
-
-  //===------------------------------------------------------------===//
-  // Memo indexes: every chained entry must be a node the trace walk just
-  // stamped (so its fields are already validated), appear exactly once,
-  // sit in the bucket its hash selects, and the tables must index the
-  // trace bijectively.
-  //===------------------------------------------------------------===//
-
-  template <typename NodeT, typename KeyFn>
-  bool checkMemoTable(const MemoTable<NodeT> &Table, const char *Name,
-                      TraceKind WantKind, uint8_t SeenBit, size_t WantCount,
-                      uint64_t Seed, KeyFn MakeKey) {
-    size_t Buckets = Table.bucketCount();
-    if ((Buckets && Buckets < 64) || (Buckets & (Buckets - 1)) != 0)
-      return fail("%s memo bucket count %zu invalid", Name, Buckets);
-    // Head sweep: the adopted bucket array is dense packed
-    // u32 handles, so one simd::boundsCheckU32 pass rejects any head
-    // pointing past the serialized arena before the chain walk begins.
-    if (Buckets) {
-      static_assert(sizeof(Handle<NodeT>) == sizeof(uint32_t),
-                    "packed head sweep assumes compressed handles");
-      const uint32_t *HeadBits =
-          reinterpret_cast<const uint32_t *>(Table.bucketArray());
-      const uint32_t Limit = uint32_t(MemUsed / Arena::HandleGrain);
-      size_t B = simd::boundsCheckU32(HeadBits, Buckets, Limit);
-      if (B != Buckets)
-        return fail("%s memo: bucket %zu head handle 0x%x outside the "
-                    "serialized arena",
-                    Name, B, HeadBits[B]);
-    }
-    MemoHashBatch<NodeT> Hashes(Seed);
-    std::vector<uint64_t> Key;
-    size_t Seen = 0;
-    for (size_t B = 0; B < Buckets; ++B) {
-      uint64_t PrevOff = 0;
-      // bucketHead resolves the handle to an address without
-      // dereferencing it; fold it back to an offset for the bounds check.
-      const NodeT *Head = Table.bucketHead(B);
-      uint64_t Off = Head ? rawOff(MemBase, Head) : 0;
-      while (Off) {
-        if (!memOk(Off, sizeof(NodeT)))
-          return fail("%s memo entry outside the serialized arena", Name);
-        const NodeT *E = memAt<NodeT>(Off);
-        if (E->Kind != WantKind)
-          return fail("%s memo entry is not a %s node", Name, Name);
-        uint8_t &M = Mark[Off / Arena::HandleGrain];
-        if (!(M & MarkStamped))
-          return fail("%s memo entry is not a stamped trace node", Name);
-        if (M & SeenBit)
-          return fail("%s memo entry chained twice (cycle or duplicate)",
-                      Name);
-        M |= SeenBit;
-        if (Table.bucketFor(E->Memo.Hash) != B)
-          return fail("%s memo entry chained in the wrong bucket", Name);
-        if (hoff(E->Memo.Prev) != PrevOff)
-          return fail("%s memo chain back-link broken", Name);
-        MakeKey(E, Key);
-        Hashes.add(E, Key.data(), Key.size());
-        if (++Seen > Table.size())
-          return fail("%s memo chains exceed the recorded count", Name);
-        PrevOff = Off;
-        Off = hoff(E->Memo.Next);
-      }
-    }
-    // Hash verification is batched through the 32-lane sweep, so
-    // mismatches surface here rather than mid-walk; the message (and
-    // the load-abort it causes) is the same.
-    Hashes.finish();
-    if (!Hashes.bad().empty())
-      return fail("%s memo entry's stored hash does not match its key",
-                  Name);
-    if (Seen != Table.size())
-      return fail("%s memo records %zu entries but chains hold %zu", Name,
-                  Table.size(), Seen);
-    if (Seen != WantCount)
-      return fail("%s memo indexes %zu entries but the trace has %zu",
-                  Name, Seen, WantCount);
-    return true;
-  }
-
-  bool checkMemos() {
-    return checkMemoTable(RT.ReadMemo, "read", TraceKind::Read, MarkReadMemo,
-                          NReads, ReadMemoSeed,
-                          [&](const ReadNode *R, std::vector<uint64_t> &W) {
-                            readMemoKey(RT.Mem.ptr(R->Ref),
-                                        RT.Mem.ptr(R->Clo), W);
-                          }) &&
-           checkMemoTable(RT.AllocMemo, "alloc", TraceKind::Alloc,
-                          MarkAllocMemo, NAllocs, AllocMemoSeed,
-                          [&](const AllocNode *A, std::vector<uint64_t> &W) {
-                            allocMemoKey(RT.Mem.ptr(A->Init), A->Size, W);
-                          });
-  }
-
-  //===------------------------------------------------------------===//
-  // Accounting: the restored counters must reconcile with what the walk
-  // actually found.
-  //===------------------------------------------------------------===//
-
-  bool checkAccounting() {
-    size_t OmBytes = Arena::accountedSize(sizeof(OmNode)) +
-                     GroupCount * Arena::accountedSize(sizeof(OmGroup));
-    size_t MemoBytes = RT.ReadMemo.bucketBytes() + RT.AllocMemo.bucketBytes();
-    size_t Expected = TraceBytes + OmBytes + MemoBytes + RT.MetaBytes;
-    if (Expected != RT.Mem.liveBytes())
-      return fail("trace arena records %zu live bytes but the trace, its "
-                  "order list, the memo buckets, and the meta blocks "
-                  "account for %zu",
-                  RT.Mem.liveBytes(), Expected);
-    return true;
-  }
-};
-
-TraceAudit::Report TraceAudit::validateLoaded(const Runtime &RT) {
-  Report Rep;
-  LoadImpl(RT, Rep).run();
-  return Rep;
-}
 
 TraceAudit::Report TraceAudit::inspect(const Runtime &RT) {
   Report Rep;

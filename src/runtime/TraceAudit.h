@@ -13,13 +13,18 @@
 ///  * Order maintenance: node labels strictly increase inside each group,
 ///    group labels strictly increase along the group chain, and the
 ///    two levels agree — `precedes` is a strict total order consistent
-///    with the linked-list order (Dietz-Sleator consistency).
+///    with the linked-list order (Dietz-Sleator consistency). The cursor
+///    and TraceEnd are members of the list.
 ///
 ///  * Trace shape: every timestamp's kind bits match the node that
 ///    embeds it (a read's End member says End, every other stamp names
 ///    its own node's kind), read intervals are well-formed (Start before
 ///    End) and properly nested, and the global TraceEnd is the maximum
-///    timestamp.
+///    timestamp. Every handle is bounds-checked before it is followed,
+///    over the whole extent it names: a node, a modifiable, a closure's
+///    frame, an allocation's block. A read's governing-write cache names
+///    a write. Work parked during a core (pending reads, deferred memo
+///    inserts and frees, the order list's append mode) is drained.
 ///
 ///  * Modifiable use-lists: doubly linked, sorted by timestamp, members
 ///    all live trace nodes, and every clean (non-dirty) read's SeenValue
@@ -46,7 +51,10 @@
 /// picks the level: Off (auditNow is a no-op), Checkpoints (explicit
 /// auditNow calls only), EveryPropagation (automatic after every
 /// run_core and propagate). The hooks cost one branch per propagation
-/// when off, nothing per traced operation.
+/// when off, nothing per traced operation. Snapshot::load() runs the
+/// same walk once over a restored runtime, so a crafted checkpoint that
+/// passes every checksum still has to pass it before propagation trusts
+/// the trace.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +70,7 @@ namespace ceal {
 class Runtime;
 
 /// The trace sanitizer. Stateless; both entry points walk the runtime's
-/// entire live state.
+/// entire live state with the one walker.
 class TraceAudit {
 public:
   /// One invariant violation, human-readable.
@@ -84,24 +92,10 @@ public:
   /// call this. \p Where names the checkpoint for the failure banner.
   static void enforce(const Runtime &RT, const char *Where);
 
-  /// Load-mode validation: a single linear sweep over a runtime freshly
-  /// restored from a snapshot (runtime/Snapshot), treating every handle,
-  /// pointer, and length as untrusted — each one is bounds- and
-  /// alignment-checked against the serialized arena extents *before* any
-  /// dereference, and validation stops at the first violation (a located
-  /// diagnostic) rather than walking on through garbage. Mandatory on
-  /// both snapshot load paths; deliberately cheaper than inspect() (no
-  /// hash maps, no quadratic cross-checks) because it is what keeps an
-  /// mmap warm start faster than re-running the core from scratch.
-  static Report validateLoaded(const Runtime &RT);
-
 private:
   /// The walker; nested so it inherits this class's friendship with
   /// Runtime and OrderList.
   struct Impl;
-  /// The load-mode validator (validateLoaded); nested for the same
-  /// friendship inheritance.
-  struct LoadImpl;
 };
 
 } // namespace ceal

@@ -13,6 +13,14 @@
 // verifying every output against a conventional recomputation with the
 // trace sanitizer on.
 //
+// `load` uses Snapshot::load(), which checksums the file and audits the
+// restored trace itself. `load --mmap` uses the (trusted-file) warm
+// start, then audits the mapped trace with TraceAudit::inspect right
+// after the load, before the first edit: the checkpoint crossed a process
+// boundary. That audit covers the trace structures; the mutator's own
+// words in the arena (list cells) are checked by the output comparison
+// only.
+//
 // Snapshots are position-dependent (region bases and code addresses must
 // coincide), so both ends run under `setarch -R` (ASLR off) in CI.
 //
@@ -140,14 +148,8 @@ int runSave(const std::string &Path) {
 
 int runLoad(const std::string &Path, bool UseMmap) {
   Runtime RT(toolConfig());
-  // The checkpoint crossed a process boundary (and in CI, a job-artifact
-  // boundary), so the mmap side runs fully verified rather than on the
-  // trusted-file fast path.
-  Snapshot::WarmStartOptions Verified;
-  Verified.VerifyTrace = true;
-  Snapshot::LoadResult LR = UseMmap
-                                ? Snapshot::mmapWarmStart(RT, Path, Verified)
-                                : Snapshot::load(RT, Path);
+  Snapshot::LoadResult LR = UseMmap ? Snapshot::mmapWarmStart(RT, Path)
+                                    : Snapshot::load(RT, Path);
   if (!LR.ok()) {
     std::fprintf(stderr, "load: %s: %s\n", Snapshot::statusName(LR.St),
                  LR.Diagnostic.c_str());
@@ -156,6 +158,16 @@ int runLoad(const std::string &Path, bool UseMmap) {
     if (LR.St == Snapshot::Status::CodeMoved)
       return 4;
     return 5;
+  }
+  if (UseMmap) {
+    // The warm start trusts the mapped payload; audit it once before the
+    // first edit walks it.
+    TraceAudit::Report Audit = TraceAudit::inspect(RT);
+    if (!Audit.ok()) {
+      std::fprintf(stderr, "load: audit of the mapped trace failed:\n%s\n",
+                   Audit.summary().c_str());
+      return 2;
+    }
   }
   if (LR.Roots.size() != 3 + InputWords) {
     std::fprintf(stderr, "load: expected %zu roots, got %zu\n",

@@ -3,9 +3,9 @@
 // Unit tests for the dataflow framework underneath the analyses:
 //
 //  * BitVec: word-boundary behavior, meet operations, iteration order.
-//  * solveDataflow on hand-built edge-case CFGs — unreachable blocks,
-//    self-loops, and irreducible graphs — for both meets and both
-//    directions, checked against fixpoints worked by hand.
+//  * solveDataflow (backward, union meet) on hand-built edge-case CFGs —
+//    unreachable blocks, self-loops, exits with back edges, and
+//    irreducible graphs — checked against fixpoints worked by hand.
 //  * Dominators on the same pathological shapes, cross-checking the
 //    iterative and semi-NCA algorithms.
 //  * Liveness determinism: liveAt returns variables in ascending id
@@ -42,7 +42,6 @@ BlockCfg makeCfg(size_t N,
   BlockCfg G;
   G.Succs.assign(N, {});
   G.Preds.assign(N, {});
-  G.Entries = {0};
   G.Exits.assign(Exits.begin(), Exits.end());
   for (auto [A, B] : Es) {
     G.Succs[A].push_back(B);
@@ -133,110 +132,94 @@ TEST(BitVec, IterationAscending) {
 // The solver on edge-case CFGs
 //===----------------------------------------------------------------------===//
 
-TEST(Dataflow, SelfLoopForwardUnion) {
-  // 0 -> 1, 1 -> 1 (self-loop), 1 -> 2. Gen at each block is its own id.
-  BlockCfg G = makeCfg(3, {{0, 1}, {1, 1}, {1, 2}}, {2});
+namespace {
+
+/// A backward problem over \p N blocks with Gen[b] = {b} (domain \p N),
+/// no kills, and an empty boundary.
+DataflowProblem genOwnId(uint32_t N) {
   DataflowProblem P;
-  P.Dir = Direction::Forward;
-  P.M = Meet::Union;
-  P.DomainSize = 3;
-  P.Transfer.resize(3);
-  for (uint32_t B = 0; B < 3; ++B) {
-    P.Transfer[B].Gen = bv(3, {B});
-    P.Transfer[B].Kill = BitVec(3);
+  P.DomainSize = N;
+  P.Transfer.resize(N);
+  for (uint32_t B = 0; B < N; ++B) {
+    P.Transfer[B].Gen = bv(N, {B});
+    P.Transfer[B].Kill = BitVec(N);
   }
-  P.Boundary = BitVec(3);
-  DataflowResult R = solveDataflow(G, P);
-  EXPECT_EQ(R.In[1], bv(3, {0, 1})); // Its own Out flows around the loop.
-  EXPECT_EQ(R.Out[1], bv(3, {0, 1}));
-  EXPECT_EQ(R.In[2], bv(3, {0, 1}));
+  return P;
 }
 
-TEST(Dataflow, UnreachableBlocksKeepTopUnderIntersect) {
-  // Block 2 is disconnected; under an intersect meet it must stay at
-  // top (the solver never visits an edge into it), and consumers filter
-  // on Reachable.
-  BlockCfg G = makeCfg(3, {{0, 1}}, {1});
-  DataflowProblem P;
-  P.Dir = Direction::Forward;
-  P.M = Meet::Intersect;
-  P.DomainSize = 4;
-  P.Transfer.resize(3);
-  for (uint32_t B = 0; B < 3; ++B) {
-    P.Transfer[B].Gen = BitVec(4);
-    P.Transfer[B].Kill = BitVec(4);
-  }
-  P.Transfer[0].Gen = bv(4, {0});
-  P.Boundary = BitVec(4); // Entry starts empty.
-  DataflowResult R = solveDataflow(G, P);
+} // namespace
+
+TEST(Dataflow, SelfLoopBackwardUnion) {
+  // 0 -> 1, 1 -> 1 (self-loop), 1 -> 2. Gen at each block is its own id.
+  BlockCfg G = makeCfg(3, {{0, 1}, {1, 1}, {1, 2}}, {2});
+  DataflowResult R = solveDataflow(G, genOwnId(3));
+  EXPECT_EQ(R.Out[1], bv(3, {1, 2})); // Its own In flows around the loop.
+  EXPECT_EQ(R.In[1], bv(3, {1, 2}));
+  EXPECT_EQ(R.In[0], bv(3, {0, 1, 2}));
+}
+
+TEST(Dataflow, UnreachableBlocksAreStillSolved) {
+  // Block 2 is unreachable from the entry but flows into block 1. Under
+  // the union meet it is solved like any other block (liveness reports
+  // facts in dead code too).
+  BlockCfg G = makeCfg(3, {{0, 1}, {2, 1}}, {1});
+  DataflowResult R = solveDataflow(G, genOwnId(3));
   EXPECT_FALSE(G.Reachable[2]);
-  EXPECT_EQ(R.In[1], bv(4, {0}));
-  EXPECT_EQ(R.In[2].count(), 4u); // Top.
+  EXPECT_EQ(R.Out[2], bv(3, {1}));
+  EXPECT_EQ(R.In[2], bv(3, {1, 2}));
+  EXPECT_EQ(R.In[0], bv(3, {0, 1}));
 }
 
 TEST(Dataflow, BoundaryNodeWithPredecessorsMeetsBoth) {
-  // The entry has a back edge into it: 0 -> 1 -> 0, 1 -> 2. Under a
-  // forward intersect with a full boundary, facts killed around the
-  // loop must drain out of In[0] too — the boundary is a virtual edge,
-  // not a clamp.
-  BlockCfg G = makeCfg(3, {{0, 1}, {1, 0}, {1, 2}}, {2});
+  // The exit has a back edge out of it: 0 -> 1 -> 0, and 1 exits. Its Out
+  // must meet the boundary *and* its successor's In — the boundary is a
+  // virtual edge, not a clamp.
+  BlockCfg G = makeCfg(2, {{0, 1}, {1, 0}}, {1});
   DataflowProblem P;
-  P.Dir = Direction::Forward;
-  P.M = Meet::Intersect;
   P.DomainSize = 2;
-  P.Transfer.resize(3);
-  for (uint32_t B = 0; B < 3; ++B) {
+  P.Transfer.resize(2);
+  for (uint32_t B = 0; B < 2; ++B) {
     P.Transfer[B].Gen = BitVec(2);
     P.Transfer[B].Kill = BitVec(2);
   }
-  P.Transfer[1].Kill = bv(2, {1}); // The loop body kills fact 1.
-  P.Boundary = bv(2, {0, 1});
+  P.Transfer[0].Gen = bv(2, {1});  // The loop generates fact 1...
+  P.Transfer[1].Kill = bv(2, {0}); // ...and the exit kills fact 0.
+  P.Boundary = bv(2, {0});
   DataflowResult R = solveDataflow(G, P);
-  EXPECT_EQ(R.In[0], bv(2, {0})); // Fact 1 lost via the back edge.
-  EXPECT_EQ(R.In[2], bv(2, {0}));
+  EXPECT_EQ(R.Out[1], bv(2, {0, 1})); // Boundary plus the back edge.
+  EXPECT_EQ(R.In[1], bv(2, {1}));
+  EXPECT_EQ(R.In[0], bv(2, {1}));
 }
 
 TEST(Dataflow, IrreducibleGraphConverges) {
   // The classic irreducible shape: 0 -> {1, 2}, 1 <-> 2, both exit to 3.
   // No natural loop header; the solver must still reach the unique
-  // greatest fixpoint.
+  // least fixpoint.
   BlockCfg G = makeCfg(4, {{0, 1}, {0, 2}, {1, 2}, {2, 1}, {1, 3}, {2, 3}},
                        {3});
-  DataflowProblem P;
-  P.Dir = Direction::Forward;
-  P.M = Meet::Union;
-  P.DomainSize = 4;
-  P.Transfer.resize(4);
-  for (uint32_t B = 0; B < 4; ++B) {
-    P.Transfer[B].Gen = bv(4, {B});
-    P.Transfer[B].Kill = BitVec(4);
-  }
-  P.Boundary = BitVec(4);
-  DataflowResult R = solveDataflow(G, P);
-  EXPECT_EQ(R.In[1], bv(4, {0, 1, 2})); // Via 0 and via the 2 -> 1 edge.
-  EXPECT_EQ(R.In[2], bv(4, {0, 1, 2}));
-  EXPECT_EQ(R.In[3], bv(4, {0, 1, 2}));
+  DataflowResult R = solveDataflow(G, genOwnId(4));
+  EXPECT_EQ(R.In[1], bv(4, {1, 2, 3})); // Via 3 and via the 1 -> 2 edge.
+  EXPECT_EQ(R.In[2], bv(4, {1, 2, 3}));
+  EXPECT_EQ(R.In[0], bv(4, {0, 1, 2, 3}));
 }
 
-TEST(Dataflow, BackwardIntersectMultipleExits) {
-  // Diamond with two exits: 0 -> 1 -> 3(exit), 0 -> 2(exit). Backward
-  // intersect with empty boundary at exits: everything must drain.
+TEST(Dataflow, BackwardUnionMultipleExits) {
+  // Diamond with two exits: 0 -> 1 -> 3(exit), 0 -> 2(exit). Only the
+  // 0 -> 1 path generates; the union at 0 keeps it.
   BlockCfg G = makeCfg(4, {{0, 1}, {0, 2}, {1, 3}}, {2, 3});
   DataflowProblem P;
-  P.Dir = Direction::Backward;
-  P.M = Meet::Intersect;
   P.DomainSize = 3;
   P.Transfer.resize(4);
   for (uint32_t B = 0; B < 4; ++B) {
     P.Transfer[B].Gen = BitVec(3);
     P.Transfer[B].Kill = BitVec(3);
   }
-  P.Transfer[1].Gen = bv(3, {1}); // Only the 0 -> 1 path generates.
-  P.Boundary = BitVec(3);
+  P.Transfer[1].Gen = bv(3, {1});
   DataflowResult R = solveDataflow(G, P);
-  // Backward: In of a block is its flow-out toward predecessors.
   EXPECT_EQ(R.In[1], bv(3, {1}));
-  EXPECT_TRUE(R.In[0].none()); // Intersect of {1} (via 1) and {} (via 2).
+  EXPECT_TRUE(R.In[2].none());
+  EXPECT_EQ(R.Out[0], bv(3, {1})); // Union of {1} (via 1) and {} (via 2).
+  EXPECT_EQ(R.In[0], bv(3, {1}));
 }
 
 //===----------------------------------------------------------------------===//

@@ -22,6 +22,7 @@
 #include "interp/Vm.h"
 #include "normalize/Normalize.h"
 #include "support/Random.h"
+#include "tests/support/Generators.h"
 
 #include <gtest/gtest.h>
 
@@ -544,7 +545,7 @@ Program randomProgram(Rng &R) {
   unsigned NumFuncs = 2 + static_cast<unsigned>(R.below(3));
   std::vector<FuncBuilder> Fbs;
   for (unsigned I = 0; I < NumFuncs; ++I)
-    Fbs.push_back(PB.beginFunc("f" + std::to_string(I)));
+    Fbs.push_back(PB.beginFunc(gen::indexedName("f", I)));
 
   for (unsigned FI = 0; FI < NumFuncs; ++FI) {
     FuncBuilder &FB = Fbs[FI];
@@ -552,10 +553,10 @@ Program randomProgram(Rng &R) {
     Ints.push_back(FB.param("a", Type::intTy()));
     Ints.push_back(FB.param("b", Type::intTy()));
     for (int I = 0; I < 4; ++I)
-      Mods.push_back(FB.param("m" + std::to_string(I),
+      Mods.push_back(FB.param(gen::indexedName("m", I),
                               Type::ptrTo(Type::modrefTy())));
     for (int I = 0; I < 3; ++I)
-      Ints.push_back(FB.local("t" + std::to_string(I), Type::intTy()));
+      Ints.push_back(FB.local(gen::indexedName("t", I), Type::intTy()));
 
     unsigned NumBlocks = 3 + static_cast<unsigned>(R.below(8));
     std::vector<BlockId> Blocks;

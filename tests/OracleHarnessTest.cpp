@@ -61,18 +61,8 @@ TEST(OracleHarness, Distance) {
 }
 
 //===----------------------------------------------------------------------===//
-// Construction fast path: legacy sweep and multi-group append coverage
+// Construction fast path: multi-group append coverage
 //===----------------------------------------------------------------------===//
-
-TEST(OracleHarnessFastPath, LegacyConstructionPathStillMatchesOracle) {
-  // The kill switch must keep working: with the fast path disabled the
-  // runtime uses the original eager-memo, density-balanced construction,
-  // and every propagation still matches the conventional recomputation.
-  HarnessOptions Opt;
-  Opt.Sequences = 12;
-  Opt.Config.DisableConstructionFastPath = true;
-  EXPECT_EQ(runOracleHarness(factory<ListModel>(), Opt), "");
-}
 
 TEST(OracleHarnessFastPath, LargeListsExerciseMultiGroupAppend) {
   // Lists long enough that one construction spans many order-maintenance

@@ -2,12 +2,11 @@
 //
 // The full corruption fuzz run over the snapshot loader: 1024 seeded
 // mutations of each of two valid checkpoint images (a small and a
-// mid-size computation), alternating the copying and the fully-verified
-// mmap load paths, then 1024 more of each aimed at the default (trusted
-// file) mmap warm start, which checks only the header, META, ROOTS and
-// the memo bucket heads. Every mutant must come back as a diagnostic
-// error — never Ok, never a crash, never a sanitizer trip (CI runs this
-// suite under ASan/UBSan).
+// mid-size computation) on the untrusted-file load(), then 1024 more of
+// each aimed at the trusted-file mmap warm start, which checks only the
+// header, META, ROOTS and the memo bucket heads. Every mutant must come
+// back as a diagnostic error — never Ok, never a crash, never a
+// sanitizer trip (CI runs this suite under ASan/UBSan).
 //
 // The mutation strategies live in tests/support/SnapshotCorruption.h and
 // are guaranteed-detectable by the path they target, so Status::Ok is
@@ -53,9 +52,9 @@ std::vector<uint8_t> checkpointBytes(const std::string &Path, size_t N) {
   return slurpFile(Path);
 }
 
-/// Loads every mutant on the verified paths (\p FastPath false) or on the
-/// default mmap warm start (\p FastPath true), expecting a diagnostic
-/// error each time.
+/// Loads every mutant with load() (\p FastPath false) or with the
+/// trusted-file mmap warm start (\p FastPath true), expecting a
+/// diagnostic error each time.
 void fuzzImage(const std::vector<uint8_t> &Valid, uint64_t SeedBase,
                int Cases, bool FastPath = false) {
   TempFile Mutated;
@@ -67,19 +66,12 @@ void fuzzImage(const std::vector<uint8_t> &Valid, uint64_t SeedBase,
                                       : mutateSnapshot(Valid, Seed, &Desc);
     ASSERT_TRUE(spitFile(Mutated.Path, Mutant));
     Runtime RT{Runtime::Config{}};
-    bool UseMmap = FastPath || (Seed & 1) != 0;
-    // The mmap side runs with VerifyTrace on: the guaranteed-detection
-    // property belongs to the *verified* loaders (the fast warm start
-    // explicitly trusts the arena payload; see WarmStartOptions).
-    Snapshot::WarmStartOptions Verified;
-    Verified.VerifyTrace = !FastPath;
-    Snapshot::LoadResult LR =
-        UseMmap ? Snapshot::mmapWarmStart(RT, Mutated.Path, Verified)
-                : Snapshot::load(RT, Mutated.Path);
+    Snapshot::LoadResult LR = FastPath
+                                  ? Snapshot::mmapWarmStart(RT, Mutated.Path)
+                                  : Snapshot::load(RT, Mutated.Path);
     EXPECT_NE(LR.St, Snapshot::Status::Ok)
         << "seed " << Seed << " (" << Desc << ", "
-        << (FastPath ? "fast mmap" : UseMmap ? "mmap" : "copy")
-        << ") loaded successfully";
+        << (FastPath ? "mmap" : "copy") << ") loaded successfully";
     if (LR.St != Snapshot::Status::Ok) {
       EXPECT_FALSE(LR.Diagnostic.empty())
           << "seed " << Seed << ": error without a diagnostic";

@@ -95,27 +95,21 @@ void makeCheckpoint(Checkpoint &C, size_t N = 24) {
   C.SavedDigest = Snapshot::traceShapeDigest(RT);
 }
 
-/// Writes \p B over the checkpoint's temp file and loads it into a fresh
-/// runtime; returns the status (and optionally the diagnostic). The mmap
-/// side runs fully verified — the negative-path guarantees belong to the
-/// verified loaders (the fast warm start trusts the arena payload by
-/// contract; see WarmStartOptions).
-St tryLoad(Checkpoint &C, const std::vector<uint8_t> &B, bool UseMmap = false,
+/// Writes \p B over the checkpoint's temp file and loads it with load()
+/// into a fresh runtime; returns the status (and optionally the
+/// diagnostic). The negative-path guarantees belong to load(), the
+/// untrusted-file path: the mmap warm start trusts the arena payload.
+St tryLoad(Checkpoint &C, const std::vector<uint8_t> &B,
            std::string *Diag = nullptr) {
   EXPECT_TRUE(spitFile(C.Tmp.Path, B));
   Runtime RT(testConfig());
-  Snapshot::WarmStartOptions Verified;
-  Verified.VerifyTrace = true;
-  Snapshot::LoadResult LR = UseMmap
-                                ? Snapshot::mmapWarmStart(RT, C.Tmp.Path,
-                                                          Verified)
-                                : Snapshot::load(RT, C.Tmp.Path);
+  Snapshot::LoadResult LR = Snapshot::load(RT, C.Tmp.Path);
   if (Diag)
     *Diag = LR.Diagnostic;
   return LR.St;
 }
 
-/// Loads \p B on the *default* (trusted-file) mmap warm start.
+/// Loads \p B on the trusted-file mmap warm start.
 St tryFastMmap(Checkpoint &C, const std::vector<uint8_t> &B,
                std::string *Diag = nullptr) {
   EXPECT_TRUE(spitFile(C.Tmp.Path, B));
@@ -339,7 +333,7 @@ TEST(Snapshot, PreviousFormatIsBadVersion) {
   headerOf(B)->Version = 4;
   resealHeader(B);
   EXPECT_EQ(tryLoad(C, B), St::BadVersion);
-  EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/true), St::BadVersion);
+  EXPECT_EQ(tryFastMmap(C, B), St::BadVersion);
 }
 
 TEST(Snapshot, LayoutFingerprintMismatchIsBadLayout) {
@@ -436,8 +430,6 @@ TEST(Snapshot, BadMemoGeometryIsRejectedOnEveryPath) {
       resealHeader(B);
       const char *Table = Alloc ? "alloc" : "read";
       EXPECT_EQ(tryLoad(C, B), K.Want) << Table << ": " << K.What;
-      EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/true), K.Want)
-          << Table << ": " << K.What;
       EXPECT_EQ(tryFastMmap(C, B), K.Want) << Table << ": " << K.What;
     }
   }
@@ -510,15 +502,15 @@ TEST(Snapshot, BrokenAccountingIsAuditFailed) {
   resealSection(B, 0);
   resealHeader(B);
   std::string Diag;
-  EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/false, &Diag), St::AuditFailed);
+  EXPECT_EQ(tryLoad(C, B, &Diag), St::AuditFailed);
   EXPECT_FALSE(Diag.empty());
 }
 
 TEST(Snapshot, UndefinedKindBitsAreAuditFailed) {
   // A timestamp's kind is a 3-bit field, so 5-7 are representable but
   // undefined. A checkpoint whose payload carries one (checksums resealed,
-  // as a crafted file would) must come back as a status on both verified
-  // paths. Find one stamp of every kind by loading the checkpoint once.
+  // as a crafted file would) must come back as a status from load().
+  // Find one stamp of every kind by loading the checkpoint once.
   Checkpoint C;
   makeCheckpoint(C);
   std::vector<uint64_t> StampOffs; // Region offsets: read, write, alloc, end.
@@ -552,12 +544,84 @@ TEST(Snapshot, UndefinedKindBitsAreAuditFailed) {
       resealSection(B, MemSection);
       resealHeader(B);
       std::string Diag;
-      EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/false, &Diag), St::AuditFailed)
+      EXPECT_EQ(tryLoad(C, B, &Diag), St::AuditFailed)
           << "kind " << K << " at offset " << Off;
       EXPECT_NE(Diag.find("kind"), std::string::npos) << Diag;
-      EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/true), St::AuditFailed)
-          << "kind " << K << " at offset " << Off;
     }
+}
+
+TEST(Snapshot, ForgedExtentsAndStrayCursorAreAuditFailed) {
+  // A crafted file can reseal every checksum around a field that is in
+  // bounds on its own but names more than the arena holds, or an address
+  // that is no timestamp. load()'s trace walk must reject each of these
+  // with a diagnostic before propagation follows it. Find the fields by
+  // loading the checkpoint once; each case then patches one of them.
+  Checkpoint C;
+  makeCheckpoint(C);
+  uint64_t PrevUseOff = 0, CloOff = 0, CloArgs = 0, AllocSizeOff = 0;
+  {
+    ASSERT_TRUE(spitFile(C.Tmp.Path, C.Bytes));
+    Runtime RT(testConfig());
+    ASSERT_TRUE(Snapshot::load(RT, C.Tmp.Path).ok());
+    const OrderList &Om = RT.orderList();
+    const char *Base = static_cast<const char *>(RT.arena().regionBase());
+    auto OffOf = [Base](const void *P) {
+      return uint64_t(static_cast<const char *>(P) - Base);
+    };
+    for (const OmNode *N = Om.next(Om.base()); N; N = Om.next(N)) {
+      if (N->Kind == TraceKind::Read && !PrevUseOff) {
+        const auto *R = static_cast<const ReadNode *>(N);
+        const Closure *Clo = RT.arena().ptr(R->Clo);
+        PrevUseOff = OffOf(&R->PrevUse);
+        CloOff = OffOf(Clo);
+        CloArgs = Clo->numArgs();
+      }
+      if (N->Kind == TraceKind::Alloc && !AllocSizeOff)
+        AllocSizeOff = OffOf(&static_cast<const AllocNode *>(N)->Size);
+    }
+  }
+  ASSERT_NE(PrevUseOff, 0u);
+  ASSERT_NE(AllocSizeOff, 0u);
+  const uint64_t Used = headerOf(C.Bytes)->MemBumpUsed;
+  const uint64_t MemAt = headerOf(C.Bytes)->Sections[MemSection].Offset;
+  // The largest arity a closure header encodes overruns a small arena.
+  constexpr uint64_t MaxArgs = 0xffff;
+  ASSERT_GT(CloOff + Closure::byteSize(MaxArgs), Used);
+  ASSERT_LT(CloArgs, MaxArgs);
+
+  const std::vector<uint8_t> &B0 = C.Bytes;
+  struct Case {
+    const char *What;
+    const char *Needle; ///< Expected in the diagnostic.
+    size_t At;          ///< File offset of the patched field.
+    uint64_t Value;
+    size_t Bytes;   ///< Field width: 4 or 8.
+    size_t Section; ///< The section to reseal.
+  };
+  const Case Cases[] = {
+      {"use link naming the last grain below the frontier", "overrun",
+       MemAt + PrevUseOff, Used / Arena::HandleGrain - 1, 4, MemSection},
+      {"closure arity overrunning the frontier", "overrun", MemAt + CloOff,
+       peekU64(B0, MemAt + CloOff) | MaxArgs << Closure::NumArgsShift, 8,
+       MemSection},
+      {"zero-size alloc block", "zero-sized", MemAt + AllocSizeOff, 0, 4,
+       MemSection},
+      // The read memo's bucket array: grain-aligned, below the frontier,
+      // and not an order-list node.
+      {"cursor in bounds but no timestamp", "cursor is not a member",
+       metaFieldOffset(B0, offsetof(Snapshot::MetaFixed, CursorOff)),
+       memoMetaOf(B0, /*Alloc=*/false).Off, 8, MetaSection},
+  };
+  for (const Case &K : Cases) {
+    std::vector<uint8_t> B = C.Bytes;
+    std::memcpy(B.data() + K.At, &K.Value, K.Bytes); // Low bytes (LE).
+    resealSection(B, K.Section);
+    resealHeader(B);
+    std::string Diag;
+    EXPECT_EQ(tryLoad(C, B, &Diag), St::AuditFailed) << K.What;
+    EXPECT_NE(Diag.find(K.Needle), std::string::npos) << K.What << ": "
+                                                      << Diag;
+  }
 }
 
 TEST(Snapshot, FailedLoadLeavesRuntimeUsable) {
@@ -600,7 +664,7 @@ TEST(Snapshot, FastWarmStartStillChecksStructure) {
   // The fast path skips arena *content* verification only; the header,
   // META and root sections plus every offset the loader installs stay
   // fully checked, so structural corruption comes back with the same
-  // codes as on the verified paths.
+  // codes as on load().
   Checkpoint C;
   makeCheckpoint(C);
 
@@ -647,7 +711,7 @@ TEST(Snapshot, FastWarmStartStillChecksStructure) {
 TEST(Snapshot, FastWarmStartTrustsArenaPayload) {
   // The flip side of the contract: a byte flip inside the mapped arena
   // payload is exactly what the fast path does NOT check (that skip is
-  // the O(metadata) payoff) and exactly what VerifyTrace catches. The
+  // the O(metadata) payoff) and exactly what load() catches. The
   // patched byte sits in the MEM section's trailing page padding —
   // covered by the section checksum, but past the bump cursor, so
   // nothing ever reads it and the fast-loaded runtime stays correct.
@@ -660,9 +724,8 @@ TEST(Snapshot, FastWarmStartTrustsArenaPayload) {
   B[static_cast<size_t>(H->Sections[MemSection].Offset + H->MemBumpUsed)] ^=
       0x01;
 
-  // Both verified paths reject it as content corruption...
-  EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/false), St::BadChecksum);
-  EXPECT_EQ(tryLoad(C, B, /*UseMmap=*/true), St::BadChecksum);
+  // The untrusted-file path rejects it as content corruption...
+  EXPECT_EQ(tryLoad(C, B), St::BadChecksum);
 
   // ...and the trusted fast path accepts it and still runs.
   ASSERT_TRUE(spitFile(C.Tmp.Path, B));
@@ -689,9 +752,13 @@ TEST(Snapshot, CorruptionSmoke64) {
     std::string Desc;
     std::vector<uint8_t> Mutant = mutateSnapshot(C.Bytes, Seed, &Desc);
     std::string Diag;
-    St S = tryLoad(C, Mutant, /*UseMmap=*/(Seed & 1) != 0, &Diag);
+    St S = tryLoad(C, Mutant, &Diag);
     EXPECT_NE(S, St::Ok) << "seed " << Seed << " (" << Desc
                          << ") loaded successfully";
+    if (S != St::Ok) {
+      EXPECT_FALSE(Diag.empty()) << "seed " << Seed << " (" << Desc
+                                 << "): error without a diagnostic";
+    }
   }
 }
 

@@ -15,8 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
-
 using namespace ceal;
 using namespace ceal::apps;
 
@@ -142,21 +140,6 @@ TEST(TraceAudit, CheckpointsCleanWithFastPathReserveAndChurn) {
   EXPECT_TRUE(Rep.ok()) << Rep.summary();
 }
 
-TEST(TraceAudit, FastPathTraceMatchesLegacyShape) {
-  // The fast path is a constant-factor optimization: with it on or off,
-  // the same program must trace the same reads, writes, allocations, and
-  // timestamps, and both traces must audit clean.
-  auto Shape = [](bool Disable) {
-    Runtime::Config C;
-    C.DisableConstructionFastPath = Disable;
-    Fixture F(C, 64);
-    TraceAudit::Report Rep = TraceAudit::inspect(F.RT);
-    EXPECT_TRUE(Rep.ok()) << Rep.summary();
-    return std::tuple(Rep.Reads, Rep.Writes, Rep.Allocs, Rep.Timestamps);
-  };
-  EXPECT_EQ(Shape(false), Shape(true));
-}
-
 // The pointer-width CEAL_WIDE_TRACE build is gone (commit 1615f00 is the
 // last with it); the golden below still pins that any later layout
 // change alters only how nodes are packed, not what gets traced.
@@ -166,8 +149,7 @@ TEST(TraceAudit, TraceShapeIsLayoutIndependent) {
   // through every repacking since (32-bit handles, embedded timestamps,
   // packed labels). A layout change that alters what gets traced, rather
   // than just how the nodes are packed, diverges from the golden and
-  // fails. This is the cross-layout analogue of
-  // FastPathTraceMatchesLegacyShape above.
+  // fails.
   Fixture F({}, 64);
   TraceAudit::Report Rep = TraceAudit::inspect(F.RT);
   ASSERT_TRUE(Rep.ok()) << Rep.summary();

@@ -47,6 +47,14 @@ inline std::string seedTag(uint64_t Seed) {
   return Buf;
 }
 
+/// "<Prefix><I>" (f0, m1, ...), built by appending: GCC 12's -Wrestrict
+/// misfires on an inlined `"f" + std::to_string(I)` in Release builds.
+inline std::string indexedName(const char *Prefix, unsigned I) {
+  std::string S = Prefix;
+  S += std::to_string(I);
+  return S;
+}
+
 /// Uniform random words below \p Bound.
 inline std::vector<Word> randomWords(Rng &R, size_t N, Word Bound = 1000000) {
   std::vector<Word> V(N);
@@ -135,7 +143,7 @@ inline cl::Program randomHeapProgram(Rng &R) {
   std::vector<FuncBuilder> Fbs;
   // Function 0..NumFuncs-1: computation; function NumFuncs: initializer.
   for (unsigned I = 0; I < NumFuncs; ++I)
-    Fbs.push_back(PB.beginFunc("f" + std::to_string(I)));
+    Fbs.push_back(PB.beginFunc(indexedName("f", I)));
   FuncBuilder Init = PB.beginFunc("blkinit");
 
   // The initializer: blkinit(blk, a, b) { blk[0..3] := derived values }.
@@ -167,13 +175,13 @@ inline cl::Program randomHeapProgram(Rng &R) {
     Ints.push_back(FB.param("a", Type::intTy()));
     Ints.push_back(FB.param("b", Type::intTy()));
     for (int I = 0; I < 3; ++I)
-      Mods.push_back(FB.param("m" + std::to_string(I),
+      Mods.push_back(FB.param(indexedName("m", I),
                               Type::ptrTo(Type::modrefTy())));
     VarId Blk = FB.local("blk", Type::ptrTo(Type::intTy()));
     VarId Sz = FB.local("sz", Type::intTy());
     VarId Idx = FB.local("ix", Type::intTy());
     for (int I = 0; I < 2; ++I)
-      Ints.push_back(FB.local("t" + std::to_string(I), Type::intTy()));
+      Ints.push_back(FB.local(indexedName("t", I), Type::intTy()));
 
     unsigned NumBlocks = 6 + static_cast<unsigned>(R.below(6));
     std::vector<BlockId> Blocks;

@@ -7,14 +7,15 @@
 /// \file
 /// The corruption engine behind the snapshot fuzz suites: seeded
 /// mutations of a valid checkpoint file that are *guaranteed detectable*
-/// — every strategy either breaks a checksum it does not repair, or
-/// repairs the checksums and breaks an invariant the loader (or the
-/// load-time trace validator) provably checks. The property under test:
-/// the loader returns a diagnostic error on every mutant, and never
-/// crashes or trips a sanitizer.
+/// by the load path they target — every strategy either breaks a checksum
+/// it does not repair, or repairs the checksums and breaks an invariant
+/// that path provably checks. The property under test: the loader returns
+/// a diagnostic error on every mutant, and never crashes or trips a
+/// sanitizer.
 ///
-/// Strategies of mutateSnapshot (selected by seed), for the verified
-/// loaders (load() and mmapWarmStart with VerifyTrace):
+/// Strategies of mutateSnapshot (selected by seed), for the untrusted-file
+/// load(), which checksums every byte and walks the restored trace once
+/// with TraceAudit::inspect:
 ///   0. bit flip anywhere in the file (full-byte checksum coverage
 ///      catches it wherever it lands);
 ///   1. truncation to any shorter length;
@@ -22,12 +23,14 @@
 ///      section-table contiguity);
 ///   3. orphaning a non-empty memo bucket inside the arena image, found
 ///      through META, with the arena section and the header resealed
-///      (the load validator's membership count catches it).
+///      (the trace walk's memo membership check catches it).
 ///
-/// mutateForFastPath hits only what the default mmapWarmStart promises
-/// to check: bit flips in the header block, META or ROOTS (all always
-/// checksummed), META's bucket-array geometry with META resealed, and a
-/// memo bucket head pushed past the arena frontier (the head sweep).
+/// mutateForFastPath hits only what the trusted-file mmapWarmStart
+/// promises to check: bit flips in the header block, META or ROOTS (all
+/// always checksummed), META's bucket-array geometry with META resealed,
+/// and a memo bucket head pushed past the arena frontier (the head
+/// sweep). Everything else in the mapped arena is trusted on that path,
+/// so arena payload mutants belong to mutateSnapshot and load().
 ///
 /// Tests can also use the reseal helpers directly to build targeted
 /// negative-path inputs (patch a field, reseal, expect a specific
@@ -201,9 +204,9 @@ inline std::vector<uint8_t> mutateSnapshot(std::vector<uint8_t> B,
   return B;
 }
 
-/// One seeded mutation of a valid snapshot image that the *default*
-/// (trusted-file) mmapWarmStart must reject: it changes only bytes that
-/// path checksums or bounds-checks.
+/// One seeded mutation of a valid snapshot image that the trusted-file
+/// mmapWarmStart must reject: it changes only bytes that path checksums
+/// or bounds-checks.
 inline std::vector<uint8_t> mutateForFastPath(std::vector<uint8_t> B,
                                               uint64_t Seed,
                                               std::string *Desc = nullptr) {
