@@ -25,7 +25,8 @@ int main(int argc, char **argv) {
               "---------------");
   for (size_t Base : {1000, 2000, 4000, 8000, 16000, 32000}) {
     size_t N = Args.scaled(Base);
-    Measurement M = benchTreeContraction(N, std::min<size_t>(Args.Samples, 100));
+    Measurement M =
+        measureRow(treeContractionApp(N), std::min<size_t>(Args.Samples, 100));
     std::printf("%10s %12.5f %12.5f %8.1f %14.3e %12.2e\n",
                 fmtCount(N).c_str(), M.ConvSeconds, M.SelfSeconds,
                 M.overhead(), M.AvgUpdateSeconds, M.speedup());

@@ -20,31 +20,24 @@ using namespace ceal::bench;
 
 namespace {
 
+/// Quicksort's input (seed 77) built in \p RT and run from scratch.
+std::unique_ptr<AppRun> qsortFromScratch(Runtime &RT, Rng &R, size_t N) {
+  std::unique_ptr<AppRun> Run =
+      listApp(ListKind::Quicksort, N, /*Seed=*/77).Build(RT, R);
+  Run->run();
+  return Run;
+}
+
 /// Average update time for quicksort under \p Cfg; returns a negative
 /// value if the runtime exhausted the simulated heap.
 double qsortUpdateSeconds(size_t N, size_t Samples,
                           const Runtime::Config &Cfg) {
-  using namespace apps;
-  Rng R(77);
-  std::vector<Word> In = randomWords(R, N);
   Runtime RT(Cfg);
-  ListHandle L = buildList(RT, In);
-  Modref *Dst = RT.modref();
-  RT.runCore<&quicksortCore>(L.Head, Dst, &cmpWordKeys);
+  Rng R(77);
+  std::unique_ptr<AppRun> Run = qsortFromScratch(RT, R, N);
   if (RT.outOfMemory())
     return -1.0;
-  Samples = std::min(Samples, N);
-  Timer T;
-  for (size_t S = 0; S < Samples; ++S) {
-    size_t Index = R.below(N);
-    detachCell(RT, L, Index);
-    RT.propagate();
-    reattachCell(RT, L, Index);
-    RT.propagate();
-    if (RT.outOfMemory())
-      return -1.0;
-  }
-  return T.seconds() / double(2 * Samples);
+  return timeUpdates(RT, *Run, R, Samples);
 }
 
 } // namespace
@@ -72,14 +65,8 @@ int main(int argc, char **argv) {
     CealUpdate[I] =
         qsortUpdateSeconds(Sizes[I], Samples, Runtime::Config());
     Runtime Probe(baseline::sasmlConfig());
-    {
-      using namespace apps;
-      Rng R(77);
-      std::vector<Word> In = randomWords(R, Sizes[I]);
-      ListHandle L = buildList(Probe, In);
-      Modref *D = Probe.modref();
-      Probe.runCore<&quicksortCore>(L.Head, D, &cmpWordKeys);
-    }
+    Rng R(77);
+    qsortFromScratch(Probe, R, Sizes[I]);
     SasmlLive[I] = Probe.maxLiveBytes();
   }
 

@@ -5,22 +5,22 @@
 // insertion, closure creation, traced reads/writes, memo lookups, and
 // small change-propagation cycles.
 //
-// Before the timing loops run, main() writes BENCH_rt.json with three
-// sections CI tracks PR over PR:
+// Before the timing loops run, main() writes BENCH_rt.json with two
+// sections CI tracks PR over PR, both in AppBench.h's row format
+// (writeRowsJson, shared with BENCH_table1.json):
 //
-//  * "update_bench" — average update times and from-scratch overheads
-//    (self_seconds / conv_seconds, the paper's Table 1 "Ovr." column) for
-//    the headline applications through the shared AppBench harness
-//    (--app-scale=F / --app-samples=K shrink it for smoke runs), plus
-//    trace-persistence accounting per app: the checkpoint size
+//  * "update_bench" — one measureRow row per headline application
+//    (--app-scale=F / --app-samples=K shrink it for smoke runs): times,
+//    from-scratch overhead (the paper's Table 1 "Ovr." column), update
+//    speedup, max-live bytes, the per-kind live-byte accounting
+//    ("memory"), and trace-persistence accounting — the checkpoint size
 //    (snapshot_bytes) and the mmap warm-start time (warm_start_seconds;
 //    scripts/check_warmstart.py gates warm_speedup on quickhull);
-//  * "memory" — the per-kind live-byte accounting of the same runs;
-//  * "profiles" — per app (map, plus quicksort, whose update speedup is
-//    an outlier needing a phase breakdown on record), a
-//    "construction_profile" of the from-scratch run (run_core time, OM /
-//    arena / memo / dispatch counters, deferred memo-build time, and the
-//    minor page faults the run took, counted here with getrusage) and a
+//  * "profiles" — the same rows for map and quicksort (whose update
+//    speedup is an outlier needing a phase breakdown on record), run
+//    with the profiler on: a "construction_profile" of the from-scratch
+//    run (run_core time, OM / arena / memo / dispatch counters, deferred
+//    memo-build time) with the minor page faults it took, and a
 //    "propagation_profile" of the update loop (re-execute / revoke /
 //    memo-lookup / queue time, interval-size and use-scan histograms).
 //
@@ -36,7 +36,6 @@
 
 #include <cstddef>
 #include <fstream>
-#include <sstream>
 
 using namespace ceal;
 using namespace ceal::apps;
@@ -132,41 +131,14 @@ void BM_InitialRunMapPerElement(benchmark::State &State) {
 }
 BENCHMARK(BM_InitialRunMapPerElement)->Arg(1000)->Arg(10000);
 
-void BM_PropagateSingleEdit(benchmark::State &State) {
-  std::vector<Word> In(10000);
+/// Deletes and reinserts cells of an \p N-element mapped list, one
+/// propagation after each half.
+void propagateEdits(benchmark::State &State, size_t N,
+                    const Runtime::Config &Cfg) {
+  std::vector<Word> In(N);
   Rng R(10);
   for (Word &W : In)
     W = R.below(1000);
-  Runtime RT;
-  ListHandle L = buildList(RT, In);
-  Modref *Dst = RT.modref();
-  RT.runCore<&mapCore>(L.Head, Dst, &identityMap, Word(0));
-  size_t I = 0;
-  for (auto _ : State) {
-    size_t Index = (I * 37) % In.size();
-    detachCell(RT, L, Index);
-    RT.propagate();
-    reattachCell(RT, L, Index);
-    RT.propagate();
-    ++I;
-  }
-  State.SetItemsProcessed(State.iterations() * 2);
-}
-BENCHMARK(BM_PropagateSingleEdit);
-
-/// The same edit loop with the trace sanitizer auditing after every
-/// propagation. Not a performance target — it quantifies what
-/// AuditLevel::EveryPropagation costs (the audit walks the whole trace,
-/// so expect orders of magnitude) and keeps the audited path exercised
-/// from the bench binary. Compare against BM_PropagateSingleEdit to see
-/// the audit-off delta, which must stay at noise level.
-void BM_PropagateSingleEditAudited(benchmark::State &State) {
-  std::vector<Word> In(size_t(State.range(0)));
-  Rng R(10);
-  for (Word &W : In)
-    W = R.below(1000);
-  Runtime::Config Cfg;
-  Cfg.Audit = AuditLevel::EveryPropagation;
   Runtime RT(Cfg);
   ListHandle L = buildList(RT, In);
   Modref *Dst = RT.modref();
@@ -181,6 +153,23 @@ void BM_PropagateSingleEditAudited(benchmark::State &State) {
     ++I;
   }
   State.SetItemsProcessed(State.iterations() * 2);
+}
+
+void BM_PropagateSingleEdit(benchmark::State &State) {
+  propagateEdits(State, 10000, Runtime::Config());
+}
+BENCHMARK(BM_PropagateSingleEdit);
+
+/// The same edit loop with the trace sanitizer auditing after every
+/// propagation. Not a performance target — it quantifies what
+/// AuditLevel::EveryPropagation costs (the audit walks the whole trace,
+/// so expect orders of magnitude) and keeps the audited path exercised
+/// from the bench binary. Compare against BM_PropagateSingleEdit to see
+/// the audit-off delta, which must stay at noise level.
+void BM_PropagateSingleEditAudited(benchmark::State &State) {
+  Runtime::Config Cfg;
+  Cfg.Audit = AuditLevel::EveryPropagation;
+  propagateEdits(State, size_t(State.range(0)), Cfg);
 }
 BENCHMARK(BM_PropagateSingleEditAudited)->Arg(1000);
 
@@ -199,53 +188,19 @@ BENCHMARK(BM_MetaModifyDeref);
 // Application update times and phase profiles (BENCH_rt.json)
 //===----------------------------------------------------------------------===//
 
-void writeUpdateBench(std::ostream &Out, double Scale, size_t Samples) {
+void writeBenchJson(const char *Path, double Scale, size_t Samples) {
   using namespace bench;
-  auto Scaled = [&](size_t Base) {
-    return std::max<size_t>(16, size_t(double(Base) * Scale));
-  };
+  auto Scaled = [&](size_t Base) { return scaledSize(Base, Scale); };
   std::vector<Measurement> Rows;
-  Rows.push_back(benchList(ListKind::Filter, Scaled(100000), Samples));
-  Rows.push_back(benchList(ListKind::Map, Scaled(100000), Samples));
-  Rows.push_back(benchList(ListKind::Minimum, Scaled(100000), Samples));
-  Rows.push_back(benchList(ListKind::Quicksort, Scaled(10000), Samples));
-  Rows.push_back(benchExpTrees(Scaled(100000), Samples));
-  Rows.push_back(benchGeometry(GeoKind::Quickhull, Scaled(20000), Samples));
-  Rows.push_back(benchTreeContraction(Scaled(20000), Samples));
-
-  Out << "  \"update_bench\": [\n";
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    const Measurement &M = Rows[I];
-    Out << "    {\"name\": \"" << M.Name << "\", \"n\": " << M.N
-        << ", \"conv_seconds\": " << M.ConvSeconds
-        << ", \"self_seconds\": " << M.SelfSeconds
-        << ", \"avg_update_seconds\": " << M.AvgUpdateSeconds
-        << ", \"speedup\": " << M.speedup()
-        << ", \"fromscratch_overhead\": " << M.overhead()
-        << ", \"max_live_bytes\": " << M.MaxLiveBytes
-        << ",\n     \"memo_bucket_bytes\": " << M.Mem.MemoBucketBytes
-        << ", \"total_live_bytes\": " << M.totalLiveBytes()
-        << ",\n     \"warm_start_seconds\": " << M.WarmStartSeconds
-        << ", \"snapshot_bytes\": " << M.SnapshotBytes
-        << ", \"warm_speedup\": " << M.warmSpeedup() << "}"
-        << (I + 1 < Rows.size() ? ",\n" : "\n");
-  }
-  Out << "  ],\n";
-
-  // Per-kind live-byte accounting for the same runs: where every live
-  // arena byte went (nodes, closures, user blocks, meta, order-list
-  // groups, memo buckets) and arena occupancy. CI's check_max_live.py
-  // gates on update_bench's max_live_bytes and total_live_bytes; this
-  // section explains any movement in them.
-  Out << "  \"memory\": [\n";
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    const Measurement &M = Rows[I];
-    Out << "    {\"name\": \"" << M.Name << "\", \"n\": " << M.N
-        << ", \"stats\": ";
-    M.Mem.writeJson(Out);
-    Out << "}" << (I + 1 < Rows.size() ? ",\n" : "\n");
-  }
-  Out << "  ],\n";
+  for (const AppSpec &App :
+       {listApp(ListKind::Filter, Scaled(100000)),
+        listApp(ListKind::Map, Scaled(100000)),
+        listApp(ListKind::Minimum, Scaled(100000)),
+        listApp(ListKind::Quicksort, Scaled(10000)),
+        expTreesApp(Scaled(100000)),
+        geometryApp(GeoKind::Quickhull, Scaled(20000)),
+        treeContractionApp(Scaled(20000))})
+    Rows.push_back(measureRow(App, Samples));
 
   // Profiled runs for the phase breakdowns. Kept out of the rows above so
   // their timings stay comparable against unprofiled baselines. Map is
@@ -254,32 +209,15 @@ void writeUpdateBench(std::ostream &Out, double Scale, size_t Samples) {
   Runtime::Config PCfg;
   PCfg.EnableProfile = true;
   std::vector<Measurement> Profiled;
-  Profiled.push_back(benchList(ListKind::Map, Scaled(100000), Samples, PCfg));
-  Profiled.push_back(
-      benchList(ListKind::Quicksort, Scaled(10000), Samples, PCfg));
-  Out << "  \"profiles\": [\n";
-  for (size_t I = 0; I < Profiled.size(); ++I) {
-    const Measurement &P = Profiled[I];
-    Out << "    {\"name\": \"" << P.Name << "\", \"n\": " << P.N
-        << ",\n     \"construction_profile\": ";
-    // The profile object gains the bench-side fault count as its last
-    // field: the library counts no page faults itself.
-    std::ostringstream Build;
-    P.BuildProf.writeJson(Build);
-    std::string Json = Build.str();
-    Json.pop_back(); // The closing brace.
-    Out << Json << ", \"minor_faults\": " << P.MinorFaults << "}";
-    Out << ",\n     \"propagation_profile\": ";
-    P.Prof.writeJson(Out);
-    Out << "}" << (I + 1 < Profiled.size() ? ",\n" : "\n");
-  }
-  Out << "  ]";
-}
+  for (const AppSpec &App : {listApp(ListKind::Map, Scaled(100000)),
+                             listApp(ListKind::Quicksort, Scaled(10000))})
+    Profiled.push_back(measureRow(App, Samples, PCfg));
 
-void writeBenchJson(const char *Path, double Scale, size_t Samples) {
   std::ofstream Out(Path);
   Out << "{\n";
-  writeUpdateBench(Out, Scale, Samples);
+  writeRowsJson(Out, "update_bench", Rows);
+  Out << ",\n";
+  writeRowsJson(Out, "profiles", Profiled);
   Out << "\n}\n";
   std::printf("wrote update bench and phase profiles to %s\n", Path);
 }

@@ -3,7 +3,10 @@
 // "Summary of measurements with CEAL": for every benchmark, the
 // conventional and self-adjusting from-scratch times, the overhead, the
 // average update time under the delete/reinsert test mutator, the
-// speedup, and the maximum live space.
+// speedup, and the maximum live space. Every row comes from AppBench.h's
+// one driver (measureRow), so all rows share one methodology, and
+// BENCH_table1.json mirrors the table in the row format of
+// BENCH_rt.json.
 //
 // The paper runs the simple list benchmarks at n = 10M and the complex
 // ones at 1M on a 2 GHz Xeon with 32 GB; the defaults here are scaled to
@@ -30,7 +33,6 @@ int main(int argc, char **argv) {
   size_t NBig = Args.scaled(100000);
   size_t NSmall = Args.scaled(10000);
 
-  std::vector<Measurement> Rows;
   std::printf("Table 1: summary of measurements with CEAL\n");
   std::printf("(paper: Xeon 2GHz, n=10M/1M; here: scaled by --scale, "
               "updates sampled at %zu positions)\n\n",
@@ -43,18 +45,16 @@ int main(int argc, char **argv) {
   Runtime::Config Cfg;
   Cfg.EnableProfile = Args.Profile;
 
-  Rows.push_back(benchList(ListKind::Filter, NBig, Args.Samples, Cfg));
-  Rows.push_back(benchList(ListKind::Map, NBig, Args.Samples, Cfg));
-  Rows.push_back(benchList(ListKind::Reverse, NBig, Args.Samples, Cfg));
-  Rows.push_back(benchList(ListKind::Minimum, NBig, Args.Samples, Cfg));
-  Rows.push_back(benchList(ListKind::Sum, NBig, Args.Samples, Cfg));
-  Rows.push_back(benchList(ListKind::Quicksort, NSmall, Args.Samples, Cfg));
-  Rows.push_back(benchGeometry(GeoKind::Quickhull, NSmall, Args.Samples, Cfg));
-  Rows.push_back(benchGeometry(GeoKind::Diameter, NSmall, Args.Samples, Cfg));
-  Rows.push_back(benchExpTrees(NBig, Args.Samples, Cfg));
-  Rows.push_back(benchList(ListKind::Mergesort, NSmall, Args.Samples, Cfg));
-  Rows.push_back(benchGeometry(GeoKind::Distance, NSmall, Args.Samples, Cfg));
-  Rows.push_back(benchTreeContraction(NSmall, Args.Samples, Cfg));
+  std::vector<Measurement> Rows;
+  for (const AppSpec &App :
+       {listApp(ListKind::Filter, NBig), listApp(ListKind::Map, NBig),
+        listApp(ListKind::Reverse, NBig), listApp(ListKind::Minimum, NBig),
+        listApp(ListKind::Sum, NBig), listApp(ListKind::Quicksort, NSmall),
+        geometryApp(GeoKind::Quickhull, NSmall),
+        geometryApp(GeoKind::Diameter, NSmall), expTreesApp(NBig),
+        listApp(ListKind::Mergesort, NSmall),
+        geometryApp(GeoKind::Distance, NSmall), treeContractionApp(NSmall)})
+    Rows.push_back(measureRow(App, Args.Samples, Cfg));
 
   std::printf("%-12s %8s | %9s %9s %6s | %11s %9s | %9s | %9s %8s\n",
               "Application", "n", "Cnv.(s)", "Self.(s)", "O.H.", "Ave.Update",
@@ -76,61 +76,13 @@ int main(int argc, char **argv) {
   std::printf("\naverage overhead: %.1f   average speedup: %.2e\n",
               OhSum / double(Rows.size()), SpSum / double(Rows.size()));
 
-  // Kernel accounting (--profile): how much of each app's propagation
-  // time is memo-index probing — the share the batched-hash and
-  // bucket-index kernels attack. The PLDI'09 profile attributed roughly
-  // 38% of propagation to memo lookups on the list benchmarks; this
-  // table tracks where this runtime stands PR over PR.
-  if (Args.Profile) {
-    std::printf("\nKernel accounting (memo-lookup share of propagation)\n");
-    std::printf("%-12s %12s %12s %7s\n", "Application", "memo(ms)",
-                "propagate(ms)", "share");
-    for (const Measurement &M : Rows) {
-      double Share = M.Prof.PropagateNs
-                         ? double(M.Prof.MemoLookupNs) /
-                               double(M.Prof.PropagateNs)
-                         : 0.0;
-      std::printf("%-12s %12.3f %12.3f %6.1f%%\n", M.Name.c_str(),
-                  double(M.Prof.MemoLookupNs) * 1e-6,
-                  double(M.Prof.PropagateNs) * 1e-6, 100.0 * Share);
-    }
-  }
-
   // Machine-readable mirror of the table for CI tracking.
-  {
-    std::ofstream Json("BENCH_table1.json");
-    Json << "{\n  \"rows\": [\n";
-    for (size_t I = 0; I < Rows.size(); ++I) {
-      const Measurement &M = Rows[I];
-      Json << "    {\"name\": \"" << M.Name << "\", \"n\": " << M.N
-           << ", \"conv_seconds\": " << M.ConvSeconds
-           << ", \"self_seconds\": " << M.SelfSeconds
-           << ", \"overhead\": " << M.overhead()
-           << ", \"fromscratch_overhead\": " << M.overhead()
-           << ", \"avg_update_seconds\": " << M.AvgUpdateSeconds
-           << ", \"speedup\": " << M.speedup()
-           << ", \"max_live_bytes\": " << M.MaxLiveBytes
-           << ",\n     \"warm_start_seconds\": " << M.WarmStartSeconds
-           << ", \"snapshot_bytes\": " << M.SnapshotBytes
-           << ", \"warm_speedup\": " << M.warmSpeedup()
-           << ",\n     \"memory\": ";
-      M.Mem.writeJson(Json);
-      if (M.HasProfile) {
-        Json << ",\n     \"construction_profile\": ";
-        M.BuildProf.writeJson(Json);
-        Json << ",\n     \"profile\": ";
-        M.Prof.writeJson(Json);
-        Json << ",\n     \"memo_lookup_share\": "
-             << (M.Prof.PropagateNs ? double(M.Prof.MemoLookupNs) /
-                                          double(M.Prof.PropagateNs)
-                                    : 0.0);
-      }
-      Json << "}" << (I + 1 < Rows.size() ? ",\n" : "\n");
-    }
-    Json << "  ],\n  \"average_overhead\": " << OhSum / double(Rows.size())
-         << ",\n  \"average_speedup\": " << SpSum / double(Rows.size())
-         << "\n}\n";
-    std::printf("wrote BENCH_table1.json\n");
-  }
+  std::ofstream Json("BENCH_table1.json");
+  Json << "{\n";
+  writeRowsJson(Json, "rows", Rows);
+  Json << ",\n  \"average_overhead\": " << OhSum / double(Rows.size())
+       << ",\n  \"average_speedup\": " << SpSum / double(Rows.size())
+       << "\n}\n";
+  std::printf("wrote BENCH_table1.json\n");
   return 0;
 }

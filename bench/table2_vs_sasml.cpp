@@ -31,22 +31,14 @@ int main(int argc, char **argv) {
   Runtime::Config Plain;
   Runtime::Config Sim = baseline::sasmlConfig();
 
-  auto AddList = [&](ListKind K, size_t N) {
-    Rows.push_back({benchList(K, N, Args.Samples, Plain),
-                    benchList(K, N, Args.Samples, Sim)});
-  };
-  AddList(ListKind::Filter, NBig);
-  AddList(ListKind::Map, NBig);
-  AddList(ListKind::Reverse, NBig);
-  AddList(ListKind::Minimum, NBig);
-  AddList(ListKind::Sum, NBig);
-  AddList(ListKind::Quicksort, NSmall);
-  Rows.push_back(
-      {benchGeometry(GeoKind::Quickhull, NSmall, Args.Samples, Plain),
-       benchGeometry(GeoKind::Quickhull, NSmall, Args.Samples, Sim)});
-  Rows.push_back(
-      {benchGeometry(GeoKind::Diameter, NSmall, Args.Samples, Plain),
-       benchGeometry(GeoKind::Diameter, NSmall, Args.Samples, Sim)});
+  for (const AppSpec &App :
+       {listApp(ListKind::Filter, NBig), listApp(ListKind::Map, NBig),
+        listApp(ListKind::Reverse, NBig), listApp(ListKind::Minimum, NBig),
+        listApp(ListKind::Sum, NBig), listApp(ListKind::Quicksort, NSmall),
+        geometryApp(GeoKind::Quickhull, NSmall),
+        geometryApp(GeoKind::Diameter, NSmall)})
+    Rows.push_back({measureRow(App, Args.Samples, Plain),
+                    measureRow(App, Args.Samples, Sim)});
 
   std::printf("Table 2: CEAL versus SaSML (simulated comparator; see "
               "DESIGN.md sec. 3)\n\n");

@@ -5,26 +5,23 @@ Reads a BENCH_rt.json produced by a bench run and fails if any app's
 max_live_bytes (the trace arena's high-water mark across construction
 and the update loop; the arena holds the trace nodes with their
 embedded timestamps, the order list's groups and the memo bucket
-arrays) or total_live_bytes (the whole footprint, which is now that
-same high-water mark) regressed more than 10% over its baseline, or if
-a field is missing. Growing a trace node layout or leaking trace
-structure shows up here directly — max-live is deterministic for a
-fixed app and scale, so the tolerance only absorbs layout-neutral
-drift (memo-table growth points, sample-count changes), not node-size
-regressions, which cost well over 10%.
+arrays, so this is the whole footprint) regressed more than 10% over
+its baseline, or if the field is missing. Growing a trace node layout
+or leaking trace structure shows up here directly — max-live is
+deterministic for a fixed app and scale, so the tolerance only absorbs
+layout-neutral drift (memo-table growth points, sample-count changes),
+not node-size regressions, which cost well over 10%.
 
 Baselines are calibrated at the CI smoke scale (--app-scale=0.02
 --app-samples=20). Recalibrate (run the smoke line from
-.github/workflows/ci.yml and paste the max_live_bytes or
-total_live_bytes column) when deliberately changing what the trace
-retains.
+.github/workflows/ci.yml and paste the max_live_bytes column) when
+deliberately changing what the trace retains.
 
 Usage:
     check_max_live.py [BENCH_rt.json] [--baseline OTHER_BENCH.json]
 
 With --baseline, per-app baselines come from the other run's
-update_bench rows instead of the embedded tables (A/B comparisons); a
-metric the baseline run does not report is not gated.
+update_bench rows instead of the embedded table (A/B comparisons).
 
 The rows may also carry trace-persistence fields (snapshot_bytes,
 warm_start_seconds; see bench/AppBench.h). snapshot_bytes is
@@ -39,8 +36,7 @@ import sys
 
 # Per-app max_live_bytes at smoke scale, recorded while the memo bucket
 # arrays still lived outside the arena. The arena's high-water mark now
-# holds them too, so it reads 3-7% above these and equals the
-# TOTAL_BASELINES figures below exactly.
+# holds them too, so it reads 3-7% above these.
 BASELINES = {
     "filter": 569720,
     "map": 807816,
@@ -49,18 +45,6 @@ BASELINES = {
     "exptrees": 1586880,
     "quickhull": 3179984,
     "rctree-opt": 1464376,
-}
-
-# Per-app total_live_bytes (trace arena high-water mark + memo bucket
-# arrays) at smoke scale.
-TOTAL_BASELINES = {
-    "filter": 602488,
-    "map": 840584,
-    "minimum": 3003552,
-    "quicksort": 944024,
-    "exptrees": 1652416,
-    "quickhull": 3311056,
-    "rctree-opt": 1513528,
 }
 
 TOLERANCE = 0.10
@@ -91,28 +75,28 @@ def rows_by_name(path, failures):
     return rows
 
 
-def gate(metric, baselines, rows, path, failures):
-    """Checks each app's `metric` against its baseline (10% tolerance)."""
+def gate(baselines, rows, path, failures):
+    """Checks each app's max_live_bytes against its baseline (10%
+    tolerance)."""
     for app, base in sorted(baselines.items()):
         row = rows.get(app)
         if row is None:
             failures.append(f"{app}: no update_bench row in {path}")
             continue
-        live = row.get(metric)
+        live = row.get("max_live_bytes")
         if live is None:
-            failures.append(f"{app}: row in {path} lacks {metric}")
+            failures.append(f"{app}: row in {path} lacks max_live_bytes")
             continue
         limit = base * (1 + TOLERANCE)
         ratio = live / base if base else float("inf")
         status = "ok" if live <= limit else "FAIL"
         snap = row.get("snapshot_bytes", 0)
-        snap_note = (f"  snapshot_bytes={snap:12d}"
-                     if snap and metric == "max_live_bytes" else "")
-        print(f"{app:10s} {metric}={live:12d}  "
+        snap_note = f"  snapshot_bytes={snap:12d}" if snap else ""
+        print(f"{app:10s} max_live_bytes={live:12d}  "
               f"baseline={base:12d}  ratio={ratio:5.2f}  {status}{snap_note}")
         if live > limit:
             failures.append(
-                f"{app}: {metric} {live} exceeds baseline {base} "
+                f"{app}: max_live_bytes {live} exceeds baseline {base} "
                 f"by {100 * (ratio - 1):.1f}% (> {100 * TOLERANCE:.0f}%)")
 
 
@@ -133,7 +117,6 @@ def main(argv):
     if baseline_path:
         base_rows = rows_by_name(baseline_path, failures)
         baselines = {}
-        total_baselines = {}
         for name, row in sorted(base_rows.items()):
             if "max_live_bytes" not in row:
                 failures.append(
@@ -141,14 +124,10 @@ def main(argv):
                     f"max_live_bytes")
                 continue
             baselines[name] = row["max_live_bytes"]
-            if "total_live_bytes" in row:
-                total_baselines[name] = row["total_live_bytes"]
     else:
         baselines = BASELINES
-        total_baselines = TOTAL_BASELINES
 
-    gate("max_live_bytes", baselines, rows, path, failures)
-    gate("total_live_bytes", total_baselines, rows, path, failures)
+    gate(baselines, rows, path, failures)
 
     # A/B mode only: snapshot_bytes is as deterministic as max-live, so
     # when both runs report it, gate it the same way.

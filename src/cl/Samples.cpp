@@ -243,7 +243,7 @@ func qs_part(modref* l, modref* dl, modref* dg, int pivot) {
 )";
 
 //===----------------------------------------------------------------------===//
-// Mergesort (parity split).
+// Mergesort (coin split).
 //===----------------------------------------------------------------------===//
 
 const char *samples::Mergesort = R"(
@@ -257,11 +257,18 @@ func ms_cellinit(int* blk, int h, modref* t) {
 }
 
 func msort(modref* l, modref* d) {
+  var int lv;
+  e: lv := 0; tail ms_sort(l, d, lv);
+}
+
+// Sorts the list in l into d; lv is the recursion level, which salts the
+// split's coins.
+func ms_sort(modref* l, modref* d, int lv) {
   var int* c; var int* t2; var int* out;
   var int h; var int sz; var int z;
   var modref* tl; var modref* ot;
   var modref* a; var modref* b; var modref* sa; var modref* sb;
-  var int i0; var int i1; var int side;
+  var int i0; var int i1; var int lv2;
   var int k2; var int k3; var int k4; var int k5;
   rd: c := read l; goto br;
   br: if c then goto probe else goto base;
@@ -287,44 +294,53 @@ func msort(modref* l, modref* d) {
   sk5: k5 := 5; goto sk6;
   sk6: a := modref(c, k2); goto sp1;
   sp1: b := modref(c, k3); goto sp2;
-  sp2: side := 0; goto sp3;
-  sp3: call ms_split(c, a, b, side); goto sp4;
+  sp2: lv2 := add(lv, i1); goto sp3;
+  sp3: call ms_split(c, a, b, lv); goto sp4;
   sp4: sa := modref(c, k4); goto sp5;
   sp5: sb := modref(c, k5); goto sp6;
-  sp6: call msort(a, sa); goto sp7;
-  sp7: call msort(b, sb); goto sp8;
+  sp6: call ms_sort(a, sa, lv2); goto sp7;
+  sp7: call ms_sort(b, sb, lv2); goto sp8;
   sp8: nop; tail ms_merge(sa, sb, d);
 }
 
-// Distributes the chain starting at cell c alternately onto da / db.
-func ms_split(int* c, modref* da, modref* db, int side) {
+// Distributes the chain starting at cell c onto da / db by a coin of
+// each cell's identity salted by the level, so a deleted or inserted cell
+// moves no other cell (a split by position flips every later cell).
+func ms_split(int* c, modref* da, modref* db, int lv) {
   var int* out;
-  var int h; var int sz; var int z; var int ns; var int* nx;
+  var int h; var int sz; var int z; var int* nx;
   var modref* ot; var modref* tlr;
   var int i0; var int i1;
+  var int hk; var int hd; var int k2; var int s; var int s2; var int s3;
+  var int side;
   e0: i0 := 0; goto e1;
   e1: i1 := 1; goto e2;
   e2: sz := 16; goto e3;
   e3: h := c[i0]; goto e4;
   e4: ot := modref(c, i0); goto e5;
-  e5: out := alloc(sz, ms_cellinit, h, ot); goto e6;
+  e5: out := alloc(sz, ms_cellinit, h, ot); goto h0;
+  h0: hk := 2654435761; goto h1;
+  h1: hd := 65536; goto h2;
+  h2: k2 := 2; goto h3;
+  h3: s := add(c, lv); goto h4;
+  h4: s2 := mul(s, hk); goto h5;
+  h5: s3 := div(s2, hd); goto h6;
+  h6: side := mod(s3, k2); goto e6;
   e6: if side then goto pb else goto pa;
   pa: write(da, out); goto pa1;
-  pa1: tlr := c[i1]; goto pa2;
-  pa2: ns := 1; goto pa3;
+  pa1: tlr := c[i1]; goto pa3;
   pa3: nx := read tlr; goto pa4;
   pa4: if nx then goto pa5 else goto paz;
-  pa5: nop; tail ms_split(nx, ot, db, ns);
+  pa5: nop; tail ms_split(nx, ot, db, lv);
   paz: z := 0; goto paz1;
   paz1: write(ot, z); goto paz2;
   paz2: write(db, z); goto finz;
   finz: done;
   pb: write(db, out); goto pb1;
-  pb1: tlr := c[i1]; goto pb2;
-  pb2: ns := 0; goto pb3;
+  pb1: tlr := c[i1]; goto pb3;
   pb3: nx := read tlr; goto pb4;
   pb4: if nx then goto pb5 else goto pbz;
-  pb5: nop; tail ms_split(nx, da, ot, ns);
+  pb5: nop; tail ms_split(nx, da, ot, lv);
   pbz: z := 0; goto pbz1;
   pbz1: write(ot, z); goto pbz2;
   pbz2: write(da, z); goto finz2;

@@ -5,8 +5,9 @@
 //   1. order structure   (groups, labels, links, two-level agreement,
 //                         cursor and trace-end membership)
 //   2. trace walk        (stamp kinds vs. their containers, interval
-//                         nesting, node/closure/block extents, closure
-//                         ownership, per-node byte accounting)
+//                         nesting, node/closure/block extents and their
+//                         disjointness, closure ownership, per-node byte
+//                         accounting)
 //   3. use-lists + heap  (per-modifiable ordering, equality-cut
 //                         soundness, dirty/queue agreement)
 //   4. memo indexes      (chain shape, hash placement, exact membership)
@@ -27,6 +28,7 @@
 #include "runtime/Runtime.h"
 #include "support/simd/Simd.h"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -183,6 +185,11 @@ struct TraceAudit::Impl {
   std::unordered_map<const Modref *, std::vector<const Use *>> UsesByRef;
   /// Order-list groups walked by pass 1 (for the arena reconciliation).
   size_t Groups = 0;
+  /// One bit per arena grain below the frontier, set for each grain a
+  /// node, closure or block the trace walk charged covers: every one is
+  /// its own arena block, so no grain may be covered twice.
+  std::vector<uint64_t> Covered;
+  bool Overlap = false;
 
   Impl(const Runtime &R, TraceAudit::Report &Out) : RT(R), Rep(Out) {}
 
@@ -214,6 +221,30 @@ struct TraceAudit::Impl {
     if (!H.Bits || !within(H.Bits, Need, What))
       return nullptr;
     return RT.Mem.ptr(H);
+  }
+
+  /// Charges the \p Bytes block at \p P (null when its handle failed
+  /// to decode) to the trace's accounted bytes.
+  void charge(const void *P, size_t Bytes) {
+    Rep.TraceBytes += Arena::accountedSize(Bytes);
+    if (!P || Overlap)
+      return;
+    const auto *Base = static_cast<const char *>(RT.Mem.regionBase());
+    const size_t Grain = Arena::HandleGrain;
+    size_t G = size_t(static_cast<const char *>(P) - Base) / Grain;
+    size_t End = std::min(G + Arena::accountedSize(Bytes) / Grain,
+                          Covered.size() * 64);
+    for (; G < End; ++G) {
+      uint64_t Bit = uint64_t(1) << (G % 64);
+      if (Covered[G / 64] & Bit) {
+        // A handle forged to name a spot inside another live block.
+        fail("arena: two live trace blocks overlap at region offset 0x%llx",
+             (unsigned long long)(G * Grain));
+        Overlap = true;
+        return;
+      }
+      Covered[G / 64] |= Bit;
+    }
   }
 
   /// Decodes a trace-owned closure: its header, then the whole frame its
@@ -382,8 +413,8 @@ struct TraceAudit::Impl {
 
   void walkTrace() {
     const size_t Box = RT.Cfg.BoxBytesPerNode;
+    Covered.assign((RT.Mem.bumpUsedBytes() / Arena::HandleGrain + 63) / 64, 0);
     std::vector<const ReadNode *> OpenReads;
-    std::unordered_set<const void *> Blocks;
     const OmNode *Last = decode(RT.Om.Base, "trace: base");
     if (!Last)
       return; // Pass 1 reported it.
@@ -446,7 +477,7 @@ struct TraceAudit::Impl {
         fail("trace: node stamped at two timestamps");
         continue;
       }
-      Rep.TraceBytes += Arena::accountedSize(NodeBytes + Box);
+      charge(T, NodeBytes + Box);
       switch (T->Kind) {
       case TraceKind::Read: {
         const auto *R = static_cast<const ReadNode *>(T);
@@ -463,7 +494,7 @@ struct TraceAudit::Impl {
             fail("read: governing-write cache names a node of kind %u",
                  unsigned(G->Kind));
         if (const Closure *Clo = traceClosure(R->Clo, "read closure"))
-          Rep.TraceBytes += Arena::accountedSize(Clo->byteSize());
+          charge(Clo, Clo->byteSize());
         else
           Unsound.insert(R);
         break;
@@ -480,17 +511,15 @@ struct TraceAudit::Impl {
       case TraceKind::Alloc: {
         const auto *A = static_cast<const AllocNode *>(T);
         Allocs.push_back(A);
-        Rep.TraceBytes += Arena::accountedSize(A->Size);
+        // A block two allocations share (a double steal) is an overlap.
+        charge(A->Size ? decode(A->Block, "alloc block", A->Size) : nullptr,
+               A->Size);
         if (A->Size == 0)
           fail("alloc: zero-sized block");
-        else if (const void *Block = decode(A->Block, "alloc block", A->Size))
-          if (!Blocks.insert(Block).second)
-            fail("alloc: two live allocations share one block (double "
-                 "steal?)");
         if (A->Size && !A->Block)
           fail("alloc: null block");
         if (const Closure *Init = traceClosure(A->Init, "alloc initializer"))
-          Rep.TraceBytes += Arena::accountedSize(Init->byteSize());
+          charge(Init, Init->byteSize());
         else
           Unsound.insert(A);
         break;

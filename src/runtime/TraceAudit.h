@@ -45,7 +45,9 @@
 ///    the order list's groups and base, the memo tables' bucket arrays,
 ///    and tracked mutator blocks
 ///    (Runtime::metaAlloc) reconcile exactly with Arena liveBytes — a
-///    leak or double-free shows up as a delta.
+///    leak or double-free shows up as a delta. The trace's nodes,
+///    closures and allocation blocks are pairwise disjoint, so a handle
+///    forged to name a spot inside another live block is reported.
 ///
 /// The audit is read-only and meta-phase only. Runtime::Config::Audit
 /// picks the level: Off (auditNow is a no-op), Checkpoints (explicit

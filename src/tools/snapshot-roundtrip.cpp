@@ -18,8 +18,11 @@
 // start, then audits the mapped trace with TraceAudit::inspect right
 // after the load, before the first edit: the checkpoint crossed a process
 // boundary. That audit covers the trace structures; the mutator's own
-// words in the arena (list cells) are checked by the output comparison
-// only.
+// words in the arena (list cells) are not trace structure, so every list
+// walk checks each cell and tail modifiable it follows against the
+// arena's bump-allocated part and stops at the saved element count. A
+// corrupted file then fails with exit 2 rather than a wild read; the
+// warm start itself still assumes save()'s unmodified output.
 //
 // Snapshots are position-dependent (region bases and code addresses must
 // coincide), so both ends run under `setarch -R` (ASLR off) in CI.
@@ -98,20 +101,65 @@ struct Editor {
   }
 };
 
-std::vector<Word> expectedOutput(Runtime &RT, Modref *Head) {
-  std::vector<Word> Cur = apps::readList(RT, Head);
-  std::vector<Word> Out;
-  for (Word W : Cur)
-    Out.push_back(mapPaper(W, 0));
-  Out.insert(Out.end(), Cur.rbegin(), Cur.rend());
-  return Out;
+/// True if the \p Bytes at \p P lie below the arena's bump frontier, and
+/// \p P is word-aligned like every arena block.
+bool inArena(Runtime &RT, const void *P, size_t Bytes) {
+  auto *Base = static_cast<const char *>(RT.arena().regionBase());
+  auto *C = static_cast<const char *>(P);
+  return C >= Base && C + Bytes <= Base + RT.arena().bumpUsedBytes() &&
+         reinterpret_cast<uintptr_t>(C) % alignof(Word) == 0;
 }
 
-std::vector<Word> actualOutput(Runtime &RT, Modref *DstMap, Modref *DstRev) {
-  std::vector<Word> Out = apps::readList(RT, DstMap);
-  std::vector<Word> Rev = apps::readList(RT, DstRev);
-  Out.insert(Out.end(), Rev.begin(), Rev.end());
-  return Out;
+/// True if RT.deref(M) reads only the arena: M itself, the use its Tail
+/// handle names, and (for a read) the governing write that read names.
+bool derefInArena(Runtime &RT, const Modref *M) {
+  if (!inArena(RT, M, sizeof(Modref)))
+    return false;
+  if (!M->Tail)
+    return true;
+  const Arena &A = RT.arena();
+  if (!A.handleInBounds(M->Tail.Bits))
+    return false;
+  const Use *T = A.at(M->Tail);
+  return T->Kind == TraceKind::Write ||
+         A.handleInBounds(static_cast<const ReadNode *>(T)->Gov.Bits);
+}
+
+/// apps::readList for a list read out of a checkpoint: each cell and
+/// tail is checked before it is followed, and the walk stops at the
+/// saved element count. Returns false if either check fails.
+bool readListChecked(Runtime &RT, Modref *Head, std::vector<Word> &Out,
+                     std::vector<apps::Cell *> *Cells = nullptr) {
+  Out.clear();
+  for (Modref *Ref = Head;;) {
+    if (!derefInArena(RT, Ref))
+      return false;
+    auto *C = RT.derefT<apps::Cell *>(Ref);
+    if (!C)
+      return true;
+    if (Out.size() == InputWords || !inArena(RT, C, sizeof(apps::Cell)))
+      return false;
+    Out.push_back(C->Head);
+    if (Cells)
+      Cells->push_back(C);
+    Ref = C->Tail;
+  }
+}
+
+/// Checks the map and reverse outputs against a recomputation from the
+/// input list. Returns "" if they agree, else what went wrong.
+std::string checkOutputs(Runtime &RT, Modref *Head, Modref *DstMap,
+                         Modref *DstRev) {
+  std::vector<Word> In, Map, Rev;
+  if (!readListChecked(RT, Head, In) || !readListChecked(RT, DstMap, Map) ||
+      !readListChecked(RT, DstRev, Rev))
+    return "a list leaves the arena or outgrows the input";
+  std::vector<Word> Expected;
+  for (Word W : In)
+    Expected.push_back(mapPaper(W, 0));
+  if (Map != Expected || Rev != std::vector<Word>(In.rbegin(), In.rend()))
+    return "output mismatch";
+  return "";
 }
 
 int runSave(const std::string &Path) {
@@ -122,8 +170,9 @@ int runSave(const std::string &Path) {
   RT.runCore<&apps::mapCore>(L.Head, DstMap, &mapPaper, Word(0));
   RT.runCore<&apps::reverseCore>(L.Head, DstRev);
 
-  if (actualOutput(RT, DstMap, DstRev) != expectedOutput(RT, L.Head)) {
-    std::fprintf(stderr, "save: fresh run output mismatch\n");
+  std::string Why = checkOutputs(RT, L.Head, DstMap, DstRev);
+  if (!Why.empty()) {
+    std::fprintf(stderr, "save: fresh run: %s\n", Why.c_str());
     return 2;
   }
 
@@ -147,7 +196,10 @@ int runSave(const std::string &Path) {
 }
 
 int runLoad(const std::string &Path, bool UseMmap) {
-  Runtime RT(toolConfig());
+  // No automatic audit: the tool inspects the trace itself after the load
+  // and after every propagation, and exits 2 on a violation where the
+  // automatic audit would abort.
+  Runtime RT;
   Snapshot::LoadResult LR = UseMmap ? Snapshot::mmapWarmStart(RT, Path)
                                     : Snapshot::load(RT, Path);
   if (!LR.ok()) {
@@ -183,11 +235,20 @@ int runLoad(const std::string &Path, bool UseMmap) {
     E.L.Cells.push_back(static_cast<apps::Cell *>(LR.Roots[I]));
   E.Attached.assign(E.L.Cells.size(), true); // Checkpoint taken pre-edit.
 
+  // The editor follows the root cells, so they must be the checked list.
+  std::vector<Word> In;
+  std::vector<apps::Cell *> Walked;
+  if (!readListChecked(RT, E.L.Head, In, &Walked) || Walked != E.L.Cells) {
+    std::fprintf(stderr, "load: the input list is not the saved cells\n");
+    return 2;
+  }
+
   std::printf("loaded (%s), digest %016llx\n", UseMmap ? "mmap" : "copy",
               (unsigned long long)Snapshot::traceShapeDigest(RT));
 
-  if (actualOutput(RT, DstMap, DstRev) != expectedOutput(RT, E.L.Head)) {
-    std::fprintf(stderr, "load: restored output mismatch\n");
+  std::string Why = checkOutputs(RT, E.L.Head, DstMap, DstRev);
+  if (!Why.empty()) {
+    std::fprintf(stderr, "load: restored trace: %s\n", Why.c_str());
     return 2;
   }
 
@@ -202,8 +263,9 @@ int runLoad(const std::string &Path, bool UseMmap) {
                    Audit.summary().c_str());
       return 2;
     }
-    if (actualOutput(RT, DstMap, DstRev) != expectedOutput(RT, E.L.Head)) {
-      std::fprintf(stderr, "load: output mismatch at step %d\n", Step);
+    Why = checkOutputs(RT, E.L.Head, DstMap, DstRev);
+    if (!Why.empty()) {
+      std::fprintf(stderr, "load: step %d: %s\n", Step, Why.c_str());
       return 2;
     }
   }
@@ -225,9 +287,15 @@ int main(int argc, char **argv) {
       ++It;
     }
   if (Args.size() != 2 || (Args[0] != "save" && Args[0] != "load")) {
-    std::fprintf(stderr,
-                 "usage: snapshot-roundtrip save <file>\n"
-                 "       snapshot-roundtrip load [--mmap] <file>\n");
+    std::fprintf(
+        stderr,
+        "usage: snapshot-roundtrip save <file>\n"
+        "       snapshot-roundtrip load [--mmap] <file>\n"
+        "load copies the file and verifies every checksum and the trace.\n"
+        "load --mmap trusts the file to be save()'s unmodified output: it\n"
+        "maps the arena unverified, then audits the trace and checks every\n"
+        "list cell it walks. Corruption that neither check sees may still\n"
+        "crash it; use plain load for files you do not trust.\n");
     return 5;
   }
   return Args[0] == "save" ? runSave(Args[1]) : runLoad(Args[1], UseMmap);

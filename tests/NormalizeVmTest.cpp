@@ -375,6 +375,44 @@ TEST(Vm, SortsPropagate) {
   }
 }
 
+// Stability of the CL mergesort: ms_split sends each cell to a side by a
+// coin of its own identity and level, so deleting one cell moves no other
+// cell and a single update re-executes a small fraction of the reads a
+// from-scratch run traces. A split by position flips the side of every
+// later cell, and an update then costs more than a fresh run.
+TEST(Vm, MergesortUpdatesAreIncremental) {
+  Program Norm = normalizeProgram(parseOrDie(samples::Mergesort)).Prog;
+  Rng R(12);
+  std::vector<int64_t> In;
+  for (int I = 0; I < 512; ++I)
+    In.push_back(static_cast<int64_t>(R.below(1u << 30)));
+
+  Runtime RT;
+  Vm M(RT, Norm);
+  VmList L = buildVmList(M, In);
+  Modref *Out = M.metaModref();
+  M.runCore("msort", {toWord(L.Head), toWord(Out)});
+  uint64_t FromScratch = RT.stats().ReadsTraced;
+  uint64_t Before = RT.stats().ReadsReexecuted;
+
+  constexpr int Pairs = 20;
+  for (int Edit = 0; Edit < Pairs; ++Edit) {
+    size_t I = R.below(L.Cells.size());
+    M.metaWrite(L.tailRefBefore(I), M.metaRead(L.Tails[I])); // Delete.
+    M.propagate();
+    M.metaWrite(L.tailRefBefore(I), toWord(L.Cells[I])); // Reinsert.
+    M.propagate();
+  }
+  std::vector<int64_t> Expected = In;
+  std::sort(Expected.begin(), Expected.end());
+  ASSERT_EQ(readVmList(M, Out), Expected);
+
+  double Mean =
+      double(RT.stats().ReadsReexecuted - Before) / double(2 * Pairs);
+  EXPECT_LT(Mean, 0.02 * double(FromScratch))
+      << "from-scratch reads " << FromScratch;
+}
+
 TEST(Vm, ExpTreesPropagate) {
   Program Norm = normalizeProgram(parseOrDie(samples::ExpTrees)).Prog;
   Runtime RT;

@@ -559,6 +559,7 @@ TEST(Snapshot, ForgedExtentsAndStrayCursorAreAuditFailed) {
   Checkpoint C;
   makeCheckpoint(C);
   uint64_t PrevUseOff = 0, CloOff = 0, CloArgs = 0, AllocSizeOff = 0;
+  uint64_t AllocBlockOff = 0, ReadHandle = 0;
   {
     ASSERT_TRUE(spitFile(C.Tmp.Path, C.Bytes));
     Runtime RT(testConfig());
@@ -573,11 +574,14 @@ TEST(Snapshot, ForgedExtentsAndStrayCursorAreAuditFailed) {
         const auto *R = static_cast<const ReadNode *>(N);
         const Closure *Clo = RT.arena().ptr(R->Clo);
         PrevUseOff = OffOf(&R->PrevUse);
+        ReadHandle = OffOf(R) / Arena::HandleGrain;
         CloOff = OffOf(Clo);
         CloArgs = Clo->numArgs();
       }
-      if (N->Kind == TraceKind::Alloc && !AllocSizeOff)
+      if (N->Kind == TraceKind::Alloc && !AllocSizeOff) {
         AllocSizeOff = OffOf(&static_cast<const AllocNode *>(N)->Size);
+        AllocBlockOff = OffOf(&static_cast<const AllocNode *>(N)->Block);
+      }
     }
   }
   ASSERT_NE(PrevUseOff, 0u);
@@ -606,6 +610,8 @@ TEST(Snapshot, ForgedExtentsAndStrayCursorAreAuditFailed) {
        MemSection},
       {"zero-size alloc block", "zero-sized", MemAt + AllocSizeOff, 0, 4,
        MemSection},
+      {"alloc block naming a live read node", "overlap",
+       MemAt + AllocBlockOff, ReadHandle, 4, MemSection},
       // The read memo's bucket array: grain-aligned, below the frontier,
       // and not an order-list node.
       {"cursor in bounds but no timestamp", "cursor is not a member",
