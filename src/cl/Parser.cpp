@@ -4,15 +4,16 @@
 
 #include "cl/Lexer.h"
 
-#include <map>
+#include <string_view>
+#include <unordered_map>
 
 using namespace ceal;
 using namespace ceal::cl;
 
 namespace {
 
-const std::map<std::string, OpKind> &opTable() {
-  static const std::map<std::string, OpKind> Table = {
+const std::unordered_map<std::string_view, OpKind> &opTable() {
+  static const std::unordered_map<std::string_view, OpKind> Table = {
       {"add", OpKind::Add}, {"sub", OpKind::Sub}, {"mul", OpKind::Mul},
       {"div", OpKind::Div}, {"mod", OpKind::Mod}, {"lt", OpKind::Lt},
       {"le", OpKind::Le},   {"gt", OpKind::Gt},   {"ge", OpKind::Ge},
@@ -48,7 +49,7 @@ public:
 
 private:
   const Token &peek() const { return Tokens[Pos]; }
-  Token next() { return Tokens[Pos++]; }
+  const Token &next() { return Tokens[Pos++]; }
 
   ParseResult fail(unsigned Line, const std::string &Msg) {
     if (!Failed) {
@@ -77,16 +78,19 @@ private:
     return true;
   }
 
-  std::string parseIdent(const char *What) {
+  /// The identifier's text, or "" after a failure. The reference stays
+  /// valid for the parser's lifetime: the token vector is never resized.
+  const std::string &parseIdent(const char *What) {
+    static const std::string Empty;
     if (peek().K != Token::Ident) {
       err(std::string("expected ") + What);
-      return "";
+      return Empty;
     }
     return next().Text;
   }
 
   std::optional<Type> parseType() {
-    std::string Base = parseIdent("type");
+    const std::string &Base = parseIdent("type");
     if (Failed)
       return std::nullopt;
     Type T;
@@ -142,9 +146,9 @@ private:
   }
 
   Jump parseJump() {
-    std::string KW = parseIdent("jump");
+    const std::string &KW = parseIdent("jump");
     if (KW == "goto") {
-      std::string Label = parseIdent("label");
+      const std::string &Label = parseIdent("label");
       Jump J;
       J.K = Jump::Goto;
       // Targets may be forward references; store an index into
@@ -154,7 +158,7 @@ private:
       return J;
     }
     if (KW == "tail") {
-      std::string Name = parseIdent("function");
+      const std::string &Name = parseIdent("function");
       Jump J;
       J.K = Jump::Tail;
       J.Fn = Failed ? InvalidId : lookupFunc(Name);
@@ -168,7 +172,7 @@ private:
   Expr parseExpr() {
     if (peek().K == Token::Number)
       return Expr::makeConst(next().Value);
-    std::string Name = parseIdent("expression");
+    const std::string &Name = parseIdent("expression");
     if (Failed)
       return Expr();
     auto OpIt = opTable().find(Name);
@@ -206,7 +210,7 @@ private:
     }
     if (First == "call") {
       C.K = Command::Call;
-      std::string Name = parseIdent("function");
+      const std::string &Name = parseIdent("function");
       if (!Failed)
         C.Fn = lookupFunc(Name);
       C.Args = parseVarList();
@@ -249,7 +253,7 @@ private:
         expect(Token::LParen, "'('");
         C.SizeVar = parseVarRef();
         expect(Token::Comma, "','");
-        std::string Init = parseIdent("init function");
+        const std::string &Init = parseIdent("init function");
         if (!Failed)
           C.Fn = lookupFunc(Init);
         while (!Failed && peek().K == Token::Comma) {
@@ -267,7 +271,7 @@ private:
   }
 
   void parseBlock(Function &F) {
-    std::string Label = parseIdent("label");
+    const std::string &Label = parseIdent("label");
     if (!expect(Token::Colon, "':'"))
       return;
     if (Labels.count(Label)) {
@@ -292,7 +296,7 @@ private:
       expect(Token::Semi, "';'");
     } else {
       B.K = BasicBlock::Cmd;
-      std::string First = parseIdent("command");
+      const std::string &First = parseIdent("command");
       if (Failed)
         return;
       B.C = parseCommandStartingWithIdent(First);
@@ -307,10 +311,11 @@ private:
     auto Resolve = [&](Jump &J) {
       if (J.K != Jump::Goto || !(J.Target & LabelTag))
         return;
-      const std::string &Label = PendingLabels[J.Target & ~LabelTag];
+      std::string_view Label = PendingLabels[J.Target & ~LabelTag];
       auto It = Labels.find(Label);
       if (It == Labels.end()) {
-        fail(Line, "undefined label '" + Label + "' in function " + F.Name);
+        fail(Line, "undefined label '" + std::string(Label) +
+                       "' in function " + F.Name);
         return;
       }
       J.Target = It->second;
@@ -329,7 +334,7 @@ private:
     unsigned StartLine = peek().Line;
     if (!expectKeyword("func"))
       return;
-    std::string Name = parseIdent("function name");
+    const std::string &Name = parseIdent("function name");
     if (Failed)
       return;
     FuncId Id = FuncIds.at(Name);
@@ -344,7 +349,7 @@ private:
         auto Ty = parseType();
         if (!Ty)
           return;
-        std::string VarName = parseIdent("parameter name");
+        const std::string &VarName = parseIdent("parameter name");
         if (Failed)
           return;
         if (VarIds.count(VarName)) {
@@ -363,7 +368,7 @@ private:
       auto Ty = parseType();
       if (!Ty)
         return;
-      std::string VarName = parseIdent("variable name");
+      const std::string &VarName = parseIdent("variable name");
       if (Failed)
         return;
       if (VarIds.count(VarName)) {
@@ -388,13 +393,15 @@ private:
 
   static constexpr BlockId LabelTag = BlockId(1) << 30;
 
+  // The name tables key on views of token text; Tokens is never resized
+  // after lexing, so the views stay valid.
   std::vector<Token> Tokens;
   size_t Pos = 0;
   Program Prog;
-  std::map<std::string, FuncId> FuncIds;
-  std::map<std::string, VarId> VarIds;   // Per current function.
-  std::map<std::string, BlockId> Labels; // Per current function.
-  std::vector<std::string> PendingLabels;
+  std::unordered_map<std::string_view, FuncId> FuncIds;
+  std::unordered_map<std::string_view, VarId> VarIds;   // Per function.
+  std::unordered_map<std::string_view, BlockId> Labels; // Per function.
+  std::vector<std::string_view> PendingLabels;
   bool Failed = false;
   std::string Error;
 };

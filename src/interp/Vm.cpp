@@ -3,8 +3,8 @@
 #include "interp/Vm.h"
 
 #include "cl/Verifier.h"
-#include "support/Check.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace ceal;
@@ -43,7 +43,7 @@ Word applyOp(OpKind Op, Word AW, Word BW) {
   return 0;
 }
 
-Word evalExpr(const Expr &E, const std::vector<Word> &Regs) {
+Word evalExpr(const Expr &E, const Word *Regs) {
   switch (E.K) {
   case Expr::Const:
     return toWord(E.IntVal);
@@ -59,9 +59,27 @@ Word evalExpr(const Expr &E, const std::vector<Word> &Regs) {
   return 0;
 }
 
+/// Rebuilds the frame at \p Base in place for tail jump \p J into
+/// \p Callee. The arguments are staged above the current frame first,
+/// because they may permute its registers.
+void tailFrame(WordStack &S, size_t Base, const Jump &J,
+               const Function &Callee) {
+  const size_t N = J.Args.size(), NumVars = Callee.Vars.size();
+  S.reserve(std::max(S.Top + N, Base + NumVars));
+  Word *Regs = S.at(Base), *Args = S.at(S.Top);
+  for (size_t I = 0; I < N; ++I)
+    Args[I] = Regs[J.Args[I]];
+  std::copy(Args, Args + N, Regs);
+  std::fill(Regs + N, Regs + NumVars, Word(0));
+}
+
 constexpr Word NoSubst = ~Word(0);
 
 } // namespace
+
+void WordStack::grow(size_t End) {
+  Words.resize(std::max(End, 2 * Words.size()));
+}
 
 //===----------------------------------------------------------------------===//
 // The self-adjusting VM
@@ -78,17 +96,16 @@ Vm::Vm(Runtime &RT, const Program &P) : RT(RT), Prog(P) {
 /// trampoline's substitution register. The stored CL arguments are never
 /// mutated (the substitution position keeps its placeholder), so memo
 /// keys — which cover every stored arg — are stable across re-executions.
-Closure *Vm::makeVmClosure(FuncId F, Word SubstPos,
-                           const std::vector<Word> &Args) {
+/// The frame is staged at the stack top, so building it allocates nothing
+/// beyond the closure itself.
+Closure *Vm::makeVmClosure(FuncId F, Word SubstPos, size_t NumArgs) {
   ++ClosuresMade;
-  ClosureEnvWords += Args.size();
-  std::vector<Word> Frame(3 + Args.size());
+  ClosureEnvWords += NumArgs;
+  Word *Frame = Stack.at(Stack.Top);
   Frame[0] = toWord(this);
   Frame[1] = F;
   Frame[2] = SubstPos;
-  for (size_t I = 0; I < Args.size(); ++I)
-    Frame[3 + I] = Args[I];
-  return RT.makeRaw(&Vm::vmEntry, Frame.data(), Frame.size());
+  return RT.makeRaw(&Vm::vmEntry, Frame, 3 + NumArgs);
 }
 
 Closure *Vm::vmEntry(Runtime &RT, Closure *C, Word Subst) {
@@ -99,21 +116,31 @@ Closure *Vm::vmEntry(Runtime &RT, Closure *C, Word Subst) {
   Word SubstPos = A[2];
   size_t NumArgs = C->numArgs() - 3;
   const Function &Fn = Self->Prog.Funcs[F];
-  std::vector<Word> Regs(Fn.Vars.size(), 0);
   assert(NumArgs == Fn.NumParams && "VM closure arity mismatch");
-  for (size_t I = 0; I < NumArgs; ++I)
-    Regs[I] = A[3 + I];
+  // Push the frame above any live one: initializers and `call` enter the
+  // VM while their caller's frame is still live.
+  WordStack &S = Self->Stack;
+  const size_t Base = S.Top;
+  Word *Regs = S.stage(Fn.Vars.size());
+  std::copy(A + 3, A + 3 + NumArgs, Regs);
+  std::fill(Regs + NumArgs, Regs + Fn.Vars.size(), Word(0));
   if (SubstPos != NoSubst)
     Regs[SubstPos] = Subst; // The read value / block address arrives here.
-  return Self->exec(F, std::move(Regs));
+  Closure *Next = Self->exec(F, Base);
+  S.Top = Base;
+  return Next;
 }
 
-Closure *Vm::exec(FuncId F, std::vector<Word> Regs) {
+Closure *Vm::exec(FuncId F, size_t Base) {
   for (;;) { // Tail-jump loop: tails iterate instead of growing the stack.
     const Function &Fn = Prog.Funcs[F];
+    Stack.Top = Base + Fn.Vars.size();
     BlockId B = 0;
     const Jump *Next = nullptr;
     for (;;) { // Intra-function block loop.
+      // Staging and nested entries may move the stack; re-derive the
+      // frame's address after each.
+      Word *Regs = Stack.at(Base);
       const BasicBlock &BB = Fn.Blocks[B];
       switch (BB.K) {
       case BasicBlock::Done:
@@ -135,14 +162,9 @@ Closure *Vm::exec(FuncId F, std::vector<Word> Regs) {
           break;
         case Command::ModrefAlloc: {
           // Key words identify this modifiable across re-executions; the
-          // fresh-allocation path matches keyless modref() too. Keys go
-          // through a stack buffer: this runs once per VM-executed
-          // modref(keys...), and a transient heap vector dominated the
-          // instruction's cost. CL key arity is bounded by program text.
-          constexpr size_t MaxModrefKeys = 16;
-          checkAlways(C.Args.size() <= MaxModrefKeys,
-                      "modref key arity exceeds the VM limit");
-          Word Keys[MaxModrefKeys];
+          // fresh-allocation path matches keyless modref() too.
+          Word *Keys = Stack.stage(C.Args.size());
+          Regs = Stack.at(Base);
           for (size_t I = 0; I < C.Args.size(); ++I)
             Keys[I] = Regs[C.Args[I]];
           Regs[C.Dst] = toWord(RT.coreModrefDynamic(Keys, C.Args.size()));
@@ -154,9 +176,11 @@ Closure *Vm::exec(FuncId F, std::vector<Word> Regs) {
           // value substitutes at the destination's position in the tail
           // arguments (if the destination is passed at all).
           assert(BB.J.K == Jump::Tail && "read must tail (normal form)");
+          const size_t N = BB.J.Args.size();
+          Word *Args = stageClosure(N);
+          Regs = Stack.at(Base);
           Word SubstPos = NoSubst;
-          std::vector<Word> Args(BB.J.Args.size());
-          for (size_t I = 0; I < Args.size(); ++I) {
+          for (size_t I = 0; I < N; ++I) {
             if (BB.J.Args[I] == C.Dst && SubstPos == NoSubst) {
               SubstPos = I;
               Args[I] = 0; // Placeholder: keeps the memo key stable.
@@ -164,7 +188,7 @@ Closure *Vm::exec(FuncId F, std::vector<Word> Regs) {
               Args[I] = Regs[BB.J.Args[I]];
             }
           }
-          Closure *K = makeVmClosure(BB.J.Fn, SubstPos, Args);
+          Closure *K = makeVmClosure(BB.J.Fn, SubstPos, N);
           return RT.read(fromWord<Modref *>(Regs[C.Src]), K);
         }
         case Command::Write:
@@ -173,20 +197,25 @@ Closure *Vm::exec(FuncId F, std::vector<Word> Regs) {
         case Command::Alloc: {
           // The initializer's first parameter receives the block; the
           // allocation is memo-keyed by (initializer, size, arguments).
-          std::vector<Word> Args(1 + C.Args.size());
+          const size_t N = 1 + C.Args.size();
+          Word *Args = stageClosure(N);
+          Regs = Stack.at(Base);
           Args[0] = 0; // Block placeholder.
           for (size_t I = 0; I < C.Args.size(); ++I)
             Args[1 + I] = Regs[C.Args[I]];
-          Closure *Init = makeVmClosure(C.Fn, /*SubstPos=*/0, Args);
-          Regs[C.Dst] =
+          Closure *Init = makeVmClosure(C.Fn, /*SubstPos=*/0, N);
+          Word Block =
               toWord(RT.allocate(static_cast<size_t>(Regs[C.SizeVar]), Init));
+          Stack.at(Base)[C.Dst] = Block;
           break;
         }
         case Command::Call: {
-          std::vector<Word> Args(C.Args.size());
-          for (size_t I = 0; I < Args.size(); ++I)
+          const size_t N = C.Args.size();
+          Word *Args = stageClosure(N);
+          Regs = Stack.at(Base);
+          for (size_t I = 0; I < N; ++I)
             Args[I] = Regs[C.Args[I]];
-          RT.call(makeVmClosure(C.Fn, NoSubst, Args));
+          RT.call(makeVmClosure(C.Fn, NoSubst, N));
           break;
         }
         }
@@ -198,13 +227,10 @@ Closure *Vm::exec(FuncId F, std::vector<Word> Regs) {
         B = Next->Target;
         continue;
       }
-      // Tail jump: gather arguments and iterate into the next function.
-      const Function &Callee = Prog.Funcs[Next->Fn];
-      std::vector<Word> NewRegs(Callee.Vars.size(), 0);
-      for (size_t I = 0; I < Next->Args.size(); ++I)
-        NewRegs[I] = Regs[Next->Args[I]];
+      // Tail jump: rebuild the frame in place and iterate into the next
+      // function.
+      tailFrame(Stack, Base, *Next, Prog.Funcs[Next->Fn]);
       F = Next->Fn;
-      Regs = std::move(NewRegs);
       break;
     }
   }
@@ -214,7 +240,8 @@ void Vm::runCore(const std::string &Name, const std::vector<Word> &Args) {
   FuncId F = Prog.findFunc(Name);
   assert(F != InvalidId && "unknown core function");
   assert(Args.size() == Prog.Funcs[F].NumParams && "entry arity mismatch");
-  RT.run(makeVmClosure(F, NoSubst, Args));
+  std::copy(Args.begin(), Args.end(), stageClosure(Args.size()));
+  RT.run(makeVmClosure(F, NoSubst, Args.size()));
 }
 
 //===----------------------------------------------------------------------===//
@@ -234,20 +261,26 @@ void *ConvInterp::alloc(size_t Bytes) {
 void ConvInterp::run(const std::string &Name, const std::vector<Word> &Args) {
   FuncId F = Prog.findFunc(Name);
   assert(F != InvalidId && "unknown function");
-  exec(F, Args);
+  const Function &Fn = Prog.Funcs[F];
+  assert(Args.size() == Fn.NumParams && "arity mismatch");
+  const size_t Base = Stack.Top;
+  Word *Regs = Stack.stage(Fn.Vars.size());
+  std::copy(Args.begin(), Args.end(), Regs);
+  std::fill(Regs + Args.size(), Regs + Fn.Vars.size(), Word(0));
+  exec(F, Base);
+  Stack.Top = Base;
 }
 
-void ConvInterp::exec(FuncId F, std::vector<Word> Args) {
+void ConvInterp::exec(FuncId F, size_t Base) {
   for (;;) {
     const Function &Fn = Prog.Funcs[F];
-    std::vector<Word> Regs(Fn.Vars.size(), 0);
-    assert(Args.size() == Fn.NumParams && "arity mismatch");
-    for (size_t I = 0; I < Args.size(); ++I)
-      Regs[I] = Args[I];
+    Stack.Top = Base + Fn.Vars.size();
     BlockId B = 0;
     const Jump *Next = nullptr;
     for (;;) {
       ++Steps;
+      // Nested entries may move the stack; re-derive the frame's address.
+      Word *Regs = Stack.at(Base);
       const BasicBlock &BB = Fn.Blocks[B];
       switch (BB.K) {
       case BasicBlock::Done:
@@ -277,21 +310,29 @@ void ConvInterp::exec(FuncId F, std::vector<Word> Args) {
         case Command::Write:
           *fromWord<Word *>(Regs[C.Ref]) = Regs[C.Val];
           break;
-        case Command::Alloc: {
-          void *Block = alloc(static_cast<size_t>(Regs[C.SizeVar]));
-          std::vector<Word> InitArgs(1 + C.Args.size());
-          InitArgs[0] = toWord(Block);
-          for (size_t I = 0; I < C.Args.size(); ++I)
-            InitArgs[1 + I] = Regs[C.Args[I]];
-          exec(C.Fn, std::move(InitArgs));
-          Regs[C.Dst] = toWord(Block);
-          break;
-        }
+        case Command::Alloc:
         case Command::Call: {
-          std::vector<Word> CallArgs(C.Args.size());
-          for (size_t I = 0; I < CallArgs.size(); ++I)
-            CallArgs[I] = Regs[C.Args[I]];
-          exec(C.Fn, std::move(CallArgs));
+          // The callee's frame goes above this one: an initializer takes
+          // the block first, then the extra arguments.
+          const bool IsAlloc = C.K == Command::Alloc;
+          Word Block =
+              IsAlloc ? toWord(alloc(static_cast<size_t>(Regs[C.SizeVar])))
+                      : 0;
+          const Function &Callee = Prog.Funcs[C.Fn];
+          const size_t CalleeBase = Stack.Top;
+          Word *Args = Stack.stage(Callee.Vars.size());
+          Regs = Stack.at(Base);
+          size_t N = 0;
+          if (IsAlloc)
+            Args[N++] = Block;
+          for (VarId V : C.Args)
+            Args[N++] = Regs[V];
+          assert(N == Callee.NumParams && "arity mismatch");
+          std::fill(Args + N, Args + Callee.Vars.size(), Word(0));
+          exec(C.Fn, CalleeBase);
+          Stack.Top = CalleeBase;
+          if (IsAlloc)
+            Stack.at(Base)[C.Dst] = Block;
           break;
         }
         }
@@ -303,11 +344,8 @@ void ConvInterp::exec(FuncId F, std::vector<Word> Args) {
         B = Next->Target;
         continue;
       }
-      std::vector<Word> TailArgs(Next->Args.size());
-      for (size_t I = 0; I < TailArgs.size(); ++I)
-        TailArgs[I] = Regs[Next->Args[I]];
+      tailFrame(Stack, Base, *Next, Prog.Funcs[Next->Fn]);
       F = Next->Fn;
-      Args = std::move(TailArgs);
       break;
     }
   }

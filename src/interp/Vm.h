@@ -26,6 +26,15 @@
 /// deterministic); uninitialized locals are zero; array indexing is in
 /// words while alloc sizes are in bytes (as in the paper).
 ///
+/// Both keep their register frames on one WordStack each, in the manner
+/// of a stack machine: a function's frame is pushed on entry, a tail
+/// jump rebuilds it in place, and an allocation initializer or `call`
+/// pushes its frame above the caller's. Argument lists (read, alloc,
+/// call and tail arguments, and the Vm's closure frames) are staged
+/// above the innermost frame. Apart from the blocks, cells and closures
+/// the program itself creates, no step allocates, and the C++ stack used
+/// per frame does not depend on the function's variable count.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CEAL_INTERP_VM_H
@@ -39,6 +48,36 @@
 
 namespace ceal {
 namespace interp {
+
+/// A growable stack of words holding an executor's register frames.
+/// Frames are addressed by offset because growth moves the storage: a
+/// pointer from at() or stage() is valid only until the next stage(),
+/// reserve() or nested entry into the executor.
+class WordStack {
+public:
+  WordStack() : Words(InitialWords) {}
+
+  /// Makes the stack at least \p End words deep.
+  void reserve(size_t End) {
+    if (End > Words.size())
+      grow(End);
+  }
+  /// Makes room for \p N words at Top and returns their address.
+  Word *stage(size_t N) {
+    reserve(Top + N);
+    return at(Top);
+  }
+  Word *at(size_t Offset) { return Words.data() + Offset; }
+
+  /// First word above the innermost live frame.
+  size_t Top = 0;
+
+private:
+  static constexpr size_t InitialWords = 256;
+  void grow(size_t End);
+
+  std::vector<Word> Words;
+};
 
 /// The self-adjusting CL virtual machine.
 class Vm {
@@ -71,14 +110,20 @@ public:
   uint64_t closureEnvWords() const { return ClosureEnvWords; }
 
 private:
-  friend struct VmEntryHook;
   static Closure *vmEntry(Runtime &RT, Closure *C, Word Subst);
-  Closure *exec(cl::FuncId F, std::vector<Word> Regs0);
-  Closure *makeVmClosure(cl::FuncId F, Word SubstPos,
-                         const std::vector<Word> &Args);
+  /// Runs \p F on the frame at offset \p Base (parameters set, locals
+  /// zero) until it reads (returning the read's closure) or finishes.
+  Closure *exec(cl::FuncId F, size_t Base);
+  /// Stages a closure frame for \p NumArgs CL arguments at the stack top
+  /// and returns the address of its first argument slot.
+  Word *stageClosure(size_t NumArgs) { return Stack.stage(3 + NumArgs) + 3; }
+  /// Completes the frame stageClosure() staged and copies it into a
+  /// run-time closure.
+  Closure *makeVmClosure(cl::FuncId F, Word SubstPos, size_t NumArgs);
 
   Runtime &RT;
   const cl::Program &Prog;
+  WordStack Stack;
   uint64_t ClosuresMade = 0;
   uint64_t ClosureEnvWords = 0;
 };
@@ -97,10 +142,13 @@ public:
   uint64_t steps() const { return Steps; }
 
 private:
-  void exec(cl::FuncId F, std::vector<Word> Args);
+  /// Runs \p F on the frame at offset \p Base (parameters set, locals
+  /// zero) to completion.
+  void exec(cl::FuncId F, size_t Base);
 
   const cl::Program &Prog;
   std::vector<std::vector<Word>> Blocks; ///< Owned storage.
+  WordStack Stack;
   uint64_t Steps = 0;
 };
 

@@ -9,8 +9,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
+#include <numeric>
+#include <unordered_set>
 
 using namespace ceal;
 using namespace ceal::normalize;
@@ -19,19 +19,32 @@ using namespace ceal::analysis;
 
 namespace {
 
-/// Per-function normalization plan.
+/// Per-function normalization plan. Per-block tables are dense vectors
+/// indexed by BlockId.
 struct FuncPlan {
   /// Unit assignment: for each block, the defining node of its unit
   /// (ProgramGraph node id), or InvalidNode if unreachable.
   std::vector<uint32_t> UnitOf;
+  /// The blocks of each unit, indexed by defining node: the defining
+  /// block first, the others in ascending order.
+  std::vector<std::vector<BlockId>> UnitBlocks;
   /// Critical defining blocks (ascending BlockId).
   std::vector<BlockId> CriticalBlocks;
-  /// Fresh function id assigned to each critical block.
-  std::map<BlockId, FuncId> FreshId;
-  /// live(l) for each critical block, ascending VarId.
-  std::map<BlockId, std::vector<VarId>> LiveArgs;
+  /// Fresh function id of each critical block; InvalidId elsewhere.
+  std::vector<FuncId> FreshId;
+  /// live(l) for each critical block, ascending VarId; empty elsewhere.
+  std::vector<std::vector<VarId>> LiveArgs;
   LivenessInfo Live;
 };
+
+/// A variable or block renaming: dense, indexed by the original id.
+using IdMap = std::vector<uint32_t>;
+
+/// The new id of \p Id; every id a unit mentions is mapped.
+uint32_t mapId(const IdMap &Map, uint32_t Id) {
+  assert(Id < Map.size() && Map[Id] != InvalidId && "unmapped id");
+  return Map[Id];
+}
 
 class Normalizer {
 public:
@@ -55,7 +68,7 @@ private:
   void plan() {
     Plans.resize(In.Funcs.size());
     FuncId NextId = static_cast<FuncId>(In.Funcs.size());
-    std::set<std::string> UsedNames;
+    std::unordered_set<std::string> UsedNames;
     for (const Function &F : In.Funcs)
       UsedNames.insert(F.Name);
     FreshNames.clear();
@@ -84,6 +97,24 @@ private:
         }
       }
 
+      // Bucket the blocks by unit in one pass, then move each critical
+      // unit's defining block to the front.
+      Plan.UnitBlocks.assign(G.size(), {});
+      for (BlockId B = 0; B < F.Blocks.size(); ++B) {
+        uint32_t Unit = Plan.UnitOf[ProgramGraph::blockNode(B)];
+        if (Unit != InvalidNode)
+          Plan.UnitBlocks[Unit].push_back(B);
+      }
+      for (uint32_t Child : Children[ProgramGraph::Root]) {
+        if (!ProgramGraph::isBlockNode(Child))
+          continue;
+        std::vector<BlockId> &Blocks = Plan.UnitBlocks[Child];
+        auto It = std::find(Blocks.begin(), Blocks.end(),
+                            ProgramGraph::nodeBlock(Child));
+        assert(It != Blocks.end() && "defining block missing from its unit");
+        std::rotate(Blocks.begin(), It, It + 1);
+      }
+
       // Critical defining nodes are root children that are blocks.
       // Process them in ascending block order so fresh ids and names
       // stay aligned with the emission order.
@@ -91,6 +122,8 @@ private:
         if (ProgramGraph::isBlockNode(Child))
           Plan.CriticalBlocks.push_back(ProgramGraph::nodeBlock(Child));
       std::sort(Plan.CriticalBlocks.begin(), Plan.CriticalBlocks.end());
+      Plan.FreshId.assign(F.Blocks.size(), InvalidId);
+      Plan.LiveArgs.assign(F.Blocks.size(), {});
       for (BlockId B : Plan.CriticalBlocks) {
         Plan.FreshId[B] = NextId++;
         Plan.LiveArgs[B] = Plan.Live.liveAt(B);
@@ -109,34 +142,16 @@ private:
   // Emission
   //===------------------------------------------------------------===//
 
-  /// Blocks of the unit defined by graph node \p Defining in function
-  /// \p FI, defining block first, others in ascending order.
-  std::vector<BlockId> unitBlocks(FuncId FI, uint32_t Defining) const {
-    const FuncPlan &Plan = Plans[FI];
-    std::vector<BlockId> Blocks;
-    for (BlockId B = 0; B < In.Funcs[FI].Blocks.size(); ++B)
-      if (Plan.UnitOf[ProgramGraph::blockNode(B)] == Defining)
-        Blocks.push_back(B);
-    if (ProgramGraph::isBlockNode(Defining)) {
-      BlockId D = ProgramGraph::nodeBlock(Defining);
-      auto It = std::find(Blocks.begin(), Blocks.end(), D);
-      assert(It != Blocks.end() && "defining block missing from its unit");
-      std::rotate(Blocks.begin(), It, It + 1);
-    }
-    return Blocks;
-  }
-
-  /// Rewrites jump \p J from block \p From (in unit \p FromUnit) of
-  /// function \p FI, given the block and variable remaps of the unit
-  /// being emitted.
+  /// Rewrites jump \p J from a block in unit \p FromUnit of function
+  /// \p FI, given the variable remap \p VarMap and the block remap
+  /// BlockMap of the unit being emitted.
   Jump rewriteJump(FuncId FI, const Jump &J, uint32_t FromUnit, bool FromRead,
-                   const std::map<BlockId, BlockId> &BlockMap,
-                   const std::map<VarId, VarId> &VarMap) {
+                   const IdMap &VarMap) {
     const FuncPlan &Plan = Plans[FI];
     if (J.K == Jump::Tail) {
       Jump Copy = J;
       for (VarId &V : Copy.Args)
-        V = VarMap.at(V);
+        V = mapId(VarMap, V);
       return Copy;
     }
     BlockId Target = J.Target;
@@ -150,27 +165,30 @@ private:
       // Redirect into the fresh function (Fig. 7 lines 20-29).
       Jump T;
       T.K = Jump::Tail;
-      T.Fn = Plan.FreshId.at(Target);
-      for (VarId V : Plan.LiveArgs.at(Target))
-        T.Args.push_back(VarMap.at(V));
+      T.Fn = Plan.FreshId[Target];
+      const std::vector<VarId> &Live = Plan.LiveArgs[Target];
+      T.Args.reserve(Live.size());
+      for (VarId V : Live)
+        T.Args.push_back(mapId(VarMap, V));
       return T;
     }
     // Intra-unit, non-read edge: stays a goto (remapped).
     Jump Copy;
     Copy.K = Jump::Goto;
-    Copy.Target = BlockMap.at(Target);
+    Copy.Target = mapId(BlockMap, Target);
     return Copy;
   }
 
   /// Copies unit blocks into \p OutF with variable/block remapping and
   /// edge redirection.
   void emitUnitBlocks(FuncId FI, uint32_t Unit,
-                      const std::vector<BlockId> &Blocks,
-                      const std::map<VarId, VarId> &VarMap, Function &OutF) {
-    std::map<BlockId, BlockId> BlockMap;
+                      const std::vector<BlockId> &Blocks, const IdMap &VarMap,
+                      Function &OutF) {
+    const Function &F = In.Funcs[FI];
+    BlockMap.assign(F.Blocks.size(), InvalidId);
     for (size_t I = 0; I < Blocks.size(); ++I)
       BlockMap[Blocks[I]] = static_cast<BlockId>(I);
-    const Function &F = In.Funcs[FI];
+    OutF.Blocks.reserve(OutF.Blocks.size() + Blocks.size());
     for (BlockId B : Blocks) {
       const BasicBlock &BB = F.Blocks[B];
       BasicBlock NewBB;
@@ -180,14 +198,14 @@ private:
       case BasicBlock::Done:
         break;
       case BasicBlock::Cond:
-        NewBB.CondVar = VarMap.at(BB.CondVar);
-        NewBB.J1 = rewriteJump(FI, BB.J1, Unit, false, BlockMap, VarMap);
-        NewBB.J2 = rewriteJump(FI, BB.J2, Unit, false, BlockMap, VarMap);
+        NewBB.CondVar = mapId(VarMap, BB.CondVar);
+        NewBB.J1 = rewriteJump(FI, BB.J1, Unit, false, VarMap);
+        NewBB.J2 = rewriteJump(FI, BB.J2, Unit, false, VarMap);
         break;
       case BasicBlock::Cmd: {
         NewBB.C = remapCommand(BB.C, VarMap);
         bool IsRead = BB.C.K == Command::Read;
-        NewBB.J = rewriteJump(FI, BB.J, Unit, IsRead, BlockMap, VarMap);
+        NewBB.J = rewriteJump(FI, BB.J, Unit, IsRead, VarMap);
         break;
       }
       }
@@ -195,10 +213,9 @@ private:
     }
   }
 
-  static Command remapCommand(const Command &C,
-                              const std::map<VarId, VarId> &VarMap) {
+  static Command remapCommand(const Command &C, const IdMap &VarMap) {
     auto MapVar = [&](VarId V) {
-      return V == InvalidId ? InvalidId : VarMap.at(V);
+      return V == InvalidId ? InvalidId : mapId(VarMap, V);
     };
     Command N = C;
     N.Dst = MapVar(C.Dst);
@@ -240,29 +257,29 @@ private:
 
       // The original function keeps its full variable table; identity
       // variable map.
-      std::map<VarId, VarId> Identity;
-      for (VarId V = 0; V < F.Vars.size(); ++V)
-        Identity[V] = V;
+      Identity.resize(F.Vars.size());
+      std::iota(Identity.begin(), Identity.end(), VarId(0));
 
       Function &OutF = Out.Funcs[FI];
       OutF.Name = F.Name;
       OutF.Vars = F.Vars;
       OutF.NumParams = F.NumParams;
-      std::vector<BlockId> FnUnit = unitBlocks(FI, ProgramGraph::FuncNode);
+      const std::vector<BlockId> &FnUnit =
+          Plan.UnitBlocks[ProgramGraph::FuncNode];
       if (!FnUnit.empty() && FnUnit.front() == 0) {
         emitUnitBlocks(FI, ProgramGraph::FuncNode, FnUnit, Identity, OutF);
       } else {
         // The entry block is itself a read entry, so the function body
         // is a single jump into the fresh function that holds it.
-        assert(Plan.FreshId.count(0) &&
+        assert(Plan.FreshId[0] != InvalidId &&
                "entry block neither in the function unit nor critical");
         BasicBlock Entry;
         Entry.Label = F.Name + "_entry";
         Entry.K = BasicBlock::Cmd;
         Entry.C = Command(); // nop
         Entry.J.K = Jump::Tail;
-        Entry.J.Fn = Plan.FreshId.at(0);
-        Entry.J.Args = Plan.LiveArgs.at(0);
+        Entry.J.Fn = Plan.FreshId[0];
+        Entry.J.Args = Plan.LiveArgs[0];
         OutF.Blocks.push_back(std::move(Entry));
         // Any other blocks in the function-node unit are unreachable
         // from the entry; they are dropped.
@@ -270,36 +287,36 @@ private:
 
       // Fresh functions, one per critical block.
       for (BlockId B : Plan.CriticalBlocks) {
-        FuncId Id = Plan.FreshId.at(B);
-        Function &NewF = Out.Funcs[Id];
+        Function &NewF = Out.Funcs[Plan.FreshId[B]];
         NewF.Name = FreshNames[FreshIndex++];
-        const std::vector<VarId> &Params = Plan.LiveArgs.at(B);
+        const std::vector<VarId> &Params = Plan.LiveArgs[B];
 
         uint32_t Unit = ProgramGraph::blockNode(B);
-        std::vector<BlockId> Blocks = unitBlocks(FI, Unit);
+        const std::vector<BlockId> &Blocks = Plan.UnitBlocks[Unit];
 
         // Free variables of the unit (Fig. 7 line 14): everything the
-        // unit's blocks mention; locals are those not already params.
-        std::set<VarId> Free;
+        // unit's blocks mention; locals are those not already params,
+        // numbered in ascending VarId order.
+        Free.assign(F.Vars.size(), 0);
         for (BlockId UB : Blocks) {
           for (VarId V : blockUses(F, UB))
-            Free.insert(V);
+            Free[V] = 1;
           for (VarId V : blockDefs(F, UB))
-            Free.insert(V);
+            Free[V] = 1;
         }
-        std::map<VarId, VarId> VarMap;
+        UnitVars.assign(F.Vars.size(), InvalidId);
         for (VarId V : Params) {
-          VarMap[V] = static_cast<VarId>(NewF.Vars.size());
+          UnitVars[V] = static_cast<VarId>(NewF.Vars.size());
           NewF.Vars.push_back(F.Vars[V]);
         }
         NewF.NumParams = static_cast<uint32_t>(Params.size());
-        for (VarId V : Free) {
-          if (VarMap.count(V))
+        for (VarId V = 0; V < F.Vars.size(); ++V) {
+          if (!Free[V] || UnitVars[V] != InvalidId)
             continue;
-          VarMap[V] = static_cast<VarId>(NewF.Vars.size());
+          UnitVars[V] = static_cast<VarId>(NewF.Vars.size());
           NewF.Vars.push_back(F.Vars[V]);
         }
-        emitUnitBlocks(FI, Unit, Blocks, VarMap, NewF);
+        emitUnitBlocks(FI, Unit, Blocks, UnitVars, NewF);
       }
     }
   }
@@ -309,6 +326,11 @@ private:
   std::vector<FuncPlan> Plans;
   std::vector<std::string> FreshNames;
   NormalizeStats Stats;
+  // Scratch tables, reused across units and functions: the identity and
+  // fresh-function variable maps, and the block map of the unit being
+  // emitted.
+  IdMap Identity, UnitVars, BlockMap;
+  std::vector<uint8_t> Free; ///< Free-variable marks, indexed by VarId.
 };
 
 } // namespace

@@ -32,7 +32,6 @@
 #define CEAL_RUNTIME_PROFILE_H
 
 #include "support/Timer.h"
-#include "support/simd/Simd.h"
 
 #include <cstdint>
 #include <ostream>
@@ -149,11 +148,6 @@ struct PropagationProfile {
     ReexecWork.writeJson(Out);
     Out << ", \"use_scan_hist\": ";
     UseScan.writeJson(Out);
-    Out << ", \"simd\": ";
-    // Process-global kernel counters (calls, bytes) and the checksum
-    // clone the process runs, not per-propagation state; included here
-    // so every profile dump records which kernels actually ran.
-    simd::writeCountersJson(Out);
     Out << "}";
   }
 };

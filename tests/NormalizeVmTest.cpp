@@ -776,3 +776,150 @@ TEST(Vm, ListReduceSumsAndUpdatesIncrementally) {
   uint64_t Work = RT.stats().ReadsTraced + RT.stats().ReadsReexecuted - Before;
   EXPECT_LT(Work / Edits, 500u) << "rounds-based reduce must be incremental";
 }
+
+//===----------------------------------------------------------------------===//
+// Frame-stack growth under live outer frames
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A CL program whose frames, closure frames and tail argument lists are
+/// far larger than the executors' first stack allocation, and whose
+/// nested entries run while wide outer frames stay live:
+///  * `top(in, in2, out, out2)` reads `in`, defines W locals, reads `in2`
+///    (so the read's closure carries every live local), allocates a block
+///    whose initializer `fill` recursively `call`s `rec`, then passes all
+///    W locals to `sink` twice: by `call` (writing out2) and by tail
+///    (writing out);
+///  * `rec(acc, depth)` holds W locals across its recursive `call` and
+///    folds them into acc[0] afterwards, so a clobbered outer frame shows.
+/// Only the initializer stores into the block, as correct usage demands
+/// of a memo-reused allocation.
+std::string wideProgram(size_t W) {
+  auto Vars = [&] {
+    std::string S;
+    for (size_t I = 0; I < W; ++I)
+      S += "var int v" + std::to_string(I) + "; ";
+    return S + "\n";
+  };
+  auto List = [&] {
+    std::string S;
+    for (size_t I = 0; I < W; ++I)
+      S += ", v" + std::to_string(I);
+    return S;
+  };
+  /// Blocks L0..L{W-1} defining v0 := add(First, One), vi := add(v{i-1},
+  /// Step), then goto \p After.
+  auto Chain = [&](const char *L, const char *First, const char *One,
+                   const char *Step, const char *After) {
+    std::string S;
+    for (size_t I = 0; I < W; ++I) {
+      std::string Prev = I == 0 ? First : "v" + std::to_string(I - 1);
+      std::string Arg = I == 0 ? One : Step;
+      std::string Next = I + 1 == W ? After : L + std::to_string(I + 1);
+      S += std::string("  ") + L + std::to_string(I) + ": v" +
+           std::to_string(I) + " := add(" + Prev + ", " + Arg +
+           "); goto " + Next + ";\n";
+    }
+    return S;
+  };
+  /// Blocks L0..L{W-1} folding every vi into Acc, then goto \p After.
+  auto Fold = [&](const char *L, const char *Acc, const char *After) {
+    std::string S;
+    for (size_t I = 0; I < W; ++I)
+      S += std::string("  ") + L + std::to_string(I) + ": " + Acc +
+           " := add(" + Acc + ", v" + std::to_string(I) + "); goto " +
+           (I + 1 == W ? After : L + std::to_string(I + 1)) + ";\n";
+    return S;
+  };
+
+  std::string P;
+  P += "func rec(int* acc, int depth) {\n"
+       "  var int one; var int z; var int c; var int d1; var int s;\n  " +
+       Vars() +
+       "  r0: one := 1; goto r1;\n"
+       "  r1: z := 0; goto w0;\n" +
+       Chain("w", "depth", "one", "depth", "r2") +
+       "  r2: c := gt(depth, z); goto r3;\n"
+       "  r3: if c then goto r4 else goto r6;\n"
+       "  r4: d1 := sub(depth, one); goto r5;\n"
+       "  r5: call rec(acc, d1); goto r6;\n"
+       "  r6: s := acc[z]; goto f0;\n" +
+       Fold("f", "s", "r7") +
+       "  r7: acc[z] := s; goto r8;\n"
+       "  r8: done;\n}\n";
+  P += "func fill(int* b, int x, int depth) {\n"
+       "  var int z;\n"
+       "  i0: z := 0; goto i1;\n"
+       "  i1: b[z] := x; goto i2;\n"
+       "  i2: call rec(b, depth); goto i3;\n"
+       "  i3: done;\n}\n";
+  P += "func top(modref* in, modref* in2, modref* out, modref* out2) {\n"
+       "  var int x; var int y; var int sz; var int* blk; var int d;\n"
+       "  var int one;\n  " +
+       Vars() +
+       "  t0: x := read in; goto t1;\n"
+       "  t1: one := 1; goto w0;\n" +
+       Chain("w", "x", "one", "x", "t2") +
+       "  t2: y := read in2; goto t3;\n"
+       "  t3: sz := 16; goto t4;\n"
+       "  t4: d := 4; goto t5;\n"
+       "  t5: blk := alloc(sz, fill, y, d); goto t6;\n"
+       "  t6: call sink(out2, blk" +
+       List() + "); goto t7;\n"
+       "  t7: nop; tail sink(out, blk" +
+       List() + ");\n}\n";
+  P += "func sink(modref* out, int* blk";
+  for (size_t I = 0; I < W; ++I)
+    P += ", int v" + std::to_string(I);
+  P += ") {\n"
+       "  var int z; var int s;\n"
+       "  k0: z := 0; goto k1;\n"
+       "  k1: s := blk[z]; goto f0;\n" +
+       Fold("f", "s", "k2") +
+       "  k2: write(out, s); goto k3;\n"
+       "  k3: done;\n}\n";
+  return P;
+}
+
+int64_t convWide(const Program &P, int64_t X, int64_t Y) {
+  ConvInterp CI(P);
+  Word *In = CI.newCell(toWord(X)), *In2 = CI.newCell(toWord(Y));
+  Word *Out = CI.newCell(0), *Out2 = CI.newCell(0);
+  CI.run("top", {toWord(In), toWord(In2), toWord(Out), toWord(Out2)});
+  EXPECT_EQ(*Out, *Out2);
+  return fromWord<int64_t>(*Out);
+}
+
+} // namespace
+
+TEST(Vm, FrameStackGrowsUnderLiveOuterFrames) {
+  constexpr size_t W = 600;
+  Program Src = parseOrDie(wideProgram(W));
+  ASSERT_TRUE(verifyProgram(Src).empty());
+  Program Norm = normalizeProgram(Src).Prog;
+
+  Runtime RT;
+  Vm M(RT, Norm);
+  Modref *In = M.metaModref(), *In2 = M.metaModref();
+  Modref *Out = M.metaModref(), *Out2 = M.metaModref();
+  auto Check = [&](int64_t X, int64_t Y) {
+    const int64_t Expected = convWide(Src, X, Y);
+    EXPECT_EQ(fromWord<int64_t>(M.metaRead(Out)), Expected) << X << "," << Y;
+    EXPECT_EQ(fromWord<int64_t>(M.metaRead(Out2)), Expected) << X << "," << Y;
+  };
+  M.metaWrite(In, toWord(int64_t(7)));
+  M.metaWrite(In2, toWord(int64_t(11)));
+  M.runCore("top", {toWord(In), toWord(In2), toWord(Out), toWord(Out2)});
+  Check(7, 11);
+  EXPECT_EQ(convWide(Norm, 7, 11), convWide(Src, 7, 11));
+
+  // Change propagation re-enters the same frames from the trampoline;
+  // the second edit reuses the block by memo.
+  M.metaWrite(In2, toWord(int64_t(-5)));
+  M.propagate();
+  Check(7, -5);
+  M.metaWrite(In, toWord(int64_t(3)));
+  M.propagate();
+  Check(3, -5);
+}

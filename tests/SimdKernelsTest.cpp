@@ -111,6 +111,35 @@ TEST(SimdDispatch, CountersAccumulate) {
       << "the kernel wrote outside the three label words";
 }
 
+TEST(SimdKernels, BoundsCheckFindsFirstViolation) {
+  // The block test must report the same first index as a word-by-word
+  // scan: no violation, one at every position of the first blocks and
+  // the tail, and several where only the first counts.
+  auto Serial = [](const std::vector<uint32_t> &A, uint32_t Limit) {
+    for (size_t I = 0; I < A.size(); ++I)
+      if (A[I] >= Limit)
+        return I;
+    return A.size();
+  };
+  Rng R(0xB0B);
+  const uint32_t Limit = 1000;
+  for (size_t N : {size_t(0), size_t(1), size_t(63), size_t(64), size_t(65),
+                   size_t(200), size_t(257)}) {
+    std::vector<uint32_t> A(N);
+    for (uint32_t &W : A)
+      W = static_cast<uint32_t>(R.below(Limit));
+    EXPECT_EQ(simd::boundsCheckU32(A.data(), N, Limit), N) << "N=" << N;
+    for (size_t Bad = 0; Bad < N; ++Bad) {
+      std::vector<uint32_t> B = A;
+      B[Bad] = Limit + static_cast<uint32_t>(R.below(2)) * 0x7fffffffu;
+      if (Bad + 70 < N)
+        B[Bad + 70] = Limit;
+      ASSERT_EQ(simd::boundsCheckU32(B.data(), N, Limit), Serial(B, Limit))
+          << "N=" << N << " Bad=" << Bad;
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // The sweep against the serial mixer
 //===----------------------------------------------------------------------===//
