@@ -7,45 +7,17 @@
 using namespace ceal;
 using namespace ceal::analysis;
 
-namespace {
-
-/// DFS numbering shared by both algorithms.
-struct DfsOrder {
-  std::vector<uint32_t> Order;   ///< Nodes in DFS preorder.
-  std::vector<uint32_t> Number;  ///< Node -> preorder index (or Invalid).
-  std::vector<uint32_t> Parent;  ///< DFS tree parent (by node id).
-
-  explicit DfsOrder(const RootedGraph &G) {
-    Number.assign(G.size(), InvalidNode);
-    Parent.assign(G.size(), InvalidNode);
-    std::vector<std::pair<uint32_t, uint32_t>> Stack{{G.Root, InvalidNode}};
-    while (!Stack.empty()) {
-      auto [N, From] = Stack.back();
-      Stack.pop_back();
-      if (Number[N] != InvalidNode)
-        continue;
-      Number[N] = static_cast<uint32_t>(Order.size());
-      Order.push_back(N);
-      Parent[N] = From;
-      for (size_t I = G.Succs[N].size(); I > 0; --I)
-        Stack.push_back({G.Succs[N][I - 1], N});
-    }
-  }
-};
-
-} // namespace
-
-std::vector<uint32_t>
-analysis::computeDominatorsIterative(const RootedGraph &G) {
+std::vector<uint32_t> analysis::computeDominators(const ProgramGraph &G) {
+  constexpr uint32_t Root = ProgramGraph::Root;
   // Cooper-Harvey-Kennedy: iterate to a fixed point over reverse
   // postorder, intersecting predecessor dominators by walking up the
   // current idom approximation.
   std::vector<uint32_t> Post;      // Postorder sequence of nodes.
   std::vector<uint32_t> PostNum(G.size(), InvalidNode);
   {
-    std::vector<std::pair<uint32_t, size_t>> Stack{{G.Root, 0}};
+    std::vector<std::pair<uint32_t, size_t>> Stack{{Root, 0}};
     std::vector<uint8_t> State(G.size(), 0);
-    State[G.Root] = 1;
+    State[Root] = 1;
     while (!Stack.empty()) {
       auto &[N, Next] = Stack.back();
       if (Next < G.Succs[N].size()) {
@@ -63,7 +35,7 @@ analysis::computeDominatorsIterative(const RootedGraph &G) {
   }
 
   std::vector<uint32_t> Idom(G.size(), InvalidNode);
-  Idom[G.Root] = G.Root;
+  Idom[Root] = Root;
   auto Intersect = [&](uint32_t A, uint32_t B) {
     while (A != B) {
       while (PostNum[A] < PostNum[B])
@@ -78,7 +50,7 @@ analysis::computeDominatorsIterative(const RootedGraph &G) {
     Changed = false;
     for (size_t I = Post.size(); I > 0; --I) { // Reverse postorder.
       uint32_t N = Post[I - 1];
-      if (N == G.Root)
+      if (N == Root)
         continue;
       uint32_t NewIdom = InvalidNode;
       for (uint32_t P : G.Preds[N]) {
@@ -95,87 +67,11 @@ analysis::computeDominatorsIterative(const RootedGraph &G) {
   return Idom;
 }
 
-std::vector<uint32_t> analysis::computeDominatorsSemiNca(const RootedGraph &G) {
-  // Semi-NCA: compute semidominators with path compression (as in
-  // Lengauer-Tarjan), then derive immediate dominators by ancestor
-  // walking in the DFS tree.
-  DfsOrder Dfs(G);
-  size_t NumReached = Dfs.Order.size();
-  if (NumReached == 0)
-    return std::vector<uint32_t>(G.size(), InvalidNode);
-
-  // Everything below works in DFS-number space.
-  std::vector<uint32_t> Sdom(NumReached), Ancestor(NumReached, InvalidNode),
-      Label(NumReached), IdomN(NumReached);
-  for (uint32_t I = 0; I < NumReached; ++I) {
-    Sdom[I] = I;
-    Label[I] = I;
-  }
-
-  // Eval with path compression: returns the label with minimal sdom on
-  // the compressed path to the forest root.
-  auto Compress = [&](uint32_t V) {
-    // Iterative path compression.
-    std::vector<uint32_t> Path;
-    while (Ancestor[Ancestor[V]] != InvalidNode) {
-      Path.push_back(V);
-      V = Ancestor[V];
-    }
-    for (size_t I = Path.size(); I > 0; --I) {
-      uint32_t U = Path[I - 1];
-      if (Sdom[Label[Ancestor[U]]] < Sdom[Label[U]])
-        Label[U] = Label[Ancestor[U]];
-      Ancestor[U] = Ancestor[Ancestor[U]];
-    }
-  };
-  auto Eval = [&](uint32_t V) {
-    if (Ancestor[V] == InvalidNode)
-      return V;
-    Compress(V);
-    return Sdom[Label[Ancestor[V]]] < Sdom[Label[V]] ? Label[Ancestor[V]]
-                                                     : Label[V];
-  };
-
-  // Process in reverse preorder, computing semidominators.
-  for (uint32_t W = static_cast<uint32_t>(NumReached) - 1; W > 0; --W) {
-    uint32_t Node = Dfs.Order[W];
-    for (uint32_t PredNode : G.Preds[Node]) {
-      uint32_t V = Dfs.Number[PredNode];
-      if (V == InvalidNode)
-        continue; // Unreachable predecessor.
-      uint32_t U = Eval(V);
-      if (Sdom[U] < Sdom[W])
-        Sdom[W] = Sdom[U];
-    }
-    // Link W into the forest under its DFS parent.
-    Ancestor[W] = Dfs.Number[Dfs.Parent[Node]];
-    IdomN[W] = Sdom[W]; // Provisional: idom = sdom, fixed below.
-  }
-
-  // Semi-NCA fixup: idom(w) = NCA in the (partially built) dominator
-  // tree of parent(w) and sdom(w); since we process in preorder, walking
-  // up from the DFS parent until the number drops to <= sdom(w) works.
-  IdomN[0] = 0;
-  for (uint32_t W = 1; W < NumReached; ++W) {
-    uint32_t Cand = Dfs.Number[Dfs.Parent[Dfs.Order[W]]];
-    while (Cand > Sdom[W])
-      Cand = IdomN[Cand];
-    IdomN[W] = Cand;
-  }
-
-  std::vector<uint32_t> Idom(G.size(), InvalidNode);
-  Idom[G.Root] = G.Root;
-  for (uint32_t W = 1; W < NumReached; ++W)
-    Idom[Dfs.Order[W]] = Dfs.Order[IdomN[W]];
-  return Idom;
-}
-
 std::vector<std::vector<uint32_t>>
-analysis::dominatorTreeChildren(const std::vector<uint32_t> &Idom,
-                                uint32_t Root) {
+analysis::dominatorTreeChildren(const std::vector<uint32_t> &Idom) {
   std::vector<std::vector<uint32_t>> Children(Idom.size());
   for (uint32_t N = 0; N < Idom.size(); ++N) {
-    if (N == Root || Idom[N] == InvalidNode)
+    if (N == ProgramGraph::Root || Idom[N] == InvalidNode)
       continue;
     assert(Idom[N] < Idom.size() && "invalid idom entry");
     Children[Idom[N]].push_back(N);

@@ -5,20 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Dominator-tree construction over rooted program graphs (Sec. 5.2).
-/// Two algorithms are provided:
-///
-///  * computeDominatorsIterative — the simple iterative algorithm of
-///    Cooper, Harvey and Kennedy, which cealc uses because per-function
-///    graphs are small (Sec. 7);
-///  * computeDominatorsSemiNca — the semi-NCA variant of the
-///    Lengauer-Tarjan family, near-linear, standing in for the
-///    asymptotically optimal algorithm [Georgiadis-Tarjan] the paper
-///    cites for the whole-program bound.
-///
-/// Both return the immediate-dominator array (idom of the root is the
-/// root itself; unreachable nodes get InvalidNode) and are cross-checked
-/// against each other and a brute-force oracle in the tests.
+/// Dominator-tree construction over rooted program graphs (Sec. 5.2), by
+/// the simple iterative algorithm of Cooper, Harvey and Kennedy, which
+/// cealc uses because per-function graphs are small (Sec. 7). The tests
+/// check it against a brute-force oracle on random graphs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,29 +25,14 @@ namespace analysis {
 
 constexpr uint32_t InvalidNode = ~uint32_t(0);
 
-/// A generic rooted digraph view for the dominator algorithms (program
-/// graphs convert trivially; tests also feed random graphs).
-struct RootedGraph {
-  uint32_t Root = 0;
-  std::vector<std::vector<uint32_t>> Succs;
-  std::vector<std::vector<uint32_t>> Preds;
-
-  static RootedGraph fromProgramGraph(const ProgramGraph &G) {
-    return {ProgramGraph::Root, G.Succs, G.Preds};
-  }
-  size_t size() const { return Succs.size(); }
-};
-
-/// Immediate dominators by reverse-postorder iteration
-/// [Cooper-Harvey-Kennedy 2001].
-std::vector<uint32_t> computeDominatorsIterative(const RootedGraph &G);
-
-/// Immediate dominators by semi-NCA [Georgiadis et al.].
-std::vector<uint32_t> computeDominatorsSemiNca(const RootedGraph &G);
+/// Immediate dominators of \p G's nodes by reverse-postorder iteration
+/// [Cooper-Harvey-Kennedy 2001]. The idom of ProgramGraph::Root is the
+/// root itself; nodes unreachable from it get InvalidNode.
+std::vector<uint32_t> computeDominators(const ProgramGraph &G);
 
 /// The dominator tree as child lists, from an idom array.
 std::vector<std::vector<uint32_t>>
-dominatorTreeChildren(const std::vector<uint32_t> &Idom, uint32_t Root);
+dominatorTreeChildren(const std::vector<uint32_t> &Idom);
 
 } // namespace analysis
 } // namespace ceal

@@ -2,6 +2,8 @@
 
 #include "analysis/Liveness.h"
 
+#include <cassert>
+
 using namespace ceal;
 using namespace ceal::analysis;
 using namespace ceal::cl;
@@ -86,45 +88,73 @@ std::vector<VarId> analysis::blockUses(const Function &F, BlockId B) {
   return Uses;
 }
 
-std::vector<VarId> analysis::blockDefs(const Function &F, BlockId B) {
+VarId analysis::blockDef(const Function &F, BlockId B) {
   const BasicBlock &BB = F.Blocks[B];
   if (BB.K != BasicBlock::Cmd)
-    return {};
+    return InvalidId;
   const Command &C = BB.C;
   switch (C.K) {
   case Command::Assign:
   case Command::ModrefAlloc:
   case Command::Read:
   case Command::Alloc:
-    return {C.Dst};
+    return C.Dst;
   default:
-    return {};
+    return InvalidId;
   }
 }
 
-LivenessInfo analysis::computeLiveness(const Function &F) {
+LivenessInfo analysis::computeLiveness(const Function &F,
+                                       const ProgramGraph &G) {
   size_t NumBlocks = F.Blocks.size();
   size_t NumVars = F.Vars.size();
+  assert(G.size() == NumBlocks + 2 && "program graph of another function");
 
-  // Backward union problem over the intra-function CFG. A block is a
-  // single command: uses happen before the (single) def, and the def of
-  // `x := e` does not kill a use of x in e — uses are read first, so
+  // A block is a single command: its uses are read before its (single)
+  // def, and the def of `x := e` does not kill a use of x in e, so
   // LiveIn = Use ∪ (LiveOut \ Def) is exact at block granularity.
-  DataflowProblem P;
-  P.DomainSize = NumVars;
-  P.Transfer.resize(NumBlocks);
+  std::vector<BitVec> Use(NumBlocks, BitVec(NumVars));
+  std::vector<VarId> Def(NumBlocks);
   for (BlockId B = 0; B < NumBlocks; ++B) {
-    GenKill &T = P.Transfer[B];
-    T.Gen = BitVec(NumVars);
-    T.Kill = BitVec(NumVars);
-    for (VarId V : blockDefs(F, B))
-      T.Kill.set(V);
     for (VarId V : blockUses(F, B))
-      T.Gen.set(V);
+      Use[B].set(V);
+    Def[B] = blockDef(F, B);
   }
 
+  // Every block starts at the empty set and is on the worklist; the
+  // highest block id is popped first (the builder lays blocks out
+  // roughly in control order, so this approximates a backward order).
   LivenessInfo Info;
-  Info.LiveIn =
-      std::move(solveDataflow(BlockCfg::build(F), P).In);
+  Info.LiveIn.assign(NumBlocks, BitVec(NumVars));
+  std::vector<BlockId> Work(NumBlocks);
+  for (BlockId B = 0; B < NumBlocks; ++B)
+    Work[B] = B;
+  std::vector<bool> InWork(NumBlocks, true);
+  BitVec In(NumVars);
+  while (!Work.empty()) {
+    BlockId B = Work.back();
+    Work.pop_back();
+    InWork[B] = false;
+
+    In.clearAll();
+    for (uint32_t S : G.Succs[ProgramGraph::blockNode(B)])
+      In.unionWith(Info.LiveIn[ProgramGraph::nodeBlock(S)]);
+    if (Def[B] != InvalidId)
+      In.reset(Def[B]);
+    In.unionWith(Use[B]);
+    if (In == Info.LiveIn[B])
+      continue;
+    Info.LiveIn[B] = In;
+    // The root and the function node carry no liveness of their own.
+    for (uint32_t P : G.Preds[ProgramGraph::blockNode(B)]) {
+      if (!ProgramGraph::isBlockNode(P))
+        continue;
+      BlockId PB = ProgramGraph::nodeBlock(P);
+      if (!InWork[PB]) {
+        InWork[PB] = true;
+        Work.push_back(PB);
+      }
+    }
+  }
   return Info;
 }

@@ -34,7 +34,6 @@ struct FuncPlan {
   std::vector<FuncId> FreshId;
   /// live(l) for each critical block, ascending VarId; empty elsewhere.
   std::vector<std::vector<VarId>> LiveArgs;
-  LivenessInfo Live;
 };
 
 /// A variable or block renaming: dense, indexed by the original id.
@@ -77,11 +76,9 @@ private:
       const Function &F = In.Funcs[FI];
       FuncPlan &Plan = Plans[FI];
       ProgramGraph G = buildProgramGraph(F);
-      RootedGraph RG = RootedGraph::fromProgramGraph(G);
-      std::vector<uint32_t> Idom = computeDominatorsIterative(RG);
-      auto Children = dominatorTreeChildren(Idom, ProgramGraph::Root);
-      Plan.Live = computeLiveness(F);
-      Stats.MaxLive = std::max(Stats.MaxLive, Plan.Live.maxLive());
+      auto Children = dominatorTreeChildren(computeDominators(G));
+      LivenessInfo Live = computeLiveness(F, G);
+      Stats.MaxLive = std::max(Stats.MaxLive, Live.maxLive());
 
       // Assign every node to the unit of its root-child ancestor.
       Plan.UnitOf.assign(G.size(), InvalidNode);
@@ -126,7 +123,7 @@ private:
       Plan.LiveArgs.assign(F.Blocks.size(), {});
       for (BlockId B : Plan.CriticalBlocks) {
         Plan.FreshId[B] = NextId++;
-        Plan.LiveArgs[B] = Plan.Live.liveAt(B);
+        Plan.LiveArgs[B] = Live.liveAt(B);
         // A unique, parseable fresh name.
         std::string Name = F.Name + "_rn_" + F.Blocks[B].Label;
         while (UsedNames.count(Name))
@@ -301,8 +298,8 @@ private:
         for (BlockId UB : Blocks) {
           for (VarId V : blockUses(F, UB))
             Free[V] = 1;
-          for (VarId V : blockDefs(F, UB))
-            Free[V] = 1;
+          if (VarId D = blockDef(F, UB); D != InvalidId)
+            Free[D] = 1;
         }
         UnitVars.assign(F.Vars.size(), InvalidId);
         for (VarId V : Params) {

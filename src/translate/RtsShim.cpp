@@ -18,6 +18,8 @@
 
 #include "translate/RtsShim.h"
 
+#include "support/Check.h"
+
 #include <cassert>
 #include <cstdint>
 
@@ -92,8 +94,7 @@ Closure *callCFunction(void *Fn, const Word *W, size_t N) {
         W[0], W[1], W[2], W[3], W[4], W[5], W[6], W[7], W[8], W[9], W[10],
         W[11]);
   default:
-    assert(false && "compiled function arity exceeds shim limit");
-    return nullptr;
+    fatalError("compiled function arity exceeds the shim limit");
   }
 }
 
@@ -111,12 +112,28 @@ Closure *shimInvoker(Runtime &, Closure *C, Word Subst) {
     return nullptr;
   }
   Word W[shim::MaxCArity];
-  assert(N <= shim::MaxCArity && "compiled function arity exceeds limit");
+  assert(N <= shim::MaxCArity && "closure made past the arity check");
   for (size_t I = 0; I < N; ++I)
     W[I] = A[3 + I];
   if (SubstPos != NoSubst)
     W[SubstPos] = Subst;
   return callCFunction(Fn, W, N);
+}
+
+/// Makes a shim closure for \p Fn over \p N parameter words. The arity
+/// bound is checked here, in every build type, so that shimInvoker's
+/// fixed argument array cannot overflow when the closure runs.
+template <typename ArgT>
+Closure *makeShimClosure(Runtime &RT, void *Fn, size_t N, const ArgT *Args) {
+  checkAlways(N <= shim::MaxCArity,
+              "compiled function arity exceeds the shim limit");
+  Word Frame[3 + shim::MaxCArity];
+  Frame[0] = toWord(Fn);
+  Frame[1] = N;
+  Frame[2] = NoSubst;
+  for (size_t I = 0; I < N; ++I)
+    Frame[3 + I] = static_cast<Word>(Args[I]);
+  return RT.makeRaw(&shimInvoker, Frame, 3 + N);
 }
 
 } // namespace
@@ -126,13 +143,7 @@ Runtime *shim::currentRuntime() { return GlobalRT; }
 
 Closure *shim::makeEntryClosure(Runtime &RT, void *CFn,
                                 const std::vector<Word> &Args) {
-  std::vector<Word> Frame(3 + Args.size());
-  Frame[0] = toWord(CFn);
-  Frame[1] = Args.size();
-  Frame[2] = NoSubst;
-  for (size_t I = 0; I < Args.size(); ++I)
-    Frame[3 + I] = Args[I];
-  return RT.makeRaw(&shimInvoker, Frame.data(), Frame.size());
+  return makeShimClosure(RT, CFn, Args.size(), Args.data());
 }
 
 //===----------------------------------------------------------------------===//
@@ -141,14 +152,8 @@ Closure *shim::makeEntryClosure(Runtime &RT, void *CFn,
 
 Closure *ceal_closure_make_words(void *Fn, int NumArgs,
                                  const intptr_t *Args) {
-  Runtime &RT = rt();
-  std::vector<Word> Frame(3 + NumArgs);
-  Frame[0] = toWord(Fn);
-  Frame[1] = static_cast<Word>(NumArgs);
-  Frame[2] = NoSubst;
-  for (int I = 0; I < NumArgs; ++I)
-    Frame[3 + I] = static_cast<Word>(Args[I]);
-  return RT.makeRaw(&shimInvoker, Frame.data(), Frame.size());
+  checkAlways(NumArgs >= 0, "negative closure arity");
+  return makeShimClosure(rt(), Fn, static_cast<size_t>(NumArgs), Args);
 }
 
 Closure *ceal_closure_with_subst(Closure *C, int Pos) {

@@ -42,7 +42,11 @@ Runtime *currentRuntime();
 Closure *makeEntryClosure(Runtime &RT, void *CFn,
                           const std::vector<Word> &Args);
 
-/// Maximum arity of compiled core functions the shim can invoke.
+/// Maximum arity of compiled core functions the shim can invoke. Making
+/// a closure of higher arity (makeEntryClosure, ceal_closure_make_words)
+/// is a fatal error in every build type. A keyed modifiable's initializer
+/// closure holds its keys after the block, so compiled code may key a
+/// modifiable on at most MaxCArity - 1 values.
 constexpr unsigned MaxCArity = 12;
 
 } // namespace shim

@@ -209,3 +209,43 @@ TEST(CompiledC, QuicksortSortsInMachineCode) {
   EXPECT_EQ(Result, Expected);
   shim::setRuntime(nullptr);
 }
+
+//===----------------------------------------------------------------------===//
+// The shim's arity bound (no compiled code needed)
+//===----------------------------------------------------------------------===//
+
+extern "C" Closure *ceal_closure_make_words(void *Fn, int NumArgs,
+                                            const intptr_t *Args);
+
+TEST(RtsShimDeathTest, ClosureAboveMaxArityIsFatal) {
+  // shimInvoker copies a closure's words into a MaxCArity-word array, so
+  // a wider closure must be refused where it is made, in every build.
+  EXPECT_DEATH(
+      {
+        Runtime RT;
+        std::vector<Word> Args(shim::MaxCArity + 1, 0);
+        shim::makeEntryClosure(RT, nullptr, Args);
+      },
+      "ceal fatal error");
+  EXPECT_DEATH(
+      {
+        Runtime RT;
+        shim::setRuntime(&RT);
+        std::vector<intptr_t> Args(shim::MaxCArity + 1, 0);
+        ceal_closure_make_words(nullptr, static_cast<int>(Args.size()),
+                                Args.data());
+      },
+      "ceal fatal error");
+}
+
+TEST(RtsShim, ClosureAtMaxArityKeepsItsWords) {
+  Runtime RT;
+  std::vector<Word> Args(shim::MaxCArity);
+  for (size_t I = 0; I < Args.size(); ++I)
+    Args[I] = 100 + I;
+  Closure *C = shim::makeEntryClosure(RT, nullptr, Args);
+  ASSERT_EQ(C->numArgs(), 3 + shim::MaxCArity);
+  EXPECT_EQ(C->args()[1], Word(shim::MaxCArity));
+  for (size_t I = 0; I < Args.size(); ++I)
+    EXPECT_EQ(C->args()[3 + I], Args[I]);
+}

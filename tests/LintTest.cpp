@@ -8,7 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Dataflow.h"
+#include "analysis/Dominators.h"
 #include "analysis/Liveness.h"
 #include "cl/Parser.h"
 #include "cl/Printer.h"
@@ -31,6 +31,10 @@ Program parseOrDie(const std::string &Src) {
   auto R = parseProgram(Src);
   EXPECT_TRUE(R) << R.Error;
   return std::move(*R.Prog);
+}
+
+LivenessInfo liveness(const Function &F) {
+  return computeLiveness(F, buildProgramGraph(F));
 }
 
 /// The names of the variables live at the start of \p B, in VarId order.
@@ -130,7 +134,7 @@ func bad_ubd(modref* out) {
 }
 )");
   const Function &F = P.Funcs[0];
-  LivenessInfo L = computeLiveness(F);
+  LivenessInfo L = liveness(F);
   using Names = std::vector<std::string>;
   EXPECT_EQ(liveNames(F, L, 0), (Names{"out", "x"})); // Block 'e'.
   EXPECT_EQ(liveNames(F, L, 2), (Names{"out"}));      // Block 'la'.
@@ -156,12 +160,15 @@ func bad_ll(modref* out) {
 }
 )");
   const Function &F = P.Funcs[0];
-  BlockCfg G = BlockCfg::build(F);
-  EXPECT_EQ(G.Preds[4], (std::vector<BlockId>{3, 6})); // 'h' <- 'e4', 'body'.
-  LivenessInfo L = computeLiveness(F);
+  ProgramGraph G = buildProgramGraph(F);
+  // 'h' <- 'e4', 'body'.
+  EXPECT_EQ(G.Preds[ProgramGraph::blockNode(4)],
+            (std::vector<uint32_t>{ProgramGraph::blockNode(3),
+                                   ProgramGraph::blockNode(6)}));
+  LivenessInfo L = computeLiveness(F, G);
   using Names = std::vector<std::string>;
   EXPECT_EQ(liveNames(F, L, 4), (Names{"out", "i", "a", "b", "n"}));
-  EXPECT_EQ(L.liveCountAt(4), 5u);
+  EXPECT_EQ(L.LiveIn[4].count(), 5u);
   EXPECT_EQ(L.maxLive(), 6u); // 'br' also holds 'c'.
 }
 
@@ -175,12 +182,16 @@ func bad_notes(modref* out) {
   orphan: z := 9; goto f;
 }
 )");
-  BlockCfg G = BlockCfg::build(P.Funcs[0]);
-  EXPECT_EQ(G.Reachable, (std::vector<bool>{true, true, true, false}));
-  // The orphan's assignment is dead as well: 'z' is live nowhere.
-  LivenessInfo L = computeLiveness(P.Funcs[0]);
+  // Blocks unreachable from the function node get no dominator.
+  ProgramGraph G = buildProgramGraph(P.Funcs[0]);
+  std::vector<uint32_t> Idom = computeDominators(G);
   for (BlockId B = 0; B < 4; ++B)
-    EXPECT_FALSE(L.liveInAt(B, 2)) << "block " << B; // 'z'.
+    EXPECT_EQ(Idom[ProgramGraph::blockNode(B)] != InvalidNode, B != 3)
+        << "block " << B;
+  // The orphan's assignment is dead as well: 'z' is live nowhere.
+  LivenessInfo L = computeLiveness(P.Funcs[0], G);
+  for (BlockId B = 0; B < 4; ++B)
+    EXPECT_FALSE(L.LiveIn[B].test(2)) << "block " << B; // 'z'.
 }
 
 //===----------------------------------------------------------------------===//
