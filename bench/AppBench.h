@@ -141,7 +141,7 @@ struct ScopedBenchFile {
 /// than failing the bench.
 inline void measureWarmStart(std::unique_ptr<Runtime> RT, Measurement &M,
                              const Runtime::Config &Cfg, int Reps = 3) {
-  if (!Snapshot::readyToSave(*RT))
+  if (!RT->readyForCheckpoint())
     return;
   ScopedBenchFile Snap;
   if (!Snap.ok())

@@ -10,7 +10,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "AppBench.h"
-#include "baseline/SaSmlSim.h"
 
 #include <cstdio>
 #include <vector>
@@ -64,7 +63,9 @@ int main(int argc, char **argv) {
   for (size_t I = 0; I < Sizes.size(); ++I) {
     CealUpdate[I] =
         qsortUpdateSeconds(Sizes[I], Samples, Runtime::Config());
-    Runtime Probe(baseline::sasmlConfig());
+    Runtime::Config Sim;
+    Sim.SimulateSaSml = true;
+    Runtime Probe(Sim);
     Rng R(77);
     qsortFromScratch(Probe, R, Sizes[I]);
     SasmlLive[I] = Probe.maxLiveBytes();
@@ -74,9 +75,10 @@ int main(int argc, char **argv) {
   for (double Factor : {6.0, 3.0, 2.0, 1.5, 1.25, 1.1, 1.02, 0.9}) {
     std::printf("%9.2fx", Factor);
     for (size_t I = 0; I < Sizes.size(); ++I) {
-      double Update = qsortUpdateSeconds(
-          Sizes[I], Samples,
-          baseline::sasmlConfig(size_t(double(SasmlLive[I]) * Factor)));
+      Runtime::Config Sim;
+      Sim.SimulateSaSml = true;
+      Sim.HeapLimitBytes = size_t(double(SasmlLive[I]) * Factor);
+      double Update = qsortUpdateSeconds(Sizes[I], Samples, Sim);
       if (Update < 0) {
         std::printf(" %14s", "OOM");
       } else {

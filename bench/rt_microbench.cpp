@@ -162,13 +162,13 @@ BENCHMARK(BM_PropagateSingleEdit);
 
 /// The same edit loop with the trace sanitizer auditing after every
 /// propagation. Not a performance target — it quantifies what
-/// AuditLevel::EveryPropagation costs (the audit walks the whole trace,
+/// Config::Audit costs (the audit walks the whole trace,
 /// so expect orders of magnitude) and keeps the audited path exercised
 /// from the bench binary. Compare against BM_PropagateSingleEdit to see
 /// the audit-off delta, which must stay at noise level.
 void BM_PropagateSingleEditAudited(benchmark::State &State) {
   Runtime::Config Cfg;
-  Cfg.Audit = AuditLevel::EveryPropagation;
+  Cfg.Audit = true;
   propagateEdits(State, size_t(State.range(0)), Cfg);
 }
 BENCHMARK(BM_PropagateSingleEditAudited)->Arg(1000);

@@ -1,8 +1,8 @@
 //===- bench/table2_vs_sasml.cpp - Reproduces Table 2 ---------------------===//
 //
 // "Times and space for CEAL versus SaSML": the common benchmark set,
-// comparing the CEAL runtime against the SaSML-style comparator (see
-// src/baseline/SaSmlSim.h for the substitution rationale). The paper
+// comparing the CEAL runtime against the SaSML comparator (see
+// Runtime::Config::SimulateSaSml for the substitution rationale). The paper
 // reports CEAL 5-27x faster from scratch, 3-16x faster in change
 // propagation, and up to 5x smaller with plentiful memory; this harness
 // reproduces that uniform constant-factor gap (the super-linear collapse
@@ -11,7 +11,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "AppBench.h"
-#include "baseline/SaSmlSim.h"
 
 #include <cstdio>
 #include <vector>
@@ -29,7 +28,8 @@ int main(int argc, char **argv) {
   };
   std::vector<Row> Rows;
   Runtime::Config Plain;
-  Runtime::Config Sim = baseline::sasmlConfig();
+  Runtime::Config Sim;
+  Sim.SimulateSaSml = true;
 
   for (const AppSpec &App :
        {listApp(ListKind::Filter, NBig), listApp(ListKind::Map, NBig),

@@ -98,6 +98,11 @@ int main(int argc, char **argv) {
   if (Emit == "cl-normal") {
     std::fputs(cl::printProgram(Norm.Prog).c_str(), stdout);
   } else if (Emit == "c" || Emit == "c-basic") {
+    auto Limits = translate::checkShimLimits(Norm.Prog);
+    if (!Limits.empty()) {
+      std::fputs(cl::renderDiagnostics(Norm.Prog, Limits).c_str(), stderr);
+      return 1;
+    }
     auto Out = translate::emitC(Norm.Prog, Emit == "c"
                                                ? translate::Mode::Refined
                                                : translate::Mode::Basic);

@@ -165,9 +165,9 @@ struct PropagationProfile {
 /// bucket arrays are arena blocks too, so the arena's high-water mark is
 /// the whole footprint.
 struct MemoryStats {
-  uint64_t ReadBytes = 0;      ///< ReadNode records (+ per-node box).
-  uint64_t WriteBytes = 0;     ///< WriteNode records (+ per-node box).
-  uint64_t AllocBytes = 0;     ///< AllocNode records (+ per-node box).
+  uint64_t ReadBytes = 0;      ///< ReadNode records (+ per-node pad).
+  uint64_t WriteBytes = 0;     ///< WriteNode records (+ per-node pad).
+  uint64_t AllocBytes = 0;     ///< AllocNode records (+ per-node pad).
   uint64_t UserBlockBytes = 0; ///< memo-keyed allocations' user blocks.
   uint64_t ClosureBytes = 0;   ///< read closures + alloc initializers.
   uint64_t MetaBytes = 0;      ///< tracked meta blocks (inputs, modrefs).

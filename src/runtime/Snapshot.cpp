@@ -183,10 +183,6 @@ bool Runtime::readyForCheckpoint(std::string *Why) const {
   return true;
 }
 
-bool Snapshot::readyToSave(const Runtime &RT, std::string *Why) {
-  return RT.readyForCheckpoint(Why);
-}
-
 //===----------------------------------------------------------------------===//
 // Snapshot::Impl — all privileged access lives here (nested, so it
 // inherits the friend grants on Runtime, Arena, OrderList, MemoTable)
@@ -291,7 +287,7 @@ struct Snapshot::Impl {
     std::memcpy(MF.Stats, &RT.Main.S, sizeof(MF.Stats));
     MF.MetaBytes = RT.MetaBytes;
     MF.GcAllocMark = RT.GcAllocMark;
-    MF.BoxBytesPerNode = RT.Cfg.BoxBytesPerNode;
+    MF.NodePadBytes = RT.nodePadBytes();
     MF.OmBaseOff = offOfHandle(RT.Om.Base);
     MF.OmFirstGroupOff = offOfHandle(RT.Om.FirstGroup);
     MF.OmSize = RT.Om.Size;
@@ -726,12 +722,12 @@ struct Snapshot::Impl {
                         "disabled",
                         (unsigned long long)H.AnchorAddr,
                         (unsigned long long)codeAnchor()));
-    if (MF.BoxBytesPerNode != RT.Cfg.BoxBytesPerNode)
+    if (MF.NodePadBytes != RT.nodePadBytes())
       return failL(Out, Status::ConfigMismatch,
-                   strf("checkpoint used BoxBytesPerNode=%llu, runtime has "
-                        "%u",
-                        (unsigned long long)MF.BoxBytesPerNode,
-                        RT.Cfg.BoxBytesPerNode));
+                   strf("checkpoint used %llu-byte node pads, runtime has "
+                        "%zu (Config::SimulateSaSml differs)",
+                        (unsigned long long)MF.NodePadBytes,
+                        RT.nodePadBytes()));
     if (Mmap && H.PageBytes != systemPageBytes())
       return failL(Out, Status::BadMeta,
                    strf("saved with %llu-byte pages, this host has %llu "
@@ -755,6 +751,18 @@ struct Snapshot::Impl {
     RT.Mem.remapTo(RT.Mem.Base, RT.Mem.RegionBytes);
     RT.Om.rebuildEmpty();
     RT.Main.Cursor = RT.TraceEnd = RT.Om.base();
+    resetExecution(RT);
+    clearMemo(RT.ReadMemo);
+    clearMemo(RT.AllocMemo);
+    RT.Main.S = Runtime::Stats();
+    RT.MetaBytes = 0;
+    RT.GcAllocMark = 0;
+  }
+
+  /// The execution state a quiescent runtime has whatever its trace:
+  /// meta phase, no interval being re-executed, nothing pending or
+  /// queued, not out of memory.
+  static void resetExecution(Runtime &RT) {
     RT.Main.IntervalEnd = nullptr;
     RT.Main.PendingSubst = 0;
     RT.Main.SplicedFlag = false;
@@ -764,11 +772,6 @@ struct Snapshot::Impl {
     RT.PendingReadMemo.clear();
     RT.PendingAllocMemo.clear();
     RT.Main.DeferredFrees.clear();
-    clearMemo(RT.ReadMemo);
-    clearMemo(RT.AllocMemo);
-    RT.Main.S = Runtime::Stats();
-    RT.MetaBytes = 0;
-    RT.GcAllocMark = 0;
     RT.Oom = false;
   }
 
@@ -925,19 +928,10 @@ struct Snapshot::Impl {
 
     RT.Main.Cursor = RT.Mem.at(handleAtOff<OmNode>(P.MF.CursorOff));
     RT.TraceEnd = RT.Mem.at(handleAtOff<OmNode>(P.MF.TraceEndOff));
-    RT.Main.IntervalEnd = nullptr;
-    RT.Main.PendingSubst = 0;
-    RT.Main.SplicedFlag = false;
-    RT.CurPhase = Runtime::Phase::Meta;
-    RT.Main.PendingReads.clear();
-    RT.Main.Heap.clear();
-    RT.PendingReadMemo.clear();
-    RT.PendingAllocMemo.clear();
-    RT.Main.DeferredFrees.clear();
+    resetExecution(RT);
     std::memcpy(&RT.Main.S, P.MF.Stats, sizeof(RT.Main.S));
     RT.MetaBytes = static_cast<size_t>(P.MF.MetaBytes);
     RT.GcAllocMark = static_cast<size_t>(P.MF.GcAllocMark);
-    RT.Oom = false;
 
     if (!adoptMemo(RT.ReadMemo, RT.Mem, P.MF.ReadMemo, H.MemBumpUsed, "read",
                    Out) ||

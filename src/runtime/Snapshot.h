@@ -114,8 +114,8 @@ public:
     BadChecksum,
     /// Metadata section semantically invalid (counts, sizes, geometry).
     BadMeta,
-    /// Runtime configuration incompatible with the checkpoint
-    /// (trace-layout-affecting knobs must match).
+    /// Runtime configuration incompatible with the checkpoint (the
+    /// per-node pad, Runtime::nodePadBytes(), must match).
     ConfigMismatch,
     /// The code anchor moved: the loading process's code is not at the
     /// address the checkpoint was saved against.
@@ -209,7 +209,7 @@ public:
     uint64_t CursorOff, TraceEndOff; ///< Timestamp offsets.
     uint64_t Stats[11];              ///< Runtime::Stats, declared order.
     uint64_t MetaBytes, GcAllocMark;
-    uint64_t BoxBytesPerNode; ///< Layout-affecting config, must match.
+    uint64_t NodePadBytes; ///< Runtime::nodePadBytes(); must match.
     uint64_t OmBaseOff, OmFirstGroupOff;
     uint64_t OmSize, OmRelabels, OmRangeRelabels;
     MemoMeta ReadMemo, AllocMemo;
@@ -281,9 +281,6 @@ public:
   /// traces; the round-trip oracle compares a reloaded trace against a
   /// continuously-running one with this.
   static uint64_t traceShapeDigest(const Runtime &RT);
-
-  /// Equivalent to RT.readyForCheckpoint(Why).
-  static bool readyToSave(const Runtime &RT, std::string *Why = nullptr);
 
   /// The code-address anchor the header records: one symbol in this
   /// image, standing in for "all code is where the saver had it".

@@ -412,7 +412,7 @@ struct TraceAudit::Impl {
   }
 
   void walkTrace() {
-    const size_t Box = RT.Cfg.BoxBytesPerNode;
+    const size_t Pad = RT.nodePadBytes();
     Covered.assign((RT.Mem.bumpUsedBytes() / Arena::HandleGrain + 63) / 64, 0);
     std::vector<const ReadNode *> OpenReads;
     const OmNode *Last = decode(RT.Om.Base, "trace: base");
@@ -477,7 +477,7 @@ struct TraceAudit::Impl {
         fail("trace: node stamped at two timestamps");
         continue;
       }
-      charge(T, NodeBytes + Box);
+      charge(T, NodeBytes + Pad);
       switch (T->Kind) {
       case TraceKind::Read: {
         const auto *R = static_cast<const ReadNode *>(T);

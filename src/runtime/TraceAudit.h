@@ -49,14 +49,13 @@
 ///    closures and allocation blocks are pairwise disjoint, so a handle
 ///    forged to name a spot inside another live block is reported.
 ///
-/// The audit is read-only and meta-phase only. Runtime::Config::Audit
-/// picks the level: Off (auditNow is a no-op), Checkpoints (explicit
-/// auditNow calls only), EveryPropagation (automatic after every
-/// run_core and propagate). The hooks cost one branch per propagation
-/// when off, nothing per traced operation. Snapshot::load() runs the
-/// same walk once over a restored runtime, so a crafted checkpoint that
-/// passes every checksum still has to pass it before propagation trusts
-/// the trace.
+/// The audit is read-only and meta-phase only. Callers run it on request
+/// (inspect, enforce); Runtime::Config::Audit also runs enforce after
+/// every run_core and propagate. The hooks cost one branch per
+/// propagation when off, nothing per traced operation. Snapshot::load()
+/// runs the same walk once over a restored runtime, so a crafted
+/// checkpoint that passes every checksum still has to pass it before
+/// propagation trusts the trace.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -57,7 +57,7 @@ Word mapPaper(Word X, Word) { return X / 3 + X / 7 + X / 9; }
 
 Runtime::Config toolConfig() {
   Runtime::Config C;
-  C.Audit = AuditLevel::EveryPropagation;
+  C.Audit = true;
   return C;
 }
 

@@ -26,9 +26,11 @@
 #ifndef CEAL_TRANSLATE_EMITC_H
 #define CEAL_TRANSLATE_EMITC_H
 
+#include "cl/Diagnostic.h"
 #include "cl/Ir.h"
 
 #include <string>
+#include <vector>
 
 namespace ceal {
 namespace translate {
@@ -58,6 +60,15 @@ EmitResult emitC(const cl::Program &P, Mode M,
 /// The passthrough pipeline of the Table 3 "gcc" substitution: prints the
 /// program without normalization or translation (see DESIGN.md Sec. 3).
 EmitResult emitPassthrough(const cl::Program &P);
+
+/// Locates what the RTS shim cannot run in the normalized \p P: a
+/// function of more than shim::MaxCArity parameters, or a modref keyed on
+/// MaxCArity or more values (its initializer closure holds the keys after
+/// the block). emitC translates either into C that compiles but aborts
+/// when the closure is made, so check first. Normalization can add
+/// parameters (lifted read bodies take their live variables), so check
+/// the normalized program, not the source.
+std::vector<cl::Diagnostic> checkShimLimits(const cl::Program &P);
 
 } // namespace translate
 } // namespace ceal

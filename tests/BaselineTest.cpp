@@ -1,7 +1,6 @@
 //===- tests/BaselineTest.cpp - SaSML-simulator behaviour -----------------===//
 
 #include "apps/ListApps.h"
-#include "baseline/SaSmlSim.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +11,15 @@ using namespace ceal::apps;
 namespace {
 
 Word mapFn(Word X, Word) { return X / 3 + X / 7 + X / 9; }
+
+/// The SaSML comparator over a collected heap of \p HeapLimitBytes
+/// (0 = unbounded).
+Runtime::Config sasml(size_t HeapLimitBytes = 0) {
+  Runtime::Config C;
+  C.SimulateSaSml = true;
+  C.HeapLimitBytes = HeapLimitBytes;
+  return C;
+}
 
 std::vector<Word> randomInput(size_t N) {
   Rng R(321);
@@ -26,7 +34,7 @@ std::vector<Word> randomInput(size_t N) {
 TEST(Baseline, ProducesIdenticalResults) {
   std::vector<Word> In = randomInput(400);
   Runtime Plain;
-  Runtime Sasml(baseline::sasmlConfig());
+  Runtime Sasml(sasml());
   ListHandle LP = buildList(Plain, In);
   ListHandle LS = buildList(Sasml, In);
   Modref *DP = Plain.modref(), *DS = Sasml.modref();
@@ -51,7 +59,7 @@ TEST(Baseline, ProducesIdenticalResults) {
 TEST(Baseline, UsesSubstantiallyMoreSpace) {
   std::vector<Word> In = randomInput(2000);
   Runtime Plain;
-  Runtime Sasml(baseline::sasmlConfig());
+  Runtime Sasml(sasml());
   ListHandle LP = buildList(Plain, In);
   ListHandle LS = buildList(Sasml, In);
   Modref *DP = Plain.modref(), *DS = Sasml.modref();
@@ -68,7 +76,7 @@ TEST(Baseline, BoundedHeapTriggersGcScans) {
   std::vector<Word> In = randomInput(3000);
   // Budget: just above the live size of this trace, so the collector
   // must run but the program still fits.
-  Runtime Probe(baseline::sasmlConfig());
+  Runtime Probe(sasml());
   {
     ListHandle L = buildList(Probe, In);
     Modref *D = Probe.modref();
@@ -76,7 +84,7 @@ TEST(Baseline, BoundedHeapTriggersGcScans) {
   }
   size_t Live = Probe.maxLiveBytes();
 
-  Runtime Tight(baseline::sasmlConfig(Live + Live / 4));
+  Runtime Tight(sasml(Live + Live / 4));
   ListHandle L = buildList(Tight, In);
   Modref *D = Tight.modref();
   Tight.runCore<&mapCore>(L.Head, D, &mapFn, Word(0));
@@ -87,7 +95,7 @@ TEST(Baseline, BoundedHeapTriggersGcScans) {
 
 TEST(Baseline, ReportsOutOfMemoryWhenLiveExceedsHeap) {
   std::vector<Word> In = randomInput(3000);
-  Runtime Probe(baseline::sasmlConfig());
+  Runtime Probe(sasml());
   {
     ListHandle L = buildList(Probe, In);
     Modref *D = Probe.modref();
@@ -95,7 +103,7 @@ TEST(Baseline, ReportsOutOfMemoryWhenLiveExceedsHeap) {
   }
   size_t Live = Probe.maxLiveBytes();
 
-  Runtime Tiny(baseline::sasmlConfig(Live / 2));
+  Runtime Tiny(sasml(Live / 2));
   ListHandle L = buildList(Tiny, In);
   Modref *D = Tiny.modref();
   Tiny.runCore<&mapCore>(L.Head, D, &mapFn, Word(0));
@@ -104,7 +112,7 @@ TEST(Baseline, ReportsOutOfMemoryWhenLiveExceedsHeap) {
 
 TEST(Baseline, GcPressureGrowsAsHeapShrinks) {
   std::vector<Word> In = randomInput(2500);
-  Runtime Probe(baseline::sasmlConfig());
+  Runtime Probe(sasml());
   {
     ListHandle L = buildList(Probe, In);
     Modref *D = Probe.modref();
@@ -114,7 +122,7 @@ TEST(Baseline, GcPressureGrowsAsHeapShrinks) {
 
   uint64_t PrevScans = 0;
   for (double Factor : {8.0, 2.0, 1.2}) {
-    Runtime RT(baseline::sasmlConfig(size_t(Live * Factor)));
+    Runtime RT(sasml(size_t(Live * Factor)));
     ListHandle L = buildList(RT, In);
     Modref *D = RT.modref();
     RT.runCore<&mapCore>(L.Head, D, &mapFn, Word(0));
@@ -123,4 +131,40 @@ TEST(Baseline, GcPressureGrowsAsHeapShrinks) {
     PrevScans = RT.stats().GcScans;
   }
   EXPECT_GT(PrevScans, 0u);
+}
+
+// Pins the comparator's cost model on a seeded map (n = 2000): the values
+// were recorded before the comparator's calibration constants were folded
+// behind one Config switch, so a change that moves a constant or the point
+// where a cost is charged shows up here.
+TEST(Baseline, ComparatorCostModelIsPinned) {
+  std::vector<Word> In = randomInput(2000);
+  {
+    Runtime RT(sasml());
+    ListHandle L = buildList(RT, In);
+    Modref *D = RT.modref();
+    RT.runCore<&mapCore>(L.Head, D, &mapFn, Word(0));
+    MemoryStats M = RT.memoryStats();
+    EXPECT_EQ(M.ReadBytes, 736368u);
+    EXPECT_EQ(M.WriteBytes, 656328u);
+    EXPECT_EQ(M.AllocBytes, 1312000u);
+    EXPECT_EQ(RT.maxLiveBytes(), 3136888u);
+    EXPECT_EQ(RT.stats().ReadsTraced, 2001u);
+  }
+  // A heap the trace fits in (collections, no overflow) and one it does
+  // not.
+  struct Pressure {
+    size_t Limit;
+    uint64_t GcScans;
+    bool Oom;
+  };
+  for (Pressure P : {Pressure{size_t(4) << 20, 3, false},
+                     Pressure{size_t(2) << 20, 13, true}}) {
+    Runtime RT(sasml(P.Limit));
+    ListHandle L = buildList(RT, In);
+    Modref *D = RT.modref();
+    RT.runCore<&mapCore>(L.Head, D, &mapFn, Word(0));
+    EXPECT_EQ(RT.stats().GcScans, P.GcScans) << "limit " << P.Limit;
+    EXPECT_EQ(RT.outOfMemory(), P.Oom) << "limit " << P.Limit;
+  }
 }

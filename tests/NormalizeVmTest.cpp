@@ -814,9 +814,9 @@ std::string wideProgram(size_t W) {
                    const char *Step, const char *After) {
     std::string S;
     for (size_t I = 0; I < W; ++I) {
-      std::string Prev = I == 0 ? First : "v" + std::to_string(I - 1);
+      std::string Prev = I == 0 ? First : gen::indexedName("v", I - 1);
       std::string Arg = I == 0 ? One : Step;
-      std::string Next = I + 1 == W ? After : L + std::to_string(I + 1);
+      std::string Next = I + 1 == W ? After : gen::indexedName(L, I + 1);
       S += std::string("  ") + L + std::to_string(I) + ": v" +
            std::to_string(I) + " := add(" + Prev + ", " + Arg +
            "); goto " + Next + ";\n";
@@ -829,7 +829,7 @@ std::string wideProgram(size_t W) {
     for (size_t I = 0; I < W; ++I)
       S += std::string("  ") + L + std::to_string(I) + ": " + Acc +
            " := add(" + Acc + ", v" + std::to_string(I) + "); goto " +
-           (I + 1 == W ? After : L + std::to_string(I + 1)) + ";\n";
+           (I + 1 == W ? After : gen::indexedName(L, I + 1)) + ";\n";
     return S;
   };
 

@@ -13,7 +13,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "baseline/SaSmlSim.h"
 #include "tests/support/OracleModels.h"
 
 #include <gtest/gtest.h>
@@ -80,12 +79,14 @@ TEST(OracleHarnessFastPath, LargeListsExerciseMultiGroupAppend) {
 
 namespace {
 
-/// The SaSML cost shape minus the per-node spin (which only slows the
-/// test): closure traffic, fat nodes, and a bounded collected heap.
+/// The SaSML comparator (closure traffic, padded nodes) over a bounded
+/// collected heap, audited after every run and propagation: the
+/// reclamation paths are where a trace or accounting bug would hide.
 Runtime::Config pressureConfig(size_t HeapLimitBytes) {
-  Runtime::Config C =
-      baseline::sasmlConfig(HeapLimitBytes, AuditLevel::EveryPropagation);
-  C.SimSpinPerNode = 0;
+  Runtime::Config C;
+  C.SimulateSaSml = true;
+  C.HeapLimitBytes = HeapLimitBytes;
+  C.Audit = true;
   return C;
 }
 

@@ -33,7 +33,7 @@ Word mapPaper(Word X, Word) { return X / 3 + X / 7 + X / 9; }
 
 Runtime::Config testConfig() {
   Runtime::Config C;
-  C.Audit = AuditLevel::EveryPropagation;
+  C.Audit = true;
   return C;
 }
 
@@ -218,7 +218,16 @@ TEST(Snapshot, DigestIsDeterministicAndShapeSensitive) {
 TEST(Snapshot, ReadyToSaveReportsWhy) {
   Runtime RT(testConfig());
   std::string Why;
-  EXPECT_TRUE(Snapshot::readyToSave(RT, &Why)) << Why;
+  EXPECT_TRUE(RT.readyForCheckpoint(&Why)) << Why;
+  apps::ListHandle L = apps::buildList(RT, {1, 2, 3});
+  Modref *Dst = RT.modref();
+  RT.runCore<&apps::mapCore>(L.Head, Dst, &mapPaper, Word(0));
+  EXPECT_TRUE(RT.readyForCheckpoint(&Why)) << Why;
+  apps::detachCell(RT, L, 1); // Queues invalidations; no propagate yet.
+  EXPECT_FALSE(RT.readyForCheckpoint(&Why));
+  EXPECT_NE(Why.find("propagate"), std::string::npos) << Why;
+  RT.propagate();
+  EXPECT_TRUE(RT.readyForCheckpoint(&Why)) << Why;
 }
 
 //===----------------------------------------------------------------------===//
@@ -485,12 +494,15 @@ TEST(Snapshot, MovedAnchorIsCodeMoved) {
 }
 
 TEST(Snapshot, BoxBytesMismatchIsConfigMismatch) {
+  // The comparator pads every trace node, so a checkpoint taken without
+  // it cannot be adopted by a runtime that has it.
   Checkpoint C;
   makeCheckpoint(C);
   Runtime::Config Cfg = testConfig();
-  Cfg.BoxBytesPerNode += 8;
+  Cfg.SimulateSaSml = true;
   Runtime RT(Cfg);
-  EXPECT_EQ(Snapshot::load(RT, C.Tmp.Path).St, St::ConfigMismatch);
+  Snapshot::LoadResult LR = Snapshot::load(RT, C.Tmp.Path);
+  EXPECT_EQ(LR.St, St::ConfigMismatch) << LR.Diagnostic;
 }
 
 TEST(Snapshot, BrokenAccountingIsAuditFailed) {

@@ -1,10 +1,10 @@
 //===- tests/TraceAuditTest.cpp - Trace sanitizer unit tests --------------===//
 //
-// Two directions: traces the runtime builds must audit clean (at every
-// level, across runs and propagations), and deliberately corrupted state
-// must be *detected* — each corruption test breaks one structure through
-// public types (Modref, ReadNode are plain structs) and asserts inspect()
-// reports it rather than crashing.
+// Two directions: traces the runtime builds must audit clean (on request
+// and from the Config::Audit hooks, across runs and propagations), and
+// deliberately corrupted state must be *detected* — each corruption test
+// breaks one structure through public types (Modref, ReadNode are plain
+// structs) and asserts inspect() reports it rather than crashing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -89,7 +89,7 @@ TEST(TraceAudit, CleanAcrossEditsAndPropagations) {
 
 TEST(TraceAudit, EveryPropagationHooksRunOnCleanTraces) {
   Runtime::Config C;
-  C.Audit = AuditLevel::EveryPropagation;
+  C.Audit = true;
   // Constructing, running, editing, propagating with the hooks live must
   // not abort.
   Fixture F(C);
@@ -101,10 +101,8 @@ TEST(TraceAudit, EveryPropagationHooksRunOnCleanTraces) {
 }
 
 TEST(TraceAudit, CheckpointLevelAuditsOnlyOnRequest) {
-  Runtime::Config C;
-  C.Audit = AuditLevel::Checkpoints;
-  Fixture F(C);
-  F.RT.auditNow("explicit checkpoint"); // Clean: must not abort.
+  Fixture F; // Config::Audit off: no hook runs, an explicit audit does.
+  TraceAudit::enforce(F.RT, "explicit checkpoint"); // Clean: must not abort.
   SUCCEED();
 }
 
@@ -114,16 +112,14 @@ TEST(TraceAudit, CheckpointsCleanWithFastPathReserveAndChurn) {
   // benchmarks run: checkpoint after the from-scratch run, then through
   // edit/propagate churn that revisits the half-open groups and the
   // bulk-built memo index.
-  Runtime::Config C;
-  C.Audit = AuditLevel::Checkpoints;
-  Runtime RT(C);
+  Runtime RT;
   const size_t N = 512;
   RT.reserveTrace(4 * N);
   Rng R(11);
   ListHandle L = buildList(RT, gen::randomWords(R, N));
   Modref *Dst = RT.modref();
   RT.runCore<&mapCore>(L.Head, Dst, &mapId, Word(0));
-  RT.auditNow("after fast-path construction");
+  TraceAudit::enforce(RT, "after fast-path construction");
   TraceAudit::Report Rep = TraceAudit::inspect(RT);
   ASSERT_TRUE(Rep.ok()) << Rep.summary();
   ASSERT_GT(Rep.Reads, N) << "trace unexpectedly small";
@@ -134,7 +130,7 @@ TEST(TraceAudit, CheckpointsCleanWithFastPathReserveAndChurn) {
     RT.propagate();
     reattachCell(RT, L, I);
     RT.propagate();
-    RT.auditNow("after churn round");
+    TraceAudit::enforce(RT, "after churn round");
   }
   Rep = TraceAudit::inspect(RT);
   EXPECT_TRUE(Rep.ok()) << Rep.summary();
@@ -160,12 +156,12 @@ TEST(TraceAudit, TraceShapeIsLayoutIndependent) {
 }
 
 TEST(TraceAudit, OffLevelIgnoresEvenCorruptedState) {
-  Fixture F; // Audit defaults to Off.
+  Fixture F; // Config::Audit defaults to off.
   ReadNode *R = F.someRead();
   ASSERT_NE(R, nullptr);
   Word Saved = R->SeenValue;
   R->SeenValue ^= 1;
-  F.RT.auditNow("should be a no-op");
+  F.RT.propagate(); // Nothing queued; with the hook off, no audit runs.
   R->SeenValue = Saved;
   SUCCEED();
 }

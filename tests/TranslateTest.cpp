@@ -1,6 +1,7 @@
 //===- tests/TranslateTest.cpp - CL -> C translation tests ----------------===//
 
 #include "cl/Parser.h"
+#include "cl/Printer.h"
 #include "cl/Samples.h"
 #include "normalize/Normalize.h"
 #include "translate/EmitC.h"
@@ -10,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 
 using namespace ceal;
 using namespace ceal::cl;
@@ -113,4 +115,127 @@ TEST(EmitC, CompilationTimeScalesNearLinearly) {
   EmitResult RS = emitC(normalizeProgram(*Small.Prog).Prog, Mode::Refined);
   EmitResult RL = emitC(normalizeProgram(*Large.Prog).Prog, Mode::Refined);
   EXPECT_GT(RL.EmittedBytes, 3 * RS.EmittedBytes);
+}
+
+//===----------------------------------------------------------------------===//
+// The RTS shim's arity limit
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// "<Type><Prefix>0, ..., <Type><Prefix>{N-1}"; \p Type is empty for
+/// argument lists.
+std::string commaList(const char *Type, const char *Prefix, size_t N) {
+  std::string S;
+  for (size_t I = 0; I < N; ++I) {
+    if (I)
+      S += ", ";
+    S += Type;
+    S += Prefix;
+    S += std::to_string(I);
+  }
+  return S;
+}
+
+/// A function of \p Params int parameters and an empty body.
+std::string wideProgram(size_t Params) {
+  std::string P = "func wide(";
+  P += commaList("int ", "a", Params);
+  P += ") {\n  b0: done;\n}\n";
+  return P;
+}
+
+/// A function of \p Params int parameters and one modref keyed on the
+/// first \p Keys of them.
+std::string keyedProgram(size_t Params, size_t Keys) {
+  std::string P = "func keyed(";
+  P += commaList("int ", "k", Params);
+  P += ") {\n  var modref* r;\n  m0: r := modref(";
+  P += commaList("", "k", Keys);
+  P += "); goto m1;\n  m1: done;\n}\n";
+  return P;
+}
+
+/// Twelve locals live across a read: the source function has two
+/// parameters, the lifted read body fourteen (the read value, the
+/// twelve locals and the output modref).
+std::string liftedWideProgram() {
+  std::ostringstream P;
+  P << "func lifted(modref* m, modref* out) {\n  var int x; var int s;";
+  for (int I = 0; I < 12; ++I)
+    P << " var int v" << I << ";";
+  P << "\n";
+  for (int I = 0; I < 12; ++I) {
+    P << "  d" << I << ": v" << I << " := " << I << "; goto ";
+    if (I + 1 < 12)
+      P << "d" << I + 1 << ";\n";
+    else
+      P << "rd;\n";
+  }
+  P << "  rd: x := read m; goto a0;\n";
+  P << "  a0: s := add(x, v0); goto a1;\n";
+  for (int I = 1; I < 12; ++I) {
+    P << "  a" << I << ": s := add(s, v" << I << "); goto ";
+    if (I + 1 < 12)
+      P << "a" << I + 1 << ";\n";
+    else
+      P << "wr;\n";
+  }
+  P << "  wr: write(out, s); goto e;\n  e: done;\n}\n";
+  return P.str();
+}
+
+} // namespace
+
+TEST(ShimLimits, EverySamplePasses) {
+  for (const auto &[Name, Source] : samples::allPrograms()) {
+    Program P = normalizedSample(Source.c_str());
+    EXPECT_TRUE(checkShimLimits(P).empty())
+        << Name << ":\n"
+        << renderDiagnostics(P, checkShimLimits(P));
+  }
+}
+
+TEST(ShimLimits, RejectsThirteenParameters) {
+  Program P = normalizedSample(wideProgram(13).c_str());
+  std::vector<Diagnostic> Ds = checkShimLimits(P);
+  ASSERT_EQ(Ds.size(), 1u);
+  EXPECT_EQ(P.Funcs[Ds[0].Function].Name, "wide");
+  EXPECT_EQ(renderDiagnostics(P, Ds),
+            "error: function 'wide': has 13 parameters after "
+            "normalization; compiled code supports at most 12\n");
+
+  // Twelve parameters are the limit itself.
+  EXPECT_TRUE(
+      checkShimLimits(normalizedSample(wideProgram(12).c_str())).empty());
+}
+
+TEST(ShimLimits, RejectsTwelveModrefKeys) {
+  Program P = normalizedSample(keyedProgram(12, 12).c_str());
+  std::vector<Diagnostic> Ds = checkShimLimits(P);
+  ASSERT_EQ(Ds.size(), 1u);
+  std::string Text = renderDiagnostics(P, Ds);
+  EXPECT_NE(Text.find("error: function 'keyed', block 'm0' (#0): modref "
+                      "keyed on 12 values; compiled code supports at most "
+                      "11"),
+            std::string::npos)
+      << Text;
+  EXPECT_NE(Text.find("[at the command]"), std::string::npos) << Text;
+
+  EXPECT_TRUE(
+      checkShimLimits(normalizedSample(keyedProgram(12, 11).c_str())).empty());
+}
+
+TEST(ShimLimits, ChecksTheNormalizedProgram) {
+  // Lifting the read body raises the arity past the limit: the source
+  // passes, its normal form does not.
+  auto Parsed = parseProgram(liftedWideProgram());
+  ASSERT_TRUE(Parsed) << Parsed.Error;
+  EXPECT_TRUE(checkShimLimits(*Parsed.Prog).empty());
+  Program Norm = normalizeProgram(*Parsed.Prog).Prog;
+  std::vector<Diagnostic> Ds = checkShimLimits(Norm);
+  ASSERT_FALSE(Ds.empty());
+  for (const Diagnostic &D : Ds)
+    EXPECT_GT(Norm.Funcs[D.Function].NumParams, 12u)
+        << renderDiagnostics(Norm, Ds);
 }

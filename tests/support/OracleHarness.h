@@ -81,7 +81,7 @@ using ModelFactory = std::function<std::unique_ptr<AppModel>()>;
 /// runs, so every propagation is audited.
 inline Runtime::Config auditedConfig() {
   Runtime::Config C;
-  C.Audit = AuditLevel::EveryPropagation;
+  C.Audit = true;
   return C;
 }
 

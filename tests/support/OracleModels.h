@@ -9,7 +9,7 @@
 /// primitives (map, filter, reverse, the reductions, both sorts), the
 /// expression trees, tree contraction, and the geometry cores (quickhull,
 /// diameter, distance). Each pairs a self-adjusting core with its
-/// conventional oracle from src/apps or src/baseline.
+/// conventional oracle from src/apps.
 ///
 /// List edits follow a LIFO detach/reattach discipline: reattaching always
 /// undoes the most recent detach, so a reattached cell's stored tail still

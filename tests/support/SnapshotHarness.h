@@ -146,7 +146,7 @@ inline std::string runSnapshotSequence(const ModelFactory &Make,
                std::to_string(Step);
     }
     std::string Why;
-    if (!Snapshot::readyToSave(SaveRT, &Why))
+    if (!SaveRT.readyForCheckpoint(&Why))
       return "runtime not checkpointable at the split point: " + Why;
     Snapshot::SaveResult SR = Snapshot::save(SaveRT, Tmp.Path);
     if (!SR.ok())
