@@ -3,8 +3,14 @@
 // Save lays the file out as a 4096-byte header block plus three contiguous
 // sections (META, the root table, then the page-aligned arena image, which
 // also holds the memo tables' bucket arrays) and checksums every byte: the
-// header block as a whole, each section over its full padded length. Load
-// runs two stages: parseAndValidate() proves the file internally
+// header block as a whole, each section over its full padded length. It
+// reads the arena once: a helper thread checksums the image while the
+// calling thread writes it in 2 MiB chunks. The file goes to a fresh
+// sibling temporary, header block last, which is renamed over the target
+// only when complete; a failure unlinks it. So the old checkpoint stays
+// whole until the rename, and a runtime that maps it keeps the old inode.
+//
+// Load runs two stages: parseAndValidate() proves the file internally
 // consistent without touching the runtime (so early failures leave it
 // untouched), then install() claims the recorded region base, adopts the
 // arena image (copy or mmap), restores the scalar state, and adopts the
@@ -33,9 +39,13 @@
 #include "support/simd/Simd.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <pthread.h>
+#include <sys/mman.h>
 #include <unistd.h>
 #include <unordered_map>
 #include <utility>
@@ -96,6 +106,121 @@ struct ByteBuf {
 };
 
 uint64_t byteswap64(uint64_t V) { return __builtin_bswap64(V); }
+
+/// The arena image goes to disk in writes of this size while the checksum
+/// thread reads the same region. On map_edit, 256 KiB writes made the
+/// best save slower and the warm start that maps the file 15-20% slower;
+/// one write of the whole image made the median save twice as slow
+/// (EXPERIMENTS.md "One-pass checkpoint").
+constexpr uint64_t SaveChunkBytes = uint64_t(2) << 20;
+
+/// Checksums the arena section (its kind preamble, then the region image)
+/// on a helper thread while save writes the same bytes. The thread runs on
+/// a stack this object maps and unmaps itself: glibc keeps the stack of a
+/// finished thread it allocated mapped for reuse, and one left next to
+/// the arena region takes the hole that a later in-process load at the
+/// region's recorded base needs. If no thread can be started, the
+/// constructor computes the checksum on the calling thread.
+class ArenaChecksum {
+public:
+  ArenaChecksum(uint64_t Preamble, const char *Image, size_t Len)
+      : Preamble(Preamble), Image(Image), Len(Len) {
+    Stack = ::mmap(nullptr, StackBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                   -1, 0);
+    pthread_attr_t Attr;
+    if (Stack != MAP_FAILED && ::pthread_attr_init(&Attr) == 0) {
+      Running = ::pthread_attr_setstack(&Attr, Stack, StackBytes) == 0 &&
+                ::pthread_create(&Tid, &Attr, &run, this) == 0;
+      ::pthread_attr_destroy(&Attr);
+    }
+    if (!Running)
+      compute();
+  }
+  ArenaChecksum(const ArenaChecksum &) = delete;
+  ArenaChecksum &operator=(const ArenaChecksum &) = delete;
+  ~ArenaChecksum() { digest(); }
+
+  /// Joins the helper thread and returns the digest.
+  uint64_t digest() {
+    if (Running) {
+      ::pthread_join(Tid, nullptr);
+      Running = false;
+    }
+    if (Stack != MAP_FAILED) {
+      ::munmap(Stack, StackBytes);
+      Stack = MAP_FAILED;
+    }
+    return Sum;
+  }
+
+private:
+  static constexpr size_t StackBytes = size_t(1) << 20;
+
+  static void *run(void *Self) {
+    static_cast<ArenaChecksum *>(Self)->compute();
+    return nullptr;
+  }
+  void compute() {
+    Checksum64 C;
+    C.update(&Preamble, sizeof(Preamble));
+    C.update(Image, Len);
+    Sum = C.digest();
+  }
+
+  const uint64_t Preamble;
+  const char *const Image;
+  const size_t Len;
+  void *Stack = MAP_FAILED;
+  pthread_t Tid = {};
+  bool Running = false;
+  uint64_t Sum = 0;
+};
+
+/// The file a save writes before renaming it over its target: a fresh
+/// sibling in the target's directory (so the rename is atomic), created
+/// exclusively, and unlinked on every path that does not commit it.
+struct SiblingTemp {
+  std::string Name;
+  io::File F;
+  bool Committed = false;
+
+  SiblingTemp() = default;
+  SiblingTemp(const SiblingTemp &) = delete;
+  SiblingTemp &operator=(const SiblingTemp &) = delete;
+  ~SiblingTemp() {
+    if (!Name.empty() && !Committed)
+      ::unlink(Name.c_str());
+  }
+
+  /// Creates the temporary; false (errno set) if none could be made.
+  /// O_EXCL makes the name unique; the nonce only makes clashes rare.
+  bool create(const std::string &Target) {
+    const uint64_t Nonce =
+        uint64_t(std::chrono::steady_clock::now().time_since_epoch().count()) ^
+        (uint64_t(::getpid()) << 40);
+    for (uint64_t Try = 0; Try < 64; ++Try) {
+      std::string Candidate = strf("%s.tmp-%016llx", Target.c_str(),
+                                   (unsigned long long)(Nonce + Try));
+      F = io::File::createExclusive(Candidate);
+      if (F) {
+        Name = std::move(Candidate);
+        return true;
+      }
+      if (errno != EEXIST)
+        return false;
+    }
+    return false;
+  }
+
+  /// Closes the temporary and renames it over \p Target.
+  bool commit(const std::string &Target) {
+    if (!F.close() || ::rename(Name.c_str(), Target.c_str()) != 0)
+      return false;
+    Committed = true;
+    return true;
+  }
+};
 
 } // namespace
 
@@ -327,33 +452,47 @@ struct Snapshot::Impl {
     Place(IMem, SecMem, padTo(MemUsed, Page));
     const uint64_t FileBytes = Off;
 
-    io::File F = io::File::createTrunc(Path);
-    if (!F)
-      return Fail(Status::IoError, "cannot create " + Path);
+    SiblingTemp Tmp;
+    if (!Tmp.create(Path))
+      return Fail(Status::IoError,
+                  strf("cannot create a temporary next to %s: %s",
+                       Path.c_str(), std::strerror(errno)));
+    const io::File &F = Tmp.F;
+    auto WriteFailed = [&](int Err) -> SaveResult & {
+      return Fail(Status::IoError, strf("write failed for %s: %s",
+                                        Path.c_str(), std::strerror(Err)));
+    };
 
     // Small sections: write from the buffers, checksum the same bytes.
     const ByteBuf *Small[NumSmall] = {&Meta, &Roots};
     for (size_t I = 0; I < NumSmall; ++I) {
       if (!F.pwriteAll(Small[I]->B.data(), Small[I]->B.size(), SE[I].Offset))
-        return Fail(Status::IoError, "write failed for " + Path);
+        return WriteFailed(errno);
       SE[I].Checksum = Checksum64::of(Small[I]->B.data(), Small[I]->B.size());
     }
 
     // Arena section: an 8-byte kind preamble overlays region bytes
     // [0, 8) — never used by the runtime (offset 0 is the null handle) —
-    // then the region image verbatim. The source region is not modified.
+    // then the region image verbatim, in one pass over memory: a helper
+    // thread checksums the image while this thread writes it. Both only
+    // read the region; the runtime is quiescent and const here. The
+    // helper is joined on every path (digest() or the destructor).
     {
-      uint64_t Pre = sectionPreamble(SecMem);
-      uint64_t Len = SE[IMem].Length;
-      if (!F.pwriteAll(&Pre, sizeof(Pre), SE[IMem].Offset) ||
-          !F.pwriteAll(Mem.Base + Arena::HandleGrain,
-                       Len - Arena::HandleGrain,
-                       SE[IMem].Offset + Arena::HandleGrain))
-        return Fail(Status::IoError, "write failed for " + Path);
-      Checksum64 C;
-      C.update(&Pre, sizeof(Pre));
-      C.update(Mem.Base + Arena::HandleGrain, Len - Arena::HandleGrain);
-      SE[IMem].Checksum = C.digest();
+      const uint64_t Pre = sectionPreamble(SecMem);
+      const uint64_t Len = SE[IMem].Length;
+      const char *Region = Mem.Base;
+      ArenaChecksum Sum(Pre, Region + Arena::HandleGrain,
+                        Len - Arena::HandleGrain);
+      bool Wrote = F.pwriteAll(&Pre, sizeof(Pre), SE[IMem].Offset);
+      for (uint64_t Pos = Arena::HandleGrain; Wrote && Pos < Len;) {
+        const uint64_t End = std::min(Len, padTo(Pos + 1, SaveChunkBytes));
+        Wrote = F.pwriteAll(Region + Pos, End - Pos, SE[IMem].Offset + Pos);
+        Pos = End;
+      }
+      const int WriteErr = errno;
+      SE[IMem].Checksum = Sum.digest();
+      if (!Wrote)
+        return WriteFailed(WriteErr);
     }
 
     H.MagicWord = Magic;
@@ -379,7 +518,11 @@ struct Snapshot::Impl {
     std::memcpy(Block.data() + offsetof(FileHeader, HeaderChecksum), &Sum,
                 sizeof(Sum));
     if (!F.pwriteAll(Block.data(), Block.size(), 0))
-      return Fail(Status::IoError, "write failed for " + Path);
+      return WriteFailed(errno);
+    if (!Tmp.commit(Path))
+      return Fail(Status::IoError,
+                  strf("cannot replace %s: %s", Path.c_str(),
+                       std::strerror(errno)));
 
     R.FileBytes = FileBytes;
     return R;

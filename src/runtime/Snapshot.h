@@ -243,7 +243,16 @@ public:
     bool ok() const { return St == Status::Ok; }
   };
 
-  /// Writes a checkpoint of the quiescent \p RT to \p Path.
+  /// Writes a checkpoint of the quiescent \p RT to \p Path. The file is
+  /// written under a fresh temporary name next to \p Path (so save needs
+  /// write permission on that directory), header block last, and then
+  /// rename()d over \p Path. A symlink at \p Path is therefore replaced,
+  /// not written through. Any failure unlinks the temporary and leaves
+  /// \p Path as it was, and a runtime warm-started from the old file
+  /// keeps its mapping of it: re-saving a warm-started runtime to its own
+  /// source is safe. The save is atomic against a crash of this process
+  /// or an I/O error, but nothing is fsync'd, so it is not durable across
+  /// a power loss.
   static SaveResult save(const Runtime &RT, const std::string &Path,
                          const SaveOptions &Opt = {});
 

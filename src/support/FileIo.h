@@ -10,7 +10,9 @@
 /// (runtime/Snapshot). Offsets are explicit (pread/pwrite) so the writer
 /// can lay out sections in any order and the loader never depends on a
 /// shared file cursor; every short transfer is retried until the full
-/// length moved or a real error occurred.
+/// length moved or a real error occurred. The writer only ever creates a
+/// fresh file (it renames it over its target when done), so there is no
+/// open-for-overwrite.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,10 +51,11 @@ public:
     F.Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
     return F;
   }
-  /// Creates (or truncates) \p Path for writing.
-  static File createTrunc(const std::string &Path) {
+  /// Creates \p Path for writing; fails (errno EEXIST) if anything,
+  /// even a dangling symlink, already has that name.
+  static File createExclusive(const std::string &Path) {
     File F;
-    F.Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+    F.Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
                   0644);
     return F;
   }
@@ -61,10 +64,12 @@ public:
   explicit operator bool() const { return ok(); }
   int fd() const { return Fd; }
 
-  void close() {
-    if (Fd >= 0)
-      ::close(Fd);
+  /// Closes the descriptor; false if close() reported an error (a
+  /// deferred write failure on some file systems).
+  bool close() {
+    bool Ok = Fd < 0 || ::close(Fd) == 0;
     Fd = -1;
+    return Ok;
   }
 
   /// File size in bytes, or -1 on error.
@@ -109,11 +114,6 @@ public:
       Len -= static_cast<size_t>(N);
     }
     return true;
-  }
-
-  /// Extends/truncates the file to \p Len bytes (holes read as zeros).
-  bool truncateTo(uint64_t Len) const {
-    return ::ftruncate(Fd, static_cast<off_t>(Len)) == 0;
   }
 
 private:

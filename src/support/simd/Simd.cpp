@@ -13,13 +13,19 @@
 // caller's memory, which it may not assume unaliased with Data. Words
 // are loaded in host byte order, like every other snapshot field.
 //
+// A ThreadSanitizer build keeps only the baseline loop: with gcc 12, any
+// target_clones function (an ifunc bound at load time) makes a TSan
+// binary segfault before main. Every clone computes the same digests, so
+// only speed differs.
+//
 //===----------------------------------------------------------------------===//
 
 #include "support/simd/Simd.h"
 
 #include <cstring>
 
-#if defined(__x86_64__) && defined(__has_attribute)
+#if defined(__x86_64__) && defined(__has_attribute) &&                        \
+    !defined(__SANITIZE_THREAD__)
 #if __has_attribute(target_clones)
 #define CEAL_SWEEP_CLONES 1
 #endif

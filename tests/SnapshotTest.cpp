@@ -20,7 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <csignal>
 #include <cstring>
+#include <filesystem>
+#include <sys/resource.h>
 
 using namespace ceal;
 using namespace ceal::harness;
@@ -54,8 +58,15 @@ struct Checkpoint {
 /// long after the source runtime is gone; near the top-down area the
 /// freed range is the first hole the next mmap fills (under ASan, a
 /// large-chunk mapping of its allocator did, and the load failed with
-/// AddressUnavailable).
+/// AddressUnavailable). ThreadSanitizer accepts application mappings
+/// only inside its own ranges: it drops a claim's address outside them
+/// and aborts on wherever the mapping then lands. So a TSan build uses a
+/// base in its low application range, which ASan keeps as a shadow gap.
+#ifdef __SANITIZE_THREAD__
+constexpr uint64_t QuietBase = 0x004000000000ULL;
+#else
 constexpr uint64_t QuietBase = 0x400000000000ULL;
+#endif
 
 /// Moves the fresh runtime \p RT's region to QuietBase. An empty
 /// runtime's arena image holds no raw address, so its checkpoint loads at
@@ -140,11 +151,10 @@ uint64_t peekU64(const std::vector<uint8_t> &B, size_t Off) {
 
 namespace {
 
-/// Saves, destroys the source runtime, reloads on the given path, and
-/// checks digest, roots, output, and continued propagation.
-void roundTrip(bool UseMmap) {
-  Checkpoint C;
-  makeCheckpoint(C);
+/// Reloads \p C (its source runtime already destroyed) on the given path,
+/// and checks digest, roots, output, and continued propagation.
+void checkReload(const Checkpoint &C, bool UseMmap) {
+  SCOPED_TRACE(UseMmap ? "mmapWarmStart" : "load");
   Runtime RT(testConfig());
   Snapshot::LoadResult LR = UseMmap ? Snapshot::mmapWarmStart(RT, C.Tmp.Path)
                                     : Snapshot::load(RT, C.Tmp.Path);
@@ -177,10 +187,32 @@ void roundTrip(bool UseMmap) {
   EXPECT_EQ(apps::readList(RT, Dst), Want);
 }
 
+/// Saves, destroys the source runtime, and checks the reload.
+void roundTrip(bool UseMmap) {
+  Checkpoint C;
+  makeCheckpoint(C);
+  checkReload(C, UseMmap);
+}
+
 } // namespace
 
 TEST(Snapshot, RoundTripCopyLoad) { roundTrip(false); }
 TEST(Snapshot, RoundTripMmapWarmStart) { roundTrip(true); }
+
+TEST(Snapshot, MultiChunkArenaRoundTripsOnBothPaths) {
+  // Save writes the arena image in 2 MiB chunks while a helper thread
+  // checksums it. A 24-element map fits in one chunk; this arena spans
+  // several and ends mid-chunk, and load() re-verifies every section
+  // checksum over it.
+  constexpr uint64_t SaveChunkBytes = uint64_t(2) << 20;
+  Checkpoint C;
+  makeCheckpoint(C, 50000);
+  const Snapshot::SectionEntry &Mem = headerOf(C.Bytes)->Sections[MemSection];
+  ASSERT_GT(Mem.Length, 3 * SaveChunkBytes);
+  ASSERT_NE(Mem.Length % SaveChunkBytes, 0u);
+  checkReload(C, /*UseMmap=*/false);
+  checkReload(C, /*UseMmap=*/true);
+}
 
 TEST(Snapshot, EmptyRuntimeRoundTrip) {
   TempFile Tmp;
@@ -257,6 +289,181 @@ TEST(Snapshot, SaveReportsIoError) {
       Snapshot::save(RT, "/nonexistent-dir/ceal-snapshot");
   EXPECT_EQ(SR.St, St::IoError);
   EXPECT_FALSE(SR.Diagnostic.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Saving over an existing checkpoint
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A private directory, so a test sees every file a save leaves in the
+/// target's directory; removed with its contents.
+struct TempDir {
+  std::string Path;
+  TempDir() {
+    char Buf[] = "/tmp/ceal-snapdir-XXXXXX";
+    if (::mkdtemp(Buf))
+      Path = Buf;
+  }
+  ~TempDir() {
+    std::error_code EC;
+    if (!Path.empty())
+      std::filesystem::remove_all(Path, EC);
+  }
+  TempDir(const TempDir &) = delete;
+  TempDir &operator=(const TempDir &) = delete;
+
+  std::vector<std::string> names() const {
+    std::vector<std::string> Names;
+    for (const auto &E : std::filesystem::directory_iterator(Path))
+      Names.push_back(E.path().filename().string());
+    std::sort(Names.begin(), Names.end());
+    return Names;
+  }
+};
+
+/// Lowers this process's file-size limit while in scope, with SIGXFSZ
+/// ignored, so a write past \p Bytes fails with EFBIG instead of killing
+/// the process. Both are restored on scope exit.
+struct FileSizeLimit {
+  rlimit Saved = {};
+  struct sigaction SavedAct = {};
+  bool Armed = false; ///< Saved and SavedAct hold what to restore.
+  bool Ok = false;
+
+  explicit FileSizeLimit(rlim_t Bytes) {
+    struct sigaction Ignore = {};
+    Ignore.sa_handler = SIG_IGN;
+    if (::getrlimit(RLIMIT_FSIZE, &Saved) != 0 ||
+        ::sigaction(SIGXFSZ, &Ignore, &SavedAct) != 0)
+      return;
+    Armed = true;
+    rlimit Lower = Saved;
+    Lower.rlim_cur = Bytes;
+    Ok = ::setrlimit(RLIMIT_FSIZE, &Lower) == 0;
+  }
+  ~FileSizeLimit() {
+    if (!Armed)
+      return;
+    ::setrlimit(RLIMIT_FSIZE, &Saved);
+    ::sigaction(SIGXFSZ, &SavedAct, nullptr);
+  }
+};
+
+/// What a from-scratch map over \p In outputs.
+std::vector<Word> mappedOutput(const std::vector<Word> &In) {
+  std::vector<Word> Out;
+  for (Word W : In)
+    Out.push_back(mapPaper(W, 0));
+  return Out;
+}
+
+/// Detaches the first cell of the list headed by \p Head, and propagates.
+void dropHead(Runtime &RT, Modref *Head) {
+  auto *Cell = reinterpret_cast<apps::Cell *>(RT.deref(Head));
+  ASSERT_NE(Cell, nullptr);
+  RT.modify(Head, RT.deref(Cell->Tail));
+  RT.propagate();
+}
+
+} // namespace
+
+TEST(Snapshot, ResaveOverWarmStartSourceKeepsBothAlive) {
+  // Warm start from P, edit, save to P: the natural checkpoint cycle. The
+  // warm-started arena is a MAP_PRIVATE mapping of P, so a save that
+  // rewrote P in place would pull every page the runtime has not yet
+  // copied out from under it, and lose the checkpoint with it.
+  Checkpoint C;
+  makeCheckpoint(C, 5000);
+  std::vector<Word> Want = mappedOutput(C.Input);
+  Want.erase(Want.begin());
+  {
+    Runtime Warm(testConfig());
+    Snapshot::LoadResult LR = Snapshot::mmapWarmStart(Warm, C.Tmp.Path);
+    ASSERT_TRUE(LR.ok()) << Snapshot::statusName(LR.St) << ": "
+                         << LR.Diagnostic;
+    Modref *Head = static_cast<Modref *>(LR.Roots[0]);
+    Modref *Dst = static_cast<Modref *>(LR.Roots[1]);
+    dropHead(Warm, Head);
+    Snapshot::SaveOptions Opt;
+    Opt.Roots = {Head, Dst};
+    Snapshot::SaveResult SR = Snapshot::save(Warm, C.Tmp.Path, Opt);
+    ASSERT_TRUE(SR.ok()) << Snapshot::statusName(SR.St) << ": "
+                         << SR.Diagnostic;
+
+    // The runtime still reads every page it maps, and still propagates.
+    EXPECT_EQ(apps::readList(Warm, Dst), Want);
+    dropHead(Warm, Head);
+    EXPECT_EQ(apps::readList(Warm, Dst),
+              std::vector<Word>(Want.begin() + 1, Want.end()));
+    EXPECT_TRUE(TraceAudit::inspect(Warm).ok());
+  }
+
+  // The re-saved P holds the state after the first edit and passes the
+  // untrusted-file load: its output is a from-scratch run's over the
+  // edited input, and its trace is the one a runtime that never
+  // checkpointed has after the same edit.
+  uint64_t Continuous = 0;
+  {
+    Runtime Twin(testConfig());
+    apps::ListHandle L = apps::buildList(Twin, C.Input);
+    Modref *Dst = Twin.modref();
+    Twin.runCore<&apps::mapCore>(L.Head, Dst, &mapPaper, Word(0));
+    dropHead(Twin, L.Head);
+    Continuous = Snapshot::traceShapeDigest(Twin);
+  }
+  Runtime RT(testConfig());
+  Snapshot::LoadResult LR = Snapshot::load(RT, C.Tmp.Path);
+  ASSERT_TRUE(LR.ok()) << Snapshot::statusName(LR.St) << ": "
+                       << LR.Diagnostic;
+  EXPECT_EQ(apps::readList(RT, static_cast<Modref *>(LR.Roots[1])),
+            mappedOutput({C.Input.begin() + 1, C.Input.end()}));
+  EXPECT_EQ(Snapshot::traceShapeDigest(RT), Continuous);
+}
+
+TEST(Snapshot, FailedSaveLeavesTargetWhole) {
+  // A save that fails mid-write (the file-size limit makes the arena
+  // write fail with EFBIG) leaves the previous checkpoint byte for byte
+  // and no temporary next to it.
+  TempDir Dir;
+  ASSERT_FALSE(Dir.Path.empty());
+  const std::string P = Dir.Path + "/map.snap";
+  std::vector<Word> In;
+  for (size_t I = 0; I < 5000; ++I)
+    In.push_back((I * 2654435761u) % 1000);
+  std::vector<uint8_t> Old;
+  {
+    Runtime RT(testConfig());
+    claimQuietBase(RT);
+    apps::ListHandle L = apps::buildList(RT, In);
+    Modref *Dst = RT.modref();
+    RT.runCore<&apps::mapCore>(L.Head, Dst, &mapPaper, Word(0));
+    Snapshot::SaveOptions Opt;
+    Opt.Roots = {L.Head, Dst};
+    ASSERT_TRUE(Snapshot::save(RT, P, Opt).ok());
+    Old = slurpFile(P);
+    dropHead(RT, L.Head);
+
+    Snapshot::SaveResult SR;
+    {
+      FileSizeLimit Limit(Old.size() / 2);
+      ASSERT_TRUE(Limit.Ok);
+      ASSERT_GT(Old.size() / 2, headerOf(Old)->Sections[MemSection].Offset)
+          << "the limit must fall inside the arena section";
+      SR = Snapshot::save(RT, P, Opt);
+    }
+    EXPECT_EQ(SR.St, St::IoError);
+    EXPECT_FALSE(SR.Diagnostic.empty());
+  }
+  EXPECT_EQ(Dir.names(), std::vector<std::string>{"map.snap"});
+  EXPECT_EQ(slurpFile(P), Old);
+  Runtime RT(testConfig());
+  Snapshot::LoadResult LR = Snapshot::load(RT, P);
+  ASSERT_TRUE(LR.ok()) << Snapshot::statusName(LR.St) << ": "
+                       << LR.Diagnostic;
+  EXPECT_EQ(apps::readList(RT, static_cast<Modref *>(LR.Roots[1])),
+            mappedOutput(In));
 }
 
 TEST(Snapshot, LoadIntoNonPristineRuntimeIsBadState) {
