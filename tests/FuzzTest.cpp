@@ -10,26 +10,23 @@
 //  * Heap-program properties: random CL programs that allocate blocks,
 //    store into them during initialization, and load from them later —
 //    exercising alloc/store/index through NORMALIZE, the conventional
-//    interpreter, the VM, and change propagation.
+//    interpreter, the VM, and change propagation, as oracle-harness
+//    sequences.
 //
 //===----------------------------------------------------------------------===//
 
-#include "cl/Builder.h"
 #include "cl/Parser.h"
 #include "cl/Printer.h"
 #include "cl/Samples.h"
 #include "cl/Verifier.h"
-#include "interp/Vm.h"
-#include "normalize/Normalize.h"
 #include "support/Random.h"
 #include "tests/support/Generators.h"
+#include "tests/support/OracleModels.h"
 
 #include <gtest/gtest.h>
 
 using namespace ceal;
 using namespace ceal::cl;
-using namespace ceal::interp;
-using namespace ceal::normalize;
 
 //===----------------------------------------------------------------------===//
 // Parser fuzzing
@@ -80,57 +77,13 @@ TEST(ParserFuzz, RandomTokenSoupNeverCrashes) {
 //===----------------------------------------------------------------------===//
 
 TEST(HeapProgramFuzz, NormalizationAndVmAgreeWithOracle) {
-  int Ran = 0;
-  for (uint64_t Seed = 1; Seed <= 80; ++Seed) {
-    Rng R(Seed * 104729);
-    Program P = gen::randomHeapProgram(R);
-    ASSERT_TRUE(verifyProgram(P).empty()) << "seed " << Seed;
-    Program Norm = normalizeProgram(P).Prog;
-
-    auto RunConv = [&](const Program &Prog, const std::vector<int64_t> &In) {
-      ConvInterp CI(Prog);
-      std::vector<Word *> Cells;
-      for (int64_t V : In)
-        Cells.push_back(CI.newCell(toWord(V)));
-      CI.run("f0", {toWord(int64_t(4)), toWord(int64_t(9)),
-                    toWord(Cells[0]), toWord(Cells[1]), toWord(Cells[2])});
-      std::vector<int64_t> Out;
-      for (Word *C : Cells)
-        Out.push_back(fromWord<int64_t>(*C));
-      return Out;
-    };
-    std::vector<int64_t> Init = {int64_t(R.below(30)), int64_t(R.below(30)),
-                                 int64_t(R.below(30))};
-    std::vector<int64_t> Want = RunConv(P, Init);
-    ASSERT_EQ(RunConv(Norm, Init), Want) << "seed " << Seed;
-
-    Runtime RT;
-    Vm M(RT, Norm);
-    std::vector<Modref *> Ms;
-    for (int64_t V : Init) {
-      Ms.push_back(M.metaModref());
-      M.metaWrite(Ms.back(), toWord(V));
-    }
-    M.runCore("f0", {toWord(int64_t(4)), toWord(int64_t(9)), toWord(Ms[0]),
-                     toWord(Ms[1]), toWord(Ms[2])});
-    auto VmOut = [&] {
-      std::vector<int64_t> Out;
-      for (Modref *Mr : Ms)
-        Out.push_back(fromWord<int64_t>(M.metaRead(Mr)));
-      return Out;
-    };
-    ASSERT_EQ(VmOut(), Want) << "seed " << Seed;
-
-    std::vector<int64_t> Cur = Init;
-    for (int Round = 0; Round < 2; ++Round) {
-      size_t Which = R.below(3);
-      Cur[Which] = int64_t(R.below(30));
-      M.metaWrite(Ms[Which], toWord(Cur[Which]));
-      M.propagate();
-      ASSERT_EQ(VmOut(), RunConv(Norm, Cur))
-          << "seed " << Seed << " round " << Round;
-    }
-    ++Ran;
-  }
-  EXPECT_EQ(Ran, 80);
+  // f0(4, 9, m0..m2) over inputs below 30; 80 programs, two edits each.
+  harness::HarnessOptions Opt;
+  Opt.Sequences = 80;
+  Opt.Changes = 2;
+  auto Make = [] {
+    return std::make_unique<harness::ProgramModel>(
+        &gen::randomHeapProgram, std::vector<Word>{4, 9}, 3, 30);
+  };
+  EXPECT_EQ(harness::runOracleHarness(Make, Opt), "");
 }

@@ -2,6 +2,7 @@
 
 #include "apps/Geometry.h"
 #include "support/Random.h"
+#include "tests/support/OracleModels.h"
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,18 @@ std::vector<const Point *> activePoints(Runtime &RT, const ListHandle &L) {
   for (auto *C = RT.derefT<Cell *>(L.Head); C; C = RT.derefT<Cell *>(C->Tail))
     Result.push_back(fromWord<const Point *>(C->Head));
   return Result;
+}
+
+/// One audited oracle-harness sequence of \p Changes random point edits
+/// over inputs of \p N points.
+template <typename ModelT>
+std::string editSweep(size_t N, int Changes, uint64_t Seed) {
+  harness::HarnessOptions Opt;
+  Opt.Sequences = 1;
+  Opt.Changes = Changes;
+  Opt.BaseSeed = Seed;
+  return harness::runOracleHarness(
+      [N] { return std::make_unique<ModelT>(N, N); }, Opt);
 }
 
 } // namespace
@@ -71,25 +84,7 @@ TEST(Geometry, QuickhullCollinearPoints) {
 }
 
 TEST(Geometry, QuickhullEditSweep) {
-  Rng R(43);
-  Runtime RT;
-  std::vector<Point *> Pts = randomPoints(RT, R, 250);
-  ListHandle L = buildPointList(RT, Pts);
-  Modref *Dst = RT.modref();
-  RT.runCore<&quickhullCore>(L.Head, Dst);
-  for (int Edit = 0; Edit < 40; ++Edit) {
-    size_t Index = R.below(L.Cells.size());
-    detachCell(RT, L, Index);
-    RT.propagate();
-    ASSERT_EQ(hullFromRuntime(RT, Dst),
-              conv::quickhull(activePoints(RT, L)))
-        << "after deleting index " << Index;
-    reattachCell(RT, L, Index);
-    RT.propagate();
-    ASSERT_EQ(hullFromRuntime(RT, Dst),
-              conv::quickhull(activePoints(RT, L)))
-        << "after reinserting index " << Index;
-  }
+  EXPECT_EQ(editSweep<harness::QuickhullModel>(250, 80, 43), "");
 }
 
 TEST(Geometry, QuickhullDeletingHullVertexUpdates) {
@@ -116,55 +111,11 @@ TEST(Geometry, QuickhullDeletingHullVertexUpdates) {
 }
 
 TEST(Geometry, DiameterMatchesAndUpdates) {
-  Rng R(45);
-  Runtime RT;
-  std::vector<Point *> Pts = randomPoints(RT, R, 300);
-  ListHandle L = buildPointList(RT, Pts);
-  Modref *Dst = RT.modref();
-  RT.runCore<&diameterCore>(L.Head, Dst);
-  EXPECT_DOUBLE_EQ(RT.derefT<double>(Dst), conv::diameter2(asConst(Pts)));
-
-  for (int Edit = 0; Edit < 20; ++Edit) {
-    size_t Index = R.below(L.Cells.size());
-    detachCell(RT, L, Index);
-    RT.propagate();
-    ASSERT_DOUBLE_EQ(RT.derefT<double>(Dst),
-                     conv::diameter2(activePoints(RT, L)));
-    reattachCell(RT, L, Index);
-    RT.propagate();
-    ASSERT_DOUBLE_EQ(RT.derefT<double>(Dst),
-                     conv::diameter2(activePoints(RT, L)));
-  }
+  EXPECT_EQ(editSweep<harness::DiameterModel>(300, 40, 45), "");
 }
 
 TEST(Geometry, DistanceMatchesAndUpdates) {
-  // Two unit squares separated by a gap, as in the paper's setup.
-  Rng R(46);
-  Runtime RT;
-  std::vector<Point *> A = randomPoints(RT, R, 200, 0.0);
-  std::vector<Point *> B = randomPoints(RT, R, 200, 2.5);
-  ListHandle LA = buildPointList(RT, A);
-  ListHandle LB = buildPointList(RT, B);
-  Modref *Dst = RT.modref();
-  RT.runCore<&distanceCore>(LA.Head, LB.Head, Dst);
-  EXPECT_DOUBLE_EQ(RT.derefT<double>(Dst),
-                   conv::distance2(asConst(A), asConst(B)));
-
-  for (int Edit = 0; Edit < 16; ++Edit) {
-    bool EditA = R.flip();
-    ListHandle &L = EditA ? LA : LB;
-    size_t Index = R.below(L.Cells.size());
-    detachCell(RT, L, Index);
-    RT.propagate();
-    ASSERT_DOUBLE_EQ(
-        RT.derefT<double>(Dst),
-        conv::distance2(activePoints(RT, LA), activePoints(RT, LB)));
-    reattachCell(RT, L, Index);
-    RT.propagate();
-    ASSERT_DOUBLE_EQ(
-        RT.derefT<double>(Dst),
-        conv::distance2(activePoints(RT, LA), activePoints(RT, LB)));
-  }
+  EXPECT_EQ(editSweep<harness::DistanceModel>(200, 32, 46), "");
 }
 
 TEST(Geometry, QuickhullUpdateIsSublinear) {

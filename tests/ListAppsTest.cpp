@@ -36,13 +36,6 @@ int cmpStr(Word A, Word B) {
                      reinterpret_cast<const char *>(B));
 }
 
-std::vector<Word> randomWords(Rng &R, size_t N, Word Bound = 1000000) {
-  std::vector<Word> V(N);
-  for (Word &W : V)
-    W = R.below(Bound);
-  return V;
-}
-
 /// Oracle versions computed with the conventional implementations.
 std::vector<Word> oracleSorted(std::vector<Word> V) {
   std::sort(V.begin(), V.end());
@@ -57,7 +50,7 @@ std::vector<Word> oracleSorted(std::vector<Word> V) {
 
 TEST(ListApps, MapMatchesConventional) {
   Rng R(1);
-  std::vector<Word> In = randomWords(R, 300);
+  std::vector<Word> In = gen::randomWords(R, 300);
   Runtime RT;
   ListHandle L = buildList(RT, In);
   Modref *Dst = RT.modref();
@@ -71,7 +64,7 @@ TEST(ListApps, MapMatchesConventional) {
 
 TEST(ListApps, FilterMatchesConventional) {
   Rng R(2);
-  std::vector<Word> In = randomWords(R, 300);
+  std::vector<Word> In = gen::randomWords(R, 300);
   Runtime RT;
   ListHandle L = buildList(RT, In);
   Modref *Dst = RT.modref();
@@ -85,7 +78,7 @@ TEST(ListApps, FilterMatchesConventional) {
 
 TEST(ListApps, ReverseMatchesConventional) {
   Rng R(3);
-  std::vector<Word> In = randomWords(R, 257);
+  std::vector<Word> In = gen::randomWords(R, 257);
   Runtime RT;
   ListHandle L = buildList(RT, In);
   Modref *Dst = RT.modref();
@@ -97,7 +90,7 @@ TEST(ListApps, ReverseMatchesConventional) {
 
 TEST(ListApps, ReduceMinAndSum) {
   Rng R(4);
-  std::vector<Word> In = randomWords(R, 513);
+  std::vector<Word> In = gen::randomWords(R, 513);
   Runtime RT;
   ListHandle L = buildList(RT, In);
   Modref *MinDst = RT.modref();
@@ -127,7 +120,7 @@ TEST(ListApps, ReduceEmptyAndSingleton) {
 
 TEST(ListApps, QuicksortSortsRandomWords) {
   Rng R(5);
-  std::vector<Word> In = randomWords(R, 400);
+  std::vector<Word> In = gen::randomWords(R, 400);
   Runtime RT;
   ListHandle L = buildList(RT, In);
   Modref *Dst = RT.modref();
@@ -137,7 +130,7 @@ TEST(ListApps, QuicksortSortsRandomWords) {
 
 TEST(ListApps, MergesortSortsRandomWords) {
   Rng R(6);
-  std::vector<Word> In = randomWords(R, 400);
+  std::vector<Word> In = gen::randomWords(R, 400);
   Runtime RT;
   ListHandle L = buildList(RT, In);
   Modref *Dst = RT.modref();
@@ -222,7 +215,7 @@ TEST(ListEditSweep, MediumListsStayConsistent) {
 
 TEST(ListApps, MapUpdateIsConstantWork) {
   Rng R(8);
-  std::vector<Word> In = randomWords(R, 4000);
+  std::vector<Word> In = gen::randomWords(R, 4000);
   Runtime RT;
   ListHandle L = buildList(RT, In);
   Modref *Dst = RT.modref();
@@ -242,7 +235,7 @@ TEST(ListApps, MapUpdateIsConstantWork) {
 
 TEST(ListApps, ReduceUpdateIsLogarithmicWork) {
   Rng R(9);
-  std::vector<Word> In = randomWords(R, 8192);
+  std::vector<Word> In = gen::randomWords(R, 8192);
   Runtime RT;
   ListHandle L = buildList(RT, In);
   Modref *Dst = RT.modref();
@@ -263,7 +256,7 @@ TEST(ListApps, ReduceUpdateIsLogarithmicWork) {
 
 TEST(ListApps, QuicksortUpdateIsPolylogWork) {
   Rng R(10);
-  std::vector<Word> In = randomWords(R, 4096);
+  std::vector<Word> In = gen::randomWords(R, 4096);
   Runtime RT;
   ListHandle L = buildList(RT, In);
   Modref *Dst = RT.modref();

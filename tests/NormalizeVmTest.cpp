@@ -23,6 +23,7 @@
 #include "normalize/Normalize.h"
 #include "support/Random.h"
 #include "tests/support/Generators.h"
+#include "tests/support/OracleModels.h"
 
 #include <gtest/gtest.h>
 
@@ -671,70 +672,15 @@ Program randomProgram(Rng &R) {
 } // namespace
 
 TEST(Vm, RandomProgramsPreserveSemanticsAndPropagate) {
-  int Ran = 0;
-  for (uint64_t Seed = 1; Seed <= 120; ++Seed) {
-    Rng R(Seed * 7919);
-    Program P = randomProgram(R);
-    ASSERT_TRUE(verifyProgram(P).empty()) << "seed " << Seed;
-    Program Norm = normalizeProgram(P).Prog;
-    ASSERT_TRUE(isNormalForm(Norm)) << "seed " << Seed;
-
-    auto RunConv = [&](const Program &Prog,
-                       const std::vector<int64_t> &Init) {
-      ConvInterp CI(Prog);
-      std::vector<Word *> Cells;
-      for (int64_t V : Init)
-        Cells.push_back(CI.newCell(toWord(V)));
-      CI.run("f0", {toWord(int64_t(3)), toWord(int64_t(5)),
-                    toWord(Cells[0]), toWord(Cells[1]), toWord(Cells[2]),
-                    toWord(Cells[3])});
-      std::vector<int64_t> Final;
-      for (Word *C : Cells)
-        Final.push_back(fromWord<int64_t>(*C));
-      return Final;
-    };
-
-    std::vector<int64_t> Init = {int64_t(R.below(50)), int64_t(R.below(50)),
-                                 int64_t(R.below(50)), int64_t(R.below(50))};
-    std::vector<int64_t> OrigOut = RunConv(P, Init);
-    std::vector<int64_t> NormOut = RunConv(Norm, Init);
-    ASSERT_EQ(OrigOut, NormOut)
-        << "normalization changed semantics, seed " << Seed;
-
-    // Self-adjusting run + three rounds of input modification.
-    Runtime RT;
-    Vm M(RT, Norm);
-    std::vector<Modref *> Ms;
-    for (int64_t V : Init) {
-      Modref *Mr = M.metaModref();
-      M.metaWrite(Mr, toWord(V));
-      Ms.push_back(Mr);
-    }
-    M.runCore("f0", {toWord(int64_t(3)), toWord(int64_t(5)), toWord(Ms[0]),
-                     toWord(Ms[1]), toWord(Ms[2]), toWord(Ms[3])});
-    auto VmOut = [&] {
-      std::vector<int64_t> Final;
-      for (Modref *Mr : Ms)
-        Final.push_back(fromWord<int64_t>(M.metaRead(Mr)));
-      return Final;
-    };
-    ASSERT_EQ(VmOut(), OrigOut) << "VM initial run differs, seed " << Seed;
-
-    std::vector<int64_t> Cur = Init;
-    for (int Round = 0; Round < 3; ++Round) {
-      size_t Which = R.below(4);
-      Cur[Which] = static_cast<int64_t>(R.below(50));
-      // Careful: the conventional oracle's observable is the *final*
-      // value; modifying an input that the program overwrites first has
-      // no effect, which the equality cut may exploit.
-      M.metaWrite(Ms[Which], toWord(Cur[Which]));
-      M.propagate();
-      ASSERT_EQ(VmOut(), RunConv(Norm, Cur))
-          << "propagate diverged, seed " << Seed << " round " << Round;
-    }
-    ++Ran;
-  }
-  EXPECT_EQ(Ran, 120);
+  // f0(3, 5, m0..m3) over inputs below 50; 120 programs, three edits each.
+  harness::HarnessOptions Opt;
+  Opt.Sequences = 120;
+  Opt.Changes = 3;
+  auto Make = [] {
+    return std::make_unique<harness::ProgramModel>(
+        &randomProgram, std::vector<Word>{3, 5}, 4, 50);
+  };
+  EXPECT_EQ(harness::runOracleHarness(Make, Opt), "");
 }
 
 //===----------------------------------------------------------------------===//

@@ -4,12 +4,15 @@
 // through 50 random change sequences with the trace sanitizer at
 // every-propagation level, and after each propagation the self-adjusting
 // output must match a from-scratch conventional recomputation word for
-// word. Failures report the sequence seed and a shrunk step list.
+// word. Failures report the sequence seed, a shrunk step list and the
+// reload cell.
 //
-// The pressure suites re-run the list apps under the SaSML-style bounded
-// heap: propagation must still match the oracle when simulated
-// collections fire mid-propagation, and the out-of-memory path must leave
-// the trace structurally sound.
+// The other cells of the matrix: every app with the equality cut off;
+// the list apps under the SaSML-style bounded heap, where propagation
+// must still match the oracle when simulated collections fire
+// mid-propagation and the out-of-memory path must leave the trace
+// structurally sound; and every app with a checkpoint and reload between
+// steps (SnapshotOracle), through both load paths.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,6 +60,19 @@ TEST(OracleHarness, Diameter) {
 
 TEST(OracleHarness, Distance) {
   EXPECT_EQ(runOracleHarness(factory<DistanceModel>()), "");
+}
+
+TEST(OracleHarnessEqualityCut, EveryAppWithTheCutOff) {
+  // Every write re-dirties its readers, so propagation re-executes more
+  // than it needs to, but must still end at the from-scratch result.
+  HarnessOptions Opt;
+  Opt.Sequences = 20;
+  Opt.Config.DisableEqualityCut = true;
+  for (const ModelFactory &Make :
+       {factory<ListModel>(), factory<ExpTreeModel>(),
+        factory<TreeContractionModel>(), factory<QuickhullModel>(),
+        factory<DiameterModel>(), factory<DistanceModel>()})
+    EXPECT_EQ(runOracleHarness(Make, Opt), "");
 }
 
 //===----------------------------------------------------------------------===//
@@ -124,3 +140,33 @@ TEST(OracleHarnessPressure, OutOfMemoryKeepsTraceSoundAndOutputsRight) {
   };
   EXPECT_EQ(runOracleHarness(factory<ListModel>(56, 64), Opt), "");
 }
+
+//===----------------------------------------------------------------------===//
+// Snapshot round trip: a checkpoint and reload between steps
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Twelve sequences per app, six through each load path, each checking
+/// the reloaded runtime's trace-shape digest and output after every step
+/// against a continuous run's.
+void reloads(const ModelFactory &Make) {
+  HarnessOptions Opt;
+  Opt.Sequences = 6;
+  for (ReloadPath Path : {ReloadPath::Load, ReloadPath::Mmap}) {
+    Opt.Reload = Path;
+    Opt.BaseSeed = 0xcea15a9 + static_cast<uint64_t>(Path);
+    EXPECT_EQ(runOracleHarness(Make, Opt), "");
+  }
+}
+
+} // namespace
+
+TEST(SnapshotOracle, ListPrimitives) { reloads(factory<ListModel>()); }
+TEST(SnapshotOracle, ExpressionTrees) { reloads(factory<ExpTreeModel>()); }
+TEST(SnapshotOracle, TreeContraction) {
+  reloads(factory<TreeContractionModel>());
+}
+TEST(SnapshotOracle, Quickhull) { reloads(factory<QuickhullModel>()); }
+TEST(SnapshotOracle, Diameter) { reloads(factory<DiameterModel>()); }
+TEST(SnapshotOracle, Distance) { reloads(factory<DistanceModel>()); }

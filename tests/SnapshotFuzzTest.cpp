@@ -18,7 +18,6 @@
 #include "runtime/Runtime.h"
 #include "runtime/Snapshot.h"
 #include "tests/support/SnapshotCorruption.h"
-#include "tests/support/SnapshotHarness.h"
 
 #include <gtest/gtest.h>
 

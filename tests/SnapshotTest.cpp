@@ -16,7 +16,6 @@
 #include "runtime/TraceAudit.h"
 #include "tests/support/OracleModels.h"
 #include "tests/support/SnapshotCorruption.h"
-#include "tests/support/SnapshotHarness.h"
 
 #include <gtest/gtest.h>
 
@@ -35,12 +34,6 @@ using St = Snapshot::Status;
 
 Word mapPaper(Word X, Word) { return X / 3 + X / 7 + X / 9; }
 
-Runtime::Config testConfig() {
-  Runtime::Config C;
-  C.Audit = true;
-  return C;
-}
-
 /// A checkpoint of a small map-over-list computation, its source runtime
 /// already destroyed (so a loader can claim the recorded bases), plus
 /// everything a test needs to patch and replay it.
@@ -52,46 +45,11 @@ struct Checkpoint {
   std::vector<Word> Input;
 };
 
-/// A region base far below the kernel's top-down mmap area, and outside
-/// the shadow and allocator ranges of AddressSanitizer on x86-64. A
-/// checkpoint's recorded base must still be free when a test loads it,
-/// long after the source runtime is gone; near the top-down area the
-/// freed range is the first hole the next mmap fills (under ASan, a
-/// large-chunk mapping of its allocator did, and the load failed with
-/// AddressUnavailable). ThreadSanitizer accepts application mappings
-/// only inside its own ranges: it drops a claim's address outside them
-/// and aborts on wherever the mapping then lands. So a TSan build uses a
-/// base in its low application range, which ASan keeps as a shadow gap.
-#ifdef __SANITIZE_THREAD__
-constexpr uint64_t QuietBase = 0x004000000000ULL;
-#else
-constexpr uint64_t QuietBase = 0x400000000000ULL;
-#endif
-
-/// Moves the fresh runtime \p RT's region to QuietBase. An empty
-/// runtime's arena image holds no raw address, so its checkpoint loads at
-/// any base the header names. If the base cannot be claimed on this host,
-/// the load leaves \p RT pristine at a base of the kernel's choosing.
-void claimQuietBase(Runtime &RT) {
-  TempFile Empty;
-  {
-    Runtime Fresh(testConfig());
-    ASSERT_TRUE(Snapshot::save(Fresh, Empty.Path).ok());
-  }
-  std::vector<uint8_t> B = slurpFile(Empty.Path);
-  headerOf(B)->MemBase = QuietBase;
-  resealHeader(B);
-  ASSERT_TRUE(spitFile(Empty.Path, B));
-  Snapshot::LoadResult LR = Snapshot::load(RT, Empty.Path);
-  ASSERT_TRUE(LR.ok() || LR.St == St::AddressUnavailable)
-      << Snapshot::statusName(LR.St) << ": " << LR.Diagnostic;
-}
-
 void makeCheckpoint(Checkpoint &C, size_t N = 24) {
   for (size_t I = 0; I < N; ++I)
     C.Input.push_back((I * 2654435761u) % 1000);
-  Runtime RT(testConfig());
-  claimQuietBase(RT);
+  Runtime RT(auditedConfig());
+  ASSERT_EQ(claimQuietBase(RT), "");
   apps::ListHandle L = apps::buildList(RT, C.Input);
   Modref *Dst = RT.modref();
   RT.runCore<&apps::mapCore>(L.Head, Dst, &mapPaper, Word(0));
@@ -113,7 +71,7 @@ void makeCheckpoint(Checkpoint &C, size_t N = 24) {
 St tryLoad(Checkpoint &C, const std::vector<uint8_t> &B,
            std::string *Diag = nullptr) {
   EXPECT_TRUE(spitFile(C.Tmp.Path, B));
-  Runtime RT(testConfig());
+  Runtime RT(auditedConfig());
   Snapshot::LoadResult LR = Snapshot::load(RT, C.Tmp.Path);
   if (Diag)
     *Diag = LR.Diagnostic;
@@ -124,7 +82,7 @@ St tryLoad(Checkpoint &C, const std::vector<uint8_t> &B,
 St tryFastMmap(Checkpoint &C, const std::vector<uint8_t> &B,
                std::string *Diag = nullptr) {
   EXPECT_TRUE(spitFile(C.Tmp.Path, B));
-  Runtime RT(testConfig());
+  Runtime RT(auditedConfig());
   Snapshot::LoadResult LR = Snapshot::mmapWarmStart(RT, C.Tmp.Path);
   if (Diag)
     *Diag = LR.Diagnostic;
@@ -155,7 +113,7 @@ namespace {
 /// and checks digest, roots, output, and continued propagation.
 void checkReload(const Checkpoint &C, bool UseMmap) {
   SCOPED_TRACE(UseMmap ? "mmapWarmStart" : "load");
-  Runtime RT(testConfig());
+  Runtime RT(auditedConfig());
   Snapshot::LoadResult LR = UseMmap ? Snapshot::mmapWarmStart(RT, C.Tmp.Path)
                                     : Snapshot::load(RT, C.Tmp.Path);
   ASSERT_TRUE(LR.ok()) << Snapshot::statusName(LR.St) << ": "
@@ -217,11 +175,12 @@ TEST(Snapshot, MultiChunkArenaRoundTripsOnBothPaths) {
 TEST(Snapshot, EmptyRuntimeRoundTrip) {
   TempFile Tmp;
   {
-    Runtime RT(testConfig());
+    Runtime RT(auditedConfig());
+    ASSERT_EQ(claimQuietBase(RT), "");
     Snapshot::SaveResult SR = Snapshot::save(RT, Tmp.Path);
     ASSERT_TRUE(SR.ok()) << SR.Diagnostic;
   }
-  Runtime RT(testConfig());
+  Runtime RT(auditedConfig());
   Snapshot::LoadResult LR = Snapshot::load(RT, Tmp.Path);
   ASSERT_TRUE(LR.ok()) << Snapshot::statusName(LR.St) << ": "
                        << LR.Diagnostic;
@@ -234,7 +193,7 @@ TEST(Snapshot, EmptyRuntimeRoundTrip) {
 
 TEST(Snapshot, DigestIsDeterministicAndShapeSensitive) {
   auto DigestOf = [](size_t N) {
-    Runtime RT(testConfig());
+    Runtime RT(auditedConfig());
     std::vector<Word> In;
     for (size_t I = 0; I < N; ++I)
       In.push_back(I * 7);
@@ -248,7 +207,7 @@ TEST(Snapshot, DigestIsDeterministicAndShapeSensitive) {
 }
 
 TEST(Snapshot, ReadyToSaveReportsWhy) {
-  Runtime RT(testConfig());
+  Runtime RT(auditedConfig());
   std::string Why;
   EXPECT_TRUE(RT.readyForCheckpoint(&Why)) << Why;
   apps::ListHandle L = apps::buildList(RT, {1, 2, 3});
@@ -267,7 +226,7 @@ TEST(Snapshot, ReadyToSaveReportsWhy) {
 //===----------------------------------------------------------------------===//
 
 TEST(Snapshot, SaveRejectsBadRoots) {
-  Runtime RT(testConfig());
+  Runtime RT(auditedConfig());
   apps::ListHandle L = apps::buildList(RT, {1, 2, 3});
   Modref *Dst = RT.modref();
   RT.runCore<&apps::mapCore>(L.Head, Dst, &mapPaper, Word(0));
@@ -284,7 +243,7 @@ TEST(Snapshot, SaveRejectsBadRoots) {
 }
 
 TEST(Snapshot, SaveReportsIoError) {
-  Runtime RT(testConfig());
+  Runtime RT(auditedConfig());
   Snapshot::SaveResult SR =
       Snapshot::save(RT, "/nonexistent-dir/ceal-snapshot");
   EXPECT_EQ(SR.St, St::IoError);
@@ -379,7 +338,7 @@ TEST(Snapshot, ResaveOverWarmStartSourceKeepsBothAlive) {
   std::vector<Word> Want = mappedOutput(C.Input);
   Want.erase(Want.begin());
   {
-    Runtime Warm(testConfig());
+    Runtime Warm(auditedConfig());
     Snapshot::LoadResult LR = Snapshot::mmapWarmStart(Warm, C.Tmp.Path);
     ASSERT_TRUE(LR.ok()) << Snapshot::statusName(LR.St) << ": "
                          << LR.Diagnostic;
@@ -406,14 +365,14 @@ TEST(Snapshot, ResaveOverWarmStartSourceKeepsBothAlive) {
   // checkpointed has after the same edit.
   uint64_t Continuous = 0;
   {
-    Runtime Twin(testConfig());
+    Runtime Twin(auditedConfig());
     apps::ListHandle L = apps::buildList(Twin, C.Input);
     Modref *Dst = Twin.modref();
     Twin.runCore<&apps::mapCore>(L.Head, Dst, &mapPaper, Word(0));
     dropHead(Twin, L.Head);
     Continuous = Snapshot::traceShapeDigest(Twin);
   }
-  Runtime RT(testConfig());
+  Runtime RT(auditedConfig());
   Snapshot::LoadResult LR = Snapshot::load(RT, C.Tmp.Path);
   ASSERT_TRUE(LR.ok()) << Snapshot::statusName(LR.St) << ": "
                        << LR.Diagnostic;
@@ -434,8 +393,8 @@ TEST(Snapshot, FailedSaveLeavesTargetWhole) {
     In.push_back((I * 2654435761u) % 1000);
   std::vector<uint8_t> Old;
   {
-    Runtime RT(testConfig());
-    claimQuietBase(RT);
+    Runtime RT(auditedConfig());
+    ASSERT_EQ(claimQuietBase(RT), "");
     apps::ListHandle L = apps::buildList(RT, In);
     Modref *Dst = RT.modref();
     RT.runCore<&apps::mapCore>(L.Head, Dst, &mapPaper, Word(0));
@@ -458,7 +417,7 @@ TEST(Snapshot, FailedSaveLeavesTargetWhole) {
   }
   EXPECT_EQ(Dir.names(), std::vector<std::string>{"map.snap"});
   EXPECT_EQ(slurpFile(P), Old);
-  Runtime RT(testConfig());
+  Runtime RT(auditedConfig());
   Snapshot::LoadResult LR = Snapshot::load(RT, P);
   ASSERT_TRUE(LR.ok()) << Snapshot::statusName(LR.St) << ": "
                        << LR.Diagnostic;
@@ -469,7 +428,7 @@ TEST(Snapshot, FailedSaveLeavesTargetWhole) {
 TEST(Snapshot, LoadIntoNonPristineRuntimeIsBadState) {
   Checkpoint C;
   makeCheckpoint(C);
-  Runtime RT(testConfig());
+  Runtime RT(auditedConfig());
   apps::ListHandle L = apps::buildList(RT, {4, 5});
   Modref *Dst = RT.modref();
   RT.runCore<&apps::mapCore>(L.Head, Dst, &mapPaper, Word(0));
@@ -481,7 +440,7 @@ TEST(Snapshot, LoadIntoNonPristineRuntimeIsBadState) {
 //===----------------------------------------------------------------------===//
 
 TEST(Snapshot, LoadReportsIoError) {
-  Runtime RT(testConfig());
+  Runtime RT(auditedConfig());
   EXPECT_EQ(Snapshot::load(RT, "/nonexistent-dir/ceal-snapshot").St,
             St::IoError);
 }
@@ -705,7 +664,7 @@ TEST(Snapshot, BoxBytesMismatchIsConfigMismatch) {
   // it cannot be adopted by a runtime that has it.
   Checkpoint C;
   makeCheckpoint(C);
-  Runtime::Config Cfg = testConfig();
+  Runtime::Config Cfg = auditedConfig();
   Cfg.SimulateSaSml = true;
   Runtime RT(Cfg);
   Snapshot::LoadResult LR = Snapshot::load(RT, C.Tmp.Path);
@@ -735,7 +694,7 @@ TEST(Snapshot, UndefinedKindBitsAreAuditFailed) {
   std::vector<uint64_t> StampOffs; // Region offsets: read, write, alloc, end.
   {
     ASSERT_TRUE(spitFile(C.Tmp.Path, C.Bytes));
-    Runtime RT(testConfig());
+    Runtime RT(auditedConfig());
     ASSERT_TRUE(Snapshot::load(RT, C.Tmp.Path).ok());
     const OrderList &Om = RT.orderList();
     const char *Base = static_cast<const char *>(RT.arena().regionBase());
@@ -781,7 +740,7 @@ TEST(Snapshot, ForgedExtentsAndStrayCursorAreAuditFailed) {
   uint64_t AllocBlockOff = 0, ReadHandle = 0;
   {
     ASSERT_TRUE(spitFile(C.Tmp.Path, C.Bytes));
-    Runtime RT(testConfig());
+    Runtime RT(auditedConfig());
     ASSERT_TRUE(Snapshot::load(RT, C.Tmp.Path).ok());
     const OrderList &Om = RT.orderList();
     const char *Base = static_cast<const char *>(RT.arena().regionBase());
@@ -863,7 +822,7 @@ TEST(Snapshot, FailedLoadLeavesRuntimeUsable) {
   TempFile Bad;
   ASSERT_TRUE(spitFile(Bad.Path, B));
 
-  Runtime RT(testConfig());
+  Runtime RT(auditedConfig());
   Snapshot::LoadResult LR = Snapshot::load(RT, Bad.Path);
   ASSERT_EQ(LR.St, St::AuditFailed) << LR.Diagnostic;
   EXPECT_TRUE(LR.Roots.empty());
@@ -954,7 +913,7 @@ TEST(Snapshot, FastWarmStartTrustsArenaPayload) {
 
   // ...and the trusted fast path accepts it and still runs.
   ASSERT_TRUE(spitFile(C.Tmp.Path, B));
-  Runtime RT(testConfig());
+  Runtime RT(auditedConfig());
   Snapshot::LoadResult LR = Snapshot::mmapWarmStart(RT, C.Tmp.Path);
   ASSERT_TRUE(LR.ok()) << Snapshot::statusName(LR.St) << ": "
                        << LR.Diagnostic;
@@ -988,14 +947,18 @@ TEST(Snapshot, CorruptionSmoke64) {
 }
 
 //===----------------------------------------------------------------------===//
-// In-process harness smoke (the full matrix lives in SnapshotOracleTest)
+// In-process harness smoke (the full matrix is SnapshotOracle.* in
+// OracleHarnessTest)
 //===----------------------------------------------------------------------===//
 
 TEST(Snapshot, ListHarnessSmoke) {
-  SnapshotHarnessOptions Opt;
+  HarnessOptions Opt;
   Opt.Sequences = 3;
   Opt.Changes = 4;
-  EXPECT_EQ(runSnapshotHarness(
-                [] { return std::make_unique<ListModel>(8, 24); }, Opt),
-            "");
+  for (ReloadPath Path : {ReloadPath::Load, ReloadPath::Mmap}) {
+    Opt.Reload = Path;
+    EXPECT_EQ(runOracleHarness(
+                  [] { return std::make_unique<ListModel>(8, 24); }, Opt),
+              "");
+  }
 }

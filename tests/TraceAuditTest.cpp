@@ -100,12 +100,6 @@ TEST(TraceAudit, EveryPropagationHooksRunOnCleanTraces) {
   EXPECT_EQ(F.RT.derefT<Cell *>(F.L.Head), F.L.Cells[0]);
 }
 
-TEST(TraceAudit, CheckpointLevelAuditsOnlyOnRequest) {
-  Fixture F; // Config::Audit off: no hook runs, an explicit audit does.
-  TraceAudit::enforce(F.RT, "explicit checkpoint"); // Clean: must not abort.
-  SUCCEED();
-}
-
 TEST(TraceAudit, CheckpointsCleanWithFastPathReserveAndChurn) {
   // The construction fast path (OM append mode, raw-init nodes, deferred
   // memo build) plus an input-size reservation, audited the way the

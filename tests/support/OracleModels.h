@@ -9,7 +9,9 @@
 /// primitives (map, filter, reverse, the reductions, both sorts), the
 /// expression trees, tree contraction, and the geometry cores (quickhull,
 /// diameter, distance). Each pairs a self-adjusting core with its
-/// conventional oracle from src/apps.
+/// conventional oracle from src/apps. ProgramModel does the same for a
+/// random CL program: NORMALIZEd on interp::Vm against the original on
+/// interp::ConvInterp.
 ///
 /// List edits follow a LIFO detach/reattach discipline: reattaching always
 /// undoes the most recent detach, so a reattached cell's stored tail still
@@ -27,6 +29,9 @@
 #include "apps/ListApps.h"
 #include "apps/ListConv.h"
 #include "apps/TreeContraction.h"
+#include "cl/Verifier.h"
+#include "interp/Vm.h"
+#include "normalize/Normalize.h"
 #include "tests/support/OracleHarness.h"
 
 #include <algorithm>
@@ -285,8 +290,11 @@ protected:
 
 class QuickhullModel : public GeometryModelBase {
 public:
+  explicit QuickhullModel(size_t MinN = 8, size_t MaxN = 56)
+      : MinN(MinN), MaxN(MaxN) {}
+
   void setup(Runtime &RT, Rng &R) override {
-    Edit = makePointList(RT, R, 8, 56, 0.0);
+    Edit = makePointList(RT, R, MinN, MaxN, 0.0);
     Dst = RT.modref();
     RT.runCore<&apps::quickhullCore>(Edit.L.Head, Dst);
   }
@@ -311,14 +319,18 @@ public:
   }
 
 private:
+  size_t MinN, MaxN;
   ListEditor Edit;
   Modref *Dst = nullptr;
 };
 
 class DiameterModel : public GeometryModelBase {
 public:
+  explicit DiameterModel(size_t MinN = 12, size_t MaxN = 56)
+      : MinN(MinN), MaxN(MaxN) {}
+
   void setup(Runtime &RT, Rng &R) override {
-    Edit = makePointList(RT, R, 12, 56, 0.0);
+    Edit = makePointList(RT, R, MinN, MaxN, 0.0);
     Dst = RT.modref();
     RT.runCore<&apps::diameterCore>(Edit.L.Head, Dst);
   }
@@ -336,16 +348,21 @@ public:
   }
 
 private:
+  size_t MinN, MaxN;
   ListEditor Edit;
   Modref *Dst = nullptr;
 };
 
 class DistanceModel : public GeometryModelBase {
 public:
+  /// Each of the two point sets has MinN to MaxN points.
+  explicit DistanceModel(size_t MinN = 12, size_t MaxN = 40)
+      : MinN(MinN), MaxN(MaxN) {}
+
   void setup(Runtime &RT, Rng &R) override {
     // Two well-separated squares, as in the paper's distance inputs.
-    EditA = makePointList(RT, R, 12, 40, 0.0);
-    EditB = makePointList(RT, R, 12, 40, 3.0);
+    EditA = makePointList(RT, R, MinN, MaxN, 0.0);
+    EditB = makePointList(RT, R, MinN, MaxN, 3.0);
     Dst = RT.modref();
     RT.runCore<&apps::distanceCore>(EditA.L.Head, EditB.L.Head, Dst);
   }
@@ -366,8 +383,97 @@ public:
   }
 
 private:
+  size_t MinN, MaxN;
   ListEditor EditA, EditB;
   Modref *Dst = nullptr;
+};
+
+//===----------------------------------------------------------------------===//
+// Random CL programs
+//===----------------------------------------------------------------------===//
+
+/// A program drawn by \p Gen whose f0 takes the integer arguments Ints,
+/// then one int cell per input. The NORMALIZEd program runs on the VM
+/// over modifiables; a change rewrites one input; the oracle runs the
+/// original program on the conventional interpreter. Setup checks that
+/// the program verifies, that NORMALIZE's output is in normal form, and
+/// that it computes what the original does. The VM is not in a
+/// checkpoint, so the model has no clone().
+class ProgramModel : public AppModel {
+public:
+  using Generator = cl::Program (*)(Rng &);
+
+  ProgramModel(Generator Gen, std::vector<Word> Ints, size_t Inputs,
+               uint64_t Range)
+      : Gen(Gen), Ints(std::move(Ints)), Cur(Inputs), Range(Range) {}
+
+  void setup(Runtime &RT, Rng &R) override {
+    Orig = Gen(R);
+    for (Word &V : Cur)
+      V = R.below(Range);
+    if (std::vector<std::string> Errs = cl::verifyProgram(Orig);
+        !Errs.empty()) {
+      Problem = "the generated program does not verify: " + Errs.front();
+      return;
+    }
+    Norm = normalize::normalizeProgram(Orig).Prog;
+    if (!cl::isNormalForm(Norm))
+      Problem = "NORMALIZE's output is not in normal form";
+    else if (runConv(Norm) != runConv(Orig))
+      Problem = "NORMALIZE changed the program's conventional semantics";
+    if (!Problem.empty())
+      return;
+    Machine = std::make_unique<interp::Vm>(RT, Norm);
+    std::vector<Word> Args = Ints;
+    for (Word V : Cur) {
+      Mods.push_back(Machine->metaModref());
+      Machine->metaWrite(Mods.back(), V);
+      Args.push_back(toWord(Mods.back()));
+    }
+    Machine->runCore("f0", Args);
+  }
+
+  std::string setupProblem() const override { return Problem; }
+
+  void applyChange(Runtime &, Rng &R) override {
+    size_t Which = R.below(Cur.size());
+    Cur[Which] = R.below(Range);
+    Machine->metaWrite(Mods[Which], Cur[Which]);
+  }
+
+  std::vector<Word> output(Runtime &) override {
+    std::vector<Word> Out;
+    for (Modref *M : Mods)
+      Out.push_back(Machine->metaRead(M));
+    return Out;
+  }
+
+  std::vector<Word> expected(Runtime &) override { return runConv(Orig); }
+
+private:
+  /// The cells' final values after \p P runs on the current inputs.
+  std::vector<Word> runConv(const cl::Program &P) const {
+    interp::ConvInterp CI(P);
+    std::vector<Word> Args = Ints;
+    std::vector<Word *> Cells;
+    for (Word V : Cur) {
+      Cells.push_back(CI.newCell(V));
+      Args.push_back(toWord(Cells.back()));
+    }
+    CI.run("f0", Args);
+    std::vector<Word> Out;
+    for (Word *C : Cells)
+      Out.push_back(*C);
+    return Out;
+  }
+
+  Generator Gen;
+  std::vector<Word> Ints, Cur;
+  uint64_t Range;
+  cl::Program Orig, Norm;
+  std::string Problem;
+  std::unique_ptr<interp::Vm> Machine;
+  std::vector<Modref *> Mods;
 };
 
 } // namespace harness

@@ -34,13 +34,16 @@
 ///
 /// Tests can also use the reseal helpers directly to build targeted
 /// negative-path inputs (patch a field, reseal, expect a specific
-/// Status).
+/// Status). claimQuietBase uses them to move a fresh runtime to a region
+/// base that stays free after the runtime is gone, so a checkpoint of it
+/// reloads in the same process.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CEAL_TESTS_SUPPORT_SNAPSHOTCORRUPTION_H
 #define CEAL_TESTS_SUPPORT_SNAPSHOTCORRUPTION_H
 
+#include "runtime/Runtime.h"
 #include "runtime/Snapshot.h"
 #include "support/Checksum.h"
 #include "support/Random.h"
@@ -49,7 +52,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <cstdlib>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 namespace ceal {
@@ -76,6 +81,21 @@ inline bool spitFile(const std::string &Path, const std::vector<uint8_t> &B) {
   bool Ok = B.empty() || std::fwrite(B.data(), 1, B.size(), F) == B.size();
   return (std::fclose(F) == 0) && Ok;
 }
+
+/// A mkstemp-backed file deleted on scope exit.
+struct TempFile {
+  std::string Path;
+  TempFile() {
+    char Buf[] = "/tmp/ceal-snapshot-XXXXXX";
+    int Fd = ::mkstemp(Buf);
+    if (Fd >= 0)
+      ::close(Fd);
+    Path = Buf;
+  }
+  ~TempFile() { ::unlink(Path.c_str()); }
+  TempFile(const TempFile &) = delete;
+  TempFile &operator=(const TempFile &) = delete;
+};
 
 /// Section indexes in the fixed file order.
 constexpr size_t MetaSection = 0, RootsSection = 1, MemSection = 2;
@@ -106,6 +126,46 @@ inline void resealSection(std::vector<uint8_t> &B, size_t Index) {
   Snapshot::SectionEntry &E = H->Sections[Index];
   if (E.Offset + E.Length <= B.size())
     E.Checksum = Checksum64::of(B.data() + E.Offset, E.Length);
+}
+
+/// A region base far below the kernel's top-down mmap area, and outside
+/// AddressSanitizer's shadow and allocator ranges on x86-64, so that a
+/// checkpoint's recorded base is still free when it is loaded after its
+/// source runtime is gone. (Near the top-down area the next mmap fills
+/// the freed hole: an ASan allocator chunk or a cached thread stack did,
+/// and the load failed with AddressUnavailable.) ThreadSanitizer drops a
+/// fixed claim outside its application ranges and aborts on wherever the
+/// mapping lands, so a TSan build uses its low application range.
+#ifdef __SANITIZE_THREAD__
+constexpr uint64_t QuietBase = 0x004000000000ULL;
+#else
+constexpr uint64_t QuietBase = 0x400000000000ULL;
+#endif
+
+/// Moves the fresh runtime \p RT's region to QuietBase. An empty
+/// runtime's arena image holds no raw address, so its checkpoint loads at
+/// any base the header names. If the base cannot be claimed on this host,
+/// the load leaves \p RT pristine at a base of the kernel's choosing.
+/// Returns "" or what went wrong.
+inline std::string claimQuietBase(Runtime &RT) {
+  TempFile Empty;
+  {
+    Runtime Fresh(RT.config());
+    if (!Snapshot::save(Fresh, Empty.Path).ok())
+      return "cannot checkpoint an empty runtime";
+  }
+  std::vector<uint8_t> B = slurpFile(Empty.Path);
+  if (!headerOf(B))
+    return "cannot read back the empty checkpoint";
+  headerOf(B)->MemBase = QuietBase;
+  resealHeader(B);
+  if (!spitFile(Empty.Path, B))
+    return "cannot rewrite the empty checkpoint";
+  Snapshot::LoadResult LR = Snapshot::load(RT, Empty.Path);
+  if (LR.ok() || LR.St == Snapshot::Status::AddressUnavailable)
+    return "";
+  return std::string("claiming the quiet base: ") +
+         Snapshot::statusName(LR.St) + ": " + LR.Diagnostic;
 }
 
 /// Absolute file offset of the MetaFixed field at \p FieldOff (the META
