@@ -96,16 +96,23 @@ Vm::Vm(Runtime &RT, const Program &P) : RT(RT), Prog(P) {
 /// trampoline's substitution register. The stored CL arguments are never
 /// mutated (the substitution position keeps its placeholder), so memo
 /// keys — which cover every stored arg — are stable across re-executions.
-/// The frame is staged at the stack top, so building it allocates nothing
-/// beyond the closure itself.
-Closure *Vm::makeVmClosure(FuncId F, Word SubstPos, size_t NumArgs) {
+/// The closure (header word and frame) is staged at the stack top, so a
+/// read or an allocation, which copies it into its trace node, allocates
+/// nothing beyond that node.
+Closure *Vm::stagedVmClosure(FuncId F, Word SubstPos, size_t NumArgs) {
   ++ClosuresMade;
   ClosureEnvWords += NumArgs;
   Word *Frame = Stack.at(Stack.Top);
-  Frame[0] = toWord(this);
-  Frame[1] = F;
-  Frame[2] = SubstPos;
-  return RT.makeRaw(&Vm::vmEntry, Frame, 3 + NumArgs);
+  Frame[0] = Closure::headerBits(&Vm::vmEntry, 3 + NumArgs);
+  Frame[1] = toWord(this);
+  Frame[2] = F;
+  Frame[3] = SubstPos;
+  return reinterpret_cast<Closure *>(Frame);
+}
+
+Closure *Vm::makeVmClosure(FuncId F, Word SubstPos, size_t NumArgs) {
+  const Closure *C = stagedVmClosure(F, SubstPos, NumArgs);
+  return RT.makeRaw(C->fn(), C->args(), C->numArgs());
 }
 
 Closure *Vm::vmEntry(Runtime &RT, Closure *C, Word Subst) {
@@ -188,7 +195,7 @@ Closure *Vm::exec(FuncId F, size_t Base) {
               Args[I] = Regs[BB.J.Args[I]];
             }
           }
-          Closure *K = makeVmClosure(BB.J.Fn, SubstPos, N);
+          Closure *K = stagedVmClosure(BB.J.Fn, SubstPos, N);
           return RT.read(fromWord<Modref *>(Regs[C.Src]), K);
         }
         case Command::Write:
@@ -203,7 +210,7 @@ Closure *Vm::exec(FuncId F, size_t Base) {
           Args[0] = 0; // Block placeholder.
           for (size_t I = 0; I < C.Args.size(); ++I)
             Args[1 + I] = Regs[C.Args[I]];
-          Closure *Init = makeVmClosure(C.Fn, /*SubstPos=*/0, N);
+          Closure *Init = stagedVmClosure(C.Fn, /*SubstPos=*/0, N);
           Word Block =
               toWord(RT.allocate(static_cast<size_t>(Regs[C.SizeVar]), Init));
           Stack.at(Base)[C.Dst] = Block;

@@ -114,11 +114,17 @@ private:
   /// Runs \p F on the frame at offset \p Base (parameters set, locals
   /// zero) until it reads (returning the read's closure) or finishes.
   Closure *exec(cl::FuncId F, size_t Base);
-  /// Stages a closure frame for \p NumArgs CL arguments at the stack top
-  /// and returns the address of its first argument slot.
-  Word *stageClosure(size_t NumArgs) { return Stack.stage(3 + NumArgs) + 3; }
-  /// Completes the frame stageClosure() staged and copies it into a
-  /// run-time closure.
+  /// Stages a closure for \p NumArgs CL arguments at the stack top (its
+  /// header word, then the frame) and returns the address of its first
+  /// argument slot.
+  Word *stageClosure(size_t NumArgs) { return Stack.stage(4 + NumArgs) + 4; }
+  /// Completes the closure stageClosure() staged and returns it, still on
+  /// the stack: valid until the next stage, which is long enough for
+  /// Runtime::read and Runtime::allocate, since they copy it into their
+  /// trace node.
+  Closure *stagedVmClosure(cl::FuncId F, Word SubstPos, size_t NumArgs);
+  /// The staged closure copied into a run-time closure of its own, for
+  /// `call` and runCore, whose trampoline runs and frees it.
   Closure *makeVmClosure(cl::FuncId F, Word SubstPos, size_t NumArgs);
 
   Runtime &RT;

@@ -8,8 +8,9 @@
 /// The closure representation of the run-time system (paper Sec. 6.1:
 /// closure_make / closure_run). A closure is a code pointer plus a frame
 /// of word-sized arguments; trampolines iterate closures returned by core
-/// code, and the trace stores each read's closure so change propagation
-/// can re-execute it.
+/// code, and the trace keeps a copy of each read's closure inside the
+/// read's node so change propagation can re-execute it (StagedClosure
+/// below is the caller-side storage read() and allocate() copy from).
 ///
 /// The paper's compiler monomorphizes closure_make per argument signature
 /// (Sec. 6.3); here the C++ template machinery below generates exactly one
@@ -69,9 +70,9 @@ struct Closure {
     return reinterpret_cast<ClosureFn>(FnBits & FnMask);
   }
   size_t numArgs() const { return (FnBits >> NumArgsShift) & 0xffff; }
-  /// Set while the closure is owned by a trace node (a read's closure must
-  /// outlive its execution so propagation can re-run it); transient
-  /// closures are freed by the trampoline after they run.
+  /// Set on the copy inside a trace node (a read's closure must outlive
+  /// its execution so propagation can re-run it); transient closures are
+  /// freed by the trampoline after they run.
   bool ownedByTrace() const { return (FnBits & OwnedBit) != 0; }
   void setOwnedByTrace(bool Owned) {
     FnBits = Owned ? (FnBits | OwnedBit) : (FnBits & ~OwnedBit);
@@ -80,11 +81,18 @@ struct Closure {
   /// arity, suitable for memo keys.
   uint64_t identityBits() const { return FnBits & ~OwnedBit; }
 
-  void setHeader(ClosureFn Fn, size_t NumArgs) {
+  /// The header word of a closure running \p Fn over \p NumArgs frame
+  /// words, for callers that stage a closure in word storage.
+  static uint64_t headerBits(ClosureFn Fn, size_t NumArgs) {
     auto Code = reinterpret_cast<uint64_t>(Fn);
     checkAlways((Code & ~FnMask) == 0,
                 "closure code pointer exceeds the 47-bit packed range");
-    FnBits = Code | (uint64_t(NumArgs) << NumArgsShift);
+    checkAlways(NumArgs <= 0xffff,
+                "closure arity exceeds the 16-bit frame limit");
+    return Code | (uint64_t(NumArgs) << NumArgsShift);
+  }
+  void setHeader(ClosureFn Fn, size_t NumArgs) {
+    FnBits = headerBits(Fn, NumArgs);
   }
 
   Word *args() { return reinterpret_cast<Word *>(this + 1); }
@@ -92,13 +100,26 @@ struct Closure {
     return reinterpret_cast<const Word *>(this + 1);
   }
 
-  static size_t byteSize(size_t NumArgs) {
+  static constexpr size_t byteSize(size_t NumArgs) {
     return sizeof(Closure) + NumArgs * sizeof(Word);
   }
   size_t byteSize() const { return byteSize(numArgs()); }
 };
 
 static_assert(sizeof(Closure) == 8, "closure header must be one word");
+
+/// Caller-side storage for a closure of \p N frame words, on the C++
+/// stack: Runtime::read and Runtime::allocate copy it into their trace
+/// node and never keep it, so staging costs no arena block.
+template <size_t N> struct StagedClosure {
+  Closure Header;
+  Word Frame[N ? N : 1];
+
+  Closure *get() { return &Header; }
+};
+
+static_assert(sizeof(StagedClosure<2>) == Closure::byteSize(2),
+              "a staged frame must follow its header like a closure's");
 
 /// Extracts the declared parameter list of a core function. Core functions
 /// have the shape `Closure *f(Runtime &, T0, T1, ...)` where each Ti is

@@ -23,7 +23,8 @@
 //
 //  * Blocks freed by revoked allocations are reclaimed at the end of
 //    propagation (Hammer & Acar, ISMM 2008), after every read that could
-//    reference them has been revoked or re-executed.
+//    reference them has been revoked or re-executed. Each block lives in
+//    its allocation's trace node, so the whole node waits.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +35,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <cstring>
 
 using namespace ceal;
 
@@ -49,8 +51,9 @@ constexpr unsigned SimContinuationsPerRead = 6;
 /// A typical boxed continuation's size.
 constexpr size_t SimContinuationBytes = 256;
 /// Pad per trace node for boxed values and fatter closure records: trace
-/// nodes here are 48-96 bytes, and this lands the space ratio in Table 2's
-/// 3-5x band.
+/// nodes here are 40-72 bytes plus, for reads and allocations, the
+/// closure (and block) stored in them, and this lands the space ratio in
+/// Table 2's 3-5x band.
 constexpr size_t SimNodePadBytes = 288;
 /// Interpretation/boxing work per trace node, calibrated so from-scratch
 /// runs land ~6-12x slower than the CEAL runtime (Table 2's band).
@@ -71,12 +74,12 @@ Runtime::~Runtime() = default; // Arena reclaims all trace storage.
 // Small helpers
 //===----------------------------------------------------------------------===//
 
-template <typename NodeT> NodeT *Runtime::newNode() {
+template <typename NodeT> NodeT *Runtime::newNode(size_t Extra) {
   // The comparator's costs are off in every real configuration; keep their
   // work behind one predictable branch.
   if (Cfg.HeapLimitBytes || Cfg.SimulateSaSml)
     simulateNodeCost();
-  void *Raw = Mem.allocate(sizeof(NodeT) + NodePad);
+  void *Raw = Mem.allocate(sizeof(NodeT) + Extra + NodePad);
   // RawInit contract: every caller stamps, links, and memo-keys the node
   // before anything inspects it (audits run only between core phases), so
   // the default constructor's zero stores would all be dead.
@@ -84,11 +87,17 @@ template <typename NodeT> NodeT *Runtime::newNode() {
 }
 
 template <typename NodeT> void Runtime::destroyNode(NodeT *N) {
+  const size_t Bytes = nodeBytes(N);
   N->~NodeT();
-  Mem.deallocate(N, sizeof(NodeT) + NodePad);
+  Mem.deallocate(N, Bytes);
 }
 
-void Runtime::freeClosure(Closure *C) { Mem.deallocate(C, C->byteSize()); }
+/// Copies the caller-staged closure \p From into its trace node's slot
+/// \p To and marks the copy trace-owned, so the trampoline keeps it.
+static void adoptClosure(Closure *To, const Closure *From) {
+  std::memcpy(To, From, From->byteSize());
+  To->setOwnedByTrace(true);
+}
 
 void Runtime::stampAfterCursor(OmNode *Stamp) {
   if (Main.Prof.Enabled)
@@ -293,8 +302,8 @@ void Runtime::reserveTrace(size_t ExpectedOps) {
   // Ratios measured across the bench apps: reads and allocations are each
   // roughly a third to a half of traced operations, and a traced operation
   // retains about 100 arena bytes under the compressed node layouts
-  // (trace node with its embedded timestamps, closure, user block, and a
-  // share of an order-list group).
+  // (trace node with its embedded timestamps, closure and user block, and
+  // a share of an order-list group).
   ReadMemo.reserve(ExpectedOps / 2);
   AllocMemo.reserve(ExpectedOps / 2);
   PendingReadMemo.reserve(ExpectedOps / 2);
@@ -354,11 +363,12 @@ MemoryStats Runtime::memoryStats() const {
     case TraceKind::End: // Counted with its read.
       break;
     case TraceKind::Read: {
+      // One block per node: the fixed part (with the pad) counts as the
+      // read, the closure inside it as closure bytes.
       const auto *R = static_cast<const ReadNode *>(N);
       ++S.Reads;
-      S.ReadBytes += Arena::accountedSize(sizeof(ReadNode) + NodePad);
-      if (const Closure *C = Mem.ptr(R->Clo))
-        S.ClosureBytes += Arena::accountedSize(C->byteSize());
+      S.ReadBytes += sizeof(ReadNode) + NodePad;
+      S.ClosureBytes += R->closure()->byteSize();
       break;
     }
     case TraceKind::Write:
@@ -366,13 +376,13 @@ MemoryStats Runtime::memoryStats() const {
       S.WriteBytes += Arena::accountedSize(sizeof(WriteNode) + NodePad);
       break;
     case TraceKind::Alloc: {
+      // Fixed part and pad, initializer, block: the block's grain
+      // rounding is the only rounding the node's arena block has.
       const auto *A = static_cast<const AllocNode *>(N);
       ++S.Allocs;
-      S.AllocBytes += Arena::accountedSize(sizeof(AllocNode) + NodePad);
-      if (const Closure *Init = Mem.ptr(A->Init))
-        S.ClosureBytes += Arena::accountedSize(Init->byteSize());
-      if (A->Size)
-        S.UserBlockBytes += Arena::accountedSize(A->Size);
+      S.AllocBytes += sizeof(AllocNode) + NodePad;
+      S.ClosureBytes += A->init()->byteSize();
+      S.UserBlockBytes += Arena::accountedSize(A->Size);
       break;
     }
     }
@@ -425,7 +435,7 @@ bool Runtime::trampoline(Closure *C) {
   return DidSplice;
 }
 
-Closure *Runtime::read(Modref *M, Closure *C) {
+Closure *Runtime::read(Modref *M, const Closure *C) {
   assert(CurPhase != Phase::Meta && "read is a core operation");
   // The modifiable's header line is not touched until the use-list link,
   // ~50ns of node setup from now; start the (usually cold) fill early.
@@ -448,8 +458,6 @@ Closure *Runtime::read(Modref *M, Closure *C) {
       ++Main.Prof.MemoLookups;
     if (Hit) {
       ++Main.S.MemoReadHits;
-      assert(!C->ownedByTrace() && "memo-spliced closure must be transient");
-      freeClosure(C);
       revokeInterval(Main.Cursor, Hit);
       Main.Cursor = &Hit->End;
       Main.SplicedFlag = true;
@@ -457,10 +465,9 @@ Closure *Runtime::read(Modref *M, Closure *C) {
     }
   }
   ++Main.S.ReadsTraced;
-  ReadNode *R = newNode<ReadNode>();
+  ReadNode *R = newNode<ReadNode>(C->byteSize());
   R->Ref = Mem.handle(M);
-  R->Clo = Mem.handle(C);
-  C->setOwnedByTrace(true);
+  adoptClosure(R->closure(), C);
   stampAfterCursor(R);
   if (Main.IntervalEnd)
     insertUse(M, R);
@@ -482,7 +489,7 @@ Closure *Runtime::read(Modref *M, Closure *C) {
     PendingReadMemo.push_back(R);
   }
   Main.PendingReads.push_back(R);
-  return C;
+  return R->closure();
 }
 
 void Runtime::write(Modref *M, Word V) {
@@ -527,7 +534,7 @@ void Runtime::write(Modref *M, Word V) {
   }
 }
 
-void *Runtime::allocate(size_t Size, Closure *Init, uint8_t NodeFlags) {
+void *Runtime::allocate(size_t Size, const Closure *Init, uint8_t NodeFlags) {
   assert(CurPhase != Phase::Meta && "allocate is a core operation");
   // Hard failure in all build types: AllocNode::Size is 32-bit, and a
   // truncated size would corrupt the deferred-free accounting.
@@ -545,39 +552,23 @@ void *Runtime::allocate(size_t Size, Closure *Init, uint8_t NodeFlags) {
       ++Main.Prof.MemoLookups;
     if (Hit) {
       ++Main.S.MemoAllocHits;
-      Handle<void> BlockH = Hit->Block;
-      void *Block = Mem.ptr(BlockH);
-      uint8_t Flags = Hit->Flags;
-      // Steal the block: consume the old node and re-trace the
-      // allocation at the cursor. The initializer is not re-run — by the
-      // correct-usage restrictions (Sec. 4.2) the block was only
+      // Steal the block: move its node, initializer and block included, to
+      // the cursor. Its memo key equals this allocation's, so it keeps
+      // its place in the memo index. The initializer is not re-run — by
+      // the correct-usage restrictions (Sec. 4.2) the block was only
       // side-effected by an initializer that is a function of the key.
-      AllocMemo.remove(Hit);
       Om.remove(Hit);
-      freeClosure(Mem.ptr(Hit->Init));
-      destroyNode(Hit);
-      AllocNode *A = newNode<AllocNode>();
-      A->Flags = Flags;
-      A->Block = BlockH;
-      A->Size = static_cast<uint32_t>(Size);
-      A->Init = Mem.handle(Init);
-      Init->setOwnedByTrace(true);
-      stampAfterCursor(A);
-      A->Memo.Hash = static_cast<uint32_t>(Hash);
-      if (Main.Prof.Enabled)
-        ++Main.Prof.MemoInserts;
-      AllocMemo.insert(A);
-      return Block;
+      stampAfterCursor(Hit);
+      return Hit->block();
     }
   }
   ++Main.S.AllocsTraced;
-  void *Block = Mem.allocate(Size);
-  AllocNode *A = newNode<AllocNode>();
+  AllocNode *A = newNode<AllocNode>(Init->byteSize() + Size);
   A->Flags = NodeFlags;
-  A->Block = Mem.handle(Block);
   A->Size = static_cast<uint32_t>(Size);
-  A->Init = Mem.handle(Init);
-  Init->setOwnedByTrace(true);
+  Closure *Own = A->init();
+  adoptClosure(Own, Init);
+  void *Block = A->block();
   stampAfterCursor(A);
   if (Main.Prof.Enabled)
     ++Main.Prof.MemoInserts;
@@ -590,7 +581,7 @@ void *Runtime::allocate(size_t Size, Closure *Init, uint8_t NodeFlags) {
   // Run the initializer now; it may not read or write modifiables
   // (correct-usage restriction 2), so it cannot splice or extend traces.
   // The block address travels in the substitution register.
-  Closure *Result = Init->fn()(*this, Init, toWord(Block));
+  Closure *Result = Own->fn()(*this, Own, toWord(Block));
   assert(!Result && "initializers must not continue a tail-call chain");
   (void)Result;
   return Block;
@@ -605,18 +596,23 @@ static Closure *modrefInitDynamic(Runtime &, Closure *, Word Block) {
 }
 
 Modref *Runtime::coreModrefDynamic(const Word *Keys, size_t NumKeys) {
-  // Hot path of every VM-executed `modref(keys...)`: build the
-  // initializer closure in place instead of staging the key words through
-  // a heap-allocated frame (the arena closure is needed either way, so
-  // this is the minimum — one arena block, no transient allocation).
+  // Hot path of every VM-executed `modref(keys...)`: stage the
+  // initializer on the C++ stack (on the heap only past a key count no
+  // sample program reaches); allocate() copies it into the node.
   checkAlways(NumKeys <= UINT16_MAX,
               "closure arity exceeds the 16-bit frame limit");
-  auto *Init = static_cast<Closure *>(Mem.allocate(Closure::byteSize(NumKeys)));
-  Init->setHeader(&modrefInitDynamic, NumKeys);
-  for (size_t I = 0; I < NumKeys; ++I)
-    Init->args()[I] = Keys[I];
-  void *Block = allocate(sizeof(Modref), Init, AllocNode::FlagModref);
-  return static_cast<Modref *>(Block);
+  constexpr size_t InlineKeys = 15;
+  StagedClosure<InlineKeys> Staged;
+  std::vector<Word> Spill;
+  Closure *Init = Staged.get();
+  if (NumKeys > InlineKeys) {
+    Spill.resize(1 + NumKeys);
+    Init = reinterpret_cast<Closure *>(Spill.data());
+  }
+  Init->FnBits = Closure::headerBits(&modrefInitDynamic, NumKeys);
+  std::copy(Keys, Keys + NumKeys, Init->args());
+  return static_cast<Modref *>(
+      allocate(sizeof(Modref), Init, AllocNode::FlagModref));
 }
 
 //===----------------------------------------------------------------------===//
@@ -651,7 +647,7 @@ void Runtime::reexecute(ReadNode *R) {
     Main.PendingSubst = V; // Consumed by the first trampoline dispatch below.
     Main.Cursor = R;
     Main.IntervalEnd = &R->End;
-    bool Spliced = trampoline(Mem.ptr(R->Clo));
+    bool Spliced = trampoline(R->closure());
     if (!Spliced)
       revokeInterval(Main.Cursor, &R->End);
     Main.IntervalEnd = nullptr;
@@ -706,10 +702,10 @@ void Runtime::revokeRead(ReadNode *R) {
     heapRemove(R);
   ReadMemo.remove(R);
   unlinkUse(R);
-  // Both stamps are inside R: unlink them, then free the node once.
+  // Both stamps and the closure are inside R: unlink the stamps, then
+  // free the node once.
   Om.remove(R);
   Om.remove(&R->End);
-  freeClosure(Mem.ptr(R->Clo));
   destroyNode(R);
 }
 
@@ -738,21 +734,21 @@ void Runtime::revokeAlloc(AllocNode *A) {
   ++Main.S.NodesRevoked;
   AllocMemo.remove(A);
   Om.remove(A);
-  freeClosure(Mem.ptr(A->Init));
-  Main.DeferredFrees.push_back({Mem.ptr(A->Block), A->Size, A->isModrefBlock()});
-  destroyNode(A);
+  // Out of the memo index, so no re-execution can steal it back; its
+  // block may still be dereferenced until this propagation ends.
+  Main.DeferredFrees.push_back(A);
 }
 
 void Runtime::flushDeferredFrees() {
-  for (const DeferredFree &F : Main.DeferredFrees) {
-    if (F.IsModref) {
+  for (AllocNode *A : Main.DeferredFrees) {
+    if (A->isModrefBlock()) {
       // The block is an array of modifiables (coreModref allocates an
       // array of one). By this point every use must have been revoked or
       // re-targeted; a live use means the core program violated the
       // correct-usage restrictions, in which case we leak rather than
       // dangle.
-      auto *Arr = static_cast<Modref *>(F.Block);
-      size_t Count = F.Size / sizeof(Modref);
+      auto *Arr = static_cast<Modref *>(A->block());
+      size_t Count = A->Size / sizeof(Modref);
       bool AnyLive = false;
       for (size_t I = 0; I < Count; ++I) {
         assert(!Arr[I].Head &&
@@ -765,7 +761,7 @@ void Runtime::flushDeferredFrees() {
       for (size_t I = 0; I < Count; ++I)
         Arr[I].~Modref();
     }
-    Mem.deallocate(F.Block, F.Size);
+    destroyNode(A);
   }
   Main.DeferredFrees.clear();
 }
@@ -816,7 +812,7 @@ ReadNode *Runtime::findReadMemo(const Modref *M, const Closure *C,
   ReadNode *Best = nullptr;
   for (ReadNode *N = ReadMemo.chainHead(Hash); N; N = ReadMemo.next(N)) {
     if (N->Memo.Hash != H32 || Mem.ptr(N->Ref) != M ||
-        !sameTrailingArgs(Mem.ptr(N->Clo), C))
+        !sameTrailingArgs(N->closure(), C))
       continue;
     if (!inReuseWindow(N))
       continue;
@@ -832,7 +828,7 @@ AllocNode *Runtime::findAllocMemo(const Closure *Init, size_t Size,
   AllocNode *Best = nullptr;
   for (AllocNode *N = AllocMemo.chainHead(Hash); N; N = AllocMemo.next(N)) {
     if (N->Memo.Hash != H32 || N->Size != Size ||
-        !sameTrailingArgs(Mem.ptr(N->Init), Init))
+        !sameTrailingArgs(N->init(), Init))
       continue;
     if (!inReuseWindow(N))
       continue;

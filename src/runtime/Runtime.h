@@ -208,18 +208,23 @@ public:
     return C;
   }
 
-  /// Traced read (paper: `modref_read`). Substitutes the modifiable's
-  /// value as the closure's first argument and returns the closure for
-  /// the active trampoline; returns null after a memo splice. The caller
-  /// must return the result immediately (the read body is everything
-  /// after it, per normalization).
-  Closure *read(Modref *M, Closure *C);
+  /// Traced read (paper: `modref_read`). Copies the caller's closure
+  /// \p C into the new read node, substitutes the modifiable's value as
+  /// its first argument, and returns the node's copy for the active
+  /// trampoline; returns null after a memo splice. \p C is never kept or
+  /// freed: the caller may stage it anywhere and owns it afterwards. The
+  /// caller must return the result immediately (the read body is
+  /// everything after it, per normalization).
+  Closure *read(Modref *M, const Closure *C);
 
   /// Sugar: read \p M and tail-jump to \p Fn whose first core parameter
   /// receives the value. `Closure *Fn(Runtime &, T0 Value, Rest...)`.
+  /// The closure is staged on the C++ stack.
   template <auto Fn, typename... Rest>
   Closure *readTail(Modref *M, Rest... Rs) {
-    return read(M, makeWithPlaceholder<Fn>(Rs...));
+    StagedClosure<sizeof...(Rest)> K;
+    stagePlaceholder<Fn>(K.get(), Rs...);
+    return read(M, K.get());
   }
 
   /// Traced write (paper: `modref_write`).
@@ -229,12 +234,17 @@ public:
   /// Traced, memo-keyed allocation (paper: `allocate`). The block is
   /// initialized by running \p Init once (its first argument becomes the
   /// block address); a re-execution allocating with an equal key (init
-  /// function, size, trailing arguments) steals the previous block.
-  void *allocate(size_t Size, Closure *Init, uint8_t NodeFlags = 0);
+  /// function, size, trailing arguments) steals the previous block by
+  /// moving its node to the cursor. Like read(), allocate() copies
+  /// \p Init into the node (the block follows it there) and never keeps
+  /// or frees the caller's closure.
+  void *allocate(size_t Size, const Closure *Init, uint8_t NodeFlags = 0);
 
   /// Sugar: allocate with `Closure *Fn(Runtime &, void *Block, Rest...)`.
   template <auto Fn, typename... Rest> void *alloc(size_t Size, Rest... Rs) {
-    return allocate(Size, makeWithPlaceholder<Fn>(Rs...));
+    StagedClosure<sizeof...(Rest)> Init;
+    stagePlaceholder<Fn>(Init.get(), Rs...);
+    return allocate(Size, Init.get());
   }
 
   /// Core-level modifiable, memo-keyed by the given key words so that
@@ -242,10 +252,10 @@ public:
   /// downstream trace). With no keys, modifiables are matched in
   /// allocation order.
   template <typename... Keys> Modref *coreModref(Keys... Ks) {
-    void *Block =
-        allocate(sizeof(Modref), makeWithPlaceholder<&modrefInit<Keys...>>(Ks...),
-                 AllocNode::FlagModref);
-    return static_cast<Modref *>(Block);
+    StagedClosure<sizeof...(Keys)> Init;
+    stagePlaceholder<&modrefInit<Keys...>>(Init.get(), Ks...);
+    return static_cast<Modref *>(
+        allocate(sizeof(Modref), Init.get(), AllocNode::FlagModref));
   }
 
   /// Core-level array of \p Count modifiables under one memo key; used by
@@ -254,11 +264,10 @@ public:
   template <typename... Keys>
   Modref *coreModrefArray(size_t Count, Keys... Ks) {
     assert(Count > 0 && "empty modifiable array");
-    void *Block = allocate(
-        Count * sizeof(Modref),
-        makeWithPlaceholder<&modrefArrayInit<Keys...>>(Word(Count), Ks...),
-        AllocNode::FlagModref);
-    return static_cast<Modref *>(Block);
+    StagedClosure<1 + sizeof...(Keys)> Init;
+    stagePlaceholder<&modrefArrayInit<Keys...>>(Init.get(), Word(Count), Ks...);
+    return static_cast<Modref *>(
+        allocate(Count * sizeof(Modref), Init.get(), AllocNode::FlagModref));
   }
 
   /// Core-level modifiable with a run-time-sized key (the CL VM's
@@ -271,6 +280,11 @@ public:
   template <auto Fn, typename... Actual> void callFn(Actual... As) {
     call(make<Fn>(As...));
   }
+
+  /// Frees a closure from make() or makeRaw() that was never handed to a
+  /// trampoline (which frees transient closures itself), such as one
+  /// passed to read() or allocate(), which only copy it.
+  void freeClosure(Closure *C) { Mem.deallocate(C, C->byteSize()); }
 
   //===--------------------------------------------------------------===//
   // Introspection
@@ -341,47 +355,28 @@ private:
     return nullptr;
   }
 
-  /// Builds a closure whose first declared parameter is a placeholder
+  /// Fills the staged closure \p C (room for sizeof...(Rest) frame
+  /// words) for \p Fn, whose first declared parameter is a placeholder
   /// bound later through the trampoline's substitution register (the read
   /// value or the allocated block address). The placeholder has no frame
   /// slot — the frame stores only the trailing arguments, one word less
   /// than the function's arity.
   template <auto Fn, typename... Rest>
-  Closure *makeWithPlaceholder(Rest... Rs) {
+  static void stagePlaceholder(Closure *C, Rest... Rs) {
     using Traits = CoreFnTraits<decltype(Fn)>;
     static_assert(Traits::Arity == sizeof...(Rest) + 1,
                   "expected one placeholder parameter plus Rest");
-    return makePlaceholderImpl<Fn, typename Traits::ArgsTuple>::fill(*this,
-                                                                     Rs...);
+    detail::SubstClosureMaker<Fn, typename Traits::ArgsTuple>::fill(C, Rs...);
   }
 
-  template <auto Fn, typename Tuple> struct makePlaceholderImpl;
-  template <auto Fn, typename T0, typename... As>
-  struct makePlaceholderImpl<Fn, std::tuple<T0, As...>> {
-    static Closure *fill(Runtime &RT, As... Vs) {
-      auto *C = static_cast<Closure *>(
-          RT.Mem.allocate(Closure::byteSize(sizeof...(As))));
-      detail::SubstClosureMaker<Fn, std::tuple<T0, As...>>::fill(C, Vs...);
-      return C;
-    }
-  };
-
   enum class Phase : uint8_t { Meta, Running, Propagating };
-
-  /// A user block whose revocation is deferred to the end of propagation
-  /// (memo reuse may steal the block back mid-phase).
-  struct DeferredFree {
-    void *Block;
-    uint32_t Size;
-    bool IsModref;
-  };
 
   /// Everything the tracing and propagation entry points mutate while
   /// core code executes; the runtime's single instance is Main.
   struct ExecState {
     /// The pending substitution value for the next closure the
     /// trampoline invokes: read() parks the value seen here, allocate()
-    /// the fresh block. Subst-flavor invokers (makeWithPlaceholder)
+    /// the fresh block. Subst-flavor invokers (stagePlaceholder)
     /// consume it as their first declared parameter; plain closures
     /// ignore it.
     Word PendingSubst = 0;
@@ -391,15 +386,30 @@ private:
     std::vector<ReadNode *> PendingReads;
     /// Propagation queue (intrusive binary heap ordered by start time).
     std::vector<ReadNode *> Heap;
-    std::vector<DeferredFree> DeferredFrees;
+    /// Revoked allocations whose nodes (initializer and block included)
+    /// are freed when propagation ends: revokeAlloc has already taken
+    /// them out of the memo index, so nothing can steal them back, but
+    /// re-executions later in the same propagation may still dereference
+    /// their blocks until the reads that do so are revoked or re-run.
+    std::vector<AllocNode *> DeferredFrees;
     Stats S;
     PropagationProfile Prof;
   };
 
-  // Trace construction.
-  template <typename NodeT> NodeT *newNode();
+  // Trace construction. A node's block holds \p Extra bytes after the
+  // fixed fields (a closure, and an allocation's user block), then the
+  // per-node pad.
+  template <typename NodeT> NodeT *newNode(size_t Extra = 0);
+  size_t nodeBytes(const ReadNode *R) const {
+    return ReadNode::byteSize(R->closure()->numArgs()) + NodePad;
+  }
+  size_t nodeBytes(const WriteNode *) const {
+    return sizeof(WriteNode) + NodePad;
+  }
+  size_t nodeBytes(const AllocNode *A) const {
+    return AllocNode::byteSize(A->init()->numArgs(), A->Size) + NodePad;
+  }
   template <typename NodeT> void destroyNode(NodeT *N);
-  void freeClosure(Closure *C);
   void stampAfterCursor(OmNode *Stamp);
   void insertUse(Modref *M, Use *U);
   void insertUseTail(Modref *M, Use *U);
@@ -456,8 +466,9 @@ private:
   Config Cfg;
   /// nodePadBytes(), fixed at construction.
   size_t NodePad;
-  /// The runtime's one arena: trace nodes with their timestamps, the
-  /// order list's groups, closures, user and meta blocks.
+  /// The runtime's one arena: trace nodes with their timestamps,
+  /// closures and user blocks, the order list's groups, transient
+  /// closures, and meta blocks.
   Arena Mem;
   OrderList Om{Mem};
   /// The maximum stamped position: where a subsequent run_core appends.

@@ -1135,9 +1135,9 @@ struct Snapshot::Impl {
     // placement-abstract: each distinct in-region value is renamed to its
     // first-occurrence ordinal in trace order. Two digests agree iff the
     // traces match up to a bijection of block addresses — exactly
-    // observational equivalence, and the property the snapshot oracle
-    // (tests/support/SnapshotHarness.h) asserts between a reloaded trace
-    // and a continuously-running one.
+    // observational equivalence, and the property the oracle harness's
+    // Reload axis (tests/support/OracleHarness.h, HarnessOptions::Reload)
+    // asserts between a reloaded trace and a continuously-running one.
     std::unordered_map<uint64_t, uint64_t> Names;
     auto MixVal = [&](Word W) {
       if (W >= RegionBase && W - RegionBase < Region) {
@@ -1170,7 +1170,7 @@ struct Snapshot::Impl {
         const auto *R = static_cast<const ReadNode *>(N);
         MixVal(toWord(RT.Mem.ptr(R->Ref)));
         MixVal(R->SeenValue);
-        MixClosure(RT.Mem.ptr(R->Clo));
+        MixClosure(R->closure());
         break;
       }
       case TraceKind::Write: {
@@ -1181,9 +1181,9 @@ struct Snapshot::Impl {
       }
       case TraceKind::Alloc: {
         const auto *A = static_cast<const AllocNode *>(N);
-        MixVal(toWord(RT.Mem.ptr(A->Block)));
+        MixVal(toWord(A->block()));
         MixRaw(A->Size);
-        MixClosure(RT.Mem.ptr(A->Init));
+        MixClosure(A->init());
         break;
       }
       }

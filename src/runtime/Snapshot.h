@@ -23,7 +23,11 @@
 ///                     sweep over the memo bucket heads. The file is
 ///                     assumed to be save()'s own unmodified output, which
 ///                     is what makes a warm start cheaper than re-running
-///                     the core from scratch.
+///                     the core from scratch: apart from those heads it
+///                     trusts every word of the arena image, including
+///                     the ones that size a trace node (a read's closure
+///                     arity, an allocation's initializer arity and block
+///                     Size), which propagation follows unchecked.
 ///
 /// The format is position-dependent by design: every trace edge,
 /// order-list link, and freelist link is a region offset (a 32-bit
@@ -66,8 +70,12 @@
 /// verification (the arena checksum, the freelist walks and the trace
 /// walk) belongs to load() alone: a mapping cannot stay verified, because
 /// the MAP_PRIVATE pages the runtime has not yet written still show later
-/// writes to the file. A failed load leaves the Runtime pristine and
-/// usable.
+/// writes to the file. On load() the trace walk also sizes every node
+/// from its own words before it reads past its fixed fields: a closure
+/// arity or block Size that carries a node past the bump frontier, or
+/// into the next live node, is an AuditFailed diagnostic, and no frame
+/// word is read as a memo key while any node's extent is in doubt. A
+/// failed load leaves the Runtime pristine and usable.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,25 +15,38 @@
 /// invalidate exactly the readers it governs.
 ///
 /// Every inter-node edge is a 32-bit arena handle (Arena::Handle), not a
-/// pointer: trace nodes, their timestamps, the order list's groups,
-/// closures, and user blocks all live in the runtime's one Mem arena, and
-/// each edge names its target by region offset. Timestamps are intrusive:
-/// a trace node *is* its start timestamp (it begins with an OmNode, whose
-/// client bits hold the node's kind and flags), and a read embeds its end
+/// pointer: trace nodes, their timestamps, the order list's groups and
+/// user blocks all live in the runtime's one Mem arena, and each edge
+/// names its target by region offset. Timestamps are intrusive: a trace
+/// node *is* its start timestamp (it begins with an OmNode, whose client
+/// bits hold the node's kind and flags), and a read embeds its end
 /// timestamp as a second OmNode. An order walk therefore reaches the
-/// owning node by address, with no back-pointer. The per-node layouts:
+/// owning node by address, with no back-pointer.
+///
+/// Each traced operation is one arena block. A read keeps its
+/// continuation closure (header word plus frame) directly after its
+/// fixed fields; an allocation keeps its initializer closure there and
+/// the user block after that. read() and allocate() copy a closure the
+/// caller staged (on the C++ stack or the VM's word stack) into the new
+/// node; the trace never holds a pointer to a closure outside one. Under
+/// the SaSML comparator the per-node pad comes last. The layouts:
 ///
 ///   TraceNode 16 B   (start timestamp: prev/next/group handles, then one
 ///                      word of 24-bit label, 3-bit kind, 5-bit flags)
 ///   Use       28 B   (+ modifiable, prev/next use)
-///   ReadNode  80 B   (+ closure, seen value, end timestamp, governing
-///                      write, queue index, memo links)
+///   ReadNode  72 B   (+ governing write, seen value, end timestamp,
+///                      queue index, memo links), then its closure
 ///   WriteNode 40 B   (+ value)
-///   AllocNode 40 B   (+ initializer, block, size, memo links)
+///   AllocNode 32 B   (+ size, memo links), then its initializer, then
+///                      the user block
 ///   Modref    24 B   (initial value + head/tail/hint of the use list)
 ///   OmGroup   24 B   (prev/next/first handles, count, label)
 ///
-/// See DESIGN.md "Trace memory layout".
+/// A memo-matched allocation moves its node to the cursor (the block
+/// keeps its address because the node does), and a revoked allocation's
+/// whole node is freed only when propagation ends, since later
+/// re-executions in the same propagation may still dereference its
+/// block. See DESIGN.md "Trace memory layout".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,10 +108,11 @@ struct Use : TraceNode {
   Use(TraceKind K, RawInit R) : TraceNode(K, R) {}
 };
 
-/// A traced read: the modifiable, the closure that consumed the value, the
-/// value it saw, and the time interval its body occupied. The interval's
-/// end is the point where the enclosing tail-call chain finished; during
-/// change propagation the closure re-executes inside (Start, End).
+/// A traced read: the modifiable, the value it saw, and the time interval
+/// its body occupied; its continuation closure follows the fixed fields
+/// in the same block (closure()). The interval's end is the point where
+/// the enclosing tail-call chain finished; during change propagation the
+/// closure re-executes inside (Start, End).
 struct ReadNode : Use {
   explicit ReadNode(RawInit R) : Use(TraceKind::Read, R), HeapIndex(-1) {
     End.Kind = TraceKind::End;
@@ -107,13 +121,6 @@ struct ReadNode : Use {
 
   static constexpr uint8_t FlagDirty = 1;
 
-  /// Directly after Use, which is only 4-byte aligned now that a
-  /// timestamp is (offset static_asserted below).
-  Handle<Closure> Clo;
-  Word SeenValue;
-  /// The interval's end timestamp, stamped when the read's tail-call
-  /// chain finishes. Its kind is TraceKind::End.
-  OmNode End;
   /// Governing-write cache: the latest write strictly preceding this read
   /// in its modifiable's use list — the write whose value the read
   /// observes — or null when the prefix holds no write (the read is
@@ -122,12 +129,29 @@ struct ReadNode : Use {
   /// O(reads since the last write); audited against a full backward walk
   /// by TraceAudit. Only reads carry the cache: a write's governing write
   /// is derived in O(1) from its predecessor (Runtime::writeGoverning).
+  /// Directly after Use, which is only 4-byte aligned now that a
+  /// timestamp is (offset static_asserted below).
   Handle<WriteNode> Gov;
+  Word SeenValue;
+  /// The interval's end timestamp, stamped when the read's tail-call
+  /// chain finishes. Its kind is TraceKind::End.
+  OmNode End;
   /// Position in the propagation queue, or -1.
   int32_t HeapIndex;
 
   /// Memo-table chaining (keyed by modifiable, function, argument words).
   MemoLinks<ReadNode> Memo;
+
+  /// The continuation closure, stored after the fixed fields.
+  Closure *closure() { return reinterpret_cast<Closure *>(this + 1); }
+  const Closure *closure() const {
+    return reinterpret_cast<const Closure *>(this + 1);
+  }
+  /// Bytes of a read whose closure has \p FrameArgs frame words, before
+  /// any per-node pad.
+  static size_t byteSize(size_t FrameArgs) {
+    return sizeof(ReadNode) + Closure::byteSize(FrameArgs);
+  }
 
   bool isDirty() const { return Flags & FlagDirty; }
   void setDirty(bool D) {
@@ -145,21 +169,38 @@ struct WriteNode : Use {
   Word Value;
 };
 
-/// A traced, memo-keyed allocation. Init is retained because its function
-/// pointer and argument words are the memo key; Block is the user memory.
-/// A re-execution that allocates with the same key steals Block, giving
-/// the pointer identity that lets downstream writes equality-cut and
+/// A traced, memo-keyed allocation. Its initializer closure follows the
+/// fixed fields (init()) and is retained because its function pointer
+/// and argument words are the memo key; the user block of Size bytes
+/// follows the initializer (block()). A re-execution that allocates with
+/// the same key moves the node to its cursor, block and all, giving the
+/// pointer identity that lets downstream writes equality-cut and
 /// downstream reads memo-match (the paper's Sec. 1 "memoization" role).
-struct AllocNode : TraceNode {
+/// 8-byte aligned so the initializer's header starts right after it.
+struct alignas(8) AllocNode : TraceNode {
   explicit AllocNode(RawInit R) : TraceNode(TraceKind::Alloc, R) {}
 
   static constexpr uint8_t FlagModref = 1;
 
-  Handle<Closure> Init;
-  Handle<void> Block;
   uint32_t Size;
 
   MemoLinks<AllocNode> Memo;
+
+  Closure *init() { return reinterpret_cast<Closure *>(this + 1); }
+  const Closure *init() const {
+    return reinterpret_cast<const Closure *>(this + 1);
+  }
+  void *block() {
+    return reinterpret_cast<char *>(this + 1) + init()->byteSize();
+  }
+  const void *block() const {
+    return reinterpret_cast<const char *>(this + 1) + init()->byteSize();
+  }
+  /// Bytes of an allocation whose initializer has \p FrameArgs frame
+  /// words and whose block is \p Size bytes, before any per-node pad.
+  static size_t byteSize(size_t FrameArgs, size_t Size) {
+    return sizeof(AllocNode) + Closure::byteSize(FrameArgs) + Size;
+  }
 
   bool isModrefBlock() const { return Flags & FlagModref; }
 };
@@ -180,19 +221,23 @@ struct Modref {
   Handle<Use> Hint{};
 };
 
-// The compressed size-class contracts (see the file comment): each layout
-// must exactly fill its 8-byte arena class; growing any of them is a
-// measured regression on every app's max-live footprint, so it fails the
-// build rather than landing silently.
+// The compressed layout contracts (see the file comment): each fixed part
+// must exactly fill a multiple of the 8-byte grain, so that the closure
+// after it starts aligned; growing any of them is a measured regression
+// on every app's max-live footprint, so it fails the build rather than
+// landing silently.
 static_assert(sizeof(OmNode) == 16, "OmNode outgrew its packed layout");
 static_assert(alignof(OmNode) == 4, "a timestamp must not force 8-byte "
                                     "alignment on the node around it");
 static_assert(sizeof(OmGroup) == 24, "OmGroup outgrew its size class");
 static_assert(sizeof(TraceNode) == 16, "TraceNode outgrew its start stamp");
 static_assert(sizeof(Use) == 28, "Use outgrew its packed layout");
-static_assert(sizeof(ReadNode) == 80, "ReadNode outgrew its size class");
+static_assert(sizeof(ReadNode) == 72, "ReadNode outgrew its packed layout");
 static_assert(sizeof(WriteNode) == 40, "WriteNode outgrew its size class");
-static_assert(sizeof(AllocNode) == 40, "AllocNode outgrew its size class");
+static_assert(sizeof(AllocNode) == 32, "AllocNode outgrew its packed layout");
+static_assert(sizeof(ReadNode) % alignof(Closure) == 0 &&
+                  sizeof(AllocNode) % alignof(Closure) == 0,
+              "a node's closure must start 8-byte aligned after it");
 static_assert(sizeof(Modref) == 24, "Modref outgrew its size class");
 // The kind field holds every TraceKind, the flag field every node flag.
 static_assert(unsigned(TraceKind::End) < 8, "TraceKind outgrew 3 bits");
@@ -208,8 +253,8 @@ inline constexpr size_t ReadEndOffset = 40;
 #pragma GCC diagnostic ignored "-Winvalid-offsetof"
 static_assert(offsetof(ReadNode, End) == ReadEndOffset,
               "ReadNode::End moved; its owner is found by this offset");
-static_assert(offsetof(ReadNode, Clo) == 28,
-              "ReadNode::Clo no longer follows Use directly");
+static_assert(offsetof(ReadNode, Gov) == 28,
+              "ReadNode::Gov no longer follows Use directly");
 #pragma GCC diagnostic pop
 static_assert(ReadEndOffset % Arena::HandleGrain == 0,
               "the end timestamp must be handle-addressable");
@@ -226,9 +271,13 @@ inline const ReadNode *ReadNode::ofEnd(const OmNode *E) {
 /// (runtime/Snapshot) embeds it in the checkpoint header and rejects any
 /// mismatch. Revision 3: timestamps are embedded in their trace nodes and
 /// the order list shares the trace arena. Revision 4: a timestamp packs a
-/// 24-bit in-group label with the kind and flags into one word.
+/// 24-bit in-group label with the kind and flags into one word. Revision
+/// 5: a read stores its closure, and an allocation its initializer and
+/// block, inside the node.
+inline constexpr uint64_t TraceLayoutRevision = 5;
 inline uint64_t traceLayoutFingerprint() {
-  uint64_t H = 0x4345414c00000004ULL; // format root: 'CEAL', revision 4
+  // Format root: 'CEAL', then the revision.
+  uint64_t H = 0x4345414c00000000ULL | TraceLayoutRevision;
   auto Mix = [&H](uint64_t W) { H = hashMixWord(H, W); };
   Mix(sizeof(void *));
   Mix(Arena::HandleGrain);

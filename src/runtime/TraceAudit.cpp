@@ -5,21 +5,26 @@
 //   1. order structure   (groups, labels, links, two-level agreement,
 //                         cursor and trace-end membership)
 //   2. trace walk        (stamp kinds vs. their containers, interval
-//                         nesting, node/closure/block extents and their
-//                         disjointness, closure ownership, per-node byte
-//                         accounting)
+//                         nesting, node extents with the closure and
+//                         block inside them and their disjointness,
+//                         closure ownership, per-node byte accounting)
 //   3. use-lists + heap  (per-modifiable ordering, equality-cut
 //                         soundness, dirty/queue agreement)
-//   4. memo indexes      (chain shape, hash placement, exact membership)
-//   5. arena             (trace-reachable + order-list + memo-bucket +
+//   4. arena             (trace-reachable + order-list + memo-bucket +
 //                         tracked meta bytes == liveBytes)
+//   5. memo indexes      (chain shape, hash placement, exact membership;
+//                         keys are hashed only when passes 2 and 4 found
+//                         every node's extent sound)
 //
 // Every check records a violation string instead of asserting, so one
 // corrupted structure produces a full report rather than a lone abort;
 // enforce() turns a non-empty report into a banner + abort. The same walk
 // gates Snapshot::load(), so it treats every handle as untrusted: each is
 // bounds-checked over the whole extent it names before the first read,
-// and no later pass follows a node or closure an earlier one rejected.
+// and no later pass follows a node or closure an earlier one rejected. A
+// node's extent depends on words inside it (a closure's arity, a block's
+// size), so each is bounds-checked before it is used to size the next
+// check, and no frame word is read while any node's extent is in doubt.
 //
 //===----------------------------------------------------------------------===//
 
@@ -174,11 +179,16 @@ struct TraceAudit::Impl {
   TraceAudit::Report &Rep;
 
   // Populated by the trace walk, consumed by the later passes. Every node
-  // in LiveNodes has its whole extent below the bump frontier.
+  // in LiveNodes has its fixed part below the bump frontier, and its
+  // closure and block too unless it is in Unsound.
   std::unordered_set<const TraceNode *> LiveNodes;
-  /// Live nodes whose closure failed its bounds check: the memo pass must
-  /// not hash their keys.
+  /// Live nodes whose closure or block failed its bounds check: the memo
+  /// pass must not hash their keys.
   std::unordered_set<const TraceNode *> Unsound;
+  /// False once two nodes overlap or the arena does not reconcile: some
+  /// node's extent is then wrong although in bounds, and its frame words
+  /// may belong to another block, so the memo pass hashes no key.
+  bool ExtentsSound = true;
   std::vector<const ReadNode *> Reads;
   std::vector<const WriteNode *> Writes;
   std::vector<const AllocNode *> Allocs;
@@ -186,10 +196,10 @@ struct TraceAudit::Impl {
   /// Order-list groups walked by pass 1 (for the arena reconciliation).
   size_t Groups = 0;
   /// One bit per arena grain below the frontier, set for each grain a
-  /// node, closure or block the trace walk charged covers: every one is
-  /// its own arena block, so no grain may be covered twice.
+  /// node the trace walk charged covers (a node's block holds its closure
+  /// and user block too): every node is its own arena block, so no grain
+  /// may be covered twice.
   std::vector<uint64_t> Covered;
-  bool Overlap = false;
 
   Impl(const Runtime &R, TraceAudit::Report &Out) : RT(R), Rep(Out) {}
 
@@ -223,41 +233,42 @@ struct TraceAudit::Impl {
     return RT.Mem.ptr(H);
   }
 
-  /// Charges the \p Bytes block at \p P (null when its handle failed
-  /// to decode) to the trace's accounted bytes.
-  void charge(const void *P, size_t Bytes) {
+  /// Charges the \p Bytes node at \p T to the trace's accounted bytes
+  /// and marks the grains it covers (until the first overlap).
+  void charge(const TraceNode *T, size_t Bytes) {
     Rep.TraceBytes += Arena::accountedSize(Bytes);
-    if (!P || Overlap)
+    if (!ExtentsSound)
       return;
     const auto *Base = static_cast<const char *>(RT.Mem.regionBase());
     const size_t Grain = Arena::HandleGrain;
-    size_t G = size_t(static_cast<const char *>(P) - Base) / Grain;
+    size_t G = size_t(reinterpret_cast<const char *>(T) - Base) / Grain;
     size_t End = std::min(G + Arena::accountedSize(Bytes) / Grain,
                           Covered.size() * 64);
     for (; G < End; ++G) {
       uint64_t Bit = uint64_t(1) << (G % 64);
       if (Covered[G / 64] & Bit) {
-        // A handle forged to name a spot inside another live block.
+        // A timestamp link forged to name a spot inside another live
+        // node, or an arity or size that carries a node into the next.
         fail("arena: two live trace blocks overlap at region offset 0x%llx",
              (unsigned long long)(G * Grain));
-        Overlap = true;
+        ExtentsSound = false;
         return;
       }
       Covered[G / 64] |= Bit;
     }
   }
 
-  /// Decodes a trace-owned closure: its header, then the whole frame its
-  /// arity implies, both bounds-checked before anything reads an
-  /// argument. Null (with a report line) when \p H is null or either
-  /// check fails.
-  const Closure *traceClosure(Handle<Closure> H, const char *What) {
-    if (!H) {
-      fail("%s: null", What);
+  /// Decodes the closure stored \p Fixed bytes into the node at handle
+  /// \p Bits: its header, then the whole frame its arity implies, both
+  /// bounds-checked before anything reads an argument. Null (with a
+  /// report line) when either check fails.
+  const Closure *nodeClosure(uint32_t Bits, size_t Fixed, const char *What) {
+    if (!within(Bits, Fixed + sizeof(Closure), What))
       return nullptr;
-    }
-    const Closure *C = decode(H, What);
-    if (!C || !within(H.Bits, C->byteSize(), What))
+    const auto *C = reinterpret_cast<const Closure *>(
+        static_cast<const char *>(RT.Mem.regionBase()) +
+        uint64_t(Bits) * Arena::HandleGrain + Fixed);
+    if (!within(Bits, Fixed + C->byteSize(), What))
       return nullptr;
     if (!C->ownedByTrace())
       fail("%s: not marked trace-owned", What);
@@ -294,8 +305,8 @@ struct TraceAudit::Impl {
     walkTrace();
     checkUseLists();
     checkHeap();
-    checkMemos();
     checkArena();
+    checkMemos();
   }
 
   //===------------------------------------------------------------===//
@@ -468,8 +479,9 @@ struct TraceAudit::Impl {
         fail("trace: timestamp with invalid kind %u", unsigned(N->Kind));
         continue;
       }
-      // The stamp's kind names the node around it; the whole node must
-      // lie below the frontier before any field past the stamp is read.
+      // The stamp's kind names the node around it; the node's fixed part
+      // must lie below the frontier before any field past the stamp is
+      // read, and the closure and block it holds before they are sized.
       if (!within(Bits, NodeBytes, "trace: node"))
         continue;
       const auto *T = static_cast<const TraceNode *>(N);
@@ -477,7 +489,6 @@ struct TraceAudit::Impl {
         fail("trace: node stamped at two timestamps");
         continue;
       }
-      charge(T, NodeBytes + Pad);
       switch (T->Kind) {
       case TraceKind::Read: {
         const auto *R = static_cast<const ReadNode *>(T);
@@ -493,8 +504,9 @@ struct TraceAudit::Impl {
           if (G->Kind != TraceKind::Write)
             fail("read: governing-write cache names a node of kind %u",
                  unsigned(G->Kind));
-        if (const Closure *Clo = traceClosure(R->Clo, "read closure"))
-          charge(Clo, Clo->byteSize());
+        if (const Closure *Clo =
+                nodeClosure(Bits, sizeof(ReadNode), "read closure"))
+          NodeBytes += Clo->byteSize();
         else
           Unsound.insert(R);
         break;
@@ -511,15 +523,20 @@ struct TraceAudit::Impl {
       case TraceKind::Alloc: {
         const auto *A = static_cast<const AllocNode *>(T);
         Allocs.push_back(A);
-        // A block two allocations share (a double steal) is an overlap.
-        charge(A->Size ? decode(A->Block, "alloc block", A->Size) : nullptr,
-               A->Size);
         if (A->Size == 0)
           fail("alloc: zero-sized block");
-        if (A->Size && !A->Block)
-          fail("alloc: null block");
-        if (const Closure *Init = traceClosure(A->Init, "alloc initializer"))
-          charge(Init, Init->byteSize());
+        const Closure *Init =
+            nodeClosure(Bits, sizeof(AllocNode), "alloc initializer");
+        if (!Init) {
+          Unsound.insert(A);
+          break;
+        }
+        NodeBytes += Init->byteSize();
+        // The block follows the initializer; a Size carrying it past the
+        // frontier is reported here, one carrying it into the next live
+        // node by the overlap check below.
+        if (within(Bits, NodeBytes + A->Size, "alloc block"))
+          NodeBytes += A->Size;
         else
           Unsound.insert(A);
         break;
@@ -527,6 +544,7 @@ struct TraceAudit::Impl {
       default:
         break;
       }
+      charge(T, NodeBytes + Pad);
     }
     if (!OpenReads.empty())
       fail("trace: %zu read interval(s) missing their end markers",
@@ -647,7 +665,34 @@ struct TraceAudit::Impl {
   }
 
   //===------------------------------------------------------------===//
-  // Pass 4: memo indexes
+  // Pass 4: arena reconciliation
+  //===------------------------------------------------------------===//
+
+  void checkArena() {
+    // The trace walk summed its nodes (closures and blocks included) into
+    // TraceBytes; add the order list's own blocks (the groups pass 1
+    // walked, plus the base) and the memo buckets.
+    size_t OmBytes = Arena::accountedSize(sizeof(OmNode)) +
+                     Groups * Arena::accountedSize(sizeof(OmGroup));
+    size_t MemoBytes = RT.ReadMemo.bucketBytes() + RT.AllocMemo.bucketBytes();
+    size_t Expected = Rep.TraceBytes + OmBytes + MemoBytes + RT.MetaBytes;
+    size_t Live = RT.Mem.liveBytes();
+    if (Expected != Live) {
+      ExtentsSound = false;
+      if (Expected < Live)
+        fail("arena: %zu live bytes but only %zu reachable from the trace, "
+             "the order list, the memo buckets, or tracked meta blocks "
+             "(leak of %zu bytes; untracked arena().allocate()?)",
+             Live, Expected, Live - Expected);
+      else
+        fail("arena: %zu reachable bytes exceed %zu live bytes "
+             "(double free of %zu bytes)",
+             Expected, Live, Expected - Live);
+    }
+  }
+
+  //===------------------------------------------------------------===//
+  // Pass 5: memo indexes
   //===------------------------------------------------------------===//
 
   template <typename NodeT, typename KeyFn>
@@ -680,13 +725,14 @@ struct TraceAudit::Impl {
           fail("%s memo: entry hashed to bucket %zu but chained in %zu",
                Name, Table.bucketFor(N->Memo.Hash), B);
         // The key is hashed only from a live node of the table's kind
-        // whose closure passed the trace walk's bounds checks.
+        // whose closure passed the trace walk's bounds checks, and only
+        // when no node's extent is in doubt.
         if (!LiveNodes.count(N))
           fail("%s memo: entry is not a live trace node", Name);
         else if (N->Kind != Kind)
           fail("%s memo: entry is a node of kind %u", Name,
                unsigned(N->Kind));
-        else if (!Unsound.count(N)) {
+        else if (ExtentsSound && !Unsound.count(N)) {
           MakeKey(N, Key);
           Hashes.add(N, Key.data(), Key.size());
         }
@@ -710,42 +756,15 @@ struct TraceAudit::Impl {
   void checkMemos() {
     checkMemoTable(RT.ReadMemo, "read", TraceKind::Read, Reads, ReadMemoSeed,
                    [&](const ReadNode *R, std::vector<uint64_t> &W) {
-                     readMemoKey(RT.Mem.ptr(R->Ref), RT.Mem.ptr(R->Clo), W);
+                     readMemoKey(RT.Mem.ptr(R->Ref), R->closure(), W);
                    });
     checkMemoTable(RT.AllocMemo, "alloc", TraceKind::Alloc, Allocs,
                    AllocMemoSeed,
                    [&](const AllocNode *A, std::vector<uint64_t> &W) {
-                     allocMemoKey(RT.Mem.ptr(A->Init), A->Size, W);
+                     allocMemoKey(A->init(), A->Size, W);
                    });
   }
-
-  //===------------------------------------------------------------===//
-  // Pass 5: arena reconciliation
-  //===------------------------------------------------------------===//
-
-  void checkArena() {
-    // The trace walk summed its nodes, closures and blocks into
-    // TraceBytes; add the order list's own blocks (the groups pass 1
-    // walked, plus the base) and the memo buckets.
-    size_t OmBytes = Arena::accountedSize(sizeof(OmNode)) +
-                     Groups * Arena::accountedSize(sizeof(OmGroup));
-    size_t MemoBytes = RT.ReadMemo.bucketBytes() + RT.AllocMemo.bucketBytes();
-    size_t Expected = Rep.TraceBytes + OmBytes + MemoBytes + RT.MetaBytes;
-    size_t Live = RT.Mem.liveBytes();
-    if (Expected != Live) {
-      if (Expected < Live)
-        fail("arena: %zu live bytes but only %zu reachable from the trace, "
-             "the order list, the memo buckets, or tracked meta blocks "
-             "(leak of %zu bytes; untracked arena().allocate()?)",
-             Live, Expected, Live - Expected);
-      else
-        fail("arena: %zu reachable bytes exceed %zu live bytes "
-             "(double free of %zu bytes)",
-             Expected, Live, Expected - Live);
-    }
-  }
 };
-
 
 TraceAudit::Report TraceAudit::inspect(const Runtime &RT) {
   Report Rep;

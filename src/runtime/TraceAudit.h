@@ -21,8 +21,11 @@
 ///    its own node's kind), read intervals are well-formed (Start before
 ///    End) and properly nested, and the global TraceEnd is the maximum
 ///    timestamp. Every handle is bounds-checked before it is followed,
-///    over the whole extent it names: a node, a modifiable, a closure's
-///    frame, an allocation's block. A read's governing-write cache names
+///    over the whole extent it names: a node, a modifiable; a node's own
+///    closure frame and allocation block are checked against the
+///    frontier as soon as their arity and size are read, and no frame
+///    word is hashed while any node's extent is in doubt. A read's
+///    governing-write cache names
 ///    a write. Work parked during a core (pending reads, deferred memo
 ///    inserts and frees, the order list's append mode) is drained.
 ///
@@ -40,14 +43,14 @@
 ///    the bucket their hash selects, and table membership is exactly the
 ///    set of live read/alloc nodes.
 ///
-///  * Arena accounting: the bytes reachable from live trace nodes (nodes
-///    with their timestamps, trace-owned closures, allocation blocks),
-///    the order list's groups and base, the memo tables' bucket arrays,
-///    and tracked mutator blocks
-///    (Runtime::metaAlloc) reconcile exactly with Arena liveBytes — a
-///    leak or double-free shows up as a delta. The trace's nodes,
-///    closures and allocation blocks are pairwise disjoint, so a handle
-///    forged to name a spot inside another live block is reported.
+///  * Arena accounting: the live trace nodes (each one arena block with
+///    its timestamps, its closure and, for an allocation, its user
+///    block), the order list's groups and base, the memo tables' bucket
+///    arrays, and tracked mutator blocks (Runtime::metaAlloc) reconcile
+///    exactly with Arena liveBytes — a leak or double-free shows up as a
+///    delta. The trace's nodes are pairwise disjoint, so a handle forged
+///    to name a spot inside another live node, or an arity or size that
+///    carries a node into the next, is reported.
 ///
 /// The audit is read-only and meta-phase only. Callers run it on request
 /// (inspect, enforce); Runtime::Config::Audit also runs enforce after

@@ -175,8 +175,13 @@ void modref_write(modref_t_c *M, void *V) {
   rt().write(reinterpret_cast<Modref *>(M), toWord(V));
 }
 
+// read() and allocate() copy the closure into their trace node, so the
+// one closure_make built for the call is freed once it returns.
 Closure *modref_read(modref_t_c *M, Closure *C) {
-  return rt().read(reinterpret_cast<Modref *>(M), C);
+  Runtime &RT = rt();
+  Closure *K = RT.read(reinterpret_cast<Modref *>(M), C);
+  RT.freeClosure(C);
+  return K;
 }
 
 void *allocate(size_t N, Closure *C) {
@@ -187,5 +192,8 @@ void *allocate(size_t N, Closure *C) {
       fromWord<void *>(C->args()[0]) ==
           reinterpret_cast<void *>(&modref_init))
     Flags = AllocNode::FlagModref;
-  return rt().allocate(N, C, Flags);
+  Runtime &RT = rt();
+  void *Block = RT.allocate(N, C, Flags);
+  RT.freeClosure(C);
+  return Block;
 }

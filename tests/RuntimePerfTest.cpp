@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <unordered_map>
+#include <utility>
 
 using namespace ceal;
 using namespace ceal::apps;
@@ -324,11 +326,11 @@ Closure *dynModrefCore(Runtime &RT, Word NumKeys) {
 } // namespace
 
 TEST(DynamicModref, ArenaAllocationsIndependentOfKeyCount) {
-  // Per call: the init closure, the AllocNode, and the modref block —
-  // built in place, no transient key frame. The entry closure of runCore
-  // is the only other arena allocation; subtract it via a no-op run. A
-  // first keyed call allocates the alloc memo table's bucket array in
-  // the arena, once, so it runs before the measured calls.
+  // Per call: one AllocNode holding the init closure and the modref
+  // block; the key frame is staged off the arena. The entry closure of
+  // runCore is the only other arena allocation; subtract it via a no-op
+  // run. A first keyed call allocates the alloc memo table's bucket array
+  // in the arena, once, so it runs before the measured calls.
   Runtime RT;
   RT.runCore<&dynModrefCore>(Word(1));
   size_t Before = RT.arena().allocationCount();
@@ -343,8 +345,122 @@ TEST(DynamicModref, ArenaAllocationsIndependentOfKeyCount) {
   RT.runCore<&dynModrefCore>(Word(8));
   size_t EightKeys = RT.arena().allocationCount() - Before - NoopDelta;
 
-  EXPECT_EQ(TwoKeys, 3u);
-  EXPECT_EQ(EightKeys, 3u);
+  EXPECT_EQ(TwoKeys, 1u);
+  EXPECT_EQ(EightKeys, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Work gates: arena blocks per traced operation
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Order-list groups currently allocated (the base sentinel excluded).
+size_t omGroups(Runtime &RT) {
+  return (RT.memoryStats().OmGroupBytes - sizeof(OmNode)) / sizeof(OmGroup);
+}
+
+/// Arena allocations of an \p N-element map construction that are not
+/// order-list groups, and the ones that are.
+std::pair<size_t, size_t> mapConstructionAllocs(size_t N) {
+  Runtime RT;
+  Rng R(11);
+  ListHandle L = buildList(RT, gen::randomWords(R, N));
+  Modref *Dst = RT.modref();
+  const size_t Groups0 = omGroups(RT);
+  const size_t Before = RT.arena().allocationCount();
+  RT.runCore<&mapCore>(L.Head, Dst, &mapFn, Word(0));
+  const size_t Groups = omGroups(RT) - Groups0;
+  return {RT.arena().allocationCount() - Before - Groups, Groups};
+}
+
+} // namespace
+
+TEST(WorkGates, MapConstructionIsOneArenaBlockPerTracedOperation) {
+  // Each element traces a read, a write and two allocations, and each of
+  // them is one arena block: the read's closure and the allocations'
+  // initializers and blocks live in their nodes. Beyond those, a run
+  // allocates the entry closure, the two memo tables' bucket arrays, and
+  // the order list's groups (counted apart). The trailing read of the
+  // empty tail adds one read and one write.
+  for (size_t N : {500, 2000}) {
+    auto [Allocs, Groups] = mapConstructionAllocs(N);
+    EXPECT_LE(Allocs, 4 * N + 2 + 3) << "N = " << N;
+    EXPECT_LE(Groups, (5 * N) / 32 + 2) << "N = " << N;
+  }
+}
+
+TEST(WorkGates, EditPropagationWorkIsIndependentOfInputSize) {
+  // One detach and one reattach of a middle cell, each propagated: the
+  // arena blocks and memo inserts they cost must not grow with the list.
+  auto EditCost = [](size_t N) {
+    Runtime::Config C;
+    C.EnableProfile = true;
+    Runtime RT(C);
+    Rng R(13);
+    ListHandle L = buildList(RT, gen::randomWords(R, N));
+    Modref *Dst = RT.modref();
+    RT.runCore<&mapCore>(L.Head, Dst, &mapFn, Word(0));
+    std::vector<uint64_t> Cost;
+    for (bool Attach : {false, true}) {
+      const size_t Allocs0 = RT.arena().allocationCount();
+      const uint64_t Inserts0 = RT.profile().MemoInserts;
+      if (Attach)
+        reattachCell(RT, L, N / 2);
+      else
+        detachCell(RT, L, N / 2);
+      RT.propagate();
+      Cost.push_back(RT.arena().allocationCount() - Allocs0);
+      Cost.push_back(RT.profile().MemoInserts - Inserts0);
+    }
+    return Cost;
+  };
+  const std::vector<uint64_t> Small = EditCost(1000);
+  EXPECT_EQ(Small, EditCost(4000));
+  // Detach: the re-executed read memo-matches the next cell's two
+  // allocations, moving them, writes its output (the one new block) and
+  // splices at the next read. Reattach: the reattached cell costs a new
+  // read, a write and two allocations, all three memoized nodes
+  // inserted; the next cell's work is a second write, then moves and a
+  // splice as before.
+  EXPECT_EQ(Small, (std::vector<uint64_t>{1, 0, 5, 3}));
+}
+
+TEST(WorkGates, MemoMatchedAllocationKeepsItsNodeAndBlock) {
+  // Stealing a block moves its node to the cursor, so both keep their
+  // addresses: no node is freed and rebuilt around the stolen block.
+  Runtime RT;
+  Rng R(17);
+  const size_t N = 64;
+  ListHandle L = buildList(RT, gen::randomWords(R, N));
+  Modref *Dst = RT.modref();
+  RT.runCore<&mapCore>(L.Head, Dst, &mapFn, Word(0));
+  auto NodeOfBlock = [&RT]() {
+    std::unordered_map<const void *, const AllocNode *> M;
+    const OrderList &Om = RT.orderList();
+    for (const OmNode *T = Om.next(Om.base()); T; T = Om.next(T))
+      if (T->Kind == TraceKind::Alloc) {
+        const auto *A = static_cast<const AllocNode *>(T);
+        M.emplace(A->block(), A);
+      }
+    return M;
+  };
+  const auto Before = NodeOfBlock();
+  detachCell(RT, L, N / 2);
+  RT.propagate();
+  ASSERT_GT(RT.stats().MemoAllocHits, 0u);
+  size_t Kept = 0;
+  for (const auto &[Block, Node] : NodeOfBlock()) {
+    auto It = Before.find(Block);
+    if (It == Before.end())
+      continue;
+    EXPECT_EQ(It->second, Node) << "the block at " << Block
+                                << " changed nodes";
+    ++Kept;
+  }
+  // Every allocation but the detached element's two survived.
+  EXPECT_EQ(Kept, 2 * (N - 1));
+  TraceAudit::enforce(RT, "after a memo-matched allocation");
 }
 
 //===----------------------------------------------------------------------===//

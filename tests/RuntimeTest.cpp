@@ -626,9 +626,12 @@ TEST(Runtime, TraceMemoryIsReclaimedOnDelete) {
 
 TEST(Runtime, MapFootprintPerElementMatchesTheLayout) {
   // Each map element traces one read, one write and two allocations (the
-  // output tail modifiable and the output cell), and every timestamp is
-  // embedded in its node, so the trace costs exactly the node layouts
-  // plus closures and blocks per element: 296 B.
+  // output tail modifiable and the output cell), and every timestamp,
+  // closure and block is inside its node, so the trace costs exactly the
+  // node layouts per element: a read of 72 B with its one-word closure
+  // (16 B), a 40 B write, and two 32 B allocations, each with a one- or
+  // two-word initializer (16 or 24 B) and a 24 B modifiable or 16 B cell:
+  // 88 + 40 + 72 + 72 = 272 B.
   const size_t N = 100000;
   Runtime RT;
   std::vector<Word> In(N);
@@ -639,14 +642,12 @@ TEST(Runtime, MapFootprintPerElementMatchesTheLayout) {
   Modref *Dst = RT.modref();
   RT.runCore<&mapCore>(Src, Dst);
 
-  const size_t ReadBytes = sizeof(ReadNode) + Closure::byteSize(1);
+  const size_t ReadBytes = ReadNode::byteSize(1);
   const size_t WriteBytes = sizeof(WriteNode);
-  const size_t ModrefAlloc =
-      sizeof(AllocNode) + Closure::byteSize(1) + sizeof(Modref);
-  const size_t CellAlloc =
-      sizeof(AllocNode) + Closure::byteSize(2) + sizeof(Cell);
+  const size_t ModrefAlloc = AllocNode::byteSize(1, sizeof(Modref));
+  const size_t CellAlloc = AllocNode::byteSize(2, sizeof(Cell));
   const size_t PerElement = ReadBytes + WriteBytes + ModrefAlloc + CellAlloc;
-  EXPECT_EQ(PerElement, 296u);
+  EXPECT_EQ(PerElement, 272u);
 
   MemoryStats S = RT.memoryStats();
   EXPECT_EQ(S.Reads, N + 1); // The last read sees the end of the list.

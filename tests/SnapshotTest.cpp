@@ -737,7 +737,6 @@ TEST(Snapshot, ForgedExtentsAndStrayCursorAreAuditFailed) {
   Checkpoint C;
   makeCheckpoint(C);
   uint64_t PrevUseOff = 0, CloOff = 0, CloArgs = 0, AllocSizeOff = 0;
-  uint64_t AllocBlockOff = 0, ReadHandle = 0;
   {
     ASSERT_TRUE(spitFile(C.Tmp.Path, C.Bytes));
     Runtime RT(auditedConfig());
@@ -750,16 +749,12 @@ TEST(Snapshot, ForgedExtentsAndStrayCursorAreAuditFailed) {
     for (const OmNode *N = Om.next(Om.base()); N; N = Om.next(N)) {
       if (N->Kind == TraceKind::Read && !PrevUseOff) {
         const auto *R = static_cast<const ReadNode *>(N);
-        const Closure *Clo = RT.arena().ptr(R->Clo);
         PrevUseOff = OffOf(&R->PrevUse);
-        ReadHandle = OffOf(R) / Arena::HandleGrain;
-        CloOff = OffOf(Clo);
-        CloArgs = Clo->numArgs();
+        CloOff = OffOf(R->closure());
+        CloArgs = R->closure()->numArgs();
       }
-      if (N->Kind == TraceKind::Alloc && !AllocSizeOff) {
+      if (N->Kind == TraceKind::Alloc && !AllocSizeOff)
         AllocSizeOff = OffOf(&static_cast<const AllocNode *>(N)->Size);
-        AllocBlockOff = OffOf(&static_cast<const AllocNode *>(N)->Block);
-      }
     }
   }
   ASSERT_NE(PrevUseOff, 0u);
@@ -788,8 +783,6 @@ TEST(Snapshot, ForgedExtentsAndStrayCursorAreAuditFailed) {
        MemSection},
       {"zero-size alloc block", "zero-sized", MemAt + AllocSizeOff, 0, 4,
        MemSection},
-      {"alloc block naming a live read node", "overlap",
-       MemAt + AllocBlockOff, ReadHandle, 4, MemSection},
       // The read memo's bucket array: grain-aligned, below the frontier,
       // and not an order-list node.
       {"cursor in bounds but no timestamp", "cursor is not a member",
@@ -806,6 +799,141 @@ TEST(Snapshot, ForgedExtentsAndStrayCursorAreAuditFailed) {
     EXPECT_NE(Diag.find(K.Needle), std::string::npos) << K.What << ": "
                                                       << Diag;
   }
+}
+
+TEST(Snapshot, NodeExtentsPastTheFrontierOrIntoTheNextNodeAreAuditFailed) {
+  // A read's closure and an allocation's initializer and block live in
+  // the node, so the node's extent comes from words inside it: the
+  // frame's arity and the block's Size. A crafted file that grows either
+  // past the bump frontier, or just far enough to reach into the next
+  // live node (in bounds, so no bounds check alone can see it), must be
+  // rejected with a located diagnostic, and before any frame word is
+  // hashed (the trace walk sizes each node before the memo pass reads a
+  // key; the ASan fuzz job covers the out-of-bounds side).
+  Checkpoint C;
+  makeCheckpoint(C);
+  struct Node {
+    uint64_t Off, Bytes, Arity, Size;
+    TraceKind Kind;
+  };
+  std::vector<Node> Nodes;
+  {
+    ASSERT_TRUE(spitFile(C.Tmp.Path, C.Bytes));
+    Runtime RT(auditedConfig());
+    ASSERT_TRUE(Snapshot::load(RT, C.Tmp.Path).ok());
+    const OrderList &Om = RT.orderList();
+    const char *Base = static_cast<const char *>(RT.arena().regionBase());
+    for (const OmNode *N = Om.next(Om.base()); N; N = Om.next(N)) {
+      const uint64_t Off = uint64_t(reinterpret_cast<const char *>(N) - Base);
+      if (N->Kind == TraceKind::Read) {
+        const Closure *K = static_cast<const ReadNode *>(N)->closure();
+        Nodes.push_back({Off, ReadNode::byteSize(K->numArgs()),
+                         K->numArgs(), 0, TraceKind::Read});
+      } else if (N->Kind == TraceKind::Write) {
+        Nodes.push_back({Off, sizeof(WriteNode), 0, 0, TraceKind::Write});
+      } else if (N->Kind == TraceKind::Alloc) {
+        const auto *A = static_cast<const AllocNode *>(N);
+        Nodes.push_back(
+            {Off,
+             Arena::accountedSize(
+                 AllocNode::byteSize(A->init()->numArgs(), A->Size)),
+             A->init()->numArgs(), A->Size, TraceKind::Alloc});
+      }
+    }
+  }
+  // A read and an allocation that each sit directly before another live
+  // node in the arena (construction bump-allocates them back to back).
+  auto FollowedByNode = [&](TraceKind K) -> const Node * {
+    for (const Node &N : Nodes)
+      if (N.Kind == K)
+        for (const Node &M : Nodes)
+          if (M.Off == N.Off + N.Bytes)
+            return &N;
+    return nullptr;
+  };
+  const Node *R = FollowedByNode(TraceKind::Read);
+  const Node *A = FollowedByNode(TraceKind::Alloc);
+  ASSERT_NE(R, nullptr);
+  ASSERT_NE(A, nullptr);
+  const uint64_t Used = headerOf(C.Bytes)->MemBumpUsed;
+  const uint64_t MemAt = headerOf(C.Bytes)->Sections[MemSection].Offset;
+  const uint64_t ReadHeaderAt = MemAt + R->Off + sizeof(ReadNode);
+  const uint64_t SizeAt = MemAt + A->Off + sizeof(TraceNode);
+  const uint64_t InitHeaderAt = MemAt + A->Off + sizeof(AllocNode);
+  // The first frontier-crossing size: the block then ends one grain past
+  // the arena's allocated region.
+  const uint64_t PastFrontier =
+      Used + Arena::HandleGrain - A->Off - AllocNode::byteSize(A->Arity, 0);
+  ASSERT_LT(PastFrontier, uint64_t(UINT32_MAX));
+  // Arities that carry each frame past the frontier still fit the
+  // header's 16-bit field.
+  ASSERT_LT((Used - A->Off) / sizeof(Word), uint64_t(0xffff));
+  auto WithArity = [&](uint64_t HeaderAt, uint64_t Arity) {
+    const uint64_t H = peekU64(C.Bytes, HeaderAt);
+    return (H & ~(uint64_t(0xffff) << Closure::NumArgsShift)) |
+           Arity << Closure::NumArgsShift;
+  };
+
+  struct Case {
+    const char *What;
+    const char *Needle; ///< Expected in the diagnostic.
+    uint64_t At;        ///< File offset of the patched field.
+    uint64_t Value;
+    size_t Bytes; ///< Field width: 4 or 8.
+  };
+  const Case Cases[] = {
+      {"read arity one word into the next live node", "overlap",
+       ReadHeaderAt, WithArity(ReadHeaderAt, R->Arity + 1), 8},
+      {"read arity past the frontier", "read closure: handle",
+       ReadHeaderAt,
+       WithArity(ReadHeaderAt, (Used - R->Off) / sizeof(Word)), 8},
+      {"alloc size one grain into the next live node", "overlap", SizeAt,
+       A->Size + Arena::HandleGrain, 4},
+      {"alloc size past the frontier", "alloc block: handle", SizeAt,
+       PastFrontier, 4},
+      {"initializer arity past the frontier", "alloc initializer: handle",
+       InitHeaderAt,
+       WithArity(InitHeaderAt, (Used - A->Off) / sizeof(Word)), 8},
+  };
+  for (const Case &K : Cases) {
+    std::vector<uint8_t> B = C.Bytes;
+    std::memcpy(B.data() + K.At, &K.Value, K.Bytes); // Low bytes (LE).
+    resealSection(B, MemSection);
+    resealHeader(B);
+    std::string Diag;
+    EXPECT_EQ(tryLoad(C, B, &Diag), St::AuditFailed) << K.What;
+    EXPECT_NE(Diag.find(K.Needle), std::string::npos) << K.What << ": "
+                                                      << Diag;
+    // Sized wrongly, no node's key was hashed: a hash mismatch line
+    // would mean a frame word was read under a doubtful extent.
+    EXPECT_EQ(Diag.find("stored hash"), std::string::npos) << K.What << ": "
+                                                           << Diag;
+  }
+}
+
+TEST(Snapshot, RevisionFourLayoutIsBadLayout) {
+  // Revision 4 kept a read's closure, and an allocation's initializer
+  // and block, in blocks of their own behind handles (ReadNode 80 B,
+  // AllocNode 40 B). Its fingerprint, recomputed here from that layout,
+  // must be refused by both load paths before any payload is read.
+  static_assert(TraceLayoutRevision == 5, "bump this test with the layout");
+  uint64_t H = 0x4345414c00000004ULL;
+  for (uint64_t W : {uint64_t(sizeof(void *)), uint64_t(Arena::HandleGrain),
+                     uint64_t(sizeof(Handle<int>)), uint64_t(16) /*OmNode*/,
+                     uint64_t(24) /*OmGroup*/, uint64_t(8) /*Closure*/,
+                     uint64_t(16) /*TraceNode*/, uint64_t(28) /*Use*/,
+                     uint64_t(80) /*ReadNode*/, uint64_t(40) /*End*/,
+                     uint64_t(40) /*WriteNode*/, uint64_t(40) /*AllocNode*/,
+                     uint64_t(24) /*Modref*/, uint64_t(12) /*MemoLinks*/})
+    H = hashMixWord(H, W);
+  ASSERT_NE(H, traceLayoutFingerprint());
+  Checkpoint C;
+  makeCheckpoint(C);
+  std::vector<uint8_t> B = C.Bytes;
+  headerOf(B)->LayoutFingerprint = H;
+  resealHeader(B);
+  EXPECT_EQ(tryLoad(C, B), St::BadLayout);
+  EXPECT_EQ(tryFastMmap(C, B), St::BadLayout);
 }
 
 TEST(Snapshot, FailedLoadLeavesRuntimeUsable) {

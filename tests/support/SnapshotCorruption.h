@@ -23,7 +23,14 @@
 ///      section-table contiguity);
 ///   3. orphaning a non-empty memo bucket inside the arena image, found
 ///      through META, with the arena section and the header resealed
-///      (the trace walk's memo membership check catches it).
+///      (the trace walk's memo membership check catches it);
+///   4. growing a memoized node's extent from inside it — a read's or an
+///      initializer's closure arity, or an allocation's block Size — by
+///      a few words or past the bump frontier, with the arena section
+///      and the header resealed (the trace walk's bounds, overlap and
+///      arena reconciliation checks catch the extent; the arity and Size
+///      are memo-key words, so the hash check catches even a change that
+///      rounding hides).
 ///
 /// mutateForFastPath hits only what the trusted-file mmapWarmStart
 /// promises to check: bit flips in the header block, META or ROOTS (all
@@ -48,6 +55,7 @@
 #include "support/Checksum.h"
 #include "support/Random.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -211,7 +219,7 @@ inline std::vector<uint8_t> mutateSnapshot(std::vector<uint8_t> B,
     if (Desc)
       *Desc = S;
   };
-  unsigned Strategy = H ? unsigned(R.below(4)) : 0;
+  unsigned Strategy = H ? unsigned(R.below(5)) : 0;
   switch (Strategy) {
   case 1: { // Truncation (any cut strictly shorter than the file).
     size_t Cut = R.below(B.size());
@@ -249,6 +257,58 @@ inline std::vector<uint8_t> mutateSnapshot(std::vector<uint8_t> B,
       return B;
     }
     break; // No non-empty bucket: fall through to a bit flip.
+  }
+  case 4: { // Grow a memoized node's extent, MEM and header resealed.
+    const bool Alloc = R.below(2) != 0;
+    Snapshot::MemoMeta MM = memoMetaOf(B, Alloc);
+    std::vector<uint32_t> Nodes;
+    for (uint64_t I = 0; I < MM.Buckets; ++I) {
+      uint32_t Head;
+      std::memcpy(&Head, B.data() + bucketHeadOffset(B, MM, I), 4);
+      if (Head != 0)
+        Nodes.push_back(Head);
+    }
+    if (Nodes.empty())
+      break;
+    const size_t NodeAt =
+        static_cast<size_t>(H->Sections[MemSection].Offset) +
+        size_t(Nodes[R.below(Nodes.size())]) * Arena::HandleGrain;
+    const size_t Fixed = Alloc ? sizeof(AllocNode) : sizeof(ReadNode);
+    if (NodeAt + Fixed + sizeof(Closure) > B.size())
+      break;
+    const bool Far = R.below(2) != 0;
+    if (Alloc && R.below(2)) {
+      // The block's Size directly follows the allocation's start stamp.
+      const size_t At = NodeAt + sizeof(TraceNode);
+      uint32_t Size;
+      std::memcpy(&Size, B.data() + At, 4);
+      const uint32_t Grown =
+          Far ? UINT32_MAX - 1
+              : Size + static_cast<uint32_t>(1 + R.below(64));
+      std::memcpy(B.data() + At, &Grown, 4);
+      Describe("alloc Size at file offset " + std::to_string(At) + ": " +
+               std::to_string(Size) + " -> " + std::to_string(Grown) +
+               ", reseal the arena section + header");
+    } else {
+      const size_t At = NodeAt + Fixed;
+      uint64_t Header;
+      std::memcpy(&Header, B.data() + At, 8);
+      const uint64_t Arity = (Header >> Closure::NumArgsShift) & 0xffff;
+      const uint64_t Grown =
+          Far ? 0xffff : std::min<uint64_t>(Arity + 1 + R.below(8), 0xffff);
+      if (Grown == Arity)
+        break;
+      Header = (Header & ~(uint64_t(0xffff) << Closure::NumArgsShift)) |
+               Grown << Closure::NumArgsShift;
+      std::memcpy(B.data() + At, &Header, 8);
+      Describe(std::string(Alloc ? "initializer" : "read closure") +
+               " arity at file offset " + std::to_string(At) + ": " +
+               std::to_string(Arity) + " -> " + std::to_string(Grown) +
+               ", reseal the arena section + header");
+    }
+    resealSection(B, MemSection);
+    resealHeader(B);
+    return B;
   }
   default:
     break;
